@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "stack/Apps.h"
-#include "stack/Stack.h"
+#include "stack/Executor.h"
 
 #include <benchmark/benchmark.h>
 
@@ -43,23 +43,26 @@ void compareOptLevels(benchmark::State &State, const char *Source,
   Spec.Compile.Opt =
       Optimised ? cml::OptOptions::all() : cml::OptOptions::none();
   Spec.Exec.MaxSteps = 2'000'000'000ull;
-  Result<Prepared> P = prepare(Spec);
-  if (!P) {
+  Result<Executor> Exec = Executor::create(Spec);
+  if (!Exec) {
     State.SkipWithError("compile failed");
     return;
   }
   uint64_t Instructions = 0;
   for (auto _ : State) {
-    Result<Observed> R = runLevel(Spec, *P, Level::Isa);
-    if (!R || !R->Terminated) {
-      State.SkipWithError("run failed");
+    Result<Outcome> R = Exec->run(Level::Isa);
+    // Only a run that finished on its own counts as the app's dynamic
+    // instruction count: a timeout or an OOM exit stopped early.
+    if (!R || R->Status != RunStatus::Completed ||
+        R->Behaviour.ExitCode == machine::OomExitCode) {
+      State.SkipWithError("run did not complete");
       return;
     }
-    Instructions = R->Instructions;
+    Instructions = R->Behaviour.Instructions;
   }
   State.counters["DynInstructions"] = static_cast<double>(Instructions);
   State.counters["CodeBytes"] =
-      static_cast<double>(P->Program.Program.size());
+      static_cast<double>(Exec->prepared().Program.Program.size());
   State.counters["O1"] = Optimised;
 }
 
@@ -89,14 +92,19 @@ void BM_OomShrinkingHeaps(benchmark::State &State) {
   Spec.Compile.Layout.MemSize =
       static_cast<Word>(State.range(0)) << 10; // KiB
   Spec.Exec.MaxSteps = 1'000'000'000ull;
+  Result<Executor> Exec = Executor::create(Spec);
+  if (!Exec) {
+    State.SkipWithError("compile failed");
+    return;
+  }
   bool Oom = false;
   for (auto _ : State) {
-    Result<Observed> R = run(Spec, Level::Isa);
-    if (!R || !R->Terminated) {
+    Result<Outcome> R = Exec->run(Level::Isa);
+    if (!R || R->Status != RunStatus::Completed) {
       State.SkipWithError("run did not terminate cleanly");
       return;
     }
-    Oom = R->ExitCode == machine::OomExitCode;
+    Oom = R->Behaviour.ExitCode == machine::OomExitCode;
   }
   State.counters["OomExit"] = Oom;
 }

@@ -3,8 +3,8 @@
 // Part of SilverStack, a C++ reproduction of "Verified Compilation on a
 // Verified Processor" (PLDI 2019).
 //
-// Measures svc::Service job throughput on the wc-200 workload (the same
-// interpreter-bound workload as bench_layers) across worker-pool sizes,
+// Measures svc::Service job throughput on the interpreter-bound wc-200
+// workload across worker-pool sizes,
 // and reports the scaling ratio of the largest pool over one worker.
 // Every job submits the same source, so after the first compilation the
 // prepare cache makes this a pure execution-scaling measurement.

@@ -203,16 +203,7 @@ int main(int Argc, char **Argv) {
     else if (startsWith(A, "--builtin="))
       Builtin = A.substr(10);
     else if (startsWith(A, "--level=")) {
-      std::string Name = A.substr(8);
-      if (Name == "jit") {
-        // The old ad-hoc spelling, before --backend= was uniform
-        // across the CLIs; jit is a backend, not a Figure-1 level.
-        std::fprintf(stderr,
-                     "silver-client: warning: --level=jit is deprecated; "
-                     "use --level=isa --backend=jit\n");
-        Spec.Level = stack::Level::Isa;
-        Spec.Backend = stack::BackendKind::Jit;
-      } else if (!parseLevel(Name, Spec.Level))
+      if (!parseLevel(A.substr(8), Spec.Level))
         return usage();
     } else if (startsWith(A, "--backend=")) {
       if (!stack::parseBackendKind(A.substr(10), Spec.Backend))

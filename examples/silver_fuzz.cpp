@@ -82,7 +82,7 @@ int usage(const char *Argv0) {
 }
 
 bool parseLevels(const std::string &Arg, std::vector<stack::Level> &Out,
-                 bool &Jit, bool &Compiled) {
+                 bool &Compiled) {
   Out.clear();
   std::istringstream In(Arg);
   std::string Name;
@@ -97,12 +97,10 @@ bool parseLevels(const std::string &Arg, std::vector<stack::Level> &Out,
       Out.push_back(stack::Level::Verilog);
     else if (Name == "compiled")
       Compiled = true; // Compiled-vs-Verilog; the oracle adds verilog itself
-    else if (Name == "jit")
-      Jit = true; // deprecated spelling of --backend=jit; the caller warns
     else
       return false;
   }
-  return !Out.empty() || Jit || Compiled;
+  return !Out.empty() || Compiled;
 }
 
 bool parseProfiles(const std::string &Arg, std::vector<fuzz::Profile> &Out) {
@@ -147,16 +145,10 @@ int main(int Argc, char **Argv) {
       else if (const char *V = Value("--max-steps="))
         Opt.Oracle.MaxSteps = std::stoull(V);
       else if (const char *V = Value("--levels=")) {
-        bool Jit = false;
         bool Compiled = false;
-        if (!parseLevels(V, Opt.Oracle.Levels, Jit, Compiled))
+        if (!parseLevels(V, Opt.Oracle.Levels, Compiled))
           return usage(Argv[0]);
         Opt.Oracle.CompareCompiled = Compiled;
-        if (Jit) {
-          std::cerr << "silver-fuzz: warning: --levels=...,jit is "
-                       "deprecated; use --backend=jit\n";
-          Opt.Oracle.CompareJit = true;
-        }
       } else if (const char *V = Value("--backend=")) {
         stack::BackendKind B;
         if (!stack::parseBackendKind(V, B))

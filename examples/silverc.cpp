@@ -196,15 +196,6 @@ int main(int Argc, char **Argv) {
   if (File.empty() == Builtin.empty())
     return usage();
 
-  // The one uniform backend spelling across the CLIs; "--level=jit" was
-  // never a Figure-1 level, so the old spelling is a deprecated alias.
-  if (Level == "jit") {
-    std::fprintf(stderr, "silverc: warning: --level=jit is deprecated; use "
-                         "--level=isa --backend=jit\n");
-    Level = "isa";
-    if (Backend.empty())
-      Backend = "jit";
-  }
   stack::BackendKind ExecBackend = stack::BackendKind::Interp;
   if (!Backend.empty() && !stack::parseBackendKind(Backend, ExecBackend))
     return usage();

@@ -82,7 +82,6 @@ struct FastSim::Impl {
   std::vector<NbEntry> Queue;
   std::vector<std::pair<int, uint64_t>> UndoLog;
   std::vector<std::pair<int, uint64_t>> CommitLog;
-  std::vector<uint64_t> DenseScratch; // map-step compatibility buffer
 
   Result<FExp> compileExp(const VExp &E);
   Result<FStmt> compileStmt(const VStmt &S);
@@ -389,19 +388,6 @@ Result<std::unique_ptr<FastSim>> FastSim::compile(const VModule &M) {
   return Sim;
 }
 
-Result<void> FastSim::step(const std::map<std::string, uint64_t> &Inputs) {
-  Impl &Im = *I;
-  Im.DenseScratch.resize(Im.InputSlots.size());
-  for (size_t K = 0; K != Im.InputSlots.size(); ++K) {
-    auto It = Inputs.find(Im.InputSlots[K].first);
-    if (It == Inputs.end())
-      return Error("fastsim: input '" + Im.InputSlots[K].first +
-                   "' not driven");
-    Im.DenseScratch[K] = It->second;
-  }
-  return stepDense(Im.DenseScratch.data(), Im.DenseScratch.size());
-}
-
 Result<void> FastSim::stepDense(const uint64_t *Inputs, size_t Count) {
   Impl &Im = *I;
   if (Count != Im.InputSlots.size())
@@ -483,36 +469,11 @@ std::vector<uint64_t> &FastSim::memOf(int MemSlot) {
   return I->Mems[MemSlot];
 }
 
-uint64_t FastSim::valueOf(const std::string &Name) const {
-  auto It = I->ScalarSlots.find(Name);
-  assert(It != I->ScalarSlots.end() && "unknown variable");
-  return I->Values[It->second];
-}
-
-void FastSim::setValue(const std::string &Name, uint64_t Bits) {
-  auto It = I->ScalarSlots.find(Name);
-  assert(It != I->ScalarSlots.end() && "unknown variable");
-  unsigned W = I->SlotWidths[It->second];
-  I->Values[It->second] = maskTo(W == 0 ? 1 : W, Bits);
-}
-
-const std::vector<uint64_t> &FastSim::memOf(const std::string &Name) const {
-  auto It = I->MemSlots.find(Name);
-  assert(It != I->MemSlots.end() && "unknown memory");
-  return I->Mems[It->second];
-}
-
-std::vector<uint64_t> &FastSim::memOf(const std::string &Name) {
-  auto It = I->MemSlots.find(Name);
-  assert(It != I->MemSlots.end() && "unknown memory");
-  return I->Mems[It->second];
-}
-
 SimState FastSim::exportState(const VModule &M) const {
   SimState S = SimState::init(M);
   for (auto &[Name, Value] : S.Vars) {
     if (Value.K == VValue::Kind::Mem) {
-      Value.Elems = memOf(Name);
+      Value.Elems = memOf(memSlotOf(Name));
       continue;
     }
     auto It = I->ScalarSlots.find(Name);

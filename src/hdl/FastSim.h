@@ -44,10 +44,6 @@ public:
   /// path: no name lookups, no per-cycle allocation.
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
 
-  /// One clock cycle with named inputs; \p Inputs must cover every input
-  /// port.  Thin compatibility wrapper over stepDense.
-  Result<void> step(const std::map<std::string, uint64_t> &Inputs) override;
-
   /// Number of input ports (the stepDense frame size).
   size_t numInputs() const override;
   /// Name of input port \p Ordinal (stepDense frame order).
@@ -59,7 +55,7 @@ public:
   int slotOf(const std::string &Name) const override;
   /// Memory handle of a memory variable, or -1 when unknown.
   int memSlotOf(const std::string &Name) const override;
-  /// Indexed accessors (hot-path counterparts of the named ones).
+  /// Slot accessors (see ModuleSim).
   uint64_t valueOf(int Slot) const override;
   void setValue(int Slot, uint64_t Bits) override;
   const std::vector<uint64_t> &memOf(int MemSlot) const override;
@@ -69,15 +65,6 @@ public:
   /// clock source for the unified trace/counter subsystem).  Null
   /// detaches; not owned.
   void setCycleObserver(obs::Observer *O) override;
-
-  /// Current value of a scalar (bool/vec) variable's bits.
-  uint64_t valueOf(const std::string &Name) const override;
-  /// Current contents of a memory variable.
-  const std::vector<uint64_t> &memOf(const std::string &Name) const override;
-  /// Writes a scalar variable (for priming architectural state).
-  void setValue(const std::string &Name, uint64_t Bits) override;
-  /// Mutable memory access (for priming).
-  std::vector<uint64_t> &memOf(const std::string &Name) override;
 
   /// Exports the state in reference-simulator form (for the agreement
   /// tests against hdl::stepCycle).

@@ -27,7 +27,6 @@
 #include "hdl/Semantics.h"
 #include "obs/Observer.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -42,10 +41,6 @@ public:
   /// declaration order (see numInputs / inputName).
   virtual Result<void> stepDense(const uint64_t *Inputs, size_t Count) = 0;
 
-  /// One clock cycle with named inputs; \p Inputs must cover every input
-  /// port.  Compatibility wrapper over stepDense.
-  virtual Result<void> step(const std::map<std::string, uint64_t> &Inputs) = 0;
-
   /// Number of input ports (the stepDense frame size).
   virtual size_t numInputs() const = 0;
   /// Name of input port \p Ordinal (stepDense frame order).
@@ -57,24 +52,17 @@ public:
   virtual int slotOf(const std::string &Name) const = 0;
   /// Memory handle of a memory variable, or -1 when unknown.
   virtual int memSlotOf(const std::string &Name) const = 0;
-  /// Indexed accessors (hot-path counterparts of the named ones).
+  /// Current bits of a scalar slot; setValue writes (masks) them, for
+  /// priming architectural state.
   virtual uint64_t valueOf(int Slot) const = 0;
   virtual void setValue(int Slot, uint64_t Bits) = 0;
+  /// Contents of a memory slot (mutable for priming).
   virtual const std::vector<uint64_t> &memOf(int MemSlot) const = 0;
   virtual std::vector<uint64_t> &memOf(int MemSlot) = 0;
 
   /// Ticks obs::Observer::onCycle once per step.  Null detaches; not
   /// owned.
   virtual void setCycleObserver(obs::Observer *O) = 0;
-
-  /// Current value of a scalar (bool/vec) variable's bits.
-  virtual uint64_t valueOf(const std::string &Name) const = 0;
-  /// Current contents of a memory variable.
-  virtual const std::vector<uint64_t> &memOf(const std::string &Name) const = 0;
-  /// Writes a scalar variable (for priming architectural state).
-  virtual void setValue(const std::string &Name, uint64_t Bits) = 0;
-  /// Mutable memory access (for priming).
-  virtual std::vector<uint64_t> &memOf(const std::string &Name) = 0;
 
   /// Exports the state in reference-simulator form (for the agreement
   /// tests against hdl::stepCycle).

@@ -77,19 +77,6 @@ Result<void> CompiledSim::stepDense(const uint64_t *Inputs, size_t Count) {
   return {};
 }
 
-Result<void> CompiledSim::step(const std::map<std::string, uint64_t> &Inputs) {
-  const CompiledLayout &L = Module->Layout;
-  DenseScratch.resize(L.InputSlots.size());
-  for (size_t K = 0; K != L.InputSlots.size(); ++K) {
-    auto It = Inputs.find(L.InputSlots[K].first);
-    if (It == Inputs.end())
-      return Error("compiled sim: input '" + L.InputSlots[K].first +
-                   "' not driven");
-    DenseScratch[K] = It->second;
-  }
-  return stepDense(DenseScratch.data(), DenseScratch.size());
-}
-
 size_t CompiledSim::numInputs() const {
   return Module->Layout.InputSlots.size();
 }
@@ -135,36 +122,12 @@ std::vector<uint64_t> &CompiledSim::memOf(int MemSlot) {
 
 void CompiledSim::setCycleObserver(obs::Observer *O) { CycleObs = O; }
 
-uint64_t CompiledSim::valueOf(const std::string &Name) const {
-  int Slot = slotOf(Name);
-  assert(Slot >= 0 && "unknown variable");
-  return Values[Slot];
-}
-
-void CompiledSim::setValue(const std::string &Name, uint64_t Bits) {
-  int Slot = slotOf(Name);
-  assert(Slot >= 0 && "unknown variable");
-  setValue(Slot, Bits);
-}
-
-const std::vector<uint64_t> &CompiledSim::memOf(const std::string &Name) const {
-  int Slot = memSlotOf(Name);
-  assert(Slot >= 0 && "unknown memory");
-  return Mems[Slot];
-}
-
-std::vector<uint64_t> &CompiledSim::memOf(const std::string &Name) {
-  int Slot = memSlotOf(Name);
-  assert(Slot >= 0 && "unknown memory");
-  return Mems[Slot];
-}
-
 SimState CompiledSim::exportState(const VModule &M) const {
   SimState S = SimState::init(M);
   const CompiledLayout &L = Module->Layout;
   for (auto &[Name, Value] : S.Vars) {
     if (Value.K == VValue::Kind::Mem) {
-      Value.Elems = memOf(Name);
+      Value.Elems = memOf(memSlotOf(Name));
       continue;
     }
     auto It = L.ScalarSlots.find(Name);

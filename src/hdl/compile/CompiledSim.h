@@ -70,7 +70,6 @@ public:
   ~CompiledSim() override;
 
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
-  Result<void> step(const std::map<std::string, uint64_t> &Inputs) override;
   size_t numInputs() const override;
   const std::string &inputName(size_t Ordinal) const override;
   int slotOf(const std::string &Name) const override;
@@ -80,10 +79,6 @@ public:
   const std::vector<uint64_t> &memOf(int MemSlot) const override;
   std::vector<uint64_t> &memOf(int MemSlot) override;
   void setCycleObserver(obs::Observer *O) override;
-  uint64_t valueOf(const std::string &Name) const override;
-  const std::vector<uint64_t> &memOf(const std::string &Name) const override;
-  void setValue(const std::string &Name, uint64_t Bits) override;
-  std::vector<uint64_t> &memOf(const std::string &Name) override;
   SimState exportState(const VModule &M) const override;
 
   uint64_t designHash() const { return Module->designHash(); }
@@ -93,7 +88,6 @@ private:
   std::vector<uint64_t> Values;
   std::vector<std::vector<uint64_t>> Mems;
   std::vector<uint64_t *> MemPtrs;
-  std::vector<uint64_t> DenseScratch;
   obs::Observer *CycleObs = nullptr;
   uint64_t Cycle = 0;
 };

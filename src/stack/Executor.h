@@ -17,9 +17,6 @@
 ///   stack::Outcome Out = Exec.run(stack::Level::Rtl).take();
 ///   std::cout << Counters.report();
 ///
-/// The one-shot free functions in Stack.h (run, runLevel, checkEndToEnd)
-/// are retained as thin wrappers over this class.
-///
 /// Budgets: RunSpec::MaxSteps bounds retired instructions at every level;
 /// the cycle-accurate levels additionally get RunSpec::MaxCycles clock
 /// cycles (0 = derived as MaxSteps x 16, saturating) plus a wedge

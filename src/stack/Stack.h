@@ -140,33 +140,11 @@ auditPrepared(const Prepared &P, const analysis::SummaryObligations &O);
 /// compiles.
 Result<Observed> runSpecLevel(const RunSpec &Spec);
 
-/// Runs at one level.  Rtl and Verilog are considerably slower; their
-/// cycle budgets derive from MaxSteps times a cycles-per-instruction
-/// bound (see RunSpec::MaxCycles).
-///
-/// \deprecated Thin wrapper over stack::Executor (Executor.h), which
-/// adds observers, counters, pause/resume, and a distinct timeout
-/// status.  Kept for the one-shot call sites; see DESIGN.md §8.
-Result<Observed> runLevel(const RunSpec &Spec, const Prepared &P, Level L);
-
-/// Convenience: prepare + run.
-///
-/// \deprecated Thin wrapper over stack::Executor; see runLevel.
-Result<Observed> run(const RunSpec &Spec, Level L);
-
-/// Runs the compiled image on the circuit-level Silver core (RTL), or on
-/// the generated Verilog AST under verilog_sem when \p ThroughVerilog.
-///
-/// \deprecated Thin wrapper over stack::Executor; see runLevel.
-Result<Observed> runRtlLevel(const RunSpec &Spec, const Prepared &P,
-                             bool ThroughVerilog);
-
-/// The cross-level check: runs the given levels and verifies agreement
-/// of stdout/stderr/exit code.  A run that exited with the OOM code is
-/// accepted when its output is a prefix of the spec's (extend_with_oom).
-///
-/// \deprecated Thin wrapper over stack::Executor (one Executor, one run
-/// per level); see DESIGN.md §8.
+/// The cross-level check (theorem (8)): compiles once, runs the given
+/// levels on one stack::Executor, and verifies that each completes with
+/// the spec's stdout/stderr/exit code.  A run that exited with the OOM
+/// code is accepted when its output is a prefix of the spec's
+/// (extend_with_oom).  Returns the per-level behaviours in order.
 Result<std::vector<Observed>> checkEndToEnd(const RunSpec &Spec,
                                             const std::vector<Level> &Levels);
 

@@ -8,7 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "stack/Stack.h"
+#include "stack/Executor.h"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,14 @@ using namespace silver;
 using namespace silver::stack;
 
 namespace {
+
+/// Compiles \p Spec and runs it once at the Isa level.
+Result<Outcome> runIsa(const RunSpec &Spec) {
+  Result<Executor> Exec = Executor::create(Spec);
+  if (!Exec)
+    return Exec.error();
+  return Exec->run(Level::Isa);
+}
 
 struct CorpusEntry {
   const char *Name;
@@ -193,11 +201,11 @@ TEST(Compiler, OutOfMemoryExitsWithPrefixOfOutput) {
   Spec.Compile.Layout.MemSize = 1 << 20; // leaves a few hundred KiB usable
   Spec.Exec.MaxSteps = 100'000'000;
 
-  Result<Observed> Isa = run(Spec, Level::Isa);
+  Result<Outcome> Isa = runIsa(Spec);
   ASSERT_TRUE(Isa) << Isa.error().str();
-  EXPECT_TRUE(Isa->Terminated);
-  EXPECT_EQ(Isa->ExitCode, machine::OomExitCode);
-  EXPECT_EQ(Isa->StdoutData, "before"); // a prefix of the spec output
+  EXPECT_EQ(Isa->Status, RunStatus::Completed);
+  EXPECT_EQ(Isa->Behaviour.ExitCode, machine::OomExitCode);
+  EXPECT_EQ(Isa->Behaviour.StdoutData, "before"); // a prefix of the spec output
 
   // And the end-to-end checker accepts the OOM prefix behaviour.
   Result<std::vector<Observed>> R = checkEndToEnd(Spec, {Level::Isa});
@@ -211,10 +219,10 @@ TEST(Compiler, StackOverflowAlsoExitsOom) {
     val _ = print (int_to_string (deep 1000000))
   )";
   Spec.Exec.MaxSteps = 200'000'000;
-  Result<Observed> Isa = run(Spec, Level::Isa);
+  Result<Outcome> Isa = runIsa(Spec);
   ASSERT_TRUE(Isa) << Isa.error().str();
-  EXPECT_TRUE(Isa->Terminated);
-  EXPECT_EQ(Isa->ExitCode, machine::OomExitCode);
+  EXPECT_EQ(Isa->Status, RunStatus::Completed);
+  EXPECT_EQ(Isa->Behaviour.ExitCode, machine::OomExitCode);
 }
 
 TEST(Compiler, TrapExitCodesMatchInterpreter) {
@@ -239,10 +247,10 @@ TEST(Compiler, LargeStringIoRoundTrips) {
   Spec.Source = "val _ = print (input_all ())";
   Spec.StdinData = Big;
   Spec.Exec.MaxSteps = 500'000'000;
-  Result<Observed> R = run(Spec, Level::Isa);
+  Result<Outcome> R = runIsa(Spec);
   ASSERT_TRUE(R) << R.error().str();
-  EXPECT_EQ(R->StdoutData, Big);
-  EXPECT_EQ(R->ExitCode, 0);
+  EXPECT_EQ(R->Behaviour.StdoutData, Big);
+  EXPECT_EQ(R->Behaviour.ExitCode, 0);
 }
 
 TEST(Compiler, ReportsStatistics) {

@@ -112,23 +112,19 @@ TEST(Core, WaitsForMemStartInterface) {
   // Before mem_start_ready the core must stay in Init and issue nothing.
   SilverCore Core = buildSilverCore();
   auto Sim = makeCircuitSim(Core);
-  std::map<std::string, uint64_t> In{{"mem_rdata", 0},
-                                     {"mem_ready", 0},
-                                     {"mem_start_ready", 0},
-                                     {"interrupt_ack", 0},
-                                     {"data_in", 0}};
-  std::map<std::string, uint64_t> Out;
+  CoreInputs In;
+  CoreOutputs Out;
   for (int I = 0; I != 10; ++I) {
-    ASSERT_TRUE(Sim->step(In, Out));
-    EXPECT_EQ(Out.at("mem_ren"), 0u);
-    EXPECT_EQ(Out.at("mem_wen"), 0u);
-    EXPECT_EQ(Out.at("retire"), 0u);
+    ASSERT_TRUE(Sim->stepDense(In, Out));
+    EXPECT_FALSE(Out.MemRen);
+    EXPECT_FALSE(Out.MemWen);
+    EXPECT_FALSE(Out.Retire);
   }
-  In["mem_start_ready"] = 1;
-  ASSERT_TRUE(Sim->step(In, Out));
-  ASSERT_TRUE(Sim->step(In, Out));
-  EXPECT_EQ(Out.at("mem_ren"), 1u); // fetch request for address 0
-  EXPECT_EQ(Out.at("mem_addr"), 0u);
+  In.MemStartReady = true;
+  ASSERT_TRUE(Sim->stepDense(In, Out));
+  ASSERT_TRUE(Sim->stepDense(In, Out));
+  EXPECT_TRUE(Out.MemRen); // fetch request for address 0
+  EXPECT_EQ(Out.MemAddr, 0u);
 }
 
 class IsaRtlRandom

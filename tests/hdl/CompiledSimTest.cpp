@@ -19,6 +19,8 @@
 #include "rtl/ToVerilog.h"
 #include "support/Rng.h"
 
+#include "DenseFrame.h"
+
 #include <gtest/gtest.h>
 
 using namespace silver;
@@ -57,7 +59,7 @@ VModule makeAB() {
 }
 
 /// Steps the reference interpreter and one compiled instance with the
-/// same input map and requires identical exported state every cycle.
+/// same named inputs and requires identical exported state every cycle.
 void lockstep(const VModule &M, CompiledSim &Sim,
               const std::vector<std::map<std::string, uint64_t>> &Frames) {
   SimState Ref = SimState::init(M);
@@ -74,7 +76,8 @@ void lockstep(const VModule &M, CompiledSim &Sim,
                        : VValue::vec(P.Type.Width, Bits);
     }
     ASSERT_TRUE(stepCycle(M, Ref, In));
-    ASSERT_TRUE(Sim.step(Frames[Cycle]));
+    std::vector<uint64_t> Dense = denseFrame(Sim, Frames[Cycle]);
+    ASSERT_TRUE(Sim.stepDense(Dense.data(), Dense.size()));
     ASSERT_TRUE(Sim.exportState(M) == Ref) << "cycle " << Cycle;
   }
 }
@@ -179,8 +182,9 @@ TEST_F(CompiledSimTest, NbaMergeOrderIsProgramOrder) {
 
   Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
-  lockstep(M, **SimOr, {{}, {}});
-  EXPECT_EQ((*SimOr)->valueOf("r"), 2u);
+  CompiledSim &Sim = **SimOr;
+  lockstep(M, Sim, {{}, {}});
+  EXPECT_EQ(Sim.valueOf(Sim.slotOf("r")), 2u);
 }
 
 TEST_F(CompiledSimTest, CrossProcessBlockingReadsCycleStartState) {
@@ -200,12 +204,12 @@ TEST_F(CompiledSimTest, CrossProcessBlockingReadsCycleStartState) {
 
   Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
-  lockstep(M, **SimOr,
-           {{{"sel", 1}}, {{"sel", 0}}, {{"sel", 1}}, {{"sel", 0}}});
+  CompiledSim &Sim = **SimOr;
+  lockstep(M, Sim, {{{"sel", 1}}, {{"sel", 0}}, {{"sel", 1}}, {{"sel", 0}}});
   // After cycle 1 (sel=0): t kept 9 from cycle 0; r latched the
   // cycle-start t of each cycle, never the in-cycle write.
-  EXPECT_EQ((*SimOr)->valueOf("t"), 9u);
-  EXPECT_EQ((*SimOr)->valueOf("r"), 9u);
+  EXPECT_EQ(Sim.valueOf(Sim.slotOf("t")), 9u);
+  EXPECT_EQ(Sim.valueOf(Sim.slotOf("r")), 9u);
 }
 
 TEST_F(CompiledSimTest, ExhaustiveLeafSweepMatchesReference) {
@@ -307,9 +311,12 @@ TEST_F(CompiledSimTest, SlotSurfaceMatchesFastSim) {
     ASSERT_TRUE((*C)->stepDense(Frame, 1));
     ASSERT_TRUE((*F)->stepDense(Frame, 1));
   }
-  EXPECT_EQ((*C)->valueOf("count"), (*F)->valueOf("count"));
-  EXPECT_EQ((*C)->valueOf("done"), (*F)->valueOf("done"));
-  EXPECT_EQ((*C)->valueOf("count"), 12u);
+  int Count = (*C)->slotOf("count");
+  int Done = (*C)->slotOf("done");
+  EXPECT_EQ(Done, (*F)->slotOf("done"));
+  EXPECT_EQ((*C)->valueOf(Count), (*F)->valueOf(Count));
+  EXPECT_EQ((*C)->valueOf(Done), (*F)->valueOf(Done));
+  EXPECT_EQ((*C)->valueOf(Count), 12u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -343,9 +350,9 @@ TEST_F(CompiledSimTest, BatchLanesMatchSequentialSingles) {
   int Done = Batch.slotOf("done");
   ASSERT_GE(Count, 0);
   for (size_t L = 0; L != Lanes; ++L) {
-    EXPECT_EQ(Batch.valueOf(L, Count), Singles[L]->valueOf("count"))
+    EXPECT_EQ(Batch.valueOf(L, Count), Singles[L]->valueOf(Count))
         << "lane " << L;
-    EXPECT_EQ(Batch.valueOf(L, Done), Singles[L]->valueOf("done"))
+    EXPECT_EQ(Batch.valueOf(L, Done), Singles[L]->valueOf(Done))
         << "lane " << L;
   }
 }

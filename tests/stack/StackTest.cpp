@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "stack/Apps.h"
-#include "stack/Stack.h"
+#include "stack/Executor.h"
 
 #include <gtest/gtest.h>
 
@@ -16,15 +16,22 @@ using namespace silver::stack;
 
 namespace {
 
+/// Compiles \p Spec and runs it once at \p L.
+Result<Outcome> runAt(const RunSpec &Spec, Level L) {
+  Result<Executor> Exec = Executor::create(Spec);
+  if (!Exec)
+    return Exec.error();
+  return Exec->run(L);
+}
+
 void expectAllSoftwareLevels(RunSpec Spec, const std::string &ExpectOut,
                              uint8_t ExpectCode = 0) {
   Result<std::vector<Observed>> R =
       checkEndToEnd(Spec, {Level::Machine, Level::Isa});
   ASSERT_TRUE(R) << R.error().str();
-  Result<Observed> Isa = run(Spec, Level::Isa);
-  ASSERT_TRUE(Isa);
-  EXPECT_EQ(Isa->StdoutData, ExpectOut);
-  EXPECT_EQ(Isa->ExitCode, ExpectCode);
+  const Observed &Isa = (*R)[1];
+  EXPECT_EQ(Isa.StdoutData, ExpectOut);
+  EXPECT_EQ(Isa.ExitCode, ExpectCode);
 }
 
 } // namespace
@@ -54,9 +61,10 @@ TEST(EndToEnd, WcEdgeCases) {
     RunSpec Spec;
     Spec.Source = wcSource();
     Spec.StdinData = Input;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = runAt(Spec, Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, wcSpec(Input)) << "input: '" << Input << "'";
+    EXPECT_EQ(R->Behaviour.StdoutData, wcSpec(Input))
+        << "input: '" << Input << "'";
   }
 }
 
@@ -74,9 +82,9 @@ TEST(EndToEnd, SortOnHardwareSmallInput) {
   Spec.Source = sortSource();
   Spec.StdinData = Input;
   Spec.Exec.MaxSteps = 400'000'000;
-  Result<Observed> R = run(Spec, Level::Rtl);
+  Result<Outcome> R = runAt(Spec, Level::Rtl);
   ASSERT_TRUE(R) << R.error().str();
-  EXPECT_EQ(R->StdoutData, "apple\nmango\npear\nzebra\n");
+  EXPECT_EQ(R->Behaviour.StdoutData, "apple\nmango\npear\nzebra\n");
 }
 
 TEST(EndToEnd, CatRoundTripsBinaryishData) {
@@ -116,9 +124,10 @@ TEST(EndToEnd, ProofCheckerAgainstSpecOnMutations) {
     RunSpec Spec;
     Spec.Source = proofCheckerSource();
     Spec.StdinData = Mutated;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = runAt(Spec, Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, proofSpec(Mutated)) << "mutation at " << I;
+    EXPECT_EQ(R->Behaviour.StdoutData, proofSpec(Mutated))
+        << "mutation at " << I;
   }
 }
 
@@ -129,10 +138,10 @@ TEST(EndToEnd, TinCompilerMatchesSpec) {
     Spec.Source = tinCompilerSource();
     Spec.StdinData = Program;
     Spec.Exec.MaxSteps = 500'000'000;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = runAt(Spec, Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, tinSpec(Program)) << Program;
-    EXPECT_EQ(R->ExitCode, 0);
+    EXPECT_EQ(R->Behaviour.StdoutData, tinSpec(Program)) << Program;
+    EXPECT_EQ(R->Behaviour.ExitCode, 0);
   }
 }
 
@@ -142,10 +151,10 @@ TEST(EndToEnd, TinCompilerRejectsBadPrograms) {
     RunSpec Spec;
     Spec.Source = tinCompilerSource();
     Spec.StdinData = Bad;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = runAt(Spec, Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, "ERROR\n") << Bad;
-    EXPECT_EQ(R->StdoutData, tinSpec(Bad)) << Bad;
+    EXPECT_EQ(R->Behaviour.StdoutData, "ERROR\n") << Bad;
+    EXPECT_EQ(R->Behaviour.StdoutData, tinSpec(Bad)) << Bad;
   }
 }
 
@@ -162,7 +171,7 @@ TEST(EndToEnd, PaperStdinBoundIsEnforced) {
   RunSpec Spec;
   Spec.Source = catSource();
   Spec.StdinData.assign(Spec.Compile.Layout.StdinCap + 1, 'x');
-  Result<Observed> R = run(Spec, Level::Isa);
+  Result<Outcome> R = runAt(Spec, Level::Isa);
   EXPECT_FALSE(R);
 }
 
@@ -186,12 +195,29 @@ TEST(EndToEnd, LevelsDisagreeOnlyNever) {
   EXPECT_EQ((*R)[1].ExitCode, 4);
 }
 
+TEST(EndToEnd, CheckRejectsARunThatExhaustsItsBudget) {
+  // 100 instructions do not get hello through startup: the first level
+  // times out, and the check names it instead of comparing a prefix.
+  RunSpec Spec;
+  Spec.Source = helloSource();
+  Spec.Exec.MaxSteps = 100;
+  Result<std::vector<Observed>> R =
+      checkEndToEnd(Spec, {Level::Machine, Level::Isa});
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().str().find("machine-sem"), std::string::npos)
+      << R.error().str();
+  EXPECT_NE(R.error().str().find(
+                "did not terminate within the step budget"),
+            std::string::npos)
+      << R.error().str();
+}
+
 TEST(EndToEnd, InstructionCountsAreDeterministic) {
   RunSpec Spec;
   Spec.Source = helloSource();
-  Result<Observed> A = run(Spec, Level::Isa);
-  Result<Observed> B = run(Spec, Level::Isa);
+  Result<Outcome> A = runAt(Spec, Level::Isa);
+  Result<Outcome> B = runAt(Spec, Level::Isa);
   ASSERT_TRUE(A);
   ASSERT_TRUE(B);
-  EXPECT_EQ(A->Instructions, B->Instructions);
+  EXPECT_EQ(A->Behaviour.Instructions, B->Behaviour.Instructions);
 }
