@@ -12,6 +12,8 @@
 #include "isa/Encoding.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+
 using namespace silver;
 using namespace silver::cpu;
 
@@ -167,9 +169,7 @@ CoreRunResult CoreRunner::result() const {
   R.StdoutData = Env.collectedStdout();
   R.StderrData = Env.collectedStderr();
   R.FinalMemory = Env.memory();
-  isa::MachineState Tmp(R.FinalMemory.size());
-  Tmp.Memory = R.FinalMemory;
-  R.Exit = sys::readExitStatus(Tmp, Layout);
+  R.Exit = sys::readExitStatus(R.FinalMemory.data(), Layout);
   return R;
 }
 
@@ -211,7 +211,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
     SysEnv = std::make_unique<sys::SysEnv>(*Layout);
   isa::IsaEnv &IsaEnv = SysEnv ? *SysEnv : isa::nullEnv();
 
-  LabEnv Env(Initial.Memory,
+  LabEnv Env(std::vector<uint8_t>(Initial.Memory.begin(),
+                                  Initial.Memory.end()),
              Layout ? *Layout : sys::MemoryLayout{}, Options.Env);
 
   uint64_t Instructions = 0;
@@ -264,7 +265,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
   }
 
   // Memories must agree at the end (ag32_eq_* includes memory equality).
-  if (Env.memory() != Isa.Memory) {
+  if (!std::equal(Env.memory().begin(), Env.memory().end(),
+                  Isa.Memory.begin(), Isa.Memory.end())) {
     const auto &M = Env.memory();
     for (size_t I = 0; I != M.size(); ++I)
       if (M[I] != Isa.Memory[I])

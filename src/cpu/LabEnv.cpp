@@ -93,7 +93,7 @@ Result<void> LabEnv::observeOutputs(const CoreOutputs &Out) {
       return Error("lab env: interrupt request while one is pending");
     // The observable action happens at notification time, matching the
     // ISA semantics of the Interrupt instruction.
-    sys::interruptObservable(Memory, Layout, Stdout, Stderr);
+    sys::interruptObservable(Memory.data(), Layout, Stdout, Stderr);
     ++Interrupts;
     IntBusy = true;
     IntRemaining = Opt.AckDelay;

@@ -26,6 +26,17 @@
 ///  - any out-of-band mutation of MachineState::Memory (tests, image
 ///    patching); use invalidateAll() when the touched range is unknown.
 ///
+/// Written-page rule: every one of those writes also marks its 4 KiB
+/// page in MachineState::WrittenPages, which is what lets a StateDigest
+/// rehash only written pages and take every other page's hash from the
+/// boot snapshot (stack/Executor.h).  MachineState::writeWord/writeByte/
+/// writeBytes mark as they write, so the interpreter's stores and the
+/// machine-sem oracle's writes are covered by construction; the JIT's
+/// translated stores mark the page with one byte store right after their
+/// guard check (isa/jit/Jit.h); direct writes to Memory call
+/// MachineState::markWritten.  A write that skips the mark is a stale
+/// digest, exactly as a write that skips invalidate is a stale decode.
+///
 /// Under that contract, executing from the cache is observationally
 /// identical to the reference fetch-decode-execute semantics; the
 /// dedicated self-modifying-code tests (tests/isa/DecodeCacheTest.cpp)
@@ -159,8 +170,8 @@ public:
   }
 
   /// 4 KiB code pages; fixed by the invalidation contract shared with
-  /// the JIT's store-guard map.
-  static constexpr unsigned PageShift = 12;
+  /// the JIT's store-guard map and the written-page map.
+  static constexpr unsigned PageShift = isa::PageShift;
   static constexpr Word PageMask = (Word(1) << PageShift) - 1;
   static constexpr size_t PageSlots = (size_t(1) << PageShift) / 4;
 

@@ -13,14 +13,22 @@
 /// treat out-of-range accesses as errors (the machine-sem layer turns
 /// these into Fail behaviours, which compiled programs never exhibit).
 ///
+/// The state also carries a written-page map (isa/PageMemory.h): every
+/// write through the accessors below marks its 4 KiB page, so a digest
+/// of a booted state can rehash only the pages written since the boot
+/// (stack::StateDigest).  Direct writes to Memory must mark their pages
+/// with markWritten() (the DecodeCache.h contract).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_ISA_MACHINESTATE_H
 #define SILVER_ISA_MACHINESTATE_H
 
 #include "isa/Instruction.h"
+#include "isa/PageMemory.h"
 #include "support/Bits.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -44,10 +52,11 @@ struct IoEvent {
 /// The Silver machine state.
 class MachineState {
 public:
-  /// Creates a state with \p MemBytes bytes of zeroed memory, all
-  /// registers zero, PC zero, and clear flags.
+  /// Creates a state with \p MemBytes bytes of zeroed memory (filled
+  /// lazily, see MemoryBytes), all registers zero, PC zero, clear flags
+  /// and no page marked written.
   explicit MachineState(size_t MemBytes = DefaultMemBytes)
-      : Memory(MemBytes, 0) {
+      : Memory(MemBytes), WrittenPages(pageCount(MemBytes), 0) {
     Regs.fill(0);
   }
 
@@ -59,7 +68,10 @@ public:
   Word PC = 0;
   bool CarryFlag = false;
   bool OverflowFlag = false;
-  std::vector<uint8_t> Memory;
+  MemoryBytes Memory;
+  /// One byte per 4 KiB page of Memory: nonzero once the page was
+  /// written.  Always pageCount(Memory.size()) entries.
+  std::vector<uint8_t> WrittenPages;
   std::vector<IoEvent> IoEvents;
   /// Last value written by an Out instruction (the data-out port).
   Word DataOut = 0;
@@ -78,8 +90,19 @@ public:
            (static_cast<Word>(Memory[Addr + 3]) << 24);
   }
 
+  /// Marks the pages of [Addr, Addr+Size) written (must be in range).
+  void markWritten(Word Addr, Word Size) {
+    if (Size == 0)
+      return;
+    size_t Last = (size_t(Addr) + Size - 1) >> PageShift;
+    for (size_t P = Addr >> PageShift; P <= Last; ++P)
+      WrittenPages[P] = 1;
+  }
+
   /// Little-endian 32-bit write.
   void writeWord(Word Addr, Word Value) {
+    WrittenPages[Addr >> PageShift] = 1;
+    WrittenPages[(Addr + 3) >> PageShift] = 1;
     Memory[Addr] = static_cast<uint8_t>(Value);
     Memory[Addr + 1] = static_cast<uint8_t>(Value >> 8);
     Memory[Addr + 2] = static_cast<uint8_t>(Value >> 16);
@@ -87,7 +110,10 @@ public:
   }
 
   uint8_t readByte(Word Addr) const { return Memory[Addr]; }
-  void writeByte(Word Addr, uint8_t Value) { Memory[Addr] = Value; }
+  void writeByte(Word Addr, uint8_t Value) {
+    WrittenPages[Addr >> PageShift] = 1;
+    Memory[Addr] = Value;
+  }
 
   /// Reads \p Len bytes starting at \p Addr (must be in range).
   std::vector<uint8_t> readBytes(Word Addr, Word Len) const {
@@ -97,8 +123,11 @@ public:
 
   /// Writes a byte span starting at \p Addr (must be in range).
   void writeBytes(Word Addr, const std::vector<uint8_t> &Bytes) {
-    for (size_t I = 0; I != Bytes.size(); ++I)
-      Memory[Addr + I] = Bytes[I];
+    writeBytes(Addr, Bytes.data(), Bytes.size());
+  }
+  void writeBytes(Word Addr, const uint8_t *Bytes, size_t Len) {
+    markWritten(Addr, static_cast<Word>(Len));
+    std::copy(Bytes, Bytes + Len, Memory.begin() + Addr);
   }
 
   /// Value of a register-or-immediate operand in this state.

@@ -246,6 +246,13 @@ public:
     byte(0x88);
     sibOperand(Src, Base, Index);
   }
+  /// mov byte [base+index], imm8 (C6 /0 ib).
+  void storeX8I(HostReg Base, HostReg Index, uint8_t Imm) {
+    rexX(false, RAX, Index, Base);
+    byte(0xc6);
+    sibOperand(RAX, Base, Index);
+    byte(Imm);
+  }
   /// cmp byte [base+index], imm8 (80 /7 ib).
   void cmpX8I(HostReg Base, HostReg Index, uint8_t Imm) {
     rexX(false, RAX, Index, Base);

@@ -38,7 +38,9 @@
 ///    guarded page side-exits and the offending store is interpreted,
 ///    which honors the DecodeCache invalidation contract and drops the
 ///    overlapping compiled blocks — self-modifying code (the corpus's
-///    selfmod-0.s) deoptimizes and re-compiles.
+///    selfmod-0.s) deoptimizes and re-compiles.  A native store that
+///    passes the guard marks its page in MachineState::WrittenPages with
+///    one byte store, so incremental StateDigests see JIT writes.
 ///  - External invalidation.  ExecBackend::invalidate (the machine-sem
 ///    FFI interference oracle, tests, image patching) drops decoded
 ///    slots and compiled blocks covering the range.

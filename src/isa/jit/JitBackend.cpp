@@ -385,6 +385,7 @@ private:
     Frame.Regs = State.Regs.data();
     Frame.Mem = State.Memory.data();
     Frame.GuardMap = GuardMap.data();
+    Frame.WrittenMap = State.WrittenPages.data();
     Frame.StepsLeft = Remaining;
     Frame.Pc = State.PC;
     Frame.ExitKind = ExitChain;

@@ -136,6 +136,7 @@ void silver::isa::jit::emitRuntimeThunks(Emitter &Em, size_t &EnterOff,
   Em.loadRM64(R13, R15, FrameRegs);
   Em.loadRM64(R14, R15, FrameMem);
   Em.loadRM64(R12, R15, FrameGuard);
+  Em.loadRM64(RBP, R15, FrameWritten);
   Em.loadRM64(RBX, R15, FrameSteps);
   Em.jmpR(RSI);
 
@@ -323,12 +324,14 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
     auto deoptIf = [&](Cond C) { DeoptJccs[K].push_back(Em.jcc32(C)); };
     // Guard check for a store to the page holding the address in ecx:
     // code-bearing pages deopt so the interpreted store invalidates
-    // decoded slots and compiled blocks (the DecodeCache contract).
+    // decoded slots and compiled blocks (the DecodeCache contract).  A
+    // store that passes marks its page written (the written-page rule).
     auto guardCheck = [&]() {
       Em.movRR(RDX, RCX);
       Em.shrRI(RDX, GuardPageShift);
       Em.cmpX8I(R12, RDX, 0);
       deoptIf(CondNE);
+      Em.storeX8I(RBP, RDX, 1);
     };
 
     switch (I.Op) {

@@ -33,7 +33,8 @@ namespace jit {
 ///
 ///   r15  JitFrame*          r13  Silver register file base (Word*)
 ///   r14  Silver memory base r12  store-guard map base (one byte/page)
-///   rbx  steps-left budget  rax/rcx/rdx  scratch
+///   rbx  steps-left budget  rbp  written-page map base (one byte/page)
+///   rax/rcx/rdx  scratch
 ///
 /// The frame is the only calling convention between the dispatcher and
 /// translated code; all fields are read/written by emitted instructions
@@ -50,6 +51,8 @@ struct JitFrame {
   /// Snapshot of fault::InvertAddCarry, re-read on every native entry so
   /// the fuzzing self-check's injected mutation reaches translated Add.
   uint8_t InvertAddCarry = 0;
+  /// MachineState::WrittenPages of the state being run.
+  uint8_t *WrittenMap = nullptr;
 };
 
 inline constexpr int32_t FrameRegs = 0;
@@ -61,6 +64,7 @@ inline constexpr int32_t FrameExit = 36;
 inline constexpr int32_t FrameCarry = 40;
 inline constexpr int32_t FrameOvf = 41;
 inline constexpr int32_t FrameInvert = 42;
+inline constexpr int32_t FrameWritten = 48;
 
 static_assert(offsetof(JitFrame, Regs) == FrameRegs, "frame layout");
 static_assert(offsetof(JitFrame, Mem) == FrameMem, "frame layout");
@@ -72,6 +76,7 @@ static_assert(offsetof(JitFrame, Carry) == FrameCarry, "frame layout");
 static_assert(offsetof(JitFrame, Overflow) == FrameOvf, "frame layout");
 static_assert(offsetof(JitFrame, InvertAddCarry) == FrameInvert,
               "frame layout");
+static_assert(offsetof(JitFrame, WrittenMap) == FrameWritten, "frame layout");
 
 /// How translated code returned to the dispatcher (JitFrame::ExitKind).
 enum : uint32_t {

@@ -126,6 +126,8 @@ public:
   }
 
   const isa::MachineState &state() const { return State; }
+  /// Ends the semantics, handing its state back (sys::boot recycles it).
+  isa::MachineState takeState() && { return std::move(State); }
   const ffi::BasisFfi &ffi() const { return Ffi; }
   Behaviour LastBehaviour;
 

@@ -59,12 +59,16 @@ struct Executor::SessionBase {
   virtual uint64_t instructions() const = 0;
   /// Snapshots the observable behaviour.
   virtual Observed collect() const = 0;
-  /// Snapshots the architectural state (Executor::sessionState).
-  virtual StateDigest digest() const = 0;
+  /// Snapshots the architectural state (Executor::sessionState);
+  /// \p FromScratch hashes every page (sessionStateFromScratch).
+  virtual StateDigest digest(bool FromScratch) const = 0;
   /// Grants more of the level-internal budget (cycles at the hardware
   /// levels; a no-op for the interpreters) and clears a level-internal
   /// Timeout so step() can continue (Executor::replenish).
   virtual void addCycles(uint64_t /*ExtraCycles*/) {}
+  /// Ends the session, handing its booted state to sys::recycle (the
+  /// hardware levels have none).
+  virtual void recycle() {}
 };
 
 namespace {
@@ -82,13 +86,20 @@ std::unique_ptr<isa::ExecBackend> makeSessionBackend(const ExecOptions &E) {
   return isa::makeInterpBackend();
 }
 
-StateDigest digestOf(const isa::MachineState &S) {
+/// The digest of a state booted from \p Snap: pages the state marked
+/// written are rehashed, the rest come from the snapshot.  A null \p Snap
+/// hashes every page.
+StateDigest digestOf(const isa::MachineState &S,
+                     const sys::BootSnapshot *Snap) {
   StateDigest D;
   D.Pc = S.PC;
   D.Carry = S.CarryFlag;
   D.Overflow = S.OverflowFlag;
   D.Regs = S.Regs;
-  D.MemoryHash = fnv1a64(S.Memory.data(), S.Memory.size());
+  D.MemoryHash =
+      Snap ? isa::memoryHashOf(S.Memory.data(), S.Memory.size(),
+                               S.WrittenPages.data(), Snap->PageHashes.data())
+           : isa::memoryHash(S.Memory.data(), S.Memory.size());
   D.MemoryBytes = S.Memory.size();
   return D;
 }
@@ -110,13 +121,13 @@ struct IsaSession final : Executor::SessionBase {
   bool Halted = false;
 
   IsaSession(sys::BootResult B, const ExecOptions &E, obs::Observer *Obs)
-      : Boot(std::move(B)), Env(Boot.Image.Layout),
+      : Boot(std::move(B)), Env(Boot.Layout),
         Backend(makeSessionBackend(E)) {
     Hooks.Obs = Obs;
     Hooks.RetireIndexBase = Boot.StartupSteps;
-    Hooks.FfiEntryPc = Boot.Image.Layout.SyscallCodeBase;
-    Hooks.FfiRegionBegin = Boot.Image.Layout.SyscallCodeBase;
-    Hooks.FfiRegionEnd = Boot.Image.Layout.HeapBase;
+    Hooks.FfiEntryPc = Boot.Layout.SyscallCodeBase;
+    Hooks.FfiRegionBegin = Boot.Layout.SyscallCodeBase;
+    Hooks.FfiRegionEnd = Boot.Layout.HeapBase;
   }
 
   Result<RunStatus> step(uint64_t MaxInstructions) override {
@@ -146,12 +157,16 @@ struct IsaSession final : Executor::SessionBase {
     O.Instructions = Steps + Boot.StartupSteps;
     O.StdoutData = Env.collectedStdout();
     O.StderrData = Env.collectedStderr();
-    sys::ExitStatus S = sys::readExitStatus(Boot.State, Boot.Image.Layout);
+    sys::ExitStatus S = sys::readExitStatus(Boot.State, Boot.Layout);
     O.ExitCode = S.Exited ? S.Code : 0;
     return O;
   }
 
-  StateDigest digest() const override { return digestOf(Boot.State); }
+  StateDigest digest(bool FromScratch) const override {
+    return digestOf(Boot.State, FromScratch ? nullptr : Boot.Snapshot.get());
+  }
+
+  void recycle() override { sys::recycle(std::move(Boot)); }
 };
 
 /// Machine level: machine_sem with the FFI interference oracle.  As in
@@ -160,6 +175,7 @@ struct IsaSession final : Executor::SessionBase {
 /// the observer's retire count matches Observed.Instructions.
 struct MachineSession final : Executor::SessionBase {
   machine::MachineSem Sem;
+  std::shared_ptr<const sys::BootSnapshot> Snapshot;
   uint64_t Steps = 0;
   machine::Behaviour Last;
   bool Done = false;
@@ -168,7 +184,8 @@ struct MachineSession final : Executor::SessionBase {
       : Sem(std::move(B.State),
             ffi::BasisFfi(Spec.CommandLine,
                           ffi::Filesystem::withStdin(Spec.StdinData)),
-            B.Image.Layout, makeSessionBackend(Spec.Exec)) {
+            B.Layout, makeSessionBackend(Spec.Exec)),
+        Snapshot(std::move(B.Snapshot)) {
     if (Obs)
       Sem.attachObserver(Obs);
   }
@@ -198,7 +215,13 @@ struct MachineSession final : Executor::SessionBase {
     return O;
   }
 
-  StateDigest digest() const override { return digestOf(Sem.state()); }
+  StateDigest digest(bool FromScratch) const override {
+    return digestOf(Sem.state(), FromScratch ? nullptr : Snapshot.get());
+  }
+
+  void recycle() override {
+    sys::recycle({Snapshot->Layout, std::move(Sem).takeState(), 0, Snapshot});
+  }
 };
 
 /// Rtl / Verilog levels: the Silver core in the lab environment, driven
@@ -257,7 +280,8 @@ struct RtlSession final : Executor::SessionBase {
     return O;
   }
 
-  StateDigest digest() const override {
+  // The lab DRAM has no written-page map: always from scratch.
+  StateDigest digest(bool) const override {
     cpu::ArchState A = Runner->archState();
     StateDigest D;
     D.Pc = A.Pc;
@@ -265,7 +289,7 @@ struct RtlSession final : Executor::SessionBase {
     D.Overflow = A.Overflow;
     D.Regs = A.Regs;
     const std::vector<uint8_t> &M = Runner->memory();
-    D.MemoryHash = fnv1a64(M.data(), M.size());
+    D.MemoryHash = isa::memoryHash(M.data(), M.size());
     D.MemoryBytes = M.size();
     return D;
   }
@@ -343,20 +367,31 @@ Result<void> Executor::begin(Level L) {
     return E;
   };
 
+  // Machine and Isa boot from the program's snapshot.
+  auto Boot = [&](obs::Observer *StartupObs) -> Result<sys::BootResult> {
+    if (!Prep.Snapshot) {
+      Result<sys::BootSnapshot> S =
+          sys::buildSnapshot(Prep.Image.Program, Prep.Image.Params);
+      if (!S)
+        return S.error();
+      Prep.Snapshot = std::make_shared<const sys::BootSnapshot>(S.take());
+    }
+    return sys::boot(Prep.Snapshot, Prep.Image, StartupObs);
+  };
+
   switch (L) {
   case Level::Isa: {
-    Result<sys::BootResult> Boot = sys::boot(Prep.Image, Obs);
-    if (!Boot)
-      return Fail(Boot.error());
-    Session =
-        std::make_unique<IsaSession>(Boot.take(), Spec.Exec, Obs);
+    Result<sys::BootResult> B = Boot(Obs);
+    if (!B)
+      return Fail(B.error());
+    Session = std::make_unique<IsaSession>(B.take(), Spec.Exec, Obs);
     break;
   }
   case Level::Machine: {
-    Result<sys::BootResult> Boot = sys::boot(Prep.Image);
-    if (!Boot)
-      return Fail(Boot.error());
-    Session = std::make_unique<MachineSession>(Boot.take(), Spec, Obs);
+    Result<sys::BootResult> B = Boot(nullptr);
+    if (!B)
+      return Fail(B.error());
+    Session = std::make_unique<MachineSession>(B.take(), Spec, Obs);
     break;
   }
   case Level::Rtl:
@@ -414,7 +449,13 @@ Result<RunStatus> Executor::step(uint64_t MaxInstructions) {
 Result<StateDigest> Executor::sessionState() const {
   if (!Session)
     return Error("no active execution session: call begin() first");
-  return Session->digest();
+  return Session->digest(false);
+}
+
+Result<StateDigest> Executor::sessionStateFromScratch() const {
+  if (!Session)
+    return Error("no active execution session: call begin() first");
+  return Session->digest(true);
 }
 
 Result<uint64_t> Executor::sessionInstructions() const {
@@ -456,6 +497,7 @@ Result<Outcome> Executor::finish() {
   Out.Behaviour = Session->collect();
   if (Obs)
     Obs->onRunEnd();
+  Session->recycle();
   Session.reset();
   return Out;
 }

@@ -38,17 +38,29 @@ namespace silver {
 namespace stack {
 
 /// Architectural snapshot of an execution session: PC, flags, the full
-/// register file, and an FNV-1a hash of the whole memory.  This is the
+/// register file, and a hash of the whole memory.  This is the
 /// cross-level comparison key of the fuzzing oracle (fuzz/Oracle.h): the
 /// end-to-end theorem's levels must agree not only on stdout but on the
 /// machine state they leave behind (the paper's ag32_eq relation family,
 /// made cheap to compare by hashing the memory).
+///
+/// MemoryHash is the page hash of isa/PageMemory.h: each 4 KiB page is
+/// hashed a 64-bit word at a time and the page hashes are folded in
+/// address order.  A session booted from a snapshot rehashes only the
+/// pages its MachineState marked written and takes every other page's
+/// hash from the snapshot, so the cost follows the pages a run wrote,
+/// not the memory size.  The Rtl/Verilog lab DRAM and states without a
+/// snapshot compute the same function over every page, so digests
+/// compare exactly across levels.  A single changed byte anywhere in
+/// memory always changes the hash.  The value differs from the
+/// byte-wise FNV-1a of earlier versions; the journal and wire versions
+/// were bumped with it (svc/cluster/Journal.h, svc/Protocol.h).
 struct StateDigest {
   Word Pc = 0;
   bool Carry = false;
   bool Overflow = false;
   std::array<Word, isa::NumRegs> Regs{};
-  uint64_t MemoryHash = 0; ///< fnv1a64 over the full memory
+  uint64_t MemoryHash = 0; ///< isa::memoryHash of the full memory
   uint64_t MemoryBytes = 0;
 };
 
@@ -122,7 +134,12 @@ public:
   //
   // The Spec level has no machine steps and is not resumable.
 
-  /// Starts a session at \p L (boots the image, fires onRunBegin).
+  /// Starts a session at \p L and fires onRunBegin.  Machine and Isa
+  /// boot from the program's snapshot (built here on first use when the
+  /// Prepared has none): instantiate it with this run's command line and
+  /// stdin, run the startup prefix, validate the installed state.  Rtl
+  /// and Verilog build the dense image for the lab DRAM.  finish() hands
+  /// a Machine/Isa session's state to sys::recycle.
   Result<void> begin(Level L);
   /// Runs at most \p MaxInstructions more instructions.  Completed and
   /// Timeout end the program but keep the session alive for finish().
@@ -159,6 +176,11 @@ public:
   /// hardware levels read the core's registers and the lab DRAM.  The
   /// Spec level has no machine state and is not supported.
   Result<StateDigest> sessionState() const;
+
+  /// sessionState() computed from scratch: every page hashed, ignoring
+  /// the written-page map and the snapshot's page hashes.  Equal to
+  /// sessionState() by contract; it exists to check that contract.
+  Result<StateDigest> sessionStateFromScratch() const;
 
   /// Per-level session state; internal.
   struct SessionBase;

@@ -43,13 +43,14 @@ std::string PrepareCache::keyOf(const RunSpec &Spec) {
 Result<Prepared> PrepareCache::prepare(const RunSpec &Spec) {
   std::string Key = keyOf(Spec);
 
-  auto Assemble = [&Spec](cml::Compiled Program) {
+  auto Assemble = [&Spec](const Entry &E) {
     Prepared P;
-    P.Program = std::move(Program);
+    P.Program = E.Program;
     P.Image.CommandLine = Spec.CommandLine;
     P.Image.StdinData = Spec.StdinData;
     P.Image.Program = P.Program.Program;
     P.Image.Params = Spec.Compile.Layout;
+    P.Snapshot = E.Snapshot;
     return P;
   };
 
@@ -64,15 +65,17 @@ Result<Prepared> PrepareCache::prepare(const RunSpec &Spec) {
     ++Stats.Misses;
   }
 
-  // Miss: compile outside the lock.
+  // Miss: compile and snapshot outside the lock.
   Result<cml::Compiled> Compiled =
       cml::compileProgram(Spec.Source, Spec.Compile);
   if (!Compiled)
     return Compiled.error();
+  Entry E{Compiled.take(), nullptr};
+  E.Snapshot = snapshotFor(E.Program, Spec);
 
   std::lock_guard<std::mutex> Lock(Mu);
   if (Index.find(Key) == Index.end()) {
-    Lru.emplace_front(Key, *Compiled);
+    Lru.emplace_front(Key, E);
     Index[Key] = Lru.begin();
     while (Lru.size() > Capacity) {
       Index.erase(Lru.back().first);
@@ -80,7 +83,7 @@ Result<Prepared> PrepareCache::prepare(const RunSpec &Spec) {
       ++Stats.Evictions;
     }
   }
-  return Assemble(Compiled.take());
+  return Assemble(E);
 }
 
 PrepareCache::CacheStats PrepareCache::stats() const {

@@ -8,10 +8,10 @@
 /// \file
 /// An LRU cache in front of stack::prepare for the serving layer
 /// (svc::Service): repeated submissions of the same program skip the
-/// MiniCake compilation entirely.  Compilation depends only on the
-/// source text and the compile options, so those are the key; the
-/// per-run image fields (command line, stdin) are rebuilt on every call
-/// from the RunSpec, exactly as stack::prepare does.
+/// MiniCake compilation and the boot-snapshot build entirely.  Both
+/// depend only on the source text and the compile options, so those are
+/// the key; the per-run image fields (command line, stdin) are rebuilt
+/// on every call from the RunSpec, exactly as stack::prepare does.
 ///
 /// Thread-safe: lookups, inserts and stats take an internal mutex, but
 /// a miss compiles *outside* the lock, so one slow compilation never
@@ -63,10 +63,15 @@ private:
   size_t Capacity;
   mutable std::mutex Mu;
   CacheStats Stats;
+  /// What a key maps to: the program and its immutable boot snapshot.
+  struct Entry {
+    cml::Compiled Program;
+    std::shared_ptr<const sys::BootSnapshot> Snapshot;
+  };
   /// Front = most recently used.
-  std::list<std::pair<std::string, cml::Compiled>> Lru;
+  std::list<std::pair<std::string, Entry>> Lru;
   std::unordered_map<std::string,
-                     std::list<std::pair<std::string, cml::Compiled>>::iterator>
+                     std::list<std::pair<std::string, Entry>>::iterator>
       Index;
 };
 

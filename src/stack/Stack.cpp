@@ -98,7 +98,17 @@ Result<Prepared> silver::stack::prepare(const RunSpec &Spec) {
   P.Image.StdinData = Spec.StdinData;
   P.Image.Program = P.Program.Program;
   P.Image.Params = Spec.Compile.Layout;
+  P.Snapshot = snapshotFor(P.Program, Spec);
   return P;
+}
+
+std::shared_ptr<const sys::BootSnapshot>
+silver::stack::snapshotFor(const cml::Compiled &Program, const RunSpec &Spec) {
+  Result<sys::BootSnapshot> S =
+      sys::buildSnapshot(Program.Program, Spec.Compile.Layout);
+  if (!S)
+    return nullptr;
+  return std::make_shared<const sys::BootSnapshot>(S.take());
 }
 
 Result<analysis::AuditReport>

@@ -30,6 +30,7 @@
 #include "support/Result.h"
 #include "sys/Image.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -115,12 +116,22 @@ struct Observed {
   uint64_t Cycles = 0;       ///< clock cycles (Rtl/Verilog only)
 };
 
-/// Compiles once; reusable across levels.
+/// Compiles once; reusable across levels.  Snapshot is the program's
+/// boot snapshot (sys::BootSnapshot), shared by every run and every
+/// Prepared of the same program; when it is null (the layout does not
+/// fit, or the caller assembled the Prepared by hand) Executor::begin
+/// builds it on first use.
 struct Prepared {
   cml::Compiled Program;
   sys::ImageSpec Image;
+  std::shared_ptr<const sys::BootSnapshot> Snapshot;
 };
 Result<Prepared> prepare(const RunSpec &Spec);
+
+/// The boot snapshot of \p Program under \p Spec's layout, or null when
+/// the layout does not fit (boot reports that error with its context).
+std::shared_ptr<const sys::BootSnapshot>
+snapshotFor(const cml::Compiled &Program, const RunSpec &Spec);
 
 /// Builds the bootable image for \p P and statically audits it against
 /// the installed-predicate approximation (analysis/ImageAudit.h): region

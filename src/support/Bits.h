@@ -88,9 +88,9 @@ constexpr Word alignUp(Word Value, Word Alignment) {
   return (Value + Alignment - 1) & ~(Alignment - 1);
 }
 
-/// FNV-1a 64-bit hash.  Used by the cross-level state digests (the fuzz
-/// oracle compares whole-memory contents by hash) and the corpus
-/// fingerprints; \p Seed lets callers chain hashes over several spans.
+/// FNV-1a 64-bit hash (the compiled simulator's design hash); \p Seed
+/// lets callers chain hashes over several spans.  Machine memory is
+/// hashed by isa/PageMemory.h instead.
 constexpr uint64_t Fnv1aInit = 0xcbf29ce484222325ull;
 constexpr uint64_t fnv1a64(const uint8_t *Data, size_t Len,
                            uint64_t Seed = Fnv1aInit) {

@@ -170,6 +170,11 @@ Result<bool> silver::svc::readFrame(int Fd, std::vector<uint8_t> &Payload) {
     return H.error();
   if (*H == 0)
     return false; // clean end-of-stream between frames
+  if (std::memcmp(Header, FrameMagic, 3) == 0 && Header[3] != FrameVersion)
+    return Error(std::string("protocol: frame version '") +
+                 static_cast<char>(Header[3]) + "' is not supported (this "
+                 "build speaks '" + static_cast<char>(FrameVersion) +
+                 "'; StateDigest memory hashes changed meaning)");
   if (std::memcmp(Header, FrameMagic, 4) != 0)
     return Error("protocol: bad frame magic");
   uint32_t Len = 0;

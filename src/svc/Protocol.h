@@ -13,8 +13,13 @@
 ///
 ///   +--------+--------+-----------------+
 ///   | magic  | length | payload         |
-///   | "SVC1" | u32    | length bytes    |
+///   | "SVC2" | u32    | length bytes    |
 ///   +--------+--------+-----------------+
+///
+/// The magic's last byte is the wire version.  Version 2 changed what
+/// StateDigest::MemoryHash means (the page hash of isa/PageMemory.h
+/// replaced a byte-wise FNV-1a), so a version-1 peer's digests cannot be
+/// compared with ours; its frames are refused with a version diagnostic.
 ///
 /// The payload is one encoded Request (client->server) or Response
 /// (server->client); every request gets exactly one response, in order,
@@ -43,7 +48,8 @@
 namespace silver {
 namespace svc {
 
-constexpr uint8_t FrameMagic[4] = {'S', 'V', 'C', '1'};
+constexpr uint8_t FrameVersion = '2';
+constexpr uint8_t FrameMagic[4] = {'S', 'V', 'C', FrameVersion};
 /// Generous: source + stdin + stdout all ride in one frame.
 constexpr uint32_t MaxFramePayload = 64u << 20;
 

@@ -102,24 +102,30 @@ void Server::stop() {
     // racing us (the destructor path).
   }
 
-  // Unblock any connection thread stuck in readFrame.  The listener's
-  // poll() timeout picks up StopFlag by itself.
+  // Unblock any connection thread stuck in readFrame, and wake the idle
+  // ones.  The listener's poll() timeout picks up StopFlag by itself.
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
     for (int Fd : LiveConns)
       ::shutdown(Fd, SHUT_RDWR);
   }
+  IdleCv.notify_all();
 
   if (AcceptThread.joinable())
     AcceptThread.join();
 
-  std::vector<std::thread> ToJoin;
+  std::map<uint64_t, std::thread> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
     ToJoin.swap(ConnThreads);
+    Finished.clear();
   }
-  for (std::thread &T : ToJoin)
+  for (auto &[Id, T] : ToJoin)
     T.join();
+  // Connections handed to a thread that stopped before taking them.
+  for (int Fd : Handoff)
+    ::close(Fd);
+  Handoff.clear();
 
   if (ListenFd != -1) {
     ::close(ListenFd);
@@ -129,8 +135,44 @@ void Server::stop() {
   }
 }
 
+size_t Server::connectionThreads() const {
+  std::lock_guard<std::mutex> Lock(ConnMu);
+  return ConnThreads.size();
+}
+
+void Server::reapFinished() {
+  std::vector<std::thread> Done;
+  {
+    std::lock_guard<std::mutex> Lock(ConnMu);
+    for (uint64_t Id : Finished) {
+      auto It = ConnThreads.find(Id);
+      if (It == ConnThreads.end())
+        continue;
+      Done.push_back(std::move(It->second));
+      ConnThreads.erase(It);
+    }
+    Finished.clear();
+  }
+  // Each has at most its final unlock left to run.
+  for (std::thread &T : Done)
+    T.join();
+}
+
+bool Server::anyPeerHungUp() const {
+  std::vector<pollfd> Fds;
+  for (int Fd : LiveConns)
+    Fds.push_back({Fd, POLLRDHUP, 0});
+  if (Fds.empty() || ::poll(Fds.data(), Fds.size(), 0) <= 0)
+    return false;
+  for (const pollfd &P : Fds)
+    if (P.revents & (POLLRDHUP | POLLHUP))
+      return true;
+  return false;
+}
+
 void Server::acceptLoop() {
   while (!StopFlag.load(std::memory_order_acquire)) {
+    reapFinished();
     pollfd P{ListenFd, POLLIN, 0};
     int N = ::poll(&P, 1, 200 /*ms: the stop-flag poll interval*/);
     if (N < 0) {
@@ -144,14 +186,60 @@ void Server::acceptLoop() {
     if (Fd < 0)
       continue;
     Accepted.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(ConnMu);
+    std::unique_lock<std::mutex> Lock(ConnMu);
     if (StopFlag.load(std::memory_order_acquire)) {
       ::close(Fd);
       return;
     }
+    // Prefer an idle thread.  When none is idle but some served
+    // connection's peer has already hung up (a client that reconnects
+    // right after closing), that thread is about to go idle: wait for it
+    // rather than start another.
+    auto HasIdle = [this] { return IdleThreads > Handoff.size(); };
+    if (!HasIdle() && anyPeerHungUp()) {
+      WentIdleCv.wait_for(Lock, std::chrono::milliseconds(HandoffGraceMs),
+                          HasIdle);
+      if (StopFlag.load(std::memory_order_acquire)) {
+        ::close(Fd);
+        return;
+      }
+    }
     LiveConns.insert(Fd);
-    ConnThreads.emplace_back([this, Fd] { serveConnection(Fd); });
+    if (HasIdle()) {
+      Handoff.push_back(Fd);
+      IdleCv.notify_one();
+      continue;
+    }
+    uint64_t Id = NextConnId++;
+    ConnThreads.emplace(Id, std::thread([this, Id, Fd] {
+                          connectionThread(Id, Fd);
+                        }));
   }
+}
+
+void Server::connectionThread(uint64_t Id, int Fd) {
+  std::unique_lock<std::mutex> Lock(ConnMu);
+  while (true) {
+    Lock.unlock();
+    serveConnection(Fd);
+    Lock.lock();
+    // Closed under the lock, after the erase: accept() may reuse the fd
+    // number at once, and the accept loop must never see it stale.
+    LiveConns.erase(Fd);
+    ::close(Fd);
+    // Idle: wait for the accept loop to hand over the next connection.
+    ++IdleThreads;
+    WentIdleCv.notify_one();
+    IdleCv.wait_for(Lock, std::chrono::milliseconds(ConnIdleMs), [this] {
+      return !Handoff.empty() || StopFlag.load(std::memory_order_acquire);
+    });
+    --IdleThreads;
+    if (Handoff.empty() || StopFlag.load(std::memory_order_acquire))
+      break;
+    Fd = Handoff.front();
+    Handoff.pop_front();
+  }
+  Finished.push_back(Id);
 }
 
 void Server::serveConnection(int Fd) {
@@ -190,9 +278,6 @@ void Server::serveConnection(int Fd) {
       break;
     }
   }
-  ::close(Fd);
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  LiveConns.erase(Fd);
 }
 
 //===----------------------------------------------------------------------===//

@@ -37,7 +37,10 @@
 #include "svc/Service.h"
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -123,9 +126,29 @@ public:
     return Accepted.load(std::memory_order_relaxed);
   }
 
+  /// Connection threads the server holds: serving, idle, or exited and
+  /// not yet joined.
+  size_t connectionThreads() const;
+
 private:
+  /// How long an idle connection thread waits for the next connection
+  /// before it exits.
+  static constexpr unsigned ConnIdleMs = 2000;
+  /// How long the accept loop waits for a thread whose peer hung up to
+  /// go idle before it starts a new one for a fresh connection.
+  static constexpr unsigned HandoffGraceMs = 50;
+
   void acceptLoop();
+  /// A connection thread's body: serves \p Fd, then each connection the
+  /// accept loop hands over, until it idles out or the server stops.
+  void connectionThread(uint64_t Id, int Fd);
+  /// Serves one connection until it ends (the caller closes \p Fd).
   void serveConnection(int Fd);
+  /// Joins the threads that have exited.
+  void reapFinished();
+  /// True when the peer of some live connection has hung up (its thread
+  /// is finishing).  Caller holds ConnMu.
+  bool anyPeerHungUp() const;
 
   std::unique_ptr<RequestHandler> Owned; ///< the Service convenience path
   RequestHandler &Handler;
@@ -136,9 +159,23 @@ private:
   std::atomic<uint64_t> Accepted{0};
 
   std::thread AcceptThread;
-  std::mutex ConnMu;
+  mutable std::mutex ConnMu;
   std::set<int> LiveConns; ///< fds being served; shut down on stop()
-  std::vector<std::thread> ConnThreads;
+  /// Connection threads by id.  A thread whose connection ended idles
+  /// for ConnIdleMs, and the accept loop hands it the next connection
+  /// instead of starting a thread (Handoff, IdleCv; WentIdleCv tells the
+  /// accept loop a thread went idle).  A thread that idles out parks its
+  /// id in Finished and the accept loop joins it within one poll
+  /// interval.  So a long-running server holds threads, their stacks and
+  /// their malloc arenas only for its peak of concurrent connections,
+  /// not for every connection it ever accepted.
+  std::map<uint64_t, std::thread> ConnThreads;
+  std::vector<uint64_t> Finished;
+  std::deque<int> Handoff;
+  size_t IdleThreads = 0;
+  std::condition_variable IdleCv;
+  std::condition_variable WentIdleCv;
+  uint64_t NextConnId = 0;
 };
 
 } // namespace svc

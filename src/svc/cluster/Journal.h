@@ -50,7 +50,10 @@ namespace svc {
 namespace cluster {
 
 constexpr uint8_t JournalMagic[4] = {'S', 'V', 'J', 'L'};
-constexpr uint32_t JournalVersion = 1;
+/// Version 2: Pause records carry page-hash StateDigests (isa/PageMemory.h);
+/// a version-1 journal's digests would never match a replay, so it is
+/// refused at open with a diagnostic instead of replayed.
+constexpr uint32_t JournalVersion = 2;
 /// A journal record rides the same generous bound as a protocol frame
 /// (a Submit record carries the whole JobSpec, source and stdin
 /// included); anything larger is framing damage, not data.

@@ -7,7 +7,9 @@
 ///
 /// \file
 /// Builds bootable Silver memory images (paper Figure 2) from a compiled
-/// program, a command line, and pre-filled standard input; provides the
+/// program, a command line, and pre-filled standard input — densely for
+/// the lab DRAM of the hardware levels, or as a boot snapshot that is
+/// built once per program and instantiated per run; provides the
 /// environment model that plays the role of the paper's lab setup (the
 /// ARM core's Python script reacting to interrupts); and implements the
 /// installed/init validators — executable versions of the paper's
@@ -22,6 +24,7 @@
 #include "sys/Layout.h"
 #include "sys/Syscalls.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +55,37 @@ Result<MemoryImage> buildImage(const ImageSpec &Spec);
 /// image in memory, PC at the startup code, everything else clear.
 isa::MachineState initialState(const MemoryImage &Image);
 
+/// The run-independent part of a program's Figure-2 image: startup code,
+/// descriptor table, system-call code and the program, with the
+/// command-line and stdin regions left zero.  Immutable once built, so
+/// one snapshot serves every run of the program (stack::Prepared caches
+/// it).  Stored sparsely as its nonzero 4 KiB pages, together with the
+/// isa::pageHash of every page of memory, which is what an incremental
+/// StateDigest takes for the pages a run never wrote.
+struct BootSnapshot {
+  MemoryLayout Layout;
+  size_t ProgramBytes = 0;
+  std::vector<Word> Pages;          ///< indices of the nonzero pages, ascending
+  std::vector<uint8_t> PageBytes;   ///< their contents, isa::PageSize each
+  std::vector<uint64_t> PageHashes; ///< one per page of memory
+
+  size_t memBytes() const { return Layout.Params.MemSize; }
+};
+
+/// Builds the snapshot of \p Program under \p Params.  Fails when the
+/// layout does not fit.
+Result<BootSnapshot> buildSnapshot(const std::vector<uint8_t> &Program,
+                                   const LayoutParams &Params);
+
+/// The init state of theorem (5) for one run, from a snapshot: fresh
+/// memory holding the snapshot's pages plus \p Spec's command line and
+/// stdin, PC at the startup code.  Only the pages the command line and
+/// stdin wrote are marked written.  \p Spec must describe the program
+/// and layout the snapshot was built from; cl_ok and the stdin capacity
+/// are enforced as in buildImage.
+Result<isa::MachineState> instantiate(const BootSnapshot &Snap,
+                                      const ImageSpec &Spec);
+
 /// Exit status recorded by the "exit" system call.
 struct ExitStatus {
   bool Exited = false;
@@ -59,13 +93,15 @@ struct ExitStatus {
 };
 ExitStatus readExitStatus(const isa::MachineState &State,
                           const MemoryLayout &Layout);
+/// The same, from a raw memory (the lab DRAM).
+ExitStatus readExitStatus(const uint8_t *Memory, const MemoryLayout &Layout);
 
 /// The observable action of one Interrupt notification against a raw
 /// memory: reads the exit cells / output buffer, appends terminal text to
 /// \p StdoutData / \p StderrData, and returns the observable bytes for
 /// the IO-event trace.  Shared by the ISA-level SysEnv and the RTL-level
 /// LabEnv so both layers expose identical behaviour.
-std::vector<uint8_t> interruptObservable(const std::vector<uint8_t> &Memory,
+std::vector<uint8_t> interruptObservable(const uint8_t *Memory,
                                          const MemoryLayout &Layout,
                                          std::string &StdoutData,
                                          std::string &StderrData);
@@ -98,23 +134,40 @@ private:
 /// within its capacity.  Point (v) — system calls behave as modelled —
 /// is discharged dynamically by machine::checkInterferenceImpl.
 Result<void> validateInstalled(const isa::MachineState &State,
-                               const MemoryImage &Image,
+                               const MemoryLayout &Layout,
                                const ImageSpec &Spec);
 
-/// Convenience wrapper: builds the image, makes the initial state, runs
-/// the startup code (the Next^k prefix of theorem (5)), and validates the
-/// installed assumption before returning the state ready at CodeBase.
+/// A booted run: the state ready at CodeBase, with the written-page map
+/// covering everything since instantiation (command line, stdin and the
+/// startup code's own stores), and the snapshot it was booted from.
 struct BootResult {
-  MemoryImage Image;
+  MemoryLayout Layout;
   isa::MachineState State;
   uint64_t StartupSteps = 0;
+  std::shared_ptr<const BootSnapshot> Snapshot;
 };
-Result<BootResult> boot(const ImageSpec &Spec);
 
-/// As above, but reports each startup-code retire to \p Obs (retire
-/// indices 0..StartupSteps-1, matching the RTL level, which retires the
-/// startup code on the real core from reset).  Null behaves like boot().
-Result<BootResult> boot(const ImageSpec &Spec, obs::Observer *Obs);
+/// Boots one run of \p Snap: instantiate(), then the startup code (the
+/// Next^k prefix of theorem (5)), then validateInstalled().  Each startup
+/// retire is reported to \p Obs when it is non-null (retire indices
+/// 0..StartupSteps-1, matching the RTL level, which retires the startup
+/// code on the real core from reset).
+///
+/// The memory comes from a finished run handed to recycle() when one of
+/// the right size is pooled; only the pages that run could have left
+/// nonzero are cleared.  The booted state is the same either way.
+Result<BootResult> boot(std::shared_ptr<const BootSnapshot> Snap,
+                        const ImageSpec &Spec, obs::Observer *Obs = nullptr);
+
+/// Hands a finished run's state to a small process-wide pool that boot()
+/// draws memory from, so the next run reuses resident pages instead of
+/// faulting fresh zero pages in.  The pool keeps at most a couple of
+/// states; beyond that \p Done is freed.  \p Done must come from boot()
+/// and every write to it since must have marked its page.
+void recycle(BootResult Done);
+
+/// buildSnapshot() for \p Spec's program, then boot() from it.
+Result<BootResult> boot(const ImageSpec &Spec, obs::Observer *Obs = nullptr);
 
 } // namespace sys
 } // namespace silver

@@ -47,6 +47,8 @@ struct LayoutParams {
   Word OutBufCap = (64u << 10) + 16; ///< output buffer contents capacity
   Word SyscallCodeCap = 16u << 10;   ///< system-call code capacity
   Word StartupCap = 512;             ///< startup code capacity
+
+  friend bool operator==(const LayoutParams &, const LayoutParams &) = default;
 };
 
 /// Computed region addresses.  All region bases are word-aligned.

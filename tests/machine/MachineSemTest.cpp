@@ -19,7 +19,7 @@ namespace {
 /// Boots a hand-assembled program (no MiniCake) with the given world.
 struct Fixture {
   sys::ImageSpec Spec;
-  sys::BootResult Boot{sys::MemoryImage{}, isa::MachineState(0), 0};
+  sys::BootResult Boot{sys::MemoryLayout{}, isa::MachineState(0), 0, nullptr};
 
   Fixture(const std::function<void(assembler::Assembler &, Word)> &Emit,
           std::vector<std::string> Cl = {"prog"}, std::string Stdin = "") {
@@ -52,7 +52,7 @@ struct Fixture {
   MachineSem sem() {
     ffi::BasisFfi Ffi(Spec.CommandLine,
                       ffi::Filesystem::withStdin(Spec.StdinData));
-    return MachineSem(Boot.State, std::move(Ffi), Boot.Image.Layout);
+    return MachineSem(Boot.State, std::move(Ffi), Boot.Layout);
   }
 };
 
@@ -117,6 +117,45 @@ TEST(MachineSem, WriteCallGoesThroughTheOracle) {
   EXPECT_EQ(Sem.ffi().IoEvents[0].Name, "write");
 }
 
+TEST(MachineSem, OracleWritesMarkTheirPagesWritten) {
+  // read(stdin) into a byte array whose 4-byte header ends one heap page
+  // and whose data begins the next.  The program stores only the header;
+  // the interference oracle writes the data.  The written-page map must
+  // cover the data page (the DecodeCache.h written-page rule), or an
+  // incremental StateDigest would take that page's hash from the
+  // snapshot and miss the read.
+  const Word HeapBase =
+      sys::MemoryLayout::compute(sys::LayoutParams{}, 4096)->HeapBase;
+  const Word Buf = HeapBase + 2 * isa::PageSize - 4;
+  auto Emit = [Buf](assembler::Assembler &A, Word) {
+    A.emitLi(10, Buf);
+    A.emitLi(11, 0x500); // header bytes 00 05 00 00: count 5 (big-endian)
+    A.emit(Instruction::storeMem(Operand::reg(11), Operand::reg(10)));
+    A.emitLiLabel(silver::abi::FfiConfReg, "conf");
+    A.emitLi(silver::abi::FfiConfLenReg, 8);
+    A.emitLi(silver::abi::FfiBytesReg, Buf);
+    A.emitLi(silver::abi::FfiBytesLenReg, 4 + 5);
+    A.emitLi(silver::abi::FfiIndexReg, unsigned(sys::FfiIndex::Read));
+    A.emit(Instruction::jump(Func::Snd, silver::abi::LinkReg,
+                             Operand::reg(silver::abi::FfiTableReg)));
+    A.emitHalt();
+    A.align(4);
+    A.label("conf");
+    A.bytes({0, 0, 0, 0, 0, 0, 0, 0}); // fd 0: stdin
+  };
+  Fixture F(Emit, {"prog"}, "hello");
+  MachineSem Sem = F.sem();
+  Behaviour B = Sem.run(10'000);
+  EXPECT_EQ(B.Kind, BehaviourKind::Terminated);
+  const isa::MachineState &S = Sem.state();
+  ASSERT_EQ(S.readByte(Buf + 4), 'h');
+  EXPECT_TRUE(S.WrittenPages[(Buf + 4) >> isa::PageShift]);
+  EXPECT_EQ(isa::memoryHashOf(S.Memory.data(), S.memSize(),
+                              S.WrittenPages.data(),
+                              F.Boot.Snapshot->PageHashes.data()),
+            isa::memoryHash(S.Memory.data(), S.memSize()));
+}
+
 TEST(MachineSem, ExitCallTerminatesWithCode) {
   auto Emit = [](assembler::Assembler &A, Word) {
     A.emitLiLabel(silver::abi::FfiBytesReg, "code");
@@ -137,7 +176,7 @@ TEST(MachineSem, ExitCallTerminatesWithCode) {
   // The exit is also recorded in the memory cells (theorem (6)'s
   // exit_code_0 observable).
   sys::ExitStatus S =
-      sys::readExitStatus(Sem.state(), F.Boot.Image.Layout);
+      sys::readExitStatus(Sem.state(), F.Boot.Layout);
   EXPECT_TRUE(S.Exited);
   EXPECT_EQ(S.Code, 42);
 }

@@ -9,10 +9,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Corpus.h"
+#include "fuzz/Oracle.h"
 #include "obs/Counters.h"
 #include "obs/TraceSink.h"
 #include "stack/Apps.h"
 #include "stack/Executor.h"
+#include "stack/PrepareCache.h"
 
 #include <gtest/gtest.h>
 
@@ -500,4 +503,186 @@ TEST(Executor, JitBackendMatchesInterpAtIsa) {
 
 TEST(Executor, JitBackendMatchesInterpAtMachine) {
   expectJitSessionMatchesInterp(Level::Machine);
+}
+
+//===----------------------------------------------------------------------===//
+// Incremental StateDigest
+//===----------------------------------------------------------------------===//
+
+/// The software-level sessions whose digests are incremental.
+struct DigestCell {
+  Level L;
+  BackendKind Backend;
+  const char *Name;
+};
+const DigestCell DigestCells[] = {{Level::Isa, BackendKind::Interp, "isa"},
+                                  {Level::Isa, BackendKind::Jit, "jit"},
+                                  {Level::Machine, BackendKind::Interp,
+                                   "machine"}};
+
+/// Runs \p Exec at \p L in slices of \p Slice instructions and requires
+/// the incremental digest to equal the from-scratch one at every pause
+/// and at completion.  Returns the final digest.
+StateDigest expectIncrementalDigestExact(Executor &Exec, Level L,
+                                         uint64_t Slice,
+                                         const std::string &What) {
+  StateDigest Final;
+  EXPECT_TRUE(Exec.begin(L)) << What;
+  for (unsigned Pause = 0;; ++Pause) {
+    Result<RunStatus> S = Exec.step(Slice);
+    EXPECT_TRUE(S) << What << ": " << S.error().str();
+    if (!S)
+      return Final;
+    Result<StateDigest> Inc = Exec.sessionState();
+    Result<StateDigest> Full = Exec.sessionStateFromScratch();
+    EXPECT_TRUE(Inc && Full) << What;
+    if (!Inc || !Full)
+      return Final;
+    EXPECT_EQ(Inc->MemoryHash, Full->MemoryHash)
+        << What << ": pause " << Pause;
+    EXPECT_EQ(*Inc, *Full) << What << ": pause " << Pause;
+    Final = *Inc;
+    if (*S != RunStatus::Paused)
+      break;
+  }
+  EXPECT_TRUE(Exec.finish()) << What;
+  return Final;
+}
+
+TEST(Executor, IncrementalDigestEqualsFromScratchForEveryApp) {
+  const std::pair<const char *, std::string> Apps[] = {
+      {helloSource(), ""},
+      {catSource(), randomLines(20, 1)},
+      {wcSource(), randomLines(30, 2)},
+      {sortSource(), randomLines(20, 3)},
+      {proofCheckerSource(), sampleValidProof()},
+      {tinCompilerSource(), sampleTinProgram(4)}};
+  for (const auto &[Source, Stdin] : Apps)
+    for (const DigestCell &C : DigestCells) {
+      RunSpec Spec;
+      Spec.Source = Source;
+      Spec.CommandLine = {"app"};
+      Spec.StdinData = Stdin;
+      Spec.Exec.Backend = C.Backend;
+      // Compile every block on first entry, so the first store to a page
+      // is as likely native as interpreted.
+      Spec.Exec.JitHotThreshold = 1;
+      Result<Executor> Exec = Executor::create(Spec);
+      ASSERT_TRUE(Exec) << Exec.error().str();
+      std::string What =
+          std::string(C.Name) + " " + std::string(Source).substr(0, 40);
+      // A slice that pauses a few dozen times on the longest app, and
+      // the whole run in one go.
+      expectIncrementalDigestExact(*Exec, C.L, 25'000, What + " sliced");
+      expectIncrementalDigestExact(*Exec, C.L, UINT64_MAX, What);
+    }
+}
+
+TEST(Executor, IncrementalDigestExactOnSelfModifyingCode) {
+  // selfmod-0.s patches its own loop body: an interpreted store, a JIT
+  // deopt into the interpreter (the page is code-bearing), and at the
+  // Machine level the same through machine_sem.  Every single step is a
+  // pause, then slices of three, then the whole run.
+  Result<fuzz::CaseSpec> Case =
+      fuzz::loadCase(std::string(SILVER_FUZZ_CORPUS_DIR) + "/selfmod-0.s");
+  ASSERT_TRUE(Case) << Case.error().str();
+  Result<Prepared> P = fuzz::prepareCase(*Case);
+  ASSERT_TRUE(P) << P.error().str();
+  for (const DigestCell &C : DigestCells)
+    for (uint64_t Slice : {uint64_t(1), uint64_t(3), UINT64_MAX}) {
+      RunSpec Spec;
+      Spec.CommandLine = Case->CommandLine;
+      Spec.StdinData = Case->StdinData;
+      Spec.Exec.Backend = C.Backend;
+      Spec.Exec.JitHotThreshold = 1; // compile the loop on first entry
+      Executor Exec = Executor::fromPrepared(Spec, *P);
+      expectIncrementalDigestExact(Exec, C.L, Slice,
+                                   std::string(C.Name) + " slice " +
+                                       std::to_string(Slice));
+    }
+}
+
+TEST(Executor, IncrementalDigestSeesMachineOracleWrites) {
+  // At the Machine level the FFI interference oracle, not the program,
+  // writes stdin bytes into the program's buffers and the output buffer
+  // region.  Pausing every 97 instructions lands between oracle steps
+  // throughout the run: the written-page map must already cover what the
+  // oracle wrote (MachineSemTest.OracleWritesMarkTheirPagesWritten pins
+  // the rule on a page only the oracle touches).
+  RunSpec Spec;
+  Spec.Source = catSource();
+  Spec.CommandLine = {"cat"};
+  Spec.StdinData = randomLines(40, 7);
+  Result<Executor> Exec = Executor::create(Spec);
+  ASSERT_TRUE(Exec) << Exec.error().str();
+  expectIncrementalDigestExact(*Exec, Level::Machine, 97, "machine cat");
+}
+
+TEST(Executor, PrepareCacheSharesOneBootSnapshotPerProgram) {
+  // The snapshot is program-dependent and run-independent: every hit on
+  // a program shares it, whatever the command line and stdin, and a
+  // session booted from it still sees its own argv and stdin.
+  PrepareCache Cache;
+  RunSpec A;
+  A.Source = catSource();
+  A.CommandLine = {"cat"};
+  A.StdinData = "first\n";
+  RunSpec B = A;
+  B.CommandLine = {"cat", "again"};
+  B.StdinData = "second run\n";
+  Result<Prepared> PA = Cache.prepare(A);
+  Result<Prepared> PB = Cache.prepare(B);
+  ASSERT_TRUE(PA && PB);
+  ASSERT_TRUE(PA->Snapshot);
+  EXPECT_EQ(PA->Snapshot, PB->Snapshot);
+  Result<Prepared> Hello = Cache.prepare(helloSpec());
+  ASSERT_TRUE(Hello);
+  EXPECT_NE(Hello->Snapshot, PA->Snapshot);
+
+  for (auto [Spec, P] : {std::pair{A, PA.take()}, std::pair{B, PB.take()}}) {
+    Executor Exec = Executor::fromPrepared(Spec, std::move(P));
+    Result<Outcome> Out = Exec.run(Level::Isa);
+    ASSERT_TRUE(Out) << Out.error().str();
+    EXPECT_EQ(Out->Behaviour.StdoutData, Spec.StdinData);
+  }
+}
+
+/// hello's Prepared with one extra byte after the program: part of the
+/// image (and of the snapshot), on the program's last page, but never
+/// executed, read or written by the run.
+Prepared helloWithTrailingByte(uint8_t Byte) {
+  Result<Prepared> P = prepare(helloSpec());
+  EXPECT_TRUE(P) << P.error().str();
+  Prepared Q = P.take();
+  Q.Program.Program.push_back(Byte);
+  Q.Image.Program = Q.Program.Program;
+  Q.Snapshot = nullptr; // this is a different image: rebuilt by begin()
+  Result<sys::MemoryLayout> L = sys::MemoryLayout::compute(
+      Q.Image.Params, static_cast<Word>(Q.Image.Program.size()));
+  EXPECT_TRUE(L);
+  EXPECT_EQ(L->CodeBase, Q.Program.CodeBase) << "trailer moved the program";
+  return Q;
+}
+
+TEST(Executor, DigestCatchesAFlippedByteOnACleanPage) {
+  // The incremental digest takes a clean page's hash from the snapshot;
+  // two images that differ by one byte on a page neither run writes must
+  // still digest differently, and each must match its from-scratch hash.
+  Prepared A = helloWithTrailingByte(0x5a);
+  Prepared B = helloWithTrailingByte(0x5b);
+  for (const DigestCell &C : DigestCells) {
+    RunSpec Spec = helloSpec();
+    Spec.Exec.Backend = C.Backend;
+    Spec.Exec.JitHotThreshold = 1;
+    Executor ExecA = Executor::fromPrepared(Spec, A);
+    Executor ExecB = Executor::fromPrepared(Spec, B);
+    StateDigest DA =
+        expectIncrementalDigestExact(ExecA, C.L, UINT64_MAX, C.Name);
+    StateDigest DB =
+        expectIncrementalDigestExact(ExecB, C.L, UINT64_MAX, C.Name);
+    // Same run, same registers: only the one image byte differs.
+    EXPECT_EQ(DA.Pc, DB.Pc) << C.Name;
+    EXPECT_EQ(DA.Regs, DB.Regs) << C.Name;
+    EXPECT_NE(DA.MemoryHash, DB.MemoryHash) << C.Name;
+  }
 }

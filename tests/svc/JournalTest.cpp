@@ -265,6 +265,32 @@ TEST(Journal, DamagedHeaderIsAHardError) {
   EXPECT_FALSE(bool(Journal::open(P.Path)));
 }
 
+TEST(Journal, Version1JournalIsRefusedWithADiagnostic) {
+  // Version 1 journals carry byte-wise FNV-1a memory hashes; replaying
+  // their Pause records would end in a "state digest mismatch", so open
+  // refuses them up front and says why.
+  TempPath P("v1");
+  {
+    Result<Journal> J = Journal::open(P.Path);
+    ASSERT_TRUE(bool(J)) << J.error().str();
+    ASSERT_TRUE(bool(J->append(submitRecord(1))));
+    ASSERT_TRUE(bool(J->append(pauseRecord(1))));
+  }
+  std::vector<uint8_t> Full = fileBytes(P.Path);
+  ASSERT_EQ(Full[4], JournalVersion);
+  Full[4] = 1;
+  writeBytes(P.Path, Full);
+  ReplayResult Replay;
+  Result<Journal> J = Journal::open(P.Path, &Replay);
+  ASSERT_FALSE(bool(J));
+  EXPECT_NE(J.error().str().find("has version 1, expected 2"),
+            std::string::npos)
+      << J.error().str();
+  EXPECT_TRUE(Replay.Records.empty());
+  // Refusal leaves the file alone: nothing was truncated or rewritten.
+  EXPECT_EQ(fileBytes(P.Path), Full);
+}
+
 TEST(Journal, CompactReplacesHistoryAtomically) {
   TempPath P("compact");
   Result<Journal> J = Journal::open(P.Path);

@@ -9,6 +9,9 @@
 
 #include "gtest/gtest.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 using namespace silver;
 using namespace silver::svc;
 
@@ -211,6 +214,70 @@ TEST(Protocol, DataFrameTruncationIsAnErrorAtEveryLength) {
     std::vector<uint8_t> Cut(Full.begin(), Full.begin() + Len);
     EXPECT_FALSE(bool(decodeResponse(Cut))) << "length " << Len;
   }
+}
+
+/// A connected socket pair, closed on destruction.
+struct SocketPair {
+  int Fd[2] = {-1, -1};
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fd), 0); }
+  ~SocketPair() {
+    for (int F : Fd)
+      if (F >= 0)
+        ::close(F);
+  }
+};
+
+Response digestResponse() {
+  Response R;
+  R.Ok = true;
+  R.Info.Id = 7;
+  R.Info.State = JobState::Paused;
+  R.Info.Outcome.HasDigest = true;
+  R.Info.Outcome.Digest.MemoryHash = 0x0123456789abcdefull;
+  R.Info.Outcome.Digest.MemoryBytes = 1 << 22;
+  return R;
+}
+
+TEST(Protocol, CurrentVersionFrameRoundTrips) {
+  SocketPair S;
+  std::vector<uint8_t> Payload = encodeResponse(digestResponse());
+  ASSERT_TRUE(bool(writeFrame(S.Fd[0], Payload)));
+  std::vector<uint8_t> Got;
+  Result<bool> R = readFrame(S.Fd[1], Got);
+  ASSERT_TRUE(bool(R)) << R.error().str();
+  EXPECT_TRUE(*R);
+  EXPECT_EQ(Got, Payload);
+}
+
+TEST(Protocol, OldVersionFrameIsRefusedWithADiagnostic) {
+  // A version-1 peer's digests hash memory byte-wise: a well-formed
+  // frame of theirs must be refused for its version, not decoded into a
+  // digest that can never match ours.
+  SocketPair S;
+  std::vector<uint8_t> Payload = encodeResponse(digestResponse());
+  std::vector<uint8_t> Frame = {'S', 'V', 'C', '1'};
+  for (int I = 0; I != 4; ++I)
+    Frame.push_back(static_cast<uint8_t>(Payload.size() >> (8 * I)));
+  Frame.insert(Frame.end(), Payload.begin(), Payload.end());
+  ASSERT_EQ(::write(S.Fd[0], Frame.data(), Frame.size()),
+            static_cast<ssize_t>(Frame.size()));
+  std::vector<uint8_t> Got;
+  Result<bool> R = readFrame(S.Fd[1], Got);
+  ASSERT_FALSE(bool(R));
+  EXPECT_NE(R.error().str().find("frame version '1' is not supported"),
+            std::string::npos)
+      << R.error().str();
+}
+
+TEST(Protocol, ForeignMagicIsStillABadMagic) {
+  SocketPair S;
+  const uint8_t Frame[8] = {'H', 'T', 'T', 'P', 0, 0, 0, 0};
+  ASSERT_EQ(::write(S.Fd[0], Frame, sizeof(Frame)),
+            static_cast<ssize_t>(sizeof(Frame)));
+  std::vector<uint8_t> Got;
+  Result<bool> R = readFrame(S.Fd[1], Got);
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().str(), "protocol: bad frame magic");
 }
 
 } // namespace

@@ -4,8 +4,9 @@
 // Verified Processor" (PLDI 2019).
 //
 // Drives a real Server+Service over its socket transports: concurrent
-// clients with mixed workloads, every response accounted for, and the
-// drain request finishing in-flight work.
+// clients with mixed workloads, every response accounted for, the drain
+// request finishing in-flight work, and finished connections releasing
+// their threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <thread>
 #include <unistd.h>
 
@@ -72,6 +75,54 @@ TEST(Server, UnixSocketRoundTrip) {
   EXPECT_NE(Stats->StatsJson.find("silverd-stats-v1"), std::string::npos);
 
   Srv.stop();
+}
+
+/// This process's virtual size in MB (VmSize in /proc/self/status).
+double vmSizeMb() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::strtod(Line.c_str() + 7, nullptr) / 1024.0;
+  return 0;
+}
+
+TEST(Server, SequentialConnectionsDoNotAccumulateThreads) {
+  // Every finished connection used to keep its thread (and its stack
+  // mapping) until stop(): 2,000 connections were ~16 GB of VmSize.
+  ServiceOptions SvcOpts;
+  SvcOpts.Workers = 1;
+  Service Svc(SvcOpts);
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath("reap");
+  Server Srv(Svc, Opts);
+  ASSERT_TRUE(bool(Srv.start()));
+
+  size_t MaxRetained = 0;
+  auto Connect = [&](unsigned Count) {
+    for (unsigned I = 0; I != Count; ++I) {
+      Client C;
+      ASSERT_TRUE(bool(C.connectUnix(Opts.SocketPath))) << "connection " << I;
+      Result<Response> R = C.stats();
+      ASSERT_TRUE(bool(R)) << R.error().str();
+      ASSERT_TRUE(R->Ok);
+      MaxRetained = std::max(MaxRetained, Srv.connectionThreads());
+    }
+  };
+  // Warm-up: the first connection threads map their stacks and malloc
+  // arenas (about 72 MB of VmSize each); that is a one-time cost.
+  const unsigned WarmUp = 200, Connections = 2000;
+  Connect(WarmUp);
+  double VmBefore = vmSizeMb();
+  Connect(Connections);
+  double VmGrowth = vmSizeMb() - VmBefore;
+  EXPECT_EQ(Srv.connectionsAccepted(), WarmUp + Connections);
+  // A finished connection's thread takes the next connection, so
+  // sequential clients need one or two threads, not one each.
+  EXPECT_LE(MaxRetained, 4u);
+  EXPECT_LT(VmGrowth, 64.0) << "VmSize grew " << VmGrowth << " MB";
+  Srv.stop();
+  EXPECT_EQ(Srv.connectionThreads(), 0u);
 }
 
 TEST(Server, TcpLoopbackRoundTrip) {

@@ -3,6 +3,9 @@
 #include "sys/Image.h"
 
 #include "isa/Abi.h"
+#include "obs/TraceSink.h"
+#include "stack/Apps.h"
+#include "stack/Stack.h"
 
 #include <gtest/gtest.h>
 
@@ -87,7 +90,7 @@ TEST(Image, EmptyCommandLineBuilds) {
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot) << Boot.error().str();
   // The command-line region holds a zero length word.
-  EXPECT_EQ(Boot->State.readWord(Boot->Image.Layout.CmdlineBase), 0u);
+  EXPECT_EQ(Boot->State.readWord(Boot->Layout.CmdlineBase), 0u);
 }
 
 TEST(ClOk, AcceptsAndRejects) {
@@ -112,7 +115,7 @@ TEST(Image, BuildsAndBoots) {
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot) << Boot.error().str();
 
-  const MemoryLayout &L = Boot->Image.Layout;
+  const MemoryLayout &L = Boot->Layout;
   const isa::MachineState &S = Boot->State;
   // Startup set the info registers (installed (i)).
   EXPECT_EQ(S.Regs[silver::abi::MemStartReg], L.HeapBase);
@@ -154,8 +157,8 @@ TEST(Installed, DetectsCorruptedProgram) {
 
   // Tamper with the program bytes in memory.
   isa::MachineState Bad = Boot->State;
-  Bad.Memory[Boot->Image.Layout.CodeBase] ^= 0xff;
-  Result<void> V = validateInstalled(Bad, Boot->Image, Spec);
+  Bad.Memory[Boot->Layout.CodeBase] ^= 0xff;
+  Result<void> V = validateInstalled(Bad, Boot->Layout, Spec);
   ASSERT_FALSE(V);
   EXPECT_NE(V.error().message().find("corrupted"), std::string::npos);
 }
@@ -170,10 +173,10 @@ TEST(Installed, DetectsWrongRegisters) {
   ASSERT_TRUE(Boot);
   isa::MachineState Bad = Boot->State;
   Bad.Regs[silver::abi::MemStartReg] += 4;
-  EXPECT_FALSE(validateInstalled(Bad, Boot->Image, Spec));
+  EXPECT_FALSE(validateInstalled(Bad, Boot->Layout, Spec));
   Bad = Boot->State;
   Bad.PC += 4;
-  EXPECT_FALSE(validateInstalled(Bad, Boot->Image, Spec));
+  EXPECT_FALSE(validateInstalled(Bad, Boot->Layout, Spec));
 }
 
 TEST(ExitStatusCells, ReadBack) {
@@ -184,11 +187,11 @@ TEST(ExitStatusCells, ReadBack) {
   Spec.Program = Prog->Bytes;
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot);
-  ExitStatus S0 = readExitStatus(Boot->State, Boot->Image.Layout);
+  ExitStatus S0 = readExitStatus(Boot->State, Boot->Layout);
   EXPECT_FALSE(S0.Exited);
-  Boot->State.writeWord(Boot->Image.Layout.ExitFlagAddr, 1);
-  Boot->State.writeWord(Boot->Image.Layout.ExitCodeAddr, 7);
-  ExitStatus S1 = readExitStatus(Boot->State, Boot->Image.Layout);
+  Boot->State.writeWord(Boot->Layout.ExitFlagAddr, 1);
+  Boot->State.writeWord(Boot->Layout.ExitCodeAddr, 7);
+  ExitStatus S1 = readExitStatus(Boot->State, Boot->Layout);
   EXPECT_TRUE(S1.Exited);
   EXPECT_EQ(S1.Code, 7);
 }
@@ -201,7 +204,7 @@ TEST(SysEnv, CollectsTerminalOutputOnInterrupt) {
   Spec.Program = Prog->Bytes;
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot);
-  const MemoryLayout &L = Boot->Image.Layout;
+  const MemoryLayout &L = Boot->Layout;
 
   SysEnv Env(L);
   // Simulate a write syscall having filled the output buffer for stdout.
@@ -235,4 +238,147 @@ TEST(Syscalls, ProgramsFitTheirRegions) {
   Result<assembler::Assembled> Start = buildStartupProgram(*L);
   ASSERT_TRUE(Start) << Start.error().str();
   EXPECT_LE(Start->Bytes.size(), P.StartupCap);
+}
+
+// Booting from a snapshot must be indistinguishable from the paper's
+// init state built whole: the same memory before and after the startup
+// prefix, the same registers, PC and flags, the same StartupSteps and
+// the same startup retire stream, for each of the six applications.
+TEST(Snapshot, InstantiateMatchesWholeImageBootForEveryApp) {
+  const std::pair<const char *, std::string> Apps[] = {
+      {stack::helloSource(), ""},
+      {stack::catSource(), stack::randomLines(20, 1)},
+      {stack::wcSource(), stack::randomLines(30, 2)},
+      {stack::sortSource(), stack::randomLines(20, 3)},
+      {stack::proofCheckerSource(), stack::sampleValidProof()},
+      {stack::tinCompilerSource(), stack::sampleTinProgram(4)}};
+  for (const auto &[Source, Stdin] : Apps) {
+    stack::RunSpec Run;
+    Run.Source = Source;
+    Run.CommandLine = {"app", "--flag"};
+    Run.StdinData = Stdin;
+    Result<stack::Prepared> P = stack::prepare(Run);
+    ASSERT_TRUE(P) << P.error().str();
+    const ImageSpec &Spec = P->Image;
+    ASSERT_TRUE(P->Snapshot);
+
+    // From scratch: the dense image, the init state, the startup prefix.
+    Result<MemoryImage> Image = buildImage(Spec);
+    ASSERT_TRUE(Image) << Image.error().str();
+    isa::MachineState Whole = initialState(*Image);
+    Result<isa::MachineState> Inst = instantiate(*P->Snapshot, Spec);
+    ASSERT_TRUE(Inst) << Inst.error().str();
+    EXPECT_TRUE(Inst->isaVisibleEquals(Whole)) << "before startup";
+
+    obs::TraceSink WholeSink, SnapSink;
+    uint64_t WholeSteps = 0;
+    while (Whole.PC != Image->Layout.CodeBase) {
+      ASSERT_LT(WholeSteps, 64u);
+      ASSERT_TRUE(isa::step(Whole, isa::nullEnv(), WholeSink, WholeSteps).ok());
+      ++WholeSteps;
+    }
+
+    Result<BootResult> Boot = sys::boot(P->Snapshot, Spec, &SnapSink);
+    ASSERT_TRUE(Boot) << Boot.error().str();
+    EXPECT_TRUE(Boot->State.isaVisibleEquals(Whole)) << "after startup";
+    EXPECT_EQ(Boot->State.DataOut, Whole.DataOut);
+    EXPECT_EQ(Boot->StartupSteps, WholeSteps);
+    EXPECT_EQ(SnapSink.retireStream(), WholeSink.retireStream());
+    EXPECT_GT(WholeSteps, 0u);
+
+    // The snapshot holds only the program-dependent pages, and each
+    // stored hash is the hash of that page of the whole image with the
+    // per-run regions cleared.
+    ImageSpec Bare = Spec;
+    Bare.CommandLine.clear();
+    Bare.StdinData.clear();
+    Result<MemoryImage> BareImage = buildImage(Bare);
+    ASSERT_TRUE(BareImage) << BareImage.error().str();
+    const BootSnapshot &Snap = *P->Snapshot;
+    ASSERT_EQ(Snap.PageHashes.size(), isa::pageCount(Snap.memBytes()));
+    for (size_t I = 0; I != Snap.PageHashes.size(); ++I)
+      ASSERT_EQ(Snap.PageHashes[I],
+                isa::pageHash(BareImage->Memory.data() + (I << isa::PageShift),
+                              isa::PageSize))
+          << "page " << I;
+    EXPECT_LT(Snap.Pages.size(), 64u);
+  }
+}
+
+/// The init state of theorem (5) booted the whole-image way: dense
+/// image, initialState, startup steps until the PC reaches CodeBase.
+isa::MachineState bootFromScratch(const ImageSpec &Spec) {
+  Result<MemoryImage> Image = buildImage(Spec);
+  EXPECT_TRUE(Image) << Image.error().str();
+  isa::MachineState S = initialState(*Image);
+  for (unsigned I = 0; I != 64 && S.PC != Image->Layout.CodeBase; ++I)
+    EXPECT_TRUE(isa::step(S, isa::nullEnv()).ok());
+  return S;
+}
+
+TEST(Snapshot, RecycledBootMatchesAFreshOne) {
+  // Run a program to completion, dirtying its memory, and recycle it.
+  // Boots drawing on the pool — of the same program and of another one —
+  // must equal the whole-image boot, with nothing of the old run left.
+  auto Prepare = [](const char *Source, std::string Stdin) {
+    stack::RunSpec Run;
+    Run.Source = Source;
+    Run.CommandLine = {"app"};
+    Run.StdinData = std::move(Stdin);
+    Result<stack::Prepared> P = stack::prepare(Run);
+    EXPECT_TRUE(P) << P.error().str();
+    return P.take();
+  };
+  stack::Prepared Wc = Prepare(stack::wcSource(), stack::randomLines(60, 4));
+  stack::Prepared Tin = Prepare(stack::tinCompilerSource(),
+                                stack::sampleTinProgram(3));
+  stack::Prepared Hello = Prepare(stack::helloSource(), "");
+  // Tin's program starts pages below hello's: recycling must clear them.
+  ASSERT_LT(Tin.Snapshot->Layout.CodeBase, Hello.Snapshot->Layout.CodeBase);
+  const std::pair<const stack::Prepared *, const stack::Prepared *> Cases[] =
+      {{&Wc, &Wc}, {&Tin, &Hello}};
+  for (const auto &[Done, Next] : Cases) {
+    Result<BootResult> First = sys::boot(Done->Snapshot, Done->Image);
+    ASSERT_TRUE(First) << First.error().str();
+    SysEnv Env(First->Layout);
+    ASSERT_TRUE(isa::run(First->State, Env, 100'000'000).Halted);
+    const uint8_t *Dirty = First->State.Memory.data();
+    sys::recycle(First.take());
+
+    // The pool holds at most two states; boot two, one of them ours.
+    isa::MachineState Expected = bootFromScratch(Next->Image);
+    Result<BootResult> A = sys::boot(Next->Snapshot, Next->Image);
+    Result<BootResult> B = sys::boot(Next->Snapshot, Next->Image);
+    ASSERT_TRUE(A && B);
+    EXPECT_TRUE(A->State.Memory.data() == Dirty ||
+                B->State.Memory.data() == Dirty);
+    // The written map of a boot into fresh memory: argv, stdin and the
+    // startup code's stores.
+    Result<isa::MachineState> Fresh =
+        instantiate(*Next->Snapshot, Next->Image);
+    ASSERT_TRUE(Fresh);
+    while (Fresh->PC != Next->Snapshot->Layout.CodeBase)
+      ASSERT_TRUE(isa::step(*Fresh, isa::nullEnv()).ok());
+    for (const BootResult *R : {&*A, &*B}) {
+      EXPECT_TRUE(R->State.isaVisibleEquals(Expected));
+      EXPECT_TRUE(R->State.IoEvents.empty());
+      EXPECT_EQ(R->State.WrittenPages, Fresh->WrittenPages);
+    }
+  }
+}
+
+TEST(Snapshot, RefusesASpecForAnotherProgram) {
+  assembler::Assembler A;
+  A.emitHalt();
+  ImageSpec Spec;
+  Spec.Program = A.assemble(0)->Bytes;
+  Result<BootSnapshot> Snap = buildSnapshot(Spec.Program, Spec.Params);
+  ASSERT_TRUE(Snap) << Snap.error().str();
+  EXPECT_TRUE(instantiate(*Snap, Spec));
+  ImageSpec Longer = Spec;
+  Longer.Program.push_back(0);
+  EXPECT_FALSE(instantiate(*Snap, Longer));
+  ImageSpec Smaller = Spec;
+  Smaller.Params.MemSize = 1u << 21;
+  EXPECT_FALSE(instantiate(*Snap, Smaller));
 }
