@@ -12,8 +12,6 @@
 #include "isa/Encoding.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
-
 using namespace silver;
 using namespace silver::cpu;
 
@@ -33,17 +31,19 @@ static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
 // CoreRunner
 //===----------------------------------------------------------------------===//
 
-CoreRunner::CoreRunner(const sys::MemoryImage &Image,
+CoreRunner::CoreRunner(isa::MachineState Dram, const sys::MemoryLayout &Layout,
                        const RunOptions &Options)
-    : Core(buildSilverCore()), Env(Image.Memory, Image.Layout, Options.Env),
-      Layout(Image.Layout), Opt(Options) {}
+    : Core(buildSilverCore()), Env(std::move(Dram), Layout, Options.Env),
+      Layout(Layout), Opt(Options) {}
 
 CoreRunner::~CoreRunner() = default;
 
 Result<std::unique_ptr<CoreRunner>>
-CoreRunner::create(const sys::MemoryImage &Image, const RunOptions &Options) {
+CoreRunner::create(isa::MachineState Dram, const sys::MemoryLayout &Layout,
+                   const RunOptions &Options) {
   // Heap-allocate first: the simulator keeps a reference to this->Core.
-  std::unique_ptr<CoreRunner> R(new CoreRunner(Image, Options));
+  std::unique_ptr<CoreRunner> R(
+      new CoreRunner(std::move(Dram), Layout, Options));
   if (Result<void> V = R->Core.Circuit.validate(); !V)
     return V.error();
   Result<std::unique_ptr<CoreSim>> SimOr = makeSim(R->Core, Options);
@@ -115,13 +115,9 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
       obs::RetireEvent Ev;
       Ev.Pc = RetirePc;
       Ev.Index = Instructions;
-      const std::vector<uint8_t> &M = Env.memory();
-      if (RetirePc + 4 <= M.size()) {
-        Word W = static_cast<Word>(M[RetirePc]) |
-                 static_cast<Word>(M[RetirePc + 1]) << 8 |
-                 static_cast<Word>(M[RetirePc + 2]) << 16 |
-                 static_cast<Word>(M[RetirePc + 3]) << 24;
-        if (Result<isa::Instruction> I = isa::decode(W)) {
+      const isa::MachineState &M = Env.memory();
+      if (M.inRange(RetirePc, 4)) {
+        if (Result<isa::Instruction> I = isa::decode(M.readWord(RetirePc))) {
           Ev.Opcode = static_cast<uint8_t>(I->Op);
           Ev.Mnemonic = isa::opcodeName(I->Op);
         }
@@ -157,10 +153,6 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
 
 ArchState CoreRunner::archState() const { return Sim->archState(); }
 
-const std::vector<uint8_t> &CoreRunner::memory() const {
-  return Env.memory();
-}
-
 CoreRunResult CoreRunner::result() const {
   CoreRunResult R;
   R.Halted = Halted;
@@ -168,15 +160,14 @@ CoreRunResult CoreRunner::result() const {
   R.Instructions = Instructions;
   R.StdoutData = Env.collectedStdout();
   R.StderrData = Env.collectedStderr();
-  R.FinalMemory = Env.memory();
-  R.Exit = sys::readExitStatus(R.FinalMemory.data(), Layout);
+  R.Exit = sys::readExitStatus(Env.memory(), Layout);
   return R;
 }
 
 Result<CoreRunResult> silver::cpu::runCore(const sys::MemoryImage &Image,
                                            const RunOptions &Options) {
   Result<std::unique_ptr<CoreRunner>> RunnerOr =
-      CoreRunner::create(Image, Options);
+      CoreRunner::create(sys::initialState(Image), Image.Layout, Options);
   if (!RunnerOr)
     return RunnerOr.error();
   CoreRunner &Runner = **RunnerOr;
@@ -211,9 +202,7 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
     SysEnv = std::make_unique<sys::SysEnv>(*Layout);
   isa::IsaEnv &IsaEnv = SysEnv ? *SysEnv : isa::nullEnv();
 
-  LabEnv Env(std::vector<uint8_t>(Initial.Memory.begin(),
-                                  Initial.Memory.end()),
-             Layout ? *Layout : sys::MemoryLayout{}, Options.Env);
+  LabEnv Env(Initial, Layout ? *Layout : sys::MemoryLayout{}, Options.Env);
 
   uint64_t Instructions = 0;
   uint64_t Cycles = 0;
@@ -265,9 +254,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
   }
 
   // Memories must agree at the end (ag32_eq_* includes memory equality).
-  if (!std::equal(Env.memory().begin(), Env.memory().end(),
-                  Isa.Memory.begin(), Isa.Memory.end())) {
-    const auto &M = Env.memory();
+  if (Env.memory().Memory != Isa.Memory) {
+    const isa::MemoryBytes &M = Env.memory().Memory;
     for (size_t I = 0; I != M.size(); ++I)
       if (M[I] != Isa.Memory[I])
         return Error("memory differs at " + toHex(static_cast<Word>(I)) +

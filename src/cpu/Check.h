@@ -18,7 +18,8 @@
 ///  - runCore / CoreRunner: executes a memory image on the core and
 ///    reports the observable behaviour (the hardware half of theorem
 ///    (8)).  CoreRunner is the resumable form used by stack::Executor:
-///    it holds the simulator, the lab environment, and the observer
+///    it holds the simulator, the lab environment (whose DRAM is a
+///    state instantiated from the boot snapshot), and the observer
 ///    hookup across multiple advance() calls.
 ///
 //===----------------------------------------------------------------------===//
@@ -64,7 +65,6 @@ struct CoreRunResult {
   std::string StdoutData;
   std::string StderrData;
   sys::ExitStatus Exit;
-  std::vector<uint8_t> FinalMemory;
 };
 
 /// Why an advance() call returned.
@@ -89,10 +89,13 @@ enum class CoreStop : uint8_t {
 class CoreRunner {
 public:
   /// Builds the core, validates it, and wires up the simulator, the lab
-  /// environment, and the observer.  The runner is heap-allocated and
-  /// pinned because the simulator keeps a reference to the core.
+  /// environment over \p Dram (a bootable image laid out as \p Layout;
+  /// the core runs its startup code from reset), and the observer.  The
+  /// runner is heap-allocated and pinned because the simulator keeps a
+  /// reference to the core.
   static Result<std::unique_ptr<CoreRunner>>
-  create(const sys::MemoryImage &Image, const RunOptions &Options);
+  create(isa::MachineState Dram, const sys::MemoryLayout &Layout,
+         const RunOptions &Options);
   ~CoreRunner();
 
   CoreRunner(const CoreRunner &) = delete;
@@ -112,16 +115,19 @@ public:
   /// The core's current architectural registers (PC, flags, register
   /// file).  Used by the cross-level state digests (stack::Executor).
   ArchState archState() const;
-  /// The lab DRAM contents (same address space as the ISA state's
-  /// memory, so final memories are directly comparable across levels).
-  const std::vector<uint8_t> &memory() const;
+  /// The lab DRAM (same address space as the ISA state's memory, so
+  /// final memories are directly comparable across levels).
+  const isa::MachineState &memory() const { return Env.memory(); }
+  /// Moves the lab DRAM out (to sys::recycle); the runner is spent.
+  isa::MachineState takeMemory() { return Env.takeMemory(); }
 
   /// Snapshots the observable behaviour so far (stdout, stderr, exit
-  /// status, final memory).
+  /// status).
   CoreRunResult result() const;
 
 private:
-  CoreRunner(const sys::MemoryImage &Image, const RunOptions &Options);
+  CoreRunner(isa::MachineState Dram, const sys::MemoryLayout &Layout,
+             const RunOptions &Options);
 
   SilverCore Core;
   std::unique_ptr<CoreSim> Sim;

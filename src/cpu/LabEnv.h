@@ -13,6 +13,14 @@
 /// script (is_interrupt_interface) — it reacts to interrupt requests by
 /// reading the output buffer and collecting terminal output.
 ///
+/// The DRAM is an isa::MachineState (only its memory and page-state
+/// table are used): the paper's ag32_eq relations treat is_mem and the
+/// ISA state's memory as one memory, and here they are one kind of
+/// memory too.  Stores go through writeWord/writeByte, so they mark
+/// their pages written; a DRAM instantiated from a boot snapshot
+/// (sys::instantiate) therefore digests incrementally and recycles like
+/// an ISA state.
+///
 /// Timing: a request pulse observed on the core's outputs at cycle N is
 /// answered with a one-cycle ready pulse at cycle N+1+Latency.
 ///
@@ -25,9 +33,7 @@
 #include "support/Result.h"
 #include "sys/Image.h"
 
-#include <map>
 #include <string>
-#include <vector>
 
 namespace silver {
 namespace cpu {
@@ -40,32 +46,29 @@ struct LabEnvOptions {
 
 class LabEnv {
 public:
-  LabEnv(std::vector<uint8_t> Memory, sys::MemoryLayout Layout,
+  LabEnv(isa::MachineState Dram, sys::MemoryLayout Layout,
          LabEnvOptions Options = {})
-      : Memory(std::move(Memory)), Layout(std::move(Layout)), Opt(Options) {}
+      : Dram(std::move(Dram)), Layout(std::move(Layout)), Opt(Options) {}
 
   /// Input-port values for the upcoming cycle, written into the dense
-  /// frame (the hot path; the map overload below wraps this).
+  /// frame.
   void inputsForCycle(CoreInputs &In);
-
-  /// Input-port values for the upcoming cycle, by port name.
-  std::map<std::string, uint64_t> inputsForCycle();
 
   /// Reacts to the core's outputs of the cycle that just ran.  Returns an
   /// error on protocol violations (request while busy, misaligned word
   /// access, out-of-range address).
   Result<void> observeOutputs(const CoreOutputs &Out);
 
-  /// Name-keyed compatibility overload of observeOutputs.
-  Result<void> observeOutputs(const std::map<std::string, uint64_t> &Out);
-
-  const std::vector<uint8_t> &memory() const { return Memory; }
+  /// The DRAM (same address space as the ISA state's memory).
+  const isa::MachineState &memory() const { return Dram; }
+  /// Moves the DRAM out (to sys::recycle); the environment is spent.
+  isa::MachineState takeMemory() { return std::move(Dram); }
   const std::string &collectedStdout() const { return Stdout; }
   const std::string &collectedStderr() const { return Stderr; }
   uint64_t interruptCount() const { return Interrupts; }
 
 private:
-  std::vector<uint8_t> Memory;
+  isa::MachineState Dram;
   sys::MemoryLayout Layout;
   LabEnvOptions Opt;
   uint64_t Cycle = 0;

@@ -26,16 +26,23 @@
 ///  - any out-of-band mutation of MachineState::Memory (tests, image
 ///    patching); use invalidateAll() when the touched range is unknown.
 ///
-/// Written-page rule: every one of those writes also marks its 4 KiB
-/// page in MachineState::WrittenPages, which is what lets a StateDigest
-/// rehash only written pages and take every other page's hash from the
-/// boot snapshot (stack/Executor.h).  MachineState::writeWord/writeByte/
-/// writeBytes mark as they write, so the interpreter's stores and the
-/// machine-sem oracle's writes are covered by construction; the JIT's
-/// translated stores mark the page with one byte store right after their
-/// guard check (isa/jit/Jit.h); direct writes to Memory call
-/// MachineState::markWritten.  A write that skips the mark is a stale
-/// digest, exactly as a write that skips invalidate is a stale decode.
+/// Page-state rule (isa/PageMemory.h): every one of those writes also
+/// marks its 4 KiB page written in MachineState::PageFlags, which is what
+/// lets a StateDigest rehash only written pages and take every other
+/// page's hash from the boot snapshot (stack/Executor.h).
+/// MachineState::writeWord/writeByte/writeBytes mark as they write, so
+/// the interpreter's stores and the machine-sem oracle's writes are
+/// covered by construction; the JIT's translated stores mark the page
+/// with one byte store right after their code test (isa/jit/Jit.h);
+/// direct writes to Memory call MachineState::markWritten.  A write that
+/// skips the mark is a stale digest, exactly as a write that skips
+/// invalidate is a stale decode.
+///
+/// In the other direction, lookup() marks a page code when it fills one
+/// of its slots, whoever calls it (a run loop, a single step, isHalted,
+/// the JIT dispatcher).  A JIT store into a code page leaves native code
+/// and is interpreted, so it reaches invalidate(): the table, not the
+/// caller, is what keeps every decoded slot guarded.
 ///
 /// Under that contract, executing from the cache is observationally
 /// identical to the reference fetch-decode-execute semantics; the
@@ -88,15 +95,17 @@ public:
   };
 
   /// Entry for word-aligned, in-range \p Pc; decodes and fills the slot
-  /// on first use.  The caller has already validated alignment and range
-  /// (the run loops check PC before the lookup).
-  const DecodedInsn &lookup(const MachineState &State, Word Pc) {
+  /// on first use, marking Pc's page code in \p State.  The caller has
+  /// already validated alignment and range (the run loops check PC
+  /// before the lookup).
+  const DecodedInsn &lookup(MachineState &State, Word Pc) {
     DecodedInsn &E = slot(Pc);
     if (E.St != DecodedInsn::Empty) {
       ++S.Hits;
       return E;
     }
     ++S.Misses;
+    State.markCode(Pc);
     Result<Instruction> Decoded = decode(State.readWord(Pc));
     if (!Decoded) {
       E.St = DecodedInsn::Illegal;
@@ -153,24 +162,7 @@ public:
 
   const Stats &stats() const { return S; }
 
-  /// Invokes \p Fn with the base address of every page that holds at
-  /// least one decoded slot.  The JIT backend uses this to re-derive its
-  /// store-guard page set after an interpreter-delegated run filled the
-  /// cache behind its back (isa/jit/Jit.h).
-  template <class Fn> void forEachCachedPage(Fn &&F) const {
-    for (size_t PageIdx = 0; PageIdx != Pages.size(); ++PageIdx) {
-      if (!Pages[PageIdx])
-        continue;
-      for (const DecodedInsn &E : Pages[PageIdx]->Slots)
-        if (E.St != DecodedInsn::Empty) {
-          F(static_cast<Word>(PageIdx) << PageShift);
-          break;
-        }
-    }
-  }
-
-  /// 4 KiB code pages; fixed by the invalidation contract shared with
-  /// the JIT's store-guard map and the written-page map.
+  /// 4 KiB code pages, the granularity of the page-state table.
   static constexpr unsigned PageShift = isa::PageShift;
   static constexpr Word PageMask = (Word(1) << PageShift) - 1;
   static constexpr size_t PageSlots = (size_t(1) << PageShift) / 4;

@@ -57,8 +57,9 @@ public:
                                       obs::Observer &Obs,
                                       uint64_t RetireIndex) = 0;
 
-  /// The paper's is_halted predicate.
-  virtual bool isHalted(const MachineState &State) = 0;
+  /// The paper's is_halted predicate (through the backend's decode
+  /// cache, which marks the pages it decodes; see DecodeCache.h).
+  virtual bool isHalted(MachineState &State) = 0;
 
   /// Runs until halt, fault, or \p MaxSteps instructions execute.
   virtual RunResult run(MachineState &State, IsaEnv &Env,
@@ -101,7 +102,7 @@ public:
                               uint64_t RetireIndex) override {
     return isa::stepUnlessHalted(State, Env, Obs, RetireIndex, Cache);
   }
-  bool isHalted(const MachineState &State) override {
+  bool isHalted(MachineState &State) override {
     return isa::isHalted(State, Cache);
   }
   RunResult run(MachineState &State, IsaEnv &Env,

@@ -410,7 +410,7 @@ bool silver::isa::isHalted(const MachineState &State) {
   return Decoded && Decoded->isSelfJump();
 }
 
-bool silver::isa::isHalted(const MachineState &State, DecodeCache &Cache) {
+bool silver::isa::isHalted(MachineState &State, DecodeCache &Cache) {
   if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
     return false;
   return Cache.lookup(State, State.PC).SelfJump;

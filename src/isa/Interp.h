@@ -198,8 +198,9 @@ RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
 /// state unchanged (after the link register stabilises).
 bool isHalted(const MachineState &State);
 
-/// Predecoded is_halted: the self-jump test is the cached flag.
-bool isHalted(const MachineState &State, DecodeCache &Cache);
+/// Predecoded is_halted: the self-jump test is the cached flag.  A fill
+/// marks the page code (isa/DecodeCache.h), hence the mutable state.
+bool isHalted(MachineState &State, DecodeCache &Cache);
 
 } // namespace isa
 } // namespace silver

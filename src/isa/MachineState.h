@@ -13,11 +13,16 @@
 /// treat out-of-range accesses as errors (the machine-sem layer turns
 /// these into Fail behaviours, which compiled programs never exhibit).
 ///
-/// The state also carries a written-page map (isa/PageMemory.h): every
-/// write through the accessors below marks its 4 KiB page, so a digest
-/// of a booted state can rehash only the pages written since the boot
-/// (stack::StateDigest).  Direct writes to Memory must mark their pages
-/// with markWritten() (the DecodeCache.h contract).
+/// The state also carries the page-state table (isa/PageMemory.h), one
+/// PageFlag byte per 4 KiB page.  Every write through the accessors
+/// below marks its page written, so a digest of a booted state can
+/// rehash only the pages written since the boot (stack::StateDigest) and
+/// a recycled memory clears only those (sys::recycle).  The decode cache
+/// and the JIT mark the pages they derive code from (markCode), which is
+/// what a JIT store tests before it may run natively.  Direct writes to
+/// Memory must mark their pages with markWritten() (the DecodeCache.h
+/// contract).  The lab DRAM of the hardware levels is a MachineState
+/// too, so both memories share the table and the digest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,9 +59,9 @@ class MachineState {
 public:
   /// Creates a state with \p MemBytes bytes of zeroed memory (filled
   /// lazily, see MemoryBytes), all registers zero, PC zero, clear flags
-  /// and no page marked written.
+  /// and no page marked.
   explicit MachineState(size_t MemBytes = DefaultMemBytes)
-      : Memory(MemBytes), WrittenPages(pageCount(MemBytes), 0) {
+      : Memory(MemBytes), PageFlags(pageCount(MemBytes), 0) {
     Regs.fill(0);
   }
 
@@ -69,9 +74,9 @@ public:
   bool CarryFlag = false;
   bool OverflowFlag = false;
   MemoryBytes Memory;
-  /// One byte per 4 KiB page of Memory: nonzero once the page was
-  /// written.  Always pageCount(Memory.size()) entries.
-  std::vector<uint8_t> WrittenPages;
+  /// The page-state table: PageFlag bits for each 4 KiB page of Memory.
+  /// Always pageCount(Memory.size()) entries.
+  std::vector<uint8_t> PageFlags;
   std::vector<IoEvent> IoEvents;
   /// Last value written by an Out instruction (the data-out port).
   Word DataOut = 0;
@@ -96,13 +101,24 @@ public:
       return;
     size_t Last = (size_t(Addr) + Size - 1) >> PageShift;
     for (size_t P = Addr >> PageShift; P <= Last; ++P)
-      WrittenPages[P] = 1;
+      PageFlags[P] |= PageWritten;
+  }
+
+  /// Marks the page of \p Addr code (must be in range).
+  void markCode(Word Addr) { PageFlags[Addr >> PageShift] |= PageCode; }
+
+  /// Whether a page of [Addr, Addr+Size) is marked code (Size 1 or 4,
+  /// in range).
+  bool touchesCode(Word Addr, Word Size) const {
+    return (PageFlags[Addr >> PageShift] |
+            PageFlags[(Addr + (Size - 1)) >> PageShift]) &
+           PageCode;
   }
 
   /// Little-endian 32-bit write.
   void writeWord(Word Addr, Word Value) {
-    WrittenPages[Addr >> PageShift] = 1;
-    WrittenPages[(Addr + 3) >> PageShift] = 1;
+    PageFlags[Addr >> PageShift] |= PageWritten;
+    PageFlags[(Addr + 3) >> PageShift] |= PageWritten;
     Memory[Addr] = static_cast<uint8_t>(Value);
     Memory[Addr + 1] = static_cast<uint8_t>(Value >> 8);
     Memory[Addr + 2] = static_cast<uint8_t>(Value >> 16);
@@ -111,7 +127,7 @@ public:
 
   uint8_t readByte(Word Addr) const { return Memory[Addr]; }
   void writeByte(Word Addr, uint8_t Value) {
-    WrittenPages[Addr >> PageShift] = 1;
+    PageFlags[Addr >> PageShift] |= PageWritten;
     Memory[Addr] = Value;
   }
 

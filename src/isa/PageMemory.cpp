@@ -109,10 +109,10 @@ uint64_t silver::isa::memoryHash(const uint8_t *Data, size_t Size) {
 }
 
 uint64_t silver::isa::memoryHashOf(const uint8_t *Data, size_t Size,
-                                   const uint8_t *Written,
+                                   const uint8_t *Flags,
                                    const uint64_t *Known) {
   uint64_t H = HashSeed;
   for (size_t I = 0, N = pageCount(Size); I != N; ++I)
-    H = mix(H, Written[I] ? hashPageAt(Data, Size, I) : Known[I]);
+    H = mix(H, Flags[I] & PageWritten ? hashPageAt(Data, Size, I) : Known[I]);
   return H;
 }

@@ -6,20 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The 4 KiB page model shared by the machine state, the decode cache,
-/// the JIT's store-guard map, boot snapshots (sys/Image.h) and the
-/// StateDigest (stack/Executor.h):
+/// The 4 KiB page model shared by the machine state (the ISA state's
+/// memory and the lab DRAM alike), the decode cache, the JIT, boot
+/// snapshots (sys/Image.h) and the StateDigest (stack/Executor.h):
 ///
 ///  - MemoryBytes, the byte vector that holds a MachineState's memory.
 ///    Its allocator hands out memory the kernel zero-fills lazily, so a
 ///    4 MiB state costs only the pages a run touches, not a memset.
+///  - The page-state table: one byte of PageFlag bits per page.  Written
+///    pages are what a digest rehashes and what a recycled memory
+///    clears; code pages are where a JIT store must leave native code.
 ///  - The page hash: a page is hashed a 64-bit little-endian word at a
 ///    time, and a memory's hash folds its page hashes in address order
 ///    with the same mixing step.  Each step is a bijection of the running
 ///    hash for a fixed input word, so two memories of one size that
 ///    differ in a single word (in particular a single byte) never
 ///    collide.  memoryHash() computes the function from scratch;
-///    memoryHashOf() reuses known hashes for pages nobody wrote.
+///    memoryHashOf() reuses known hashes for pages the table does not
+///    mark written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +46,17 @@ inline constexpr size_t PageSize = size_t(1) << PageShift;
 constexpr size_t pageCount(size_t Bytes) {
   return (Bytes + PageSize - 1) >> PageShift;
 }
+
+/// The bits of a page-state table entry.
+enum PageFlag : uint8_t {
+  /// Written since the memory was instantiated (sys::instantiate): the
+  /// page may differ from the boot snapshot's.
+  PageWritten = 1,
+  /// Holds an instruction the decode cache decoded or the source of a
+  /// compiled JIT block: a store here must drop derived code.  Only
+  /// cleared when the whole table is reset.
+  PageCode = 2,
+};
 
 /// Raw zero-filled storage: buffers of 1 MiB and more come straight from
 /// mmap (zero pages are filled on first touch), smaller ones from calloc.
@@ -90,11 +105,11 @@ uint64_t zeroPageHash();
 uint64_t memoryHash(const uint8_t *Data, size_t Size);
 
 /// The same function as memoryHash(), computed incrementally: page I is
-/// rehashed only when \p Written[I] is nonzero, otherwise its hash is
+/// rehashed only when \p Flags[I] has PageWritten, otherwise its hash is
 /// \p Known[I].  Both tables have pageCount(Size) entries, and Known
 /// must hold the hashes of the pages as they were before the first
-/// write that Written records (for a booted state: the snapshot's).
-uint64_t memoryHashOf(const uint8_t *Data, size_t Size, const uint8_t *Written,
+/// write that Flags records (for a booted state: the snapshot's).
+uint64_t memoryHashOf(const uint8_t *Data, size_t Size, const uint8_t *Flags,
                       const uint64_t *Known);
 
 } // namespace isa

@@ -253,11 +253,11 @@ public:
     sibOperand(RAX, Base, Index);
     byte(Imm);
   }
-  /// cmp byte [base+index], imm8 (80 /7 ib).
-  void cmpX8I(HostReg Base, HostReg Index, uint8_t Imm) {
+  /// test byte [base+index], imm8 (F6 /0 ib).
+  void testX8I(HostReg Base, HostReg Index, uint8_t Imm) {
     rexX(false, RAX, Index, Base);
-    byte(0x80);
-    sibOperand(static_cast<HostReg>(7), Base, Index);
+    byte(0xf6);
+    sibOperand(RAX, Base, Index);
     byte(Imm);
   }
 

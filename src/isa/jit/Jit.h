@@ -32,15 +32,17 @@
 ///    the dispatcher interprets single steps whenever the remaining
 ///    budget is smaller than a block.  run/runUntilPc therefore report
 ///    step counts identical to the interpreter's.
-///  - Store-guard pages.  Every 4 KiB page that ever held executed code
-///    (a compiled block, or a decoded slot of the backend's
-///    DecodeCache) is marked in a guard map; a native store into a
-///    guarded page side-exits and the offending store is interpreted,
-///    which honors the DecodeCache invalidation contract and drops the
+///  - Store guard.  The guard is the PageCode bit of the state's
+///    page-state table (MachineState::PageFlags): the decode cache sets
+///    it on every page it fills a slot of, whoever asked (the dispatcher,
+///    a delegated step, isHalted, an observed run), and the backend sets
+///    it on a compiled block's source pages.  A native store into a code
+///    page side-exits and the offending store is interpreted, which
+///    honors the DecodeCache invalidation contract and drops the
 ///    overlapping compiled blocks — self-modifying code (the corpus's
 ///    selfmod-0.s) deoptimizes and re-compiles.  A native store that
-///    passes the guard marks its page in MachineState::WrittenPages with
-///    one byte store, so incremental StateDigests see JIT writes.
+///    passes marks its page PageWritten with one byte store, so
+///    incremental StateDigests see JIT writes.
 ///  - External invalidation.  ExecBackend::invalidate (the machine-sem
 ///    FFI interference oracle, tests, image patching) drops decoded
 ///    slots and compiled blocks covering the range.
@@ -82,6 +84,7 @@ bool hostSupported();
 /// too.  Refused blocks stay on the interpreter and are surfaced by the
 /// "jit-bailout" diagnostic (analysis/JitReadiness.h).
 inline constexpr unsigned MaxBlockInstrs = 64;
+static_assert(MaxBlockInstrs * 4 <= PageSize, "a block spans two pages");
 
 /// Why the compiler refused a block (the bailout taxonomy, §13).  The
 /// host-independent reasons (BlockTooLong) are also what the static

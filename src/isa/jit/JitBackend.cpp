@@ -88,7 +88,6 @@ public:
   StepResult step(MachineState &State, IsaEnv &Env) override {
     PendingStore PS = pendingStore(State);
     StepResult S = isa::step(State, Env, Cache);
-    CacheDirty = true;
     if (S.ok())
       commitPendingStore(PS);
     return S;
@@ -97,7 +96,6 @@ public:
   HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env) override {
     PendingStore PS = pendingStore(State);
     HaltOrStep H = isa::stepUnlessHalted(State, Env, Cache);
-    CacheDirty = true;
     if (!H.Halted && H.S.ok())
       commitPendingStore(PS);
     return H;
@@ -109,23 +107,19 @@ public:
     PendingStore PS = pendingStore(State);
     HaltOrStep H =
         isa::stepUnlessHalted(State, Env, Obs, RetireIndex, Cache);
-    CacheDirty = true;
     if (!H.Halted && H.S.ok())
       commitPendingStore(PS);
     return H;
   }
 
-  bool isHalted(const MachineState &State) override {
-    CacheDirty = true;
+  bool isHalted(MachineState &State) override {
     return isa::isHalted(State, Cache);
   }
 
   RunResult run(MachineState &State, IsaEnv &Env,
                 uint64_t MaxSteps) override {
-    if (!NativeOk) {
-      CacheDirty = true;
+    if (!NativeOk)
       return isa::run(State, Env, MaxSteps, Cache);
-    }
     DispatchOut O = dispatch(State, Env, MaxSteps, /*HasStop=*/false, 0);
     RunResult R;
     R.Steps = O.Steps;
@@ -139,11 +133,8 @@ public:
     if (!Hooks.Obs)
       return run(State, Env, MaxSteps);
     // Observed runs are interpreter-exact by definition; the delegated
-    // run's stores bypass block invalidation and its decodes land on
-    // pages the guard map has never seen, so drop every block and
-    // re-derive the guard set before the next native burst.
+    // run's stores bypass block invalidation, so drop every block.
     RunResult R = isa::run(State, Env, MaxSteps, Hooks, Cache);
-    CacheDirty = true;
     if (NativeOk)
       flushBlocks();
     return R;
@@ -151,10 +142,8 @@ public:
 
   RunStopResult runUntilPc(MachineState &State, IsaEnv &Env,
                            uint64_t MaxSteps, Word StopPc) override {
-    if (!NativeOk) {
-      CacheDirty = true;
+    if (!NativeOk)
       return isa::runUntilPc(State, Env, MaxSteps, StopPc, Cache);
-    }
     DispatchOut O =
         dispatch(State, Env, MaxSteps, /*HasStop=*/true, StopPc);
     RunStopResult R;
@@ -232,12 +221,6 @@ private:
   /// be compiled.
   std::unordered_multimap<Word, uint8_t *> PendingChains;
 
-  /// One byte per 4 KiB page: nonzero when the page ever carried code
-  /// (a compiled block's source bytes, or a decoded cache slot).
-  /// Translated stores into guarded pages deoptimize; bits are only
-  /// cleared when the map is rebuilt wholesale.
-  std::vector<uint8_t> GuardMap;
-
   /// The runUntilPc stop PC the current block population was compiled
   /// under; changing it flushes (blocks never straddle the stop PC).
   bool HasStamp = false;
@@ -248,20 +231,8 @@ private:
   const uint8_t *MemData = nullptr;
   size_t MemSize = 0;
 
-  /// Decode-cache entries were created outside the dispatcher (step
-  /// delegation, isHalted, observed runs); re-derive guard pages before
-  /// the next native burst.
-  bool CacheDirty = false;
-
-  void markGuardPage(Word Addr) { GuardMap[Addr >> GuardPageShift] = 1; }
-
-  bool guardedRange(Word Addr, Word Size) const {
-    return GuardMap[Addr >> GuardPageShift] ||
-           GuardMap[(Addr + (Size - 1)) >> GuardPageShift];
-  }
-
   BlockEntry &blockEntry(Word Pc) {
-    size_t PageIdx = Pc >> GuardPageShift;
+    size_t PageIdx = Pc >> PageShift;
     if (PageIdx >= BlockPages.size())
       BlockPages.resize(PageIdx + 1);
     if (!BlockPages[PageIdx])
@@ -271,7 +242,7 @@ private:
   }
 
   const BlockEntry *findBlock(Word Pc) const {
-    size_t PageIdx = Pc >> GuardPageShift;
+    size_t PageIdx = Pc >> PageShift;
     if (PageIdx >= BlockPages.size() || !BlockPages[PageIdx])
       return nullptr;
     return &BlockPages[PageIdx]
@@ -355,14 +326,12 @@ private:
   void prepareRun(MachineState &State, bool HasStop, Word StopPc) {
     if (State.Memory.size() != MemSize ||
         State.Memory.data() != MemData) {
-      // A different (or resized) memory: every derived artifact and the
-      // guard set refer to the old one.
+      // A different (or resized) memory: every derived artifact refers
+      // to the old one.
       Cache.invalidateAll();
       flushBlocks();
       MemSize = State.Memory.size();
       MemData = State.Memory.data();
-      GuardMap.assign((MemSize >> GuardPageShift) + 1, 0);
-      CacheDirty = false;
     }
     if (!HasStamp || StampHasStop != HasStop ||
         (HasStop && StampStopPc != StopPc)) {
@@ -372,20 +341,13 @@ private:
       StampHasStop = HasStop;
       StampStopPc = StopPc;
     }
-    if (CacheDirty) {
-      // Decodes happened behind the dispatcher's back; every cached
-      // page must be guarded before translated stores run again.
-      Cache.forEachCachedPage([&](Word Page) { markGuardPage(Page); });
-      CacheDirty = false;
-    }
   }
 
   void runNative(MachineState &State, const uint8_t *Code,
                  uint64_t &Remaining) {
     Frame.Regs = State.Regs.data();
     Frame.Mem = State.Memory.data();
-    Frame.GuardMap = GuardMap.data();
-    Frame.WrittenMap = State.WrittenPages.data();
+    Frame.PageFlags = State.PageFlags.data();
     Frame.StepsLeft = Remaining;
     Frame.Pc = State.PC;
     Frame.ExitKind = ExitChain;
@@ -412,7 +374,7 @@ private:
       return false;
     }
     --Remaining;
-    if (PS.Size && guardedRange(PS.Addr, PS.Size))
+    if (PS.Size && State.touchesCode(PS.Addr, PS.Size))
       invalidateBlocksOverlap(PS.Addr, PS.Size);
     return true;
   }
@@ -457,10 +419,8 @@ private:
     PendingChains.erase(Range.first, Range.second);
     Arena.endWrite();
 
-    for (Word Page = CC.FirstByte >> GuardPageShift,
-              End = CC.LastByte >> GuardPageShift;
-         Page <= End; ++Page)
-      GuardMap[Page] = 1;
+    State.markCode(CC.FirstByte);
+    State.markCode(CC.LastByte); // a block spans at most two pages
 
     BlockRecord Rec;
     Rec.Entry = Entry;
@@ -507,7 +467,6 @@ private:
         R.Halted = true;
         break;
       }
-      markGuardPage(State.PC); // this page now carries decoded state
       BlockEntry &B = blockEntry(State.PC);
       if (B.St == StCold && ++B.Counter >= Opts.HotThreshold)
         tryCompile(State, State.PC);

@@ -128,15 +128,13 @@ void silver::isa::jit::emitRuntimeThunks(Emitter &Em, size_t &EnterOff,
   EnterOff = Em.size();
   Em.pushR(RBX);
   Em.pushR(RBP);
-  Em.pushR(R12);
   Em.pushR(R13);
   Em.pushR(R14);
   Em.pushR(R15);
   Em.movRR64(R15, RDI);
   Em.loadRM64(R13, R15, FrameRegs);
   Em.loadRM64(R14, R15, FrameMem);
-  Em.loadRM64(R12, R15, FrameGuard);
-  Em.loadRM64(RBP, R15, FrameWritten);
+  Em.loadRM64(RBP, R15, FramePages);
   Em.loadRM64(RBX, R15, FrameSteps);
   Em.jmpR(RSI);
 
@@ -146,7 +144,6 @@ void silver::isa::jit::emitRuntimeThunks(Emitter &Em, size_t &EnterOff,
   Em.popR(R15);
   Em.popR(R14);
   Em.popR(R13);
-  Em.popR(R12);
   Em.popR(RBP);
   Em.popR(RBX);
   Em.ret();
@@ -322,16 +319,17 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
     const Word P = S.Insns[K].first;
     const Instruction &I = S.Insns[K].second;
     auto deoptIf = [&](Cond C) { DeoptJccs[K].push_back(Em.jcc32(C)); };
-    // Guard check for a store to the page holding the address in ecx:
-    // code-bearing pages deopt so the interpreted store invalidates
+    // Page-state check for a store to the page holding the address in
+    // ecx: a code page deopts so the interpreted store invalidates
     // decoded slots and compiled blocks (the DecodeCache contract).  A
-    // store that passes marks its page written (the written-page rule).
-    auto guardCheck = [&]() {
+    // store that passes marks its page written; its PageCode bit is
+    // known clear, so the mark is one plain byte store.
+    auto pageCheck = [&]() {
       Em.movRR(RDX, RCX);
-      Em.shrRI(RDX, GuardPageShift);
-      Em.cmpX8I(R12, RDX, 0);
+      Em.shrRI(RDX, PageShift);
+      Em.testX8I(RBP, RDX, PageCode);
       deoptIf(CondNE);
-      Em.storeX8I(RBP, RDX, 1);
+      Em.storeX8I(RBP, RDX, PageWritten);
     };
 
     switch (I.Op) {
@@ -384,7 +382,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
       deoptIf(CondNE);
       Em.cmpRI(RCX, MemSize - 4);
       deoptIf(CondA);
-      guardCheck(); // aligned word store: one page
+      pageCheck(); // aligned word store: one page
       loadOp(I.A, RAX);
       Em.storeXR(R14, RCX, RAX);
       break;
@@ -392,7 +390,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
       loadOp(I.B, RCX);
       Em.cmpRI(RCX, MemSize - 1);
       deoptIf(CondA);
-      guardCheck();
+      pageCheck();
       loadOp(I.A, RAX);
       Em.storeXR8(R14, RCX, RAX);
       break;

@@ -32,9 +32,8 @@ namespace jit {
 /// instructions), so every side exit is interpreter-resumable:
 ///
 ///   r15  JitFrame*          r13  Silver register file base (Word*)
-///   r14  Silver memory base r12  store-guard map base (one byte/page)
-///   rbx  steps-left budget  rbp  written-page map base (one byte/page)
-///   rax/rcx/rdx  scratch
+///   r14  Silver memory base rbp  page-state table base (one byte/page)
+///   rbx  steps-left budget  rax/rcx/rdx  scratch
 ///
 /// The frame is the only calling convention between the dispatcher and
 /// translated code; all fields are read/written by emitted instructions
@@ -42,7 +41,8 @@ namespace jit {
 struct JitFrame {
   Word *Regs = nullptr;
   uint8_t *Mem = nullptr;
-  uint8_t *GuardMap = nullptr;
+  /// MachineState::PageFlags of the state being run.
+  uint8_t *PageFlags = nullptr;
   uint64_t StepsLeft = 0;
   uint32_t Pc = 0;
   uint32_t ExitKind = 0;
@@ -51,24 +51,21 @@ struct JitFrame {
   /// Snapshot of fault::InvertAddCarry, re-read on every native entry so
   /// the fuzzing self-check's injected mutation reaches translated Add.
   uint8_t InvertAddCarry = 0;
-  /// MachineState::WrittenPages of the state being run.
-  uint8_t *WrittenMap = nullptr;
 };
 
 inline constexpr int32_t FrameRegs = 0;
 inline constexpr int32_t FrameMem = 8;
-inline constexpr int32_t FrameGuard = 16;
+inline constexpr int32_t FramePages = 16;
 inline constexpr int32_t FrameSteps = 24;
 inline constexpr int32_t FramePc = 32;
 inline constexpr int32_t FrameExit = 36;
 inline constexpr int32_t FrameCarry = 40;
 inline constexpr int32_t FrameOvf = 41;
 inline constexpr int32_t FrameInvert = 42;
-inline constexpr int32_t FrameWritten = 48;
 
 static_assert(offsetof(JitFrame, Regs) == FrameRegs, "frame layout");
 static_assert(offsetof(JitFrame, Mem) == FrameMem, "frame layout");
-static_assert(offsetof(JitFrame, GuardMap) == FrameGuard, "frame layout");
+static_assert(offsetof(JitFrame, PageFlags) == FramePages, "frame layout");
 static_assert(offsetof(JitFrame, StepsLeft) == FrameSteps, "frame layout");
 static_assert(offsetof(JitFrame, Pc) == FramePc, "frame layout");
 static_assert(offsetof(JitFrame, ExitKind) == FrameExit, "frame layout");
@@ -76,7 +73,6 @@ static_assert(offsetof(JitFrame, Carry) == FrameCarry, "frame layout");
 static_assert(offsetof(JitFrame, Overflow) == FrameOvf, "frame layout");
 static_assert(offsetof(JitFrame, InvertAddCarry) == FrameInvert,
               "frame layout");
-static_assert(offsetof(JitFrame, WrittenMap) == FrameWritten, "frame layout");
 
 /// How translated code returned to the dispatcher (JitFrame::ExitKind).
 enum : uint32_t {
@@ -84,16 +80,12 @@ enum : uint32_t {
   /// unresolved chain target, invalidated block bounce).
   ExitChain = 0,
   /// Interpret at least one step at Frame.Pc: the next instruction may
-  /// fault or writes a guarded (code-bearing) page.  No effect of that
+  /// fault or writes a page marked PageCode.  No effect of that
   /// instruction has happened; its budget charge was refunded.
   ExitDeopt = 1,
   /// A chained block entry found StepsLeft smaller than the block.
   ExitBudget = 2,
 };
-
-/// Code pages share the decode cache's 4 KiB granularity; the guard map
-/// has one byte per page.
-inline constexpr unsigned GuardPageShift = DecodeCache::PageShift;
 
 /// A compiled block as emitted (position independent except for the
 /// recorded fixups, which the backend resolves against arena addresses).

@@ -66,9 +66,9 @@ struct Executor::SessionBase {
   /// levels; a no-op for the interpreters) and clears a level-internal
   /// Timeout so step() can continue (Executor::replenish).
   virtual void addCycles(uint64_t /*ExtraCycles*/) {}
-  /// Ends the session, handing its booted state to sys::recycle (the
-  /// hardware levels have none).
-  virtual void recycle() {}
+  /// Ends the session, handing its memory (the booted state, or the lab
+  /// DRAM) to sys::recycle.
+  virtual void recycle() = 0;
 };
 
 namespace {
@@ -98,7 +98,7 @@ StateDigest digestOf(const isa::MachineState &S,
   D.Regs = S.Regs;
   D.MemoryHash =
       Snap ? isa::memoryHashOf(S.Memory.data(), S.Memory.size(),
-                               S.WrittenPages.data(), Snap->PageHashes.data())
+                               S.PageFlags.data(), Snap->PageHashes.data())
            : isa::memoryHash(S.Memory.data(), S.Memory.size());
   D.MemoryBytes = S.Memory.size();
   return D;
@@ -226,14 +226,20 @@ struct MachineSession final : Executor::SessionBase {
 
 /// Rtl / Verilog levels: the Silver core in the lab environment, driven
 /// through the resumable cpu::CoreRunner.  Subject to the cycle budget
-/// and the wedge watchdog on top of the instruction budget.
+/// and the wedge watchdog on top of the instruction budget.  The lab
+/// DRAM is instantiated from the program's snapshot, so it digests and
+/// recycles like the ISA state.
 struct RtlSession final : Executor::SessionBase {
   std::unique_ptr<cpu::CoreRunner> Runner;
+  std::shared_ptr<const sys::BootSnapshot> Snapshot;
   uint64_t CycleBudgetLeft;
   bool TimedOut = false;
 
-  RtlSession(std::unique_ptr<cpu::CoreRunner> R, uint64_t CycleBudget)
-      : Runner(std::move(R)), CycleBudgetLeft(CycleBudget) {}
+  RtlSession(std::unique_ptr<cpu::CoreRunner> R,
+             std::shared_ptr<const sys::BootSnapshot> Snap,
+             uint64_t CycleBudget)
+      : Runner(std::move(R)), Snapshot(std::move(Snap)),
+        CycleBudgetLeft(CycleBudget) {}
 
   Result<RunStatus> step(uint64_t MaxInstructions) override {
     if (Runner->halted())
@@ -280,18 +286,21 @@ struct RtlSession final : Executor::SessionBase {
     return O;
   }
 
-  // The lab DRAM has no written-page map: always from scratch.
-  StateDigest digest(bool) const override {
+  // The memory half from the lab DRAM, the architectural half from the
+  // core.
+  StateDigest digest(bool FromScratch) const override {
+    StateDigest D = digestOf(Runner->memory(),
+                             FromScratch ? nullptr : Snapshot.get());
     cpu::ArchState A = Runner->archState();
-    StateDigest D;
     D.Pc = A.Pc;
     D.Carry = A.Carry;
     D.Overflow = A.Overflow;
     D.Regs = A.Regs;
-    const std::vector<uint8_t> &M = Runner->memory();
-    D.MemoryHash = isa::memoryHash(M.data(), M.size());
-    D.MemoryBytes = M.size();
     return D;
+  }
+
+  void recycle() override {
+    sys::recycle({Snapshot->Layout, Runner->takeMemory(), 0, Snapshot});
   }
 };
 
@@ -367,28 +376,25 @@ Result<void> Executor::begin(Level L) {
     return E;
   };
 
-  // Machine and Isa boot from the program's snapshot.
-  auto Boot = [&](obs::Observer *StartupObs) -> Result<sys::BootResult> {
-    if (!Prep.Snapshot) {
-      Result<sys::BootSnapshot> S =
-          sys::buildSnapshot(Prep.Image.Program, Prep.Image.Params);
-      if (!S)
-        return S.error();
-      Prep.Snapshot = std::make_shared<const sys::BootSnapshot>(S.take());
-    }
-    return sys::boot(Prep.Snapshot, Prep.Image, StartupObs);
-  };
+  // Every level starts from the program's snapshot.
+  if (!Prep.Snapshot) {
+    Result<sys::BootSnapshot> S =
+        sys::buildSnapshot(Prep.Image.Program, Prep.Image.Params);
+    if (!S)
+      return Fail(S.error());
+    Prep.Snapshot = std::make_shared<const sys::BootSnapshot>(S.take());
+  }
 
   switch (L) {
   case Level::Isa: {
-    Result<sys::BootResult> B = Boot(Obs);
+    Result<sys::BootResult> B = sys::boot(Prep.Snapshot, Prep.Image, Obs);
     if (!B)
       return Fail(B.error());
     Session = std::make_unique<IsaSession>(B.take(), Spec.Exec, Obs);
     break;
   }
   case Level::Machine: {
-    Result<sys::BootResult> B = Boot(nullptr);
+    Result<sys::BootResult> B = sys::boot(Prep.Snapshot, Prep.Image);
     if (!B)
       return Fail(B.error());
     Session = std::make_unique<MachineSession>(B.take(), Spec, Obs);
@@ -396,9 +402,11 @@ Result<void> Executor::begin(Level L) {
   }
   case Level::Rtl:
   case Level::Verilog: {
-    Result<sys::MemoryImage> Image = sys::buildImage(Prep.Image);
-    if (!Image)
-      return Fail(Image.error());
+    // The DRAM holds the init state; the core runs the startup code.
+    Result<sys::BootResult> Dram =
+        sys::instantiate(Prep.Snapshot, Prep.Image);
+    if (!Dram)
+      return Fail(Dram.error());
     // The effective cycle budget is resolved once here into a plain
     // integer; the per-cycle/per-step paths only ever compare counters.
     uint64_t Cycles = cycleBudget();
@@ -409,11 +417,12 @@ Result<void> Executor::begin(Level L) {
     Options.Obs = Obs;
     Options.CompiledVerilog = L == Level::Verilog &&
                               Spec.Exec.Hdl == HdlBackendKind::Compiled;
-    Result<std::unique_ptr<cpu::CoreRunner>> Runner =
-        cpu::CoreRunner::create(*Image, Options);
+    Result<std::unique_ptr<cpu::CoreRunner>> Runner = cpu::CoreRunner::create(
+        std::move(Dram->State), Dram->Layout, Options);
     if (!Runner)
       return Fail(Runner.error());
-    Session = std::make_unique<RtlSession>(Runner.take(), Cycles);
+    Session =
+        std::make_unique<RtlSession>(Runner.take(), Prep.Snapshot, Cycles);
     break;
   }
   case Level::Spec:

@@ -46,12 +46,12 @@ namespace stack {
 ///
 /// MemoryHash is the page hash of isa/PageMemory.h: each 4 KiB page is
 /// hashed a 64-bit word at a time and the page hashes are folded in
-/// address order.  A session booted from a snapshot rehashes only the
-/// pages its MachineState marked written and takes every other page's
-/// hash from the snapshot, so the cost follows the pages a run wrote,
-/// not the memory size.  The Rtl/Verilog lab DRAM and states without a
-/// snapshot compute the same function over every page, so digests
-/// compare exactly across levels.  A single changed byte anywhere in
+/// address order.  Every session's memory — the ISA state, or the
+/// Rtl/Verilog lab DRAM — is instantiated from the program's snapshot,
+/// so a digest rehashes only the pages its page-state table marks
+/// written and takes every other page's hash from the snapshot: the cost
+/// follows the pages a run wrote, not the memory size.  One function
+/// over one kind of memory, so digests compare exactly across levels.  A single changed byte anywhere in
 /// memory always changes the hash.  The value differs from the
 /// byte-wise FNV-1a of earlier versions; the journal and wire versions
 /// were bumped with it (svc/cluster/Journal.h, svc/Protocol.h).
@@ -134,12 +134,14 @@ public:
   //
   // The Spec level has no machine steps and is not resumable.
 
-  /// Starts a session at \p L and fires onRunBegin.  Machine and Isa
-  /// boot from the program's snapshot (built here on first use when the
-  /// Prepared has none): instantiate it with this run's command line and
-  /// stdin, run the startup prefix, validate the installed state.  Rtl
-  /// and Verilog build the dense image for the lab DRAM.  finish() hands
-  /// a Machine/Isa session's state to sys::recycle.
+  /// Starts a session at \p L and fires onRunBegin.  Every level starts
+  /// from the program's snapshot (built here on first use when the
+  /// Prepared has none), instantiated with this run's command line and
+  /// stdin into pooled memory (sys::instantiate).  Machine and Isa then
+  /// run the startup prefix and validate the installed state
+  /// (sys::boot); at Rtl and Verilog the instantiated memory is the lab
+  /// DRAM and the core runs the startup code from reset.  finish() hands the session's
+  /// memory to sys::recycle.
   Result<void> begin(Level L);
   /// Runs at most \p MaxInstructions more instructions.  Completed and
   /// Timeout end the program but keep the session alive for finish().
@@ -178,7 +180,7 @@ public:
   Result<StateDigest> sessionState() const;
 
   /// sessionState() computed from scratch: every page hashed, ignoring
-  /// the written-page map and the snapshot's page hashes.  Equal to
+  /// the page-state table and the snapshot's page hashes.  Equal to
   /// sessionState() by contract; it exists to check that contract.
   Result<StateDigest> sessionStateFromScratch() const;
 

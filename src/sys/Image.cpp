@@ -188,7 +188,8 @@ silver::sys::buildSnapshot(const std::vector<uint8_t> &Program,
 
 /// Makes \p State the init state of \p Spec's run from \p Snap.  \p State
 /// has the snapshot's memory size and every nonzero byte of its memory
-/// lies on a page its written map marks: it is fresh, or recycled.
+/// lies on a page its page-state table marks written: it is fresh, or
+/// recycled.  The whole table is reset, code marks included.
 static Result<void> loadInit(isa::MachineState &State,
                              const BootSnapshot &Snap, const ImageSpec &Spec) {
   if (!(Spec.Params == Snap.Layout.Params) ||
@@ -197,15 +198,16 @@ static Result<void> loadInit(isa::MachineState &State,
   if (Result<void> R = checkRunRegions(Spec); !R)
     return R.error();
   const size_t MemBytes = State.memSize();
-  for (size_t P = 0; P != State.WrittenPages.size(); ++P)
-    if (State.WrittenPages[P]) {
+  for (size_t P = 0; P != State.PageFlags.size(); ++P) {
+    if (State.PageFlags[P] & isa::PageWritten) {
       size_t Base = P << isa::PageShift;
       std::fill_n(State.Memory.begin() + Base,
                   std::min(isa::PageSize, MemBytes - Base), 0);
-      State.WrittenPages[P] = 0;
     }
-  // The snapshot's pages are the baseline the written map is relative
-  // to: copied raw, not marked.
+    State.PageFlags[P] = 0;
+  }
+  // The snapshot's pages are the baseline the written marks are
+  // relative to: copied raw, not marked.
   for (size_t I = 0; I != Snap.Pages.size(); ++I) {
     size_t Base = size_t(Snap.Pages[I]) << isa::PageShift;
     size_t Len = std::min(isa::PageSize, MemBytes - Base);
@@ -218,14 +220,6 @@ static Result<void> loadInit(isa::MachineState &State,
   putRunRegions(Snap.Layout, Spec, Put);
   State.PC = Snap.Layout.StartupBase;
   return {};
-}
-
-Result<isa::MachineState> silver::sys::instantiate(const BootSnapshot &Snap,
-                                                   const ImageSpec &Spec) {
-  isa::MachineState State(Snap.memBytes());
-  if (Result<void> R = loadInit(State, Snap, Spec); !R)
-    return R.error();
-  return State;
 }
 
 ExitStatus silver::sys::readExitStatus(const isa::MachineState &State,
@@ -321,10 +315,10 @@ Result<void> silver::sys::validateInstalled(const isa::MachineState &State,
 
 namespace {
 
-/// Memories of finished runs (sys::recycle), each with its written map
-/// covering every page that may be nonzero.  Two states cover a run
-/// repeated on one thread and the service's workers without holding
-/// much resident memory.
+/// Memories of finished runs (sys::recycle), each with its page-state
+/// table marking every page that may be nonzero written.  Two states
+/// cover a run repeated on one thread and the service's workers without
+/// holding much resident memory.
 struct StatePool {
   static constexpr size_t Capacity = 2;
   std::mutex Mu;
@@ -338,8 +332,8 @@ StatePool &statePool() {
 }
 
 /// A state of \p MemBytes bytes for loadInit: pooled memory when there
-/// is some, fresh otherwise.  Every field but the memory and its written
-/// map starts afresh.
+/// is some, fresh otherwise.  Every field but the memory and its
+/// page-state table starts afresh.
 isa::MachineState takeState(size_t MemBytes) {
   StatePool &Pool = statePool();
   std::lock_guard<std::mutex> Lock(Pool.Mu);
@@ -347,7 +341,7 @@ isa::MachineState takeState(size_t MemBytes) {
     if (It->memSize() == MemBytes) {
       isa::MachineState Init(0);
       Init.Memory = std::move(It->Memory);
-      Init.WrittenPages = std::move(It->WrittenPages);
+      Init.PageFlags = std::move(It->PageFlags);
       Pool.Free.erase(It);
       return Init;
     }
@@ -362,7 +356,7 @@ void silver::sys::recycle(BootResult Done) {
   // The snapshot's pages were copied in unmarked; mark them so the next
   // loadInit clears them with the pages the run wrote.
   for (Word P : Done.Snapshot->Pages)
-    Done.State.WrittenPages[P] = 1;
+    Done.State.PageFlags[P] |= isa::PageWritten;
   StatePool &Pool = statePool();
   std::lock_guard<std::mutex> Lock(Pool.Mu);
   if (Pool.Free.size() < StatePool::Capacity)
@@ -370,13 +364,21 @@ void silver::sys::recycle(BootResult Done) {
 }
 
 Result<BootResult>
-silver::sys::boot(std::shared_ptr<const BootSnapshot> Snap,
-                  const ImageSpec &Spec, obs::Observer *Obs) {
+silver::sys::instantiate(std::shared_ptr<const BootSnapshot> Snap,
+                         const ImageSpec &Spec) {
   isa::MachineState Init = takeState(Snap->memBytes());
   if (Result<void> R = loadInit(Init, *Snap, Spec); !R)
     return R.error();
+  return BootResult{Snap->Layout, std::move(Init), 0, std::move(Snap)};
+}
 
-  BootResult Out{Snap->Layout, std::move(Init), 0, std::move(Snap)};
+Result<BootResult>
+silver::sys::boot(std::shared_ptr<const BootSnapshot> Snap,
+                  const ImageSpec &Spec, obs::Observer *Obs) {
+  Result<BootResult> Init = instantiate(std::move(Snap), Spec);
+  if (!Init)
+    return Init.error();
+  BootResult Out = Init.take();
 
   // Run the startup prefix: Next^k until the PC reaches the program.
   const uint64_t StartupBudget = 64;

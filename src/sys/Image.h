@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Builds bootable Silver memory images (paper Figure 2) from a compiled
-/// program, a command line, and pre-filled standard input — densely for
-/// the lab DRAM of the hardware levels, or as a boot snapshot that is
-/// built once per program and instantiated per run; provides the
+/// program, a command line, and pre-filled standard input — as a boot
+/// snapshot that is built once per program and instantiated per run (the
+/// ISA state and the lab DRAM alike), or densely for the static audit
+/// and tests; provides the
 /// environment model that plays the role of the paper's lab setup (the
 /// ARM core's Python script reacting to interrupts); and implements the
 /// installed/init validators — executable versions of the paper's
@@ -77,15 +78,6 @@ struct BootSnapshot {
 Result<BootSnapshot> buildSnapshot(const std::vector<uint8_t> &Program,
                                    const LayoutParams &Params);
 
-/// The init state of theorem (5) for one run, from a snapshot: fresh
-/// memory holding the snapshot's pages plus \p Spec's command line and
-/// stdin, PC at the startup code.  Only the pages the command line and
-/// stdin wrote are marked written.  \p Spec must describe the program
-/// and layout the snapshot was built from; cl_ok and the stdin capacity
-/// are enforced as in buildImage.
-Result<isa::MachineState> instantiate(const BootSnapshot &Snap,
-                                      const ImageSpec &Spec);
-
 /// Exit status recorded by the "exit" system call.
 struct ExitStatus {
   bool Exited = false;
@@ -137,9 +129,10 @@ Result<void> validateInstalled(const isa::MachineState &State,
                                const MemoryLayout &Layout,
                                const ImageSpec &Spec);
 
-/// A booted run: the state ready at CodeBase, with the written-page map
-/// covering everything since instantiation (command line, stdin and the
-/// startup code's own stores), and the snapshot it was booted from.
+/// A booted run: the state ready at CodeBase (at the startup code when
+/// only instantiated), with the page-state table marking everything
+/// written since instantiation (command line, stdin and the startup
+/// code's own stores), and the snapshot it was booted from.
 struct BootResult {
   MemoryLayout Layout;
   isa::MachineState State;
@@ -147,23 +140,37 @@ struct BootResult {
   std::shared_ptr<const BootSnapshot> Snapshot;
 };
 
+/// The init state of theorem (5) for one run, from a snapshot: memory
+/// holding the snapshot's pages plus \p Spec's command line and stdin,
+/// PC at the startup code, StartupSteps 0.  Only the pages the command
+/// line and stdin wrote are marked in the page-state table, and only
+/// written.  \p Spec must describe the program and layout the snapshot
+/// was built from; cl_ok and the stdin capacity are enforced as in
+/// buildImage.
+///
+/// The memory comes from a finished run handed to recycle() when one of
+/// the right size is pooled; only the pages that run could have left
+/// nonzero are cleared.  The state is the same either way.  The lab DRAM
+/// of the hardware levels is instantiated this way (the core runs the
+/// startup code itself, from reset).
+Result<BootResult> instantiate(std::shared_ptr<const BootSnapshot> Snap,
+                               const ImageSpec &Spec);
+
 /// Boots one run of \p Snap: instantiate(), then the startup code (the
 /// Next^k prefix of theorem (5)), then validateInstalled().  Each startup
 /// retire is reported to \p Obs when it is non-null (retire indices
 /// 0..StartupSteps-1, matching the RTL level, which retires the startup
 /// code on the real core from reset).
 ///
-/// The memory comes from a finished run handed to recycle() when one of
-/// the right size is pooled; only the pages that run could have left
-/// nonzero are cleared.  The booted state is the same either way.
 Result<BootResult> boot(std::shared_ptr<const BootSnapshot> Snap,
                         const ImageSpec &Spec, obs::Observer *Obs = nullptr);
 
-/// Hands a finished run's state to a small process-wide pool that boot()
-/// draws memory from, so the next run reuses resident pages instead of
-/// faulting fresh zero pages in.  The pool keeps at most a couple of
-/// states; beyond that \p Done is freed.  \p Done must come from boot()
-/// and every write to it since must have marked its page.
+/// Hands a finished run's state to a small process-wide pool that
+/// instantiate() draws memory from, so the next run reuses resident
+/// pages instead of faulting fresh zero pages in.  The pool keeps at
+/// most a couple of states; beyond that \p Done is freed.  \p Done must
+/// come from instantiate() or boot() and every write to it since must
+/// have marked its page written.
 void recycle(BootResult Done);
 
 /// buildSnapshot() for \p Spec's program, then boot() from it.

@@ -204,60 +204,74 @@ TEST(IsaRtl, JumpAndLinkSequences) {
   EXPECT_TRUE(N) << N.error().str();
 }
 
+/// A lab DRAM of \p Bytes bytes, each \p Fill.
+isa::MachineState labDram(size_t Bytes, uint8_t Fill) {
+  isa::MachineState Dram(Bytes);
+  std::fill(Dram.Memory.begin(), Dram.Memory.end(), Fill);
+  return Dram;
+}
+
+/// The core requesting a word read at \p Addr.
+CoreOutputs wordRead(Word Addr) {
+  CoreOutputs Out;
+  Out.MemAddr = Addr;
+  Out.MemRen = true;
+  return Out;
+}
+
 TEST(LabEnvModel, MemoryLatencyIsHonoured) {
   sys::MemoryLayout Layout{};
   LabEnvOptions Opt;
   Opt.MemLatency = 2;
-  LabEnv Env(std::vector<uint8_t>(64, 0), Layout, Opt);
+  LabEnv Env(labDram(64, 0), Layout, Opt);
 
-  std::map<std::string, uint64_t> Out{
-      {"mem_addr", 8}, {"mem_ren", 1}, {"mem_wen", 0}, {"mem_wbyte", 0},
-      {"mem_wdata", 0}, {"interrupt_req", 0}};
-  std::map<std::string, uint64_t> Idle = Out;
-  Idle["mem_ren"] = 0;
-
-  Env.inputsForCycle();
-  ASSERT_TRUE(Env.observeOutputs(Out)); // request at cycle 0
-  EXPECT_EQ(Env.inputsForCycle().at("mem_ready"), 0u);
+  const CoreOutputs Idle;
+  CoreInputs In;
+  Env.inputsForCycle(In);
+  ASSERT_TRUE(Env.observeOutputs(wordRead(8))); // request at cycle 0
+  Env.inputsForCycle(In);
+  EXPECT_FALSE(In.MemReady);
   ASSERT_TRUE(Env.observeOutputs(Idle));
-  EXPECT_EQ(Env.inputsForCycle().at("mem_ready"), 0u);
+  Env.inputsForCycle(In);
+  EXPECT_FALSE(In.MemReady);
   ASSERT_TRUE(Env.observeOutputs(Idle));
-  EXPECT_EQ(Env.inputsForCycle().at("mem_ready"), 1u); // after 1+2 cycles
+  Env.inputsForCycle(In);
+  EXPECT_TRUE(In.MemReady); // after 1+2 cycles
 }
 
 TEST(LabEnvModel, RejectsProtocolViolations) {
   sys::MemoryLayout Layout{};
-  LabEnv Env(std::vector<uint8_t>(64, 0), Layout, {});
-  std::map<std::string, uint64_t> Req{
-      {"mem_addr", 2}, {"mem_ren", 1}, {"mem_wen", 0}, {"mem_wbyte", 0},
-      {"mem_wdata", 0}, {"interrupt_req", 0}};
-  Env.inputsForCycle();
-  EXPECT_FALSE(Env.observeOutputs(Req)); // misaligned word read
+  LabEnv Env(labDram(64, 0), Layout, {});
+  CoreInputs In;
+  Env.inputsForCycle(In);
+  EXPECT_FALSE(Env.observeOutputs(wordRead(2))); // misaligned word read
 
-  Req["mem_addr"] = 4;
-  ASSERT_TRUE(Env.observeOutputs(Req));
-  EXPECT_FALSE(Env.observeOutputs(Req)); // request while busy
+  ASSERT_TRUE(Env.observeOutputs(wordRead(4)));
+  EXPECT_FALSE(Env.observeOutputs(wordRead(4))); // request while busy
 
-  Req["mem_addr"] = 1024;
-  LabEnv Env2(std::vector<uint8_t>(64, 0), Layout, {});
-  Env2.inputsForCycle();
-  EXPECT_FALSE(Env2.observeOutputs(Req)); // out of range
+  LabEnv Env2(labDram(64, 0), Layout, {});
+  Env2.inputsForCycle(In);
+  EXPECT_FALSE(Env2.observeOutputs(wordRead(1024))); // out of range
 }
 
 TEST(LabEnvModel, ByteWritesTouchOneByte) {
   sys::MemoryLayout Layout{};
   LabEnvOptions Opt;
   Opt.MemLatency = 0;
-  LabEnv Env(std::vector<uint8_t>(64, 0xff), Layout, Opt);
-  std::map<std::string, uint64_t> Req{
-      {"mem_addr", 5}, {"mem_ren", 0}, {"mem_wen", 1}, {"mem_wbyte", 1},
-      {"mem_wdata", 0xaabbccdd}, {"interrupt_req", 0}};
-  Env.inputsForCycle();
+  LabEnv Env(labDram(64, 0xff), Layout, Opt);
+  CoreOutputs Req;
+  Req.MemAddr = 5;
+  Req.MemWen = true;
+  Req.MemWbyte = true;
+  Req.MemWdata = 0xaabbccdd;
+  CoreInputs In;
+  Env.inputsForCycle(In);
   ASSERT_TRUE(Env.observeOutputs(Req));
-  Env.inputsForCycle(); // completes the write
-  EXPECT_EQ(Env.memory()[5], 0xdd);
-  EXPECT_EQ(Env.memory()[4], 0xff);
-  EXPECT_EQ(Env.memory()[6], 0xff);
+  Env.inputsForCycle(In); // completes the write
+  EXPECT_EQ(Env.memory().readByte(5), 0xdd);
+  EXPECT_EQ(Env.memory().readByte(4), 0xff);
+  EXPECT_EQ(Env.memory().readByte(6), 0xff);
+  EXPECT_TRUE(Env.memory().PageFlags[0] & isa::PageWritten);
 }
 
 TEST(RunCore, CyclesPerInstructionGrowWithLatency) {

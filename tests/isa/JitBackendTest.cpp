@@ -322,6 +322,90 @@ TEST(JitBackend, CrossPageStoreInvalidates) {
   }
 }
 
+namespace {
+
+/// How the code on the patched page first reaches the decode cache.
+enum class DecodedVia { Step, IsHalted };
+
+/// Page A (8192) holds a halt that the backend decodes outside its
+/// dispatcher, through step() or isHalted(); then a hot compiled loop on
+/// page 0 rewrites it into a return and calls it, four times.  The
+/// decoded slot is stale after the first store: only the PageCode mark
+/// its decode left on page A makes the native store leave native code,
+/// so the interpreted store drops the slot.  Without the mark the loop
+/// "halts" at page A on its first call.
+void expectDecodeOutsideDispatcherIsGuarded(DecodedVia Via) {
+  std::vector<Instruction> P;
+  emitConst(P, 3, encode(Instruction::jump(Func::Snd, 62,
+                                           Operand::reg(10)))); // 0: return
+  P.push_back(Instruction::loadConstant(1, false, 4));    // 8: iterations
+  P.push_back(Instruction::loadConstant(10, false, 28));  // 12: return pc
+  P.push_back(Instruction::loadConstant(11, false, 8192)); // 16: page A
+  P.push_back(Instruction::storeMem(Operand::reg(3), Operand::reg(11))); // 20
+  P.push_back(Instruction::jump(Func::Snd, 63, Operand::reg(11)));      // 24
+  P.push_back(Instruction::normal(Func::Dec, 1, Operand::reg(1),
+                                  Operand::imm(0)));      // 28
+  P.push_back(Instruction::jumpIfNotZero(Func::Snd, Operand::imm(0),
+                                         Operand::reg(1), -3)); // 32 -> 20
+  P.push_back(Instruction::halt());                        // 36
+  MachineState J = makeMachine(P);
+  J.writeWord(8192, encode(Instruction::halt()));
+  // The state as instantiated: nothing marked, every page's hash known.
+  J.PageFlags.assign(J.PageFlags.size(), 0);
+  std::vector<uint64_t> Known;
+  for (size_t I = 0; I != J.PageFlags.size(); ++I)
+    Known.push_back(pageHash(J.Memory.data() + (I << PageShift), PageSize));
+  MachineState R = J;
+
+  std::unique_ptr<ExecBackend> JB = hotJit();
+  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
+  uint64_t Steps[2] = {};
+  MachineState *States[2] = {&J, &R};
+  ExecBackend *Backends[2] = {JB.get(), IB.get()};
+  for (int K = 0; K != 2; ++K) {
+    MachineState &S = *States[K];
+    ExecBackend &B = *Backends[K];
+    // The set-up instructions (shorter than any block, so interpreted):
+    // the backend is now bound to this memory.
+    RunResult Setup = B.run(S, nullEnv(), 5);
+    ASSERT_EQ(Setup.Steps, 5u);
+    ASSERT_EQ(S.PC, 20u);
+    S.PC = 8192;
+    if (Via == DecodedVia::Step)
+      ASSERT_TRUE(B.step(S, nullEnv()).ok());
+    else
+      ASSERT_TRUE(B.isHalted(S));
+    S.PC = 20;
+    RunResult Run = B.run(S, nullEnv(), 100'000);
+    EXPECT_TRUE(Run.Halted);
+    Steps[K] = Setup.Steps + Run.Steps;
+  }
+  EXPECT_EQ(Steps[0], Steps[1]);
+  EXPECT_EQ(J.PC, 36u);
+  EXPECT_EQ(J.PC, R.PC);
+  EXPECT_EQ(J.Regs, R.Regs);
+  EXPECT_EQ(J.CarryFlag, R.CarryFlag);
+  EXPECT_EQ(J.OverflowFlag, R.OverflowFlag);
+  EXPECT_EQ(J.Memory, R.Memory);
+  uint64_t Full = memoryHash(R.Memory.data(), R.memSize());
+  EXPECT_EQ(memoryHashOf(J.Memory.data(), J.memSize(), J.PageFlags.data(),
+                         Known.data()),
+            Full);
+  EXPECT_EQ(memoryHashOf(R.Memory.data(), R.memSize(), R.PageFlags.data(),
+                         Known.data()),
+            Full);
+}
+
+} // namespace
+
+TEST(JitBackend, CodeDecodedByStepIsGuarded) {
+  expectDecodeOutsideDispatcherIsGuarded(DecodedVia::Step);
+}
+
+TEST(JitBackend, CodeDecodedByIsHaltedIsGuarded) {
+  expectDecodeOutsideDispatcherIsGuarded(DecodedVia::IsHalted);
+}
+
 TEST(JitBackend, ExternalInvalidateDropsCompiledBlocks) {
   // Oracle-style interference: memory is rewritten directly (as the
   // machine-sem FFI oracle does) and the backend is told via

@@ -149,9 +149,9 @@ TEST(MachineSem, OracleWritesMarkTheirPagesWritten) {
   EXPECT_EQ(B.Kind, BehaviourKind::Terminated);
   const isa::MachineState &S = Sem.state();
   ASSERT_EQ(S.readByte(Buf + 4), 'h');
-  EXPECT_TRUE(S.WrittenPages[(Buf + 4) >> isa::PageShift]);
+  EXPECT_TRUE(S.PageFlags[(Buf + 4) >> isa::PageShift] & isa::PageWritten);
   EXPECT_EQ(isa::memoryHashOf(S.Memory.data(), S.memSize(),
-                              S.WrittenPages.data(),
+                              S.PageFlags.data(),
                               F.Boot.Snapshot->PageHashes.data()),
             isa::memoryHash(S.Memory.data(), S.memSize()));
 }

@@ -2,9 +2,12 @@
 
 #include "sys/Image.h"
 
+#include "cpu/Check.h"
 #include "isa/Abi.h"
+#include "isa/ExecBackend.h"
 #include "obs/TraceSink.h"
 #include "stack/Apps.h"
+#include "stack/Executor.h"
 #include "stack/Stack.h"
 
 #include <gtest/gtest.h>
@@ -266,9 +269,9 @@ TEST(Snapshot, InstantiateMatchesWholeImageBootForEveryApp) {
     Result<MemoryImage> Image = buildImage(Spec);
     ASSERT_TRUE(Image) << Image.error().str();
     isa::MachineState Whole = initialState(*Image);
-    Result<isa::MachineState> Inst = instantiate(*P->Snapshot, Spec);
+    Result<BootResult> Inst = instantiate(P->Snapshot, Spec);
     ASSERT_TRUE(Inst) << Inst.error().str();
-    EXPECT_TRUE(Inst->isaVisibleEquals(Whole)) << "before startup";
+    EXPECT_TRUE(Inst->State.isaVisibleEquals(Whole)) << "before startup";
 
     obs::TraceSink WholeSink, SnapSink;
     uint64_t WholeSteps = 0;
@@ -317,9 +320,10 @@ isa::MachineState bootFromScratch(const ImageSpec &Spec) {
 }
 
 TEST(Snapshot, RecycledBootMatchesAFreshOne) {
-  // Run a program to completion, dirtying its memory, and recycle it.
-  // Boots drawing on the pool — of the same program and of another one —
-  // must equal the whole-image boot, with nothing of the old run left.
+  // Run a program to completion, dirtying its memory and marking its
+  // code pages, and recycle it.  Boots drawing on the pool — of the same
+  // program and of another one — must equal the whole-image boot, with
+  // nothing of the old run left: not a byte, not a page-state mark.
   auto Prepare = [](const char *Source, std::string Stdin) {
     stack::RunSpec Run;
     Run.Source = Source;
@@ -341,7 +345,11 @@ TEST(Snapshot, RecycledBootMatchesAFreshOne) {
     Result<BootResult> First = sys::boot(Done->Snapshot, Done->Image);
     ASSERT_TRUE(First) << First.error().str();
     SysEnv Env(First->Layout);
-    ASSERT_TRUE(isa::run(First->State, Env, 100'000'000).Halted);
+    isa::InterpBackend Backend; // its decode cache marks code pages
+    ASSERT_TRUE(Backend.run(First->State, Env, 100'000'000).Halted);
+    const std::vector<uint8_t> &Flags = First->State.PageFlags;
+    ASSERT_TRUE(std::any_of(Flags.begin(), Flags.end(),
+                            [](uint8_t F) { return F & isa::PageCode; }));
     const uint8_t *Dirty = First->State.Memory.data();
     sys::recycle(First.take());
 
@@ -352,18 +360,57 @@ TEST(Snapshot, RecycledBootMatchesAFreshOne) {
     ASSERT_TRUE(A && B);
     EXPECT_TRUE(A->State.Memory.data() == Dirty ||
                 B->State.Memory.data() == Dirty);
-    // The written map of a boot into fresh memory: argv, stdin and the
-    // startup code's stores.
-    Result<isa::MachineState> Fresh =
-        instantiate(*Next->Snapshot, Next->Image);
+    // The page-state table of a boot into fresh memory (A and B hold
+    // every pooled state): argv, stdin and the startup code's stores,
+    // all written, none code.
+    Result<BootResult> Fresh = sys::boot(Next->Snapshot, Next->Image);
     ASSERT_TRUE(Fresh);
-    while (Fresh->PC != Next->Snapshot->Layout.CodeBase)
-      ASSERT_TRUE(isa::step(*Fresh, isa::nullEnv()).ok());
     for (const BootResult *R : {&*A, &*B}) {
       EXPECT_TRUE(R->State.isaVisibleEquals(Expected));
       EXPECT_TRUE(R->State.IoEvents.empty());
-      EXPECT_EQ(R->State.WrittenPages, Fresh->WrittenPages);
+      EXPECT_EQ(R->State.PageFlags, Fresh->State.PageFlags);
     }
+  }
+}
+
+TEST(Snapshot, RecycledLabDramBootsLikeAFreshOne) {
+  // The Rtl level's path: the lab DRAM loaded from the snapshot, the
+  // core running the program from reset, the DRAM recycled.  Every
+  // store the core made must have marked its page written, or the next
+  // boot from the pool keeps a byte of this run.
+  stack::RunSpec Run;
+  Run.Source = stack::wcSource();
+  Run.CommandLine = {"wc"};
+  Run.StdinData = stack::randomLines(10, 5);
+  Result<stack::Prepared> P = stack::prepare(Run);
+  ASSERT_TRUE(P) << P.error().str();
+  Result<stack::Outcome> Isa =
+      stack::Executor::fromPrepared(Run, *P).run(stack::Level::Isa);
+  ASSERT_TRUE(Isa) << Isa.error().str();
+  Result<BootResult> Dram = sys::instantiate(P->Snapshot, P->Image);
+  ASSERT_TRUE(Dram) << Dram.error().str();
+  const uint8_t *Dirty = Dram->State.Memory.data();
+  Result<std::unique_ptr<cpu::CoreRunner>> Runner = cpu::CoreRunner::create(
+      std::move(Dram->State), Dram->Layout, cpu::RunOptions{});
+  ASSERT_TRUE(Runner) << Runner.error().str();
+  Result<cpu::CoreStop> Stop = (*Runner)->advance(UINT64_MAX, UINT64_MAX);
+  ASSERT_TRUE(Stop) << Stop.error().str();
+  ASSERT_EQ(*Stop, cpu::CoreStop::Halted);
+  EXPECT_EQ((*Runner)->result().StdoutData, Isa->Behaviour.StdoutData);
+  sys::recycle({P->Snapshot->Layout, (*Runner)->takeMemory(), 0,
+                P->Snapshot});
+
+  isa::MachineState Expected = bootFromScratch(P->Image);
+  Result<BootResult> A = sys::boot(P->Snapshot, P->Image);
+  Result<BootResult> B = sys::boot(P->Snapshot, P->Image);
+  ASSERT_TRUE(A && B);
+  EXPECT_TRUE(A->State.Memory.data() == Dirty ||
+              B->State.Memory.data() == Dirty);
+  Result<BootResult> Fresh = sys::boot(P->Snapshot, P->Image);
+  ASSERT_TRUE(Fresh); // A and B hold every pooled state: fresh memory
+  for (const BootResult *R : {&*A, &*B}) {
+    EXPECT_TRUE(R->State.isaVisibleEquals(Expected));
+    EXPECT_EQ(R->State.PageFlags, Fresh->State.PageFlags);
   }
 }
 
@@ -374,11 +421,12 @@ TEST(Snapshot, RefusesASpecForAnotherProgram) {
   Spec.Program = A.assemble(0)->Bytes;
   Result<BootSnapshot> Snap = buildSnapshot(Spec.Program, Spec.Params);
   ASSERT_TRUE(Snap) << Snap.error().str();
-  EXPECT_TRUE(instantiate(*Snap, Spec));
+  auto Shared = std::make_shared<const BootSnapshot>(Snap.take());
+  EXPECT_TRUE(instantiate(Shared, Spec));
   ImageSpec Longer = Spec;
   Longer.Program.push_back(0);
-  EXPECT_FALSE(instantiate(*Snap, Longer));
+  EXPECT_FALSE(instantiate(Shared, Longer));
   ImageSpec Smaller = Spec;
   Smaller.Params.MemSize = 1u << 21;
-  EXPECT_FALSE(instantiate(*Snap, Smaller));
+  EXPECT_FALSE(instantiate(Shared, Smaller));
 }
