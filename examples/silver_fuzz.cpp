@@ -177,12 +177,6 @@ int main(int Argc, char **Argv) {
     std::cerr << "silver-fuzz: warning: the jit backend is not supported on "
                  "this host; the jit level runs on the interpreter\n";
 
-  if (Opt.Oracle.CompareCompiled &&
-      !stack::hdlBackendSupported(stack::HdlBackendKind::Compiled))
-    std::cerr << "silver-fuzz: warning: the compiled simulator is not "
-                 "available on this host (no usable C++ compiler); the "
-                 "compiled level runs on the interpreter\n";
-
   if (!ContainmentDir.empty()) {
     fuzz::CorpusContainment C =
         fuzz::checkCorpusContainment(ContainmentDir, Opt.Oracle.MaxSteps);

@@ -207,12 +207,6 @@ int main(int Argc, char **Argv) {
   stack::HdlBackendKind HdlBackend = stack::HdlBackendKind::Interp;
   if (!Hdl.empty() && !stack::parseHdlBackendKind(Hdl, HdlBackend))
     return usage();
-  if (HdlBackend == stack::HdlBackendKind::Compiled &&
-      !stack::hdlBackendSupported(HdlBackend))
-    std::fprintf(stderr,
-                 "silverc: warning: the compiled simulator is not available "
-                 "on this host (no usable C++ compiler); the verilog level "
-                 "runs on the interpreter\n");
 
   std::string Source;
   if (!Builtin.empty()) {

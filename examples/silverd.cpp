@@ -343,9 +343,6 @@ int main(int Argc, char **Argv) {
   if (!stack::backendSupported(stack::BackendKind::Jit))
     std::printf("silverd: jit backend unsupported on this host; jit jobs "
                 "run on the interpreter\n");
-  if (!stack::hdlBackendSupported(stack::HdlBackendKind::Compiled))
-    std::printf("silverd: compiled simulator unavailable on this host; "
-                "hdl=compiled jobs run on the interpreter\n");
   std::fflush(stdout);
 
   // The server runs on its own threads; this loop only watches for the

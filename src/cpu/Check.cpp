@@ -21,10 +21,7 @@ static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
     std::unique_ptr<CoreSim> S = makeCircuitSim(Core);
     return S;
   }
-  VerilogSimOptions V;
-  V.Compiled = Options.CompiledVerilog;
-  V.FallbackDiag = Options.HdlDiag;
-  return makeVerilogSim(Core, V);
+  return makeVerilogSim(Core, Options.CompiledVerilog);
 }
 
 //===----------------------------------------------------------------------===//

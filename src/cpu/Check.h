@@ -41,12 +41,10 @@ struct RunOptions {
   SimLevel Level = SimLevel::Circuit;
   LabEnvOptions Env;
   uint64_t MaxCycles = 100'000'000ull;
-  /// Verilog level only: step the generated module with the compiled
-  /// backend (hdl/compile) instead of the AST interpreter.  Falls back
-  /// to the interpreter transparently (see cpu::VerilogSimOptions);
-  /// *HdlDiag, when non-null, receives the fallback diagnostic.
+  /// Verilog level only: step the generated module with the core's
+  /// linked compiled simulator instead of the AST interpreter (see
+  /// cpu::makeVerilogSim).
   bool CompiledVerilog = false;
-  std::string *HdlDiag = nullptr;
   /// Receives retire / FFI / memory / cycle events; null runs silent.
   /// Not owned.
   obs::Observer *Obs = nullptr;

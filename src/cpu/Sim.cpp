@@ -13,6 +13,14 @@
 using namespace silver;
 using namespace silver::cpu;
 
+// The Silver core's compiled simulator: hdl::generateCpp output for the
+// core, written by silver-core-codegen and compiled into this library
+// (src/cpu/CMakeLists.txt).
+extern "C" {
+uint64_t silver_hdl_design_hash(void);
+int silver_hdl_cycle(uint64_t *V, uint64_t *const *M);
+}
+
 CoreSim::~CoreSim() = default;
 
 namespace {
@@ -300,13 +308,7 @@ std::unique_ptr<CoreSim> silver::cpu::makeCircuitSim(const SilverCore &Core) {
 }
 
 Result<std::unique_ptr<CoreSim>>
-silver::cpu::makeVerilogSim(const SilverCore &Core) {
-  return makeVerilogSim(Core, {});
-}
-
-Result<std::unique_ptr<CoreSim>>
-silver::cpu::makeVerilogSim(const SilverCore &Core,
-                            const VerilogSimOptions &Opts) {
+silver::cpu::makeVerilogSim(const SilverCore &Core, bool Compiled) {
   Result<hdl::VModule> Module = rtl::toVerilog(Core.Circuit);
   if (!Module)
     return Module.error();
@@ -315,26 +317,17 @@ silver::cpu::makeVerilogSim(const SilverCore &Core,
                  T.error().str());
   hdl::VModule Mod = Module.take();
 
-  // Backend selection: the compiled backend degrades to the interpreter
-  // (with a diagnostic, never an error) so a host without a compiler
-  // still runs every Verilog-level workload.
   std::unique_ptr<hdl::ModuleSim> ModSim;
-  if (Opts.Compiled) {
-    if (!hdl::compiledSimAvailable()) {
-      if (Opts.FallbackDiag != nullptr)
-        *Opts.FallbackDiag = "compiled simulator unavailable (no usable "
-                             "host C++ compiler); using the interpreter";
-    } else {
-      Result<std::unique_ptr<hdl::CompiledSim>> C =
-          hdl::CompiledSim::compile(Mod);
-      if (C)
-        ModSim = C.take();
-      else if (Opts.FallbackDiag != nullptr)
-        *Opts.FallbackDiag = "compiled simulator failed (" +
-                             C.error().str() + "); using the interpreter";
-    }
-  }
-  if (!ModSim) {
+  if (Compiled) {
+    // Generating the layout and checking the hash costs one codegen
+    // pass, so it runs once per process.
+    static const Result<std::shared_ptr<hdl::CompiledModule>> Linked =
+        hdl::CompiledModule::link(Mod, silver_hdl_cycle,
+                                  silver_hdl_design_hash());
+    if (!Linked)
+      return Linked.error();
+    ModSim = std::make_unique<hdl::CompiledSim>(*Linked);
+  } else {
     Result<std::unique_ptr<hdl::FastSim>> Fast = hdl::FastSim::compile(Mod);
     if (!Fast)
       return Fast.error();

@@ -92,26 +92,15 @@ public:
 /// Layer-3 simulator: the circuit interpreter.
 std::unique_ptr<CoreSim> makeCircuitSim(const SilverCore &Core);
 
-/// Backend selection for the Verilog-level simulator.
-struct VerilogSimOptions {
-  /// Step the generated module with the ahead-of-time compiled backend
-  /// (hdl/compile) instead of the AST interpreter.  Falls back to the
-  /// interpreter — transparently, with a note in *FallbackDiag — when
-  /// no usable host compiler exists or the build fails.
-  bool Compiled = false;
-  /// Receives a one-line diagnostic when the compiled backend was
-  /// requested but the run fell back to the interpreter.  Not owned;
-  /// may be null.
-  std::string *FallbackDiag = nullptr;
-};
-
-/// Layer-4 simulator: verilog_sem on the generated module.  Fails if the
-/// generated module does not type-check.
-Result<std::unique_ptr<CoreSim>> makeVerilogSim(const SilverCore &Core);
-
-/// As above with backend selection (see VerilogSimOptions).
+/// Layer-4 simulator: the generated module, stepped by the AST
+/// interpreter (hdl::FastSim) or, with \p Compiled, by the core's
+/// compiled simulator, which is generated and compiled with the project
+/// and linked in (no host compiler at run time).  Fails if the generated
+/// module does not type-check, or if the linked simulator was generated
+/// from another design (a stale build; checked against the first
+/// compiled call's core, once per process).
 Result<std::unique_ptr<CoreSim>> makeVerilogSim(const SilverCore &Core,
-                                                const VerilogSimOptions &Opts);
+                                                bool Compiled = false);
 
 } // namespace cpu
 } // namespace silver

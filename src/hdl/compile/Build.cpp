@@ -7,12 +7,12 @@
 
 #include "hdl/compile/Build.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <dlfcn.h>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <unistd.h>
 
@@ -80,13 +80,7 @@ std::string silver::hdl::defaultCacheDir() {
 }
 
 bool silver::hdl::compiledSimAvailable() {
-  static std::once_flag Once;
-  static bool Available = false;
-  std::call_once(Once, [] {
-    if (std::getenv("SILVER_HDL_DISABLE") != nullptr)
-      return;
-    Available = probeCompiler(resolveCompiler({}));
-  });
+  static const bool Available = probeCompiler(resolveCompiler({}));
   return Available;
 }
 
@@ -106,17 +100,14 @@ std::shared_ptr<LoadedModule> tryLoad(const std::string &Path,
       reinterpret_cast<uint32_t (*)()>(dlsym(H, "silver_hdl_abi_version"));
   auto Hash =
       reinterpret_cast<uint64_t (*)()>(dlsym(H, "silver_hdl_design_hash"));
-  auto Cycle = reinterpret_cast<LoadedModule::CycleFn>(
-      dlsym(H, "silver_hdl_cycle"));
-  auto Batch = reinterpret_cast<LoadedModule::BatchFn>(
-      dlsym(H, "silver_hdl_cycle_batch"));
+  auto Cycle =
+      reinterpret_cast<CompiledCycleFn>(dlsym(H, "silver_hdl_cycle"));
   if (Abi == nullptr || Hash == nullptr || Cycle == nullptr ||
-      Batch == nullptr || Abi() != CompiledAbiVersion ||
-      Hash() != WantHash) {
+      Abi() != CompiledAbiVersion || Hash() != WantHash) {
     dlclose(H);
     return nullptr;
   }
-  return std::make_shared<LoadedModule>(H, Cycle, Batch, WantHash, Path);
+  return std::make_shared<LoadedModule>(H, Cycle);
 }
 
 } // namespace
@@ -139,13 +130,17 @@ silver::hdl::buildAndLoad(const GeneratedModule &G, const BuildOptions &O) {
     if (std::shared_ptr<LoadedModule> M = tryLoad(SoPath, G.DesignHash))
       return M;
 
-  // Build to process-private temporaries, then rename into place:
-  // concurrent builders of the same design race benignly (both produce
-  // identical artifacts) and readers never see a partial file.
-  std::string Pid = std::to_string(getpid());
-  std::string CppTmp = Stem + "." + Pid + ".cpp";
-  std::string SoTmp = Stem + "." + Pid + ".so.tmp";
-  std::string Log = Stem + "." + Pid + ".log";
+  // Build to temporaries private to this call (pid plus a process-wide
+  // counter, so threads of one process do not share them either), then
+  // rename into place: concurrent builders of the same design race
+  // benignly (all produce identical artifacts) and readers never see a
+  // partial file.
+  static std::atomic<uint64_t> NextBuild{0};
+  std::string Tag = std::to_string(getpid()) + "-" +
+                    std::to_string(NextBuild.fetch_add(1));
+  std::string CppTmp = Stem + "." + Tag + ".cpp";
+  std::string SoTmp = Stem + "." + Tag + ".so.tmp";
+  std::string Log = Stem + "." + Tag + ".log";
   {
     std::ofstream Out(CppTmp);
     Out << G.Source;

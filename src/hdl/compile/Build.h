@@ -7,13 +7,14 @@
 ///
 /// \file
 /// Turns a generated translation unit (Codegen.h) into a loaded shared
-/// object: invoke the host C++ compiler, cache the artifact keyed by the
-/// design hash, dlopen it, and verify the exported ABI version and
-/// design hash before handing out the entry points.
+/// object at run time: invoke the host C++ compiler, cache the artifact
+/// keyed by the design hash, dlopen it, and verify the exported ABI
+/// version and design hash before handing out the entry point.
 ///
-/// Everything degrades: no usable host compiler (or SILVER_HDL_DISABLE
-/// set) makes compiledSimAvailable() false, and the callers fall back to
-/// the interpreting backend with a diagnostic — never an error.
+/// This serves modules other than the Silver core, whose simulator is
+/// generated and compiled with the project and linked in (cpu/Sim.cpp),
+/// so running the core needs no host compiler.  Without a usable host
+/// compiler compiledSimAvailable() is false and buildAndLoad fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,45 +43,34 @@ struct BuildOptions {
 /// $HOME/.cache/silver-hdl, else /tmp/silver-hdl.
 std::string defaultCacheDir();
 
-/// True when a host C++ compiler answers and SILVER_HDL_DISABLE is not
-/// set.  Probed once per process (per compiler choice) and cached.
+/// True when a host C++ compiler answers.  Probed once per process and
+/// cached.
 bool compiledSimAvailable();
 
-/// A dlopen'ed generated simulator: the resolved entry points plus the
+/// A dlopen'ed generated simulator: the resolved entry point plus the
 /// owning handle.  Destroying the last shared_ptr dlclose()s.
 class LoadedModule {
 public:
-  using CycleFn = int (*)(uint64_t *V, uint64_t *const *M);
-  using BatchFn = int (*)(uint64_t *V, uint64_t *const *M, uint64_t Lanes);
-
   /// Takes ownership of the dlopen handle.  Built by buildAndLoad; the
   /// constructor is public only for the loader internals.
-  LoadedModule(void *Handle, CycleFn Cycle, BatchFn Batch,
-               uint64_t DesignHash, std::string Path)
-      : Handle(Handle), Cycle(Cycle), Batch(Batch), DesignHash(DesignHash),
-        Path(std::move(Path)) {}
+  LoadedModule(void *Handle, CompiledCycleFn Cycle)
+      : Handle(Handle), Cycle(Cycle) {}
   ~LoadedModule();
   LoadedModule(const LoadedModule &) = delete;
   LoadedModule &operator=(const LoadedModule &) = delete;
 
-  CycleFn cycle() const { return Cycle; }
-  BatchFn cycleBatch() const { return Batch; }
-  uint64_t designHash() const { return DesignHash; }
-  /// Path of the cached shared object (diagnostics, CI cache keys).
-  const std::string &path() const { return Path; }
+  CompiledCycleFn cycle() const { return Cycle; }
 
 private:
   void *Handle = nullptr;
-  CycleFn Cycle = nullptr;
-  BatchFn Batch = nullptr;
-  uint64_t DesignHash = 0;
-  std::string Path;
+  CompiledCycleFn Cycle = nullptr;
 };
 
 /// Compiles (or reuses the cached artifact for) \p G and loads it.
 /// Cache artifacts are named by the design hash and written atomically
-/// (temp file + rename), so concurrent builders of the same design race
-/// benignly.  Fails with the compiler log tail when compilation fails.
+/// (per-call temp files + rename), so concurrent builders of the same
+/// design, in one process or several, race benignly.  Fails with the
+/// compiler log tail when compilation fails.
 Result<std::shared_ptr<LoadedModule>>
 buildAndLoad(const GeneratedModule &G, const BuildOptions &O = {});
 

@@ -52,7 +52,7 @@ struct Emitter {
   std::set<int> Shadowed;
 
   std::string slotRef(int Slot) const {
-    return "V[" + std::to_string(Slot) + " * Lanes + Lane]";
+    return "V[" + std::to_string(Slot) + "]";
   }
 
   std::string varRef(int Slot) const {
@@ -101,8 +101,7 @@ EmittedExp Emitter::emitExp(const VExp &E) {
     int Mem = Layout.MemSlots.at(E.Name);
     EmittedExp Idx = emitExp(*E.Args[0]);
     return {"memrd(M[" + std::to_string(Mem) + "], " +
-                num(Layout.MemDepths[Mem]) + ", " + Idx.Text +
-                ", Lanes, Lane)",
+                num(Layout.MemDepths[Mem]) + ", " + Idx.Text + ")",
             Layout.MemWidths[Mem]};
   }
   case VExpKind::Binary: {
@@ -334,7 +333,7 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
       int Slot = L.ScalarSlots.at(S.Lhs);
       std::string N = std::to_string(Id++);
       NbaCommit += "  if (Ns" + N + ") V[" + std::to_string(Slot) +
-                   " * Lanes + Lane] = N" + N + ";\n";
+                   "] = N" + N + ";\n";
       return;
     }
     case VStmtKind::MemWrite: {
@@ -344,7 +343,7 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
       MemCommit += "    if (Mi" + N + " >= " + num(L.MemDepths[Mem]) +
                    ") return 1;\n";
       MemCommit += "    M[" + std::to_string(Mem) + "][Mi" + N +
-                   " * Lanes + Lane] = Mv" + N + ";\n";
+                   "] = Mv" + N + ";\n";
       MemCommit += "  }\n";
       return;
     }
@@ -358,7 +357,7 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
          "'.  Do not edit.\n";
   Src += "// One call = one clock cycle of the Verilog-subset semantics;\n";
   Src += "// checked against the interpreter by the differential tests.\n";
-  Src += "#include <cstddef>\n#include <cstdint>\n\n";
+  Src += "#include <cstdint>\n\n";
   Src += "namespace {\n\n";
   Src += "inline uint64_t mask(unsigned W, uint64_t X) {\n";
   Src += "  return W >= 64 ? X : (X & ((uint64_t(1) << W) - 1));\n}\n\n";
@@ -375,10 +374,15 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
   Src += "  if (B >= W)\n    return mask(W, S < 0 ? ~uint64_t(0) : 0);\n";
   Src += "  return mask(W, static_cast<uint64_t>(S >> B));\n}\n\n";
   Src += "inline uint64_t memrd(const uint64_t *M, uint64_t Depth,\n";
-  Src += "                      uint64_t Idx, size_t Lanes, size_t Lane) {\n";
-  Src += "  return Idx < Depth ? M[Idx * Lanes + Lane] : 0;\n}\n\n";
-  Src += "inline int cycleOne(uint64_t *V, uint64_t *const *M, size_t Lanes,\n";
-  Src += "                    size_t Lane) {\n";
+  Src += "                      uint64_t Idx) {\n";
+  Src += "  return Idx < Depth ? M[Idx] : 0;\n}\n\n";
+  Src += "} // namespace\n\n";
+  Src += "extern \"C\" {\n\n";
+  Src += "uint32_t silver_hdl_abi_version(void) { return " +
+         std::to_string(CompiledAbiVersion) + "; }\n\n";
+  Src += "uint64_t silver_hdl_design_hash(void) { return "
+         "SILVER_DESIGN_HASH; }\n\n";
+  Src += "int silver_hdl_cycle(uint64_t *V, uint64_t *const *M) {\n";
   Src += "  (void)M;\n";
   Src += E.Decls;
   Src += E.Body;
@@ -388,20 +392,6 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
   Src += NbaCommit;
   Src += MemCommit;
   Src += "  return 0;\n}\n\n";
-  Src += "} // namespace\n\n";
-  Src += "extern \"C\" {\n\n";
-  Src += "uint32_t silver_hdl_abi_version(void) { return " +
-         std::to_string(CompiledAbiVersion) + "; }\n\n";
-  Src += "uint64_t silver_hdl_design_hash(void) { return "
-         "SILVER_DESIGN_HASH; }\n\n";
-  Src += "int silver_hdl_cycle(uint64_t *V, uint64_t *const *M) {\n";
-  Src += "  return cycleOne(V, M, 1, 0);\n}\n\n";
-  Src += "int silver_hdl_cycle_batch(uint64_t *V, uint64_t *const *M,\n";
-  Src += "                           uint64_t Lanes) {\n";
-  Src += "  int Rc = 0;\n";
-  Src += "  for (uint64_t L = 0; L != Lanes; ++L)\n";
-  Src += "    Rc |= cycleOne(V, M, Lanes, L);\n";
-  Src += "  return Rc;\n}\n\n";
   Src += "} // extern \"C\"\n";
 
   // The design hash covers the source with the placeholder still in

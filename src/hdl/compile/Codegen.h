@@ -11,11 +11,11 @@
 /// move, but against a subset with a reference semantics (Semantics.h)
 /// so the output can be differentially tested instead of trusted.
 ///
-/// The emitted unit exports a tiny C ABI (one cycle function plus a
-/// struct-of-arrays batched variant stepping N independent instances),
-/// and the slot layout of the generated state vector is planned here, on
-/// the host side, in exactly the order FastSim assigns slots — so the
-/// host binds names to indices without ever parsing the generated code.
+/// The emitted unit exports a tiny C ABI (one cycle function plus two
+/// identity checks), and the slot layout of the generated state vector
+/// is planned here, on the host side, in exactly the order FastSim
+/// assigns slots — so the host binds names to indices without ever
+/// parsing the generated code.
 ///
 /// Compilation scheme (DESIGN.md §14): the statement language has no
 /// loops, so every static assignment executes at most once per cycle.
@@ -67,17 +67,17 @@ struct GeneratedModule {
 
 /// The exported C ABI of a generated unit.  Bumped whenever the symbol
 /// contract below changes; the loader refuses a mismatch.
-constexpr uint32_t CompiledAbiVersion = 1;
+constexpr uint32_t CompiledAbiVersion = 2;
 
 /// Exported symbols: `silver_hdl_abi_version()` returns
 /// CompiledAbiVersion; `silver_hdl_design_hash()` returns DesignHash;
 /// `silver_hdl_cycle(V, M)` steps one cycle over the scalar state vector
-/// V (one uint64_t per slot) and the memory table M (one base pointer
-/// per memory id); `silver_hdl_cycle_batch(V, M, Lanes)` steps Lanes
-/// independent instances laid out struct-of-arrays (slot s of lane l at
-/// V[s*Lanes+l], element e of memory m at M[m][e*Lanes+l]).  Both return
-/// 0 on success, nonzero when a memory write went out of range.
-///
+/// V (slot s at V[s]) and the memory table M (element e of memory m at
+/// M[m][e]), returning 0 on success and nonzero when a memory write went
+/// out of range.  The unit is either linked into the build (the Silver
+/// core, cpu/Sim.cpp) or built and dlopen'ed at run time (Build.h).
+using CompiledCycleFn = int (*)(uint64_t *V, uint64_t *const *M);
+
 /// Generates the translation unit for \p M; fails when typeCheck fails.
 Result<GeneratedModule> generateCpp(const VModule &M);
 

@@ -28,12 +28,28 @@ CompiledModule::create(const VModule &M, const BuildOptions &O) {
   Result<std::shared_ptr<LoadedModule>> Code = buildAndLoad(*G, O);
   if (!Code)
     return Code.error();
-  return std::shared_ptr<CompiledModule>(
-      new CompiledModule(std::move(G->Layout), Code.take()));
+  CompiledCycleFn Entry = (*Code)->cycle();
+  return std::shared_ptr<CompiledModule>(new CompiledModule(
+      std::move(G->Layout), Entry, G->DesignHash, Code.take()));
+}
+
+Result<std::shared_ptr<CompiledModule>>
+CompiledModule::link(const VModule &M, CompiledCycleFn Cycle,
+                     uint64_t LinkedHash) {
+  Result<GeneratedModule> G = generateCpp(M);
+  if (!G)
+    return G.error();
+  if (G->DesignHash != LinkedHash)
+    return Error("compiled sim: the linked simulator of '" + M.Name +
+                 "' is stale (design hash " + std::to_string(LinkedHash) +
+                 ", generator says " + std::to_string(G->DesignHash) +
+                 "); rebuild the project");
+  return std::shared_ptr<CompiledModule>(new CompiledModule(
+      std::move(G->Layout), Cycle, LinkedHash, nullptr));
 }
 
 //===----------------------------------------------------------------------===//
-// CompiledSim (single instance)
+// CompiledSim
 //===----------------------------------------------------------------------===//
 
 Result<std::unique_ptr<CompiledSim>>
@@ -69,7 +85,7 @@ Result<void> CompiledSim::stepDense(const uint64_t *Inputs, size_t Count) {
     unsigned W = L.SlotWidths[Slot];
     Values[Slot] = maskTo(W == 0 ? 1 : W, Inputs[K]);
   }
-  if (Module->Code->cycle()(Values.data(), MemPtrs.data()) != 0)
+  if (Module->Entry(Values.data(), MemPtrs.data()) != 0)
     return Error("compiled sim: memory write out of range");
   if (CycleObs != nullptr)
     CycleObs->onCycle(Cycle);
@@ -139,83 +155,4 @@ SimState CompiledSim::exportState(const VModule &M) const {
       Value.Bits = maskTo(Value.Width, Values[It->second]);
   }
   return S;
-}
-
-//===----------------------------------------------------------------------===//
-// CompiledBatch (struct-of-arrays lanes)
-//===----------------------------------------------------------------------===//
-
-Result<std::unique_ptr<CompiledBatch>>
-CompiledBatch::compile(const VModule &M, size_t Lanes,
-                       const BuildOptions &O) {
-  Result<std::shared_ptr<CompiledModule>> Mod = CompiledModule::create(M, O);
-  if (!Mod)
-    return Mod.error();
-  return std::make_unique<CompiledBatch>(Mod.take(), Lanes);
-}
-
-CompiledBatch::CompiledBatch(std::shared_ptr<CompiledModule> M, size_t Lanes)
-    : Module(std::move(M)), NumLanes(Lanes == 0 ? 1 : Lanes) {
-  const CompiledLayout &L = Module->Layout;
-  Values.assign(L.SlotWidths.size() * NumLanes, 0);
-  Mems.resize(L.MemDepths.size());
-  for (size_t I = 0; I != L.MemDepths.size(); ++I)
-    Mems[I].assign(L.MemDepths[I] * NumLanes, 0);
-  MemPtrs.resize(Mems.size());
-  for (size_t I = 0; I != Mems.size(); ++I)
-    MemPtrs[I] = Mems[I].data();
-}
-
-size_t CompiledBatch::numInputs() const {
-  return Module->Layout.InputSlots.size();
-}
-
-int CompiledBatch::slotOf(const std::string &Name) const {
-  const auto &S = Module->Layout.ScalarSlots;
-  auto It = S.find(Name);
-  return It == S.end() ? -1 : It->second;
-}
-
-int CompiledBatch::memSlotOf(const std::string &Name) const {
-  const auto &S = Module->Layout.MemSlots;
-  auto It = S.find(Name);
-  return It == S.end() ? -1 : It->second;
-}
-
-Result<void> CompiledBatch::stepDense(const uint64_t *Inputs) {
-  const CompiledLayout &L = Module->Layout;
-  for (size_t K = 0; K != L.InputSlots.size(); ++K) {
-    int Slot = L.InputSlots[K].second;
-    unsigned W = L.SlotWidths[Slot];
-    for (size_t Lane = 0; Lane != NumLanes; ++Lane)
-      Values[static_cast<size_t>(Slot) * NumLanes + Lane] =
-          maskTo(W == 0 ? 1 : W, Inputs[K * NumLanes + Lane]);
-  }
-  if (Module->Code->cycleBatch()(Values.data(), MemPtrs.data(),
-                                 NumLanes) != 0)
-    return Error("compiled sim: memory write out of range");
-  return {};
-}
-
-uint64_t CompiledBatch::valueOf(size_t Lane, int Slot) const {
-  assert(Slot >= 0 && Lane < NumLanes);
-  return Values[static_cast<size_t>(Slot) * NumLanes + Lane];
-}
-
-void CompiledBatch::setValue(size_t Lane, int Slot, uint64_t Bits) {
-  assert(Slot >= 0 && Lane < NumLanes);
-  unsigned W = Module->Layout.SlotWidths[Slot];
-  Values[static_cast<size_t>(Slot) * NumLanes + Lane] =
-      maskTo(W == 0 ? 1 : W, Bits);
-}
-
-uint64_t CompiledBatch::memAt(size_t Lane, int MemSlot, size_t Index) const {
-  assert(MemSlot >= 0 && Lane < NumLanes);
-  return Mems[MemSlot][Index * NumLanes + Lane];
-}
-
-void CompiledBatch::setMemAt(size_t Lane, int MemSlot, size_t Index,
-                             uint64_t Bits) {
-  assert(MemSlot >= 0 && Lane < NumLanes);
-  Mems[MemSlot][Index * NumLanes + Lane] = Bits;
 }

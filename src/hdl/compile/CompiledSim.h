@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ahead-of-time compiled counterpart of FastSim: generate C++ for
-/// the module (Codegen.h), build and dlopen it (Build.h), and step
-/// cycles through the loaded entry point.  Exposes the same ModuleSim
-/// surface — slot handles, dense input frames, cycle observer — so the
-/// Verilog execution level swaps backends without touching its binding
-/// code.  CompiledBatch steps N independent instances per call over a
-/// struct-of-arrays state (lane l of slot s at Values[s*N+l]), which
-/// amortizes the call overhead for fuzz campaigns and silverd.
+/// The ahead-of-time compiled counterpart of FastSim: C++ generated for
+/// the module (Codegen.h), stepped through its compiled entry point.
+/// Exposes the same ModuleSim surface — slot handles, dense input
+/// frames, cycle observer — so the Verilog execution level swaps
+/// backends without touching its binding code.  The entry point is
+/// either linked into the build (the Silver core: CompiledModule::link)
+/// or built and dlopen'ed at run time (any other module:
+/// CompiledModule::create over Build.h).
 ///
 /// The compiled backend is generated code executing the verified design,
 /// so it is only admissible alongside its differential harness: the
@@ -33,29 +33,36 @@
 namespace silver {
 namespace hdl {
 
-/// One module compiled to a shared object.  Cheap to share: instances
-/// (single or batched) hold their own state and reference the loaded
-/// code.
+/// One module's compiled cycle function plus its layout.  Cheap to
+/// share: instances hold their own state and reference the code.
 class CompiledModule {
 public:
   /// Generates, builds (or reuses the cached artifact), and loads the
-  /// simulator for \p M.  Fails when no host compiler is usable — use
-  /// compiledSimAvailable() to fall back instead of erroring.
+  /// simulator for \p M.  Fails when no host compiler is usable.
   static Result<std::shared_ptr<CompiledModule>>
   create(const VModule &M, const BuildOptions &O = {});
 
+  /// Wraps a generated unit for \p M that was compiled into the program:
+  /// \p Cycle and \p LinkedHash are its silver_hdl_cycle and
+  /// silver_hdl_design_hash().  Fails when \p LinkedHash is not the hash
+  /// generateCpp computes for \p M, so a stale build never runs.
+  static Result<std::shared_ptr<CompiledModule>>
+  link(const VModule &M, CompiledCycleFn Cycle, uint64_t LinkedHash);
+
   const CompiledLayout &layout() const { return Layout; }
-  uint64_t designHash() const { return Code->designHash(); }
-  /// Path of the cached shared object (CI caches key on this).
-  const std::string &artifactPath() const { return Code->path(); }
+  uint64_t designHash() const { return DesignHash; }
 
 private:
   friend class CompiledSim;
-  friend class CompiledBatch;
-  CompiledModule(CompiledLayout L, std::shared_ptr<LoadedModule> C)
-      : Layout(std::move(L)), Code(std::move(C)) {}
+  CompiledModule(CompiledLayout L, CompiledCycleFn Entry, uint64_t Hash,
+                 std::shared_ptr<LoadedModule> Code)
+      : Layout(std::move(L)), Entry(Entry), DesignHash(Hash),
+        Code(std::move(Code)) {}
 
   CompiledLayout Layout;
+  CompiledCycleFn Entry;
+  uint64_t DesignHash;
+  /// Keeps a dlopen'ed unit loaded; null for a linked one.
   std::shared_ptr<LoadedModule> Code;
 };
 
@@ -90,37 +97,6 @@ private:
   std::vector<uint64_t *> MemPtrs;
   obs::Observer *CycleObs = nullptr;
   uint64_t Cycle = 0;
-};
-
-/// N independent instances stepped together (struct-of-arrays lanes).
-/// The input frame of stepDense is likewise lane-major per port:
-/// Inputs[port * lanes() + lane].
-class CompiledBatch {
-public:
-  static Result<std::unique_ptr<CompiledBatch>>
-  compile(const VModule &M, size_t Lanes, const BuildOptions &O = {});
-  CompiledBatch(std::shared_ptr<CompiledModule> M, size_t Lanes);
-
-  size_t lanes() const { return NumLanes; }
-  size_t numInputs() const;
-  int slotOf(const std::string &Name) const;
-  int memSlotOf(const std::string &Name) const;
-
-  /// One clock cycle for every lane; \p Inputs holds numInputs()*lanes()
-  /// values, port-major.
-  Result<void> stepDense(const uint64_t *Inputs);
-
-  uint64_t valueOf(size_t Lane, int Slot) const;
-  void setValue(size_t Lane, int Slot, uint64_t Bits);
-  uint64_t memAt(size_t Lane, int MemSlot, size_t Index) const;
-  void setMemAt(size_t Lane, int MemSlot, size_t Index, uint64_t Bits);
-
-private:
-  std::shared_ptr<CompiledModule> Module;
-  size_t NumLanes;
-  std::vector<uint64_t> Values; ///< slot-major SoA: [slot*NumLanes+lane]
-  std::vector<std::vector<uint64_t>> Mems; ///< [mem][elem*NumLanes+lane]
-  std::vector<uint64_t *> MemPtrs;
 };
 
 } // namespace hdl

@@ -9,7 +9,6 @@
 
 #include "cml/Interp.h"
 #include "cml/Parser.h"
-#include "hdl/compile/Build.h"
 #include "isa/jit/Jit.h"
 #include "stack/Executor.h"
 #include "support/StringUtils.h"
@@ -65,10 +64,6 @@ bool silver::stack::parseHdlBackendKind(const std::string &Name,
     return true;
   }
   return false;
-}
-
-bool silver::stack::hdlBackendSupported(HdlBackendKind B) {
-  return B == HdlBackendKind::Interp || hdl::compiledSimAvailable();
 }
 
 const char *silver::stack::levelName(Level L) {

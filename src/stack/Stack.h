@@ -57,12 +57,10 @@ bool parseBackendKind(const std::string &Name, BackendKind &Out);
 bool backendSupported(BackendKind B);
 
 /// Which simulator backend the Verilog level steps with.  Interp is the
-/// AST-walking hdl::FastSim; Compiled generates C++ from the module,
-/// builds it with the host compiler, and dlopen()s the result
-/// (hdl/compile).  Same contract as BackendKind: behaviour and digests
-/// are identical — enforced by the compiled-vs-interpreted differential
-/// level — and an unsupported host falls back to Interp with a
-/// diagnostic, never an error.
+/// AST-walking hdl::FastSim; Compiled is the C++ generated from the
+/// core's module (hdl/compile) at build time and linked in, so it runs
+/// on every host.  Behaviour and digests are identical — enforced by the
+/// compiled-vs-interpreted differential level.
 enum class HdlBackendKind : uint8_t { Interp, Compiled };
 
 /// Stable identifier ("interp", "compiled") for CLIs, logs, cache keys.
@@ -70,10 +68,6 @@ const char *hdlBackendKindName(HdlBackendKind B);
 
 /// Parses an hdl backend name; returns false when \p Name is unknown.
 bool parseHdlBackendKind(const std::string &Name, HdlBackendKind &Out);
-
-/// True when the requested hdl backend can run on this host (Compiled
-/// needs a usable host C++ compiler; see hdl::compiledSimAvailable).
-bool hdlBackendSupported(HdlBackendKind B);
 
 /// How to execute: backend choice plus the budgets, one object so the
 /// whole execution configuration travels together through

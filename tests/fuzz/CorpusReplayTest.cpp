@@ -36,8 +36,8 @@ TEST(CorpusReplay, CommittedReproducersStillAgree) {
 // The same corpus again at the compiled-simulator level: every
 // committed reproducer (including selfmod-0.s and ffi-domain-0.s) must
 // agree exactly between the interpreted and the compiled Verilog
-// backends.  Hosts without a host C++ compiler fall back to the
-// interpreter, which keeps the replay green rather than skipping it.
+// backends.  The compiled backend is linked into the build, so the
+// replay needs no host compiler.
 TEST(CorpusReplay, CommittedReproducersAgreeAtCompiledLevel) {
   OracleOptions O;
   O.Levels = {stack::Level::Verilog};

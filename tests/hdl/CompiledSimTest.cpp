@@ -3,9 +3,11 @@
 // The compiled backend (hdl/compile) is generated code, so every test
 // here is a trust argument: the AST interpreter (hdl::stepCycle) is the
 // reference, and the compiled cycle function must match it bit for bit —
-// on the non-blocking merge order, on X-initialization, on exhaustive
-// input sweeps of leaf processes, and lane-for-lane in batched mode.
-// Hosts without a usable C++ compiler skip the suite (visibly).
+// on the non-blocking merge order, on X-initialization and on exhaustive
+// input sweeps of leaf processes.  The Silver core's simulator is linked
+// into the build; every other module here is built and dlopen'ed at run
+// time into a cache directory private to the test.  Hosts without a
+// usable C++ compiler skip the run-time suites (visibly).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +25,27 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
+#include <thread>
+#include <unistd.h>
+
+// The linked Silver core's identity (cpu/Sim.cpp declares the same).
+extern "C" uint64_t silver_hdl_design_hash(void);
+
 using namespace silver;
 using namespace silver::hdl;
 
 namespace {
+
+/// A fresh, empty artifact cache directory private to this test process,
+/// so the suite never reads or writes the default cache.
+std::string freshCacheDir(const std::string &Tag) {
+  std::string Dir = ::testing::TempDir() + "silver-hdl-" + Tag + "-" +
+                    std::to_string(getpid());
+  std::filesystem::remove_all(Dir);
+  return Dir;
+}
 
 class CompiledSimTest : public ::testing::Test {
 protected:
@@ -34,7 +53,15 @@ protected:
     if (!compiledSimAvailable())
       GTEST_SKIP() << "no usable host C++ compiler; compiled backend "
                       "unavailable on this host";
+    Opts.CacheDir = freshCacheDir(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
+  void TearDown() override {
+    if (!Opts.CacheDir.empty())
+      std::filesystem::remove_all(Opts.CacheDir);
+  }
+
+  BuildOptions Opts;
 };
 
 /// The paper's AB example (§3), as in HdlTest.cpp: two processes, one
@@ -92,11 +119,16 @@ TEST(CompiledCodegen, EmitsAbiSymbolsAndStableHash) {
   VModule M = makeAB();
   Result<GeneratedModule> G1 = generateCpp(M);
   ASSERT_TRUE(G1) << G1.error().str();
-  // The four ABI entry points are present in the generated source.
-  EXPECT_NE(G1->Source.find("silver_hdl_abi_version"), std::string::npos);
-  EXPECT_NE(G1->Source.find("silver_hdl_design_hash"), std::string::npos);
-  EXPECT_NE(G1->Source.find("silver_hdl_cycle"), std::string::npos);
-  EXPECT_NE(G1->Source.find("silver_hdl_cycle_batch"), std::string::npos);
+  // The generated source names exactly the three ABI entry points (no
+  // batched variant).
+  std::set<std::string> Symbols;
+  for (size_t At = G1->Source.find("silver_hdl_"); At != std::string::npos;
+       At = G1->Source.find("silver_hdl_", At + 1))
+    Symbols.insert(G1->Source.substr(At, G1->Source.find('(', At) - At));
+  EXPECT_EQ(Symbols,
+            (std::set<std::string>{"silver_hdl_abi_version",
+                                   "silver_hdl_design_hash",
+                                   "silver_hdl_cycle"}));
   // The design hash is a pure function of the module.
   Result<GeneratedModule> G2 = generateCpp(M);
   ASSERT_TRUE(G2);
@@ -111,6 +143,19 @@ TEST(CompiledCodegen, EmitsAbiSymbolsAndStableHash) {
   Result<GeneratedModule> G3 = generateCpp(N);
   ASSERT_TRUE(G3);
   EXPECT_NE(G1->DesignHash, G3->DesignHash);
+}
+
+TEST(CompiledCodegen, LinkRejectsAStaleDesignHash) {
+  // A linked unit is accepted only under the hash the generator computes
+  // for the module today; any other hash means a stale build.
+  VModule M = makeAB();
+  Result<GeneratedModule> G = generateCpp(M);
+  ASSERT_TRUE(G);
+  EXPECT_FALSE(CompiledModule::link(M, nullptr, G->DesignHash + 1));
+  Result<std::shared_ptr<CompiledModule>> L =
+      CompiledModule::link(M, nullptr, G->DesignHash);
+  ASSERT_TRUE(L) << L.error().str();
+  EXPECT_EQ((*L)->designHash(), G->DesignHash);
 }
 
 TEST(CompiledCodegen, NbaCommitFollowsEveryProcessBody) {
@@ -149,14 +194,14 @@ TEST_F(CompiledSimTest, XInitMatchesReferenceInit) {
   // zero initialization the semantics uses.  They must be the same
   // state, before any cycle runs.
   VModule M = makeAB();
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   EXPECT_TRUE((*SimOr)->exportState(M) == SimState::init(M));
 }
 
 TEST_F(CompiledSimTest, AgreesWithReferenceOnAB) {
   VModule M = makeAB();
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   Rng R(11);
   std::vector<std::map<std::string, uint64_t>> Frames;
@@ -180,7 +225,7 @@ TEST_F(CompiledSimTest, NbaMergeOrderIsProgramOrder) {
   }());
   M.Processes.push_back(std::move(P));
 
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   CompiledSim &Sim = **SimOr;
   lockstep(M, Sim, {{}, {}});
@@ -202,7 +247,7 @@ TEST_F(CompiledSimTest, CrossProcessBlockingReadsCycleStartState) {
   M.Processes.push_back(std::move(P1));
   M.Processes.push_back(std::move(P2));
 
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   CompiledSim &Sim = **SimOr;
   lockstep(M, Sim, {{{"sel", 1}}, {{"sel", 0}}, {{"sel", 1}}, {{"sel", 0}}});
@@ -250,7 +295,7 @@ TEST_F(CompiledSimTest, ExhaustiveLeafSweepMatchesReference) {
   M.Processes.push_back(std::move(P));
   ASSERT_TRUE(typeCheck(M));
 
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   std::vector<std::map<std::string, uint64_t>> Frames;
   for (uint64_t A = 0; A != 16; ++A)
@@ -280,7 +325,7 @@ TEST_F(CompiledSimTest, MemoryModuleMatchesReference) {
   M.Processes.push_back(std::move(P));
   ASSERT_TRUE(typeCheck(M));
 
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   Rng R(7);
   std::vector<std::map<std::string, uint64_t>> Frames;
@@ -295,7 +340,7 @@ TEST_F(CompiledSimTest, SlotSurfaceMatchesFastSim) {
   // The backends expose the same binding surface: same input ordinals,
   // same slot handles, same values after the same stimulus.
   VModule M = makeAB();
-  Result<std::unique_ptr<CompiledSim>> C = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> C = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(C) << C.error().str();
   Result<std::unique_ptr<FastSim>> F = FastSim::compile(M);
   ASSERT_TRUE(F);
@@ -320,96 +365,14 @@ TEST_F(CompiledSimTest, SlotSurfaceMatchesFastSim) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched lanes
-//===----------------------------------------------------------------------===//
-
-TEST_F(CompiledSimTest, BatchLanesMatchSequentialSingles) {
-  // N lanes stepped together must equal N instances stepped one at a
-  // time with the same per-lane stimulus — the SoA layout is purely a
-  // throughput artifact.
-  VModule M = makeAB();
-  constexpr size_t Lanes = 4;
-  Result<std::shared_ptr<CompiledModule>> ModOr = CompiledModule::create(M);
-  ASSERT_TRUE(ModOr) << ModOr.error().str();
-  CompiledBatch Batch(*ModOr, Lanes);
-  std::vector<std::unique_ptr<CompiledSim>> Singles;
-  for (size_t L = 0; L != Lanes; ++L)
-    Singles.push_back(std::make_unique<CompiledSim>(*ModOr));
-
-  Rng R(17);
-  ASSERT_EQ(Batch.numInputs(), 1u);
-  for (int Cycle = 0; Cycle != 200; ++Cycle) {
-    uint64_t Frame[Lanes];
-    for (size_t L = 0; L != Lanes; ++L)
-      Frame[L] = R.chance(1, 2) ? 1u : 0u;
-    ASSERT_TRUE(Batch.stepDense(Frame));
-    for (size_t L = 0; L != Lanes; ++L)
-      ASSERT_TRUE(Singles[L]->stepDense(&Frame[L], 1));
-  }
-  int Count = Batch.slotOf("count");
-  int Done = Batch.slotOf("done");
-  ASSERT_GE(Count, 0);
-  for (size_t L = 0; L != Lanes; ++L) {
-    EXPECT_EQ(Batch.valueOf(L, Count), Singles[L]->valueOf(Count))
-        << "lane " << L;
-    EXPECT_EQ(Batch.valueOf(L, Done), Singles[L]->valueOf(Done))
-        << "lane " << L;
-  }
-}
-
-TEST_F(CompiledSimTest, BatchLanesMatchOnSilverCore) {
-  // The real design: the full Silver core module, four lanes of random
-  // input stimulus, every scalar slot and the register-file memory
-  // compared lane-for-lane against single instances after ~200 cycles.
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  Result<VModule> ModAst = rtl::toVerilog(Core.Circuit);
-  ASSERT_TRUE(ModAst) << ModAst.error().str();
-  constexpr size_t Lanes = 4;
-  Result<std::shared_ptr<CompiledModule>> ModOr =
-      CompiledModule::create(*ModAst);
-  ASSERT_TRUE(ModOr) << ModOr.error().str();
-  const CompiledLayout &Layout = (*ModOr)->layout();
-  CompiledBatch Batch(*ModOr, Lanes);
-  std::vector<std::unique_ptr<CompiledSim>> Singles;
-  for (size_t L = 0; L != Lanes; ++L)
-    Singles.push_back(std::make_unique<CompiledSim>(*ModOr));
-
-  size_t NumIn = Batch.numInputs();
-  Rng R(29);
-  std::vector<uint64_t> Frame(NumIn * Lanes);
-  for (int Cycle = 0; Cycle != 200; ++Cycle) {
-    for (uint64_t &V : Frame)
-      V = R.next64();
-    ASSERT_TRUE(Batch.stepDense(Frame.data()));
-    std::vector<uint64_t> One(NumIn);
-    for (size_t L = 0; L != Lanes; ++L) {
-      for (size_t P = 0; P != NumIn; ++P)
-        One[P] = Frame[P * Lanes + L];
-      ASSERT_TRUE(Singles[L]->stepDense(One.data(), NumIn));
-    }
-  }
-  for (const auto &KV : Layout.ScalarSlots)
-    for (size_t L = 0; L != Lanes; ++L)
-      ASSERT_EQ(Batch.valueOf(L, KV.second), Singles[L]->valueOf(KV.second))
-          << KV.first << " lane " << L;
-  for (const auto &KV : Layout.MemSlots)
-    for (size_t L = 0; L != Lanes; ++L) {
-      const std::vector<uint64_t> &Mem = Singles[L]->memOf(KV.second);
-      for (size_t E = 0; E != Mem.size(); ++E)
-        ASSERT_EQ(Batch.memAt(L, KV.second, E), Mem[E])
-            << KV.first << "[" << E << "] lane " << L;
-    }
-}
-
-//===----------------------------------------------------------------------===//
-// Build driver and fallback
+// The linked core and the build driver
 //===----------------------------------------------------------------------===//
 
 TEST_F(CompiledSimTest, ArtifactIsCachedByDesignHash) {
   VModule M = makeAB();
-  Result<std::unique_ptr<CompiledSim>> A = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> A = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(A) << A.error().str();
-  Result<std::unique_ptr<CompiledSim>> B = CompiledSim::compile(M);
+  Result<std::unique_ptr<CompiledSim>> B = CompiledSim::compile(M, Opts);
   ASSERT_TRUE(B);
   EXPECT_EQ((*A)->designHash(), (*B)->designHash());
   Result<GeneratedModule> G = generateCpp(M);
@@ -423,26 +386,88 @@ TEST(CompiledBuild, BadCompilerIsAnError) {
   ASSERT_TRUE(G);
   BuildOptions O;
   O.Compiler = "/no/such/compiler-xyzzy";
-  O.CacheDir = ::testing::TempDir() + "silver-hdl-badcxx";
+  O.CacheDir = freshCacheDir("badcxx");
   Result<std::shared_ptr<LoadedModule>> L = buildAndLoad(*G, O);
   EXPECT_FALSE(L);
+  std::filesystem::remove_all(O.CacheDir);
 }
 
-TEST(CompiledFallback, VerilogSimDegradesWithDiagnostic) {
-  // cpu::makeVerilogSim with the compiled backend requested always
-  // yields a working simulator: the compiled one where possible, the
-  // interpreter (plus a diagnostic) where not.  Either way the Verilog
-  // level keeps running.
+TEST(CompiledBuild, ConcurrentColdBuildsOfOneDesignAllLoad) {
+  // Threads of one process building the same design into an empty
+  // cache all load it, and the cache ends with the one artifact: the
+  // temporaries are private to each build, so the race is benign.
+  if (!compiledSimAvailable())
+    GTEST_SKIP() << "no usable host C++ compiler";
+  VModule M = makeAB();
+  for (int Round = 0; Round != 5; ++Round) {
+    BuildOptions O;
+    O.CacheDir = freshCacheDir("race" + std::to_string(Round));
+    std::vector<std::string> Errors(4);
+    std::vector<std::thread> Builders;
+    for (size_t T = 0; T != Errors.size(); ++T)
+      Builders.emplace_back([&, T] {
+        Result<std::shared_ptr<CompiledModule>> C =
+            CompiledModule::create(M, O);
+        if (!C)
+          Errors[T] = C.error().str();
+      });
+    for (std::thread &T : Builders)
+      T.join();
+    for (size_t T = 0; T != Errors.size(); ++T)
+      EXPECT_EQ(Errors[T], "") << "round " << Round << " thread " << T;
+    int SharedObjects = 0;
+    for (const auto &Entry : std::filesystem::directory_iterator(O.CacheDir))
+      SharedObjects += Entry.path().extension() == ".so";
+    EXPECT_EQ(SharedObjects, 1) << "round " << Round;
+    std::filesystem::remove_all(O.CacheDir);
+  }
+}
+
+TEST_F(CompiledSimTest, LinkedCoreMatchesGenerator) {
+  // The core's simulator linked into the build is what the generator
+  // emits for the core today ...
   cpu::SilverCore Core = cpu::buildSilverCore();
   ASSERT_TRUE(Core.Circuit.validate());
-  std::string Diag;
-  cpu::VerilogSimOptions V;
-  V.Compiled = true;
-  V.FallbackDiag = &Diag;
-  Result<std::unique_ptr<cpu::CoreSim>> S = cpu::makeVerilogSim(Core, V);
-  ASSERT_TRUE(S) << S.error().str();
-  if (!compiledSimAvailable())
-    EXPECT_NE(Diag.find("interpreter"), std::string::npos);
-  else
-    EXPECT_TRUE(Diag.empty()) << Diag;
+  Result<VModule> Mod = rtl::toVerilog(Core.Circuit);
+  ASSERT_TRUE(Mod) << Mod.error().str();
+  Result<GeneratedModule> G = generateCpp(*Mod);
+  ASSERT_TRUE(G) << G.error().str();
+  EXPECT_EQ(silver_hdl_design_hash(), G->DesignHash);
+
+  // ... and a dlopen'ed module exporting the same symbol names resolves
+  // to its own entry points: it still agrees with the interpreter.
+  VModule M = makeAB();
+  Result<std::unique_ptr<CompiledSim>> Ab = CompiledSim::compile(M, Opts);
+  ASSERT_TRUE(Ab) << Ab.error().str();
+  EXPECT_NE((*Ab)->designHash(), silver_hdl_design_hash());
+  Rng R(5);
+  std::vector<std::map<std::string, uint64_t>> Frames;
+  for (int I = 0; I != 100; ++I)
+    Frames.push_back({{"pulse", R.chance(1, 2) ? 1u : 0u}});
+  lockstep(M, **Ab, Frames);
+
+  // With the AB module loaded, the linked core still steps exactly like
+  // the interpreter on random stimulus.
+  Result<std::unique_ptr<cpu::CoreSim>> Linked =
+      cpu::makeVerilogSim(Core, true);
+  ASSERT_TRUE(Linked) << Linked.error().str();
+  Result<std::unique_ptr<cpu::CoreSim>> Interp = cpu::makeVerilogSim(Core);
+  ASSERT_TRUE(Interp) << Interp.error().str();
+  for (int Cycle = 0; Cycle != 300; ++Cycle) {
+    cpu::CoreInputs In;
+    In.MemRdata = R.next64() & 0xffffffffu;
+    In.DataIn = R.next64() & 0xffffffffu;
+    In.MemReady = R.chance(1, 2);
+    In.MemStartReady = R.chance(1, 2);
+    In.InterruptAck = R.chance(1, 2);
+    cpu::CoreOutputs A, B;
+    ASSERT_TRUE((*Linked)->stepDense(In, A));
+    ASSERT_TRUE((*Interp)->stepDense(In, B));
+    cpu::ArchState X = (*Linked)->archState();
+    cpu::ArchState Y = (*Interp)->archState();
+    ASSERT_EQ(X.Pc, Y.Pc) << "cycle " << Cycle;
+    ASSERT_EQ(X.Regs, Y.Regs) << "cycle " << Cycle;
+    ASSERT_EQ(A.MemAddr, B.MemAddr) << "cycle " << Cycle;
+    ASSERT_EQ(A.Retire, B.Retire) << "cycle " << Cycle;
+  }
 }

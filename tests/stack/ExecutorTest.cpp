@@ -350,9 +350,9 @@ void expectReplenishedRunMatchesUnbudgeted(Level L) {
 // The compiled simulator backend (hdl/compile) must be observationally
 // identical to the AST interpreter at the Verilog level: same Observed
 // (including instruction and cycle counts), same retire stream, same
-// final StateDigest.  On hosts without a usable C++ compiler the
-// compiled run transparently falls back to the interpreter, so the
-// comparison holds vacuously — and the run must still succeed.
+// final StateDigest.  The compiled backend is the core's simulator
+// linked into the build, so this runs the generated code on every host
+// (and under the sanitizers).
 TEST(Executor, CompiledHdlBackendMatchesInterpreterAtVerilog) {
   RunSpec InterpSpec = helloSpec();
   RunSpec CompiledSpec = helloSpec();
