@@ -1,8 +1,8 @@
 //===- bench/bench_verilog.cpp - E6: the Verilog semantics' cost ---------------===//
 //
 // Measures the three executions of the same hardware: the circuit-IR
-// interpreter (layer 3), hdl::FastSim (the elaborated, AST-walking
-// Verilog simulator), and the reference operational semantics with its
+// interpreter (layer 3), hdl::FastSim (the Verilog simulator that runs
+// the module as an instruction tape), and the reference operational semantics with its
 // per-cycle non-blocking queue (verilog_sem, §3) — on the paper's AB
 // example and on the Silver core.  The reference/FastSim gap is the
 // price of the standard-faithful queue-and-merge evaluation strategy.

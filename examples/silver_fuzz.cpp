@@ -63,7 +63,7 @@ int usage(const char *Argv0) {
       << "                    the Compiled-vs-Verilog differential level:\n"
       << "                    the generated Verilog stepped by the compiled\n"
       << "                    simulator (hdl/compile), compared exactly\n"
-      << "                    against the AST interpreter\n"
+      << "                    against hdl::FastSim\n"
       << "  --backend=B       interp (default) or jit: jit additionally\n"
       << "                    runs every case at the ISA level on the JIT\n"
       << "                    backend and compares it exactly against the\n"

@@ -42,7 +42,7 @@ struct RunOptions {
   LabEnvOptions Env;
   uint64_t MaxCycles = 100'000'000ull;
   /// Verilog level only: step the generated module with the core's
-  /// linked compiled simulator instead of the AST interpreter (see
+  /// linked compiled simulator instead of hdl::FastSim (see
   /// cpu::makeVerilogSim).
   bool CompiledVerilog = false;
   /// Receives retire / FFI / memory / cycle events; null runs silent.

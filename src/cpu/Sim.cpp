@@ -222,9 +222,8 @@ private:
 
 class VerilogSim : public CoreSim {
 public:
-  VerilogSim(const SilverCore &Core, hdl::VModule ModuleIn,
-             std::unique_ptr<hdl::ModuleSim> SimIn)
-      : Core(Core), Module(std::move(ModuleIn)), Sim(std::move(SimIn)) {
+  VerilogSim(const SilverCore &Core, std::unique_ptr<hdl::ModuleSim> SimIn)
+      : Core(Core), Sim(std::move(SimIn)) {
     for (size_t K = 0; K != Sim->numInputs(); ++K)
       InBind.push_back(inPortFor(Sim->inputName(K)));
     for (const rtl::OutputDef &O : Core.Circuit.Outputs)
@@ -289,7 +288,6 @@ private:
   }
 
   const SilverCore &Core;
-  hdl::VModule Module;
   std::unique_ptr<hdl::ModuleSim> Sim;
   std::vector<InPort> InBind; // per FastSim input ordinal
   std::vector<std::pair<int, OutPort>> OutSlots;
@@ -315,25 +313,24 @@ silver::cpu::makeVerilogSim(const SilverCore &Core, bool Compiled) {
   if (Result<void> T = hdl::typeCheck(*Module); !T)
     return Error("generated Silver module fails type checking: " +
                  T.error().str());
-  hdl::VModule Mod = Module.take();
 
   std::unique_ptr<hdl::ModuleSim> ModSim;
   if (Compiled) {
     // Generating the layout and checking the hash costs one codegen
     // pass, so it runs once per process.
     static const Result<std::shared_ptr<hdl::CompiledModule>> Linked =
-        hdl::CompiledModule::link(Mod, silver_hdl_cycle,
+        hdl::CompiledModule::link(*Module, silver_hdl_cycle,
                                   silver_hdl_design_hash());
     if (!Linked)
       return Linked.error();
     ModSim = std::make_unique<hdl::CompiledSim>(*Linked);
   } else {
-    Result<std::unique_ptr<hdl::FastSim>> Fast = hdl::FastSim::compile(Mod);
+    Result<std::unique_ptr<hdl::FastSim>> Fast = hdl::FastSim::compile(*Module);
     if (!Fast)
       return Fast.error();
     ModSim = Fast.take();
   }
   std::unique_ptr<CoreSim> Sim =
-      std::make_unique<VerilogSim>(Core, std::move(Mod), std::move(ModSim));
+      std::make_unique<VerilogSim>(Core, std::move(ModSim));
   return Sim;
 }

@@ -7,16 +7,26 @@
 ///
 /// \file
 /// A compiled simulator for the Verilog subset: elaborates a type-checked
-/// module once (variables become slot indices, expressions become
-/// annotated trees) and then steps cycles without any name lookups —
-/// the Verilator to Semantics.h's event-driven reference.  Tests check it
-/// cycle-for-cycle against hdl::stepCycle; everything fast (the Verilog
-/// execution level of the stack, the layer benchmarks) runs on it.
+/// module once into a flat three-address tape over a slot array, then
+/// steps cycles by running that tape in one `switch` loop, with no name
+/// lookups, no recursion and no per-cycle allocation.  It is the
+/// Verilator to Semantics.h's event-driven reference.  Tests check it
+/// cycle-for-cycle against hdl::stepCycle; the Verilog execution level
+/// of the stack runs on it.
 ///
-/// Semantics preserved from the reference: per cycle, every process reads
-/// the cycle-start state plus its own blocking writes (implemented with
-/// an undo log so later processes never see them), and all non-blocking
-/// writes commit at the end of the cycle.
+/// The tape is the reference semantics unrolled at compile time, the
+/// same scheme the C++ generator uses (compile/Codegen.h):
+///  - every expression node is one instruction; constants sit in
+///    preloaded slots and temporaries after the named slots, so the slot
+///    numbering is the CompiledLayout one;
+///  - an `if`, and a `?:` whose arms compute, is a forward jump, so
+///    evaluation is lazy as in the reference;
+///  - a process followed by others keeps its blocking writes in shadow
+///    slots, so later processes read the cycle-start state; the last
+///    process writes through;
+///  - non-blocking and memory writes fill latch slots that a commit
+///    section at the end of the tape applies in program order.
+/// A memory access out of range is an error, as in the reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,14 +44,14 @@ namespace hdl {
 
 class FastSim final : public ModuleSim {
 public:
-  /// Elaborates \p M; fails when typeCheck fails.  The module must stay
-  /// alive for the lifetime of the simulator.
+  /// Elaborates \p M; fails when typeCheck fails.
   static Result<std::unique_ptr<FastSim>> compile(const VModule &M);
   ~FastSim() override;
 
   /// One clock cycle; \p Inputs holds one value per input port in port
   /// declaration order (see numInputs / inputName).  This is the hot
-  /// path: no name lookups, no per-cycle allocation.
+  /// path: no name lookups, no per-cycle allocation.  Fails on a memory
+  /// access out of range.
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
 
   /// Number of input ports (the stepDense frame size).

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// The abstract surface shared by every whole-module simulator for the
-/// Verilog subset: the AST-walking FastSim (FastSim.h) and the
-/// ahead-of-time compiled backend (compile/CompiledSim.h).  Clients that
-/// bind slots once and then step cycles — the Verilog execution level of
-/// the stack, the layer benchmarks, the differential tests — are written
-/// against this interface, so swapping the backend never changes the
-/// binding code.
+/// Verilog subset: FastSim, which runs the module as a flat instruction
+/// tape (FastSim.h), and the ahead-of-time compiled backend
+/// (compile/CompiledSim.h).  Clients that bind slots once and then step
+/// cycles — the Verilog execution level of the stack, the layer
+/// benchmarks, the differential tests — are written against this
+/// interface, so swapping the backend never changes the binding code.
 ///
 /// The contract is FastSim's: slots are stable integer handles resolved
 /// by name once, stepDense takes one masked value per input port in

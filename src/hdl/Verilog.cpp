@@ -171,3 +171,29 @@ VStmtPtr silver::hdl::vMemWrite(std::string Mem, VExpPtr Index,
   S->Rhs = std::move(Rhs);
   return S;
 }
+
+static void addBlockingTargets(const VStmt &S, std::set<std::string> &Out) {
+  switch (S.Kind) {
+  case VStmtKind::Block:
+    for (const VStmtPtr &Sub : S.Stmts)
+      addBlockingTargets(*Sub, Out);
+    return;
+  case VStmtKind::If:
+    addBlockingTargets(*S.Then, Out);
+    if (S.Else)
+      addBlockingTargets(*S.Else, Out);
+    return;
+  case VStmtKind::BlockingAssign:
+    Out.insert(S.Lhs);
+    return;
+  case VStmtKind::NonBlockingAssign:
+  case VStmtKind::MemWrite:
+    return;
+  }
+}
+
+std::set<std::string> silver::hdl::blockingTargets(const VStmt &S) {
+  std::set<std::string> Out;
+  addBlockingTargets(S, Out);
+  return Out;
+}

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -180,6 +181,10 @@ VStmtPtr vIf(VExpPtr Cond, VStmtPtr Then, VStmtPtr Else);
 VStmtPtr vBlocking(std::string Lhs, VExpPtr Rhs);
 VStmtPtr vNonBlocking(std::string Lhs, VExpPtr Rhs);
 VStmtPtr vMemWrite(std::string Mem, VExpPtr Index, VExpPtr Rhs);
+
+/// The variables \p S (or any statement inside it) assigns with a
+/// blocking assignment.
+std::set<std::string> blockingTargets(const VStmt &S);
 
 // --- module -----------------------------------------------------------------
 

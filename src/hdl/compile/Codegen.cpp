@@ -19,7 +19,8 @@ using namespace silver::hdl;
 namespace {
 
 /// An emitted expression: the C++ text plus the subset-level result
-/// width (0 = bool), which drives masking exactly as FastSim::eval does.
+/// width (0 = bool), which drives masking exactly as the reference
+/// semantics (and FastSim's tape) does.
 struct EmittedExp {
   std::string Text;
   unsigned Width = 0;
@@ -38,8 +39,8 @@ struct Emitter {
   explicit Emitter(const CompiledLayout &Layout) : Layout(Layout) {}
 
   const CompiledLayout &Layout;
-  /// Single-process modules write blocking assigns through directly
-  /// (FastSim's DirectBlocking); see the file comment of Codegen.h.
+  /// Single-process modules write blocking assigns through directly;
+  /// see the file comment of Codegen.h.
   bool DirectBlocking = false;
 
   std::string Decls;   ///< latch locals, declared before the bodies
@@ -66,27 +67,6 @@ struct Emitter {
   void emitProcess(const VStmt &Body);
 };
 
-void collectBlockingSlots(const VStmt &S, const CompiledLayout &L,
-                          std::set<int> &Out) {
-  switch (S.Kind) {
-  case VStmtKind::Block:
-    for (const VStmtPtr &Sub : S.Stmts)
-      collectBlockingSlots(*Sub, L, Out);
-    return;
-  case VStmtKind::If:
-    collectBlockingSlots(*S.Then, L, Out);
-    if (S.Else)
-      collectBlockingSlots(*S.Else, L, Out);
-    return;
-  case VStmtKind::BlockingAssign:
-    Out.insert(L.ScalarSlots.at(S.Lhs));
-    return;
-  case VStmtKind::NonBlockingAssign:
-  case VStmtKind::MemWrite:
-    return;
-  }
-}
-
 EmittedExp Emitter::emitExp(const VExp &E) {
   switch (E.Kind) {
   case VExpKind::ConstBool:
@@ -101,7 +81,7 @@ EmittedExp Emitter::emitExp(const VExp &E) {
     int Mem = Layout.MemSlots.at(E.Name);
     EmittedExp Idx = emitExp(*E.Args[0]);
     return {"memrd(M[" + std::to_string(Mem) + "], " +
-                num(Layout.MemDepths[Mem]) + ", " + Idx.Text + ")",
+                num(Layout.MemDepths[Mem]) + ", " + Idx.Text + ", Oob)",
             Layout.MemWidths[Mem]};
   }
   case VExpKind::Binary: {
@@ -258,10 +238,11 @@ void Emitter::emitStmt(const VStmt &S, int Indent) {
 void Emitter::emitProcess(const VStmt &ProcBody) {
   Shadowed.clear();
   if (!DirectBlocking)
-    collectBlockingSlots(ProcBody, Layout, Shadowed);
+    for (const std::string &Name : blockingTargets(ProcBody))
+      Shadowed.insert(Layout.ScalarSlots.at(Name));
   Body += "  { // process\n";
   // The shadows give this process its own blocking writes while later
-  // processes keep seeing cycle-start state (FastSim's undo log).
+  // processes keep seeing cycle-start state.
   for (int Slot : Shadowed)
     Body += "    uint64_t S" + std::to_string(Slot) + " = " +
             slotRef(Slot) + ";\n";
@@ -374,8 +355,9 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
   Src += "  if (B >= W)\n    return mask(W, S < 0 ? ~uint64_t(0) : 0);\n";
   Src += "  return mask(W, static_cast<uint64_t>(S >> B));\n}\n\n";
   Src += "inline uint64_t memrd(const uint64_t *M, uint64_t Depth,\n";
-  Src += "                      uint64_t Idx) {\n";
-  Src += "  return Idx < Depth ? M[Idx] : 0;\n}\n\n";
+  Src += "                      uint64_t Idx, bool &Oob) {\n";
+  Src += "  if (Idx < Depth)\n    return M[Idx];\n";
+  Src += "  Oob = true;\n  return 0;\n}\n\n";
   Src += "} // namespace\n\n";
   Src += "extern \"C\" {\n\n";
   Src += "uint32_t silver_hdl_abi_version(void) { return " +
@@ -384,8 +366,11 @@ Result<GeneratedModule> silver::hdl::generateCpp(const VModule &M) {
          "SILVER_DESIGN_HASH; }\n\n";
   Src += "int silver_hdl_cycle(uint64_t *V, uint64_t *const *M) {\n";
   Src += "  (void)M;\n";
+  Src += "  bool Oob = false;\n";
   Src += E.Decls;
   Src += E.Body;
+  Src += "  // a memory read out of range fails the cycle before any commit\n";
+  Src += "  if (Oob)\n    return 2;\n";
   Src += "  // end-of-cycle commit: blocking results, then the\n";
   Src += "  // non-blocking queue (scalars, then memory writes)\n";
   Src += E.Commit;

@@ -24,9 +24,10 @@
 /// order — a static unrolling of the reference semantics' event queue.
 /// Blocking assignments in a multi-process module write a per-process
 /// shadow (later processes must still read cycle-start state) and commit
-/// from their latch locals first, mirroring FastSim's undo/commit logs;
-/// a single-process module (the rtl-generated core) writes through
-/// directly.
+/// from their latch locals first, as FastSim's tape does with its shadow
+/// slots; a single-process module (the rtl-generated core) writes through
+/// directly.  A memory read out of range sets a flag that fails the
+/// cycle before the commit section runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,15 +68,16 @@ struct GeneratedModule {
 
 /// The exported C ABI of a generated unit.  Bumped whenever the symbol
 /// contract below changes; the loader refuses a mismatch.
-constexpr uint32_t CompiledAbiVersion = 2;
+constexpr uint32_t CompiledAbiVersion = 3;
 
 /// Exported symbols: `silver_hdl_abi_version()` returns
 /// CompiledAbiVersion; `silver_hdl_design_hash()` returns DesignHash;
 /// `silver_hdl_cycle(V, M)` steps one cycle over the scalar state vector
 /// V (slot s at V[s]) and the memory table M (element e of memory m at
-/// M[m][e]), returning 0 on success and nonzero when a memory write went
-/// out of range.  The unit is either linked into the build (the Silver
-/// core, cpu/Sim.cpp) or built and dlopen'ed at run time (Build.h).
+/// M[m][e]), returning 0 on success, 1 when a memory write went out of
+/// range, and 2, before committing anything, when a memory read did.
+/// The unit is either linked into the build (the Silver core,
+/// cpu/Sim.cpp) or built and dlopen'ed at run time (Build.h).
 using CompiledCycleFn = int (*)(uint64_t *V, uint64_t *const *M);
 
 /// Generates the translation unit for \p M; fails when typeCheck fails.

@@ -85,8 +85,9 @@ Result<void> CompiledSim::stepDense(const uint64_t *Inputs, size_t Count) {
     unsigned W = L.SlotWidths[Slot];
     Values[Slot] = maskTo(W == 0 ? 1 : W, Inputs[K]);
   }
-  if (Module->Entry(Values.data(), MemPtrs.data()) != 0)
-    return Error("compiled sim: memory write out of range");
+  if (int Rc = Module->Entry(Values.data(), MemPtrs.data()); Rc != 0)
+    return Error(std::string("compiled sim: memory ") +
+                 (Rc == 2 ? "read" : "write") + " out of range");
   if (CycleObs != nullptr)
     CycleObs->onCycle(Cycle);
   ++Cycle;

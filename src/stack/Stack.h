@@ -56,8 +56,8 @@ bool parseBackendKind(const std::string &Name, BackendKind &Out);
 /// interpreter (callers surface a diagnostic, not an error).
 bool backendSupported(BackendKind B);
 
-/// Which simulator backend the Verilog level steps with.  Interp is the
-/// AST-walking hdl::FastSim; Compiled is the C++ generated from the
+/// Which simulator backend the Verilog level steps with.  Interp is
+/// hdl::FastSim, which runs the module as an instruction tape; Compiled is the C++ generated from the
 /// core's module (hdl/compile) at build time and linked in, so it runs
 /// on every host.  Behaviour and digests are identical — enforced by the
 /// compiled-vs-interpreted differential level.

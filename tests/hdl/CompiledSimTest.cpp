@@ -4,7 +4,8 @@
 // here is a trust argument: the AST interpreter (hdl::stepCycle) is the
 // reference, and the compiled cycle function must match it bit for bit —
 // on the non-blocking merge order, on X-initialization and on exhaustive
-// input sweeps of leaf processes.  The Silver core's simulator is linked
+// input sweeps of leaf processes.  The agreement cases are shared with
+// FastSim's suite (Agreement.h).  The Silver core's simulator is linked
 // into the build; every other module here is built and dlopen'ed at run
 // time into a cache directory private to the test.  Hosts without a
 // usable C++ compiler skip the run-time suites (visibly).
@@ -21,6 +22,7 @@
 #include "rtl/ToVerilog.h"
 #include "support/Rng.h"
 
+#include "Agreement.h"
 #include "DenseFrame.h"
 
 #include <gtest/gtest.h>
@@ -61,53 +63,19 @@ protected:
       std::filesystem::remove_all(Opts.CacheDir);
   }
 
+  /// The compiled backend, built into this test's private cache.
+  SimFactory compiled() const {
+    return [O = Opts](const VModule &M)
+               -> Result<std::unique_ptr<ModuleSim>> {
+      Result<std::unique_ptr<CompiledSim>> Sim = CompiledSim::compile(M, O);
+      if (!Sim)
+        return Sim.error();
+      return std::unique_ptr<ModuleSim>(Sim.take());
+    };
+  }
+
   BuildOptions Opts;
 };
-
-/// The paper's AB example (§3), as in HdlTest.cpp: two processes, one
-/// non-blocking counter, one blocking done flag.
-VModule makeAB() {
-  VModule M;
-  M.Name = "ABv";
-  M.Ports.push_back({VPort::Dir::Input, "pulse", VType::boolean()});
-  M.Decls.push_back({"count", VType::vec(8)});
-  M.Decls.push_back({"done", VType::boolean()});
-  VProcess A;
-  A.Body = vIf(vVar("pulse"),
-               vNonBlocking("count", vBinary(BinaryOp::Add, vVar("count"),
-                                             vConstVec(8, 1))),
-               nullptr);
-  VProcess B;
-  B.Body = vIf(vBinary(BinaryOp::LtU, vConstVec(8, 10), vVar("count")),
-               vBlocking("done", vConstBool(true)), nullptr);
-  M.Processes.push_back(std::move(A));
-  M.Processes.push_back(std::move(B));
-  return M;
-}
-
-/// Steps the reference interpreter and one compiled instance with the
-/// same named inputs and requires identical exported state every cycle.
-void lockstep(const VModule &M, CompiledSim &Sim,
-              const std::vector<std::map<std::string, uint64_t>> &Frames) {
-  SimState Ref = SimState::init(M);
-  for (size_t Cycle = 0; Cycle != Frames.size(); ++Cycle) {
-    std::map<std::string, VValue> In;
-    for (const VPort &P : M.Ports) {
-      if (P.D != VPort::Dir::Input)
-        continue;
-      uint64_t Bits = Frames[Cycle].count(P.Name)
-                          ? Frames[Cycle].at(P.Name)
-                          : 0;
-      In[P.Name] = P.Type.K == VType::Kind::Bool
-                       ? VValue::boolean(Bits != 0)
-                       : VValue::vec(P.Type.Width, Bits);
-    }
-    ASSERT_TRUE(stepCycle(M, Ref, In));
-    std::vector<uint64_t> Dense = denseFrame(Sim, Frames[Cycle]);
-    ASSERT_TRUE(Sim.stepDense(Dense.data(), Dense.size()));
-    ASSERT_TRUE(Sim.exportState(M) == Ref) << "cycle " << Cycle;
-  }
-}
 
 } // namespace
 
@@ -211,129 +179,31 @@ TEST_F(CompiledSimTest, AgreesWithReferenceOnAB) {
 }
 
 TEST_F(CompiledSimTest, NbaMergeOrderIsProgramOrder) {
-  // Two non-blocking writes to the same variable in one process: the
-  // merge applies them in program order, so the last write wins — in
-  // the interpreter and in the compiled commit block alike.
-  VModule M;
-  M.Decls.push_back({"r", VType::vec(8)});
-  VProcess P;
-  P.Body = vBlock([] {
-    std::vector<VStmtPtr> S;
-    S.push_back(vNonBlocking("r", vConstVec(8, 1)));
-    S.push_back(vNonBlocking("r", vConstVec(8, 2)));
-    return S;
-  }());
-  M.Processes.push_back(std::move(P));
-
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
-  ASSERT_TRUE(SimOr) << SimOr.error().str();
-  CompiledSim &Sim = **SimOr;
-  lockstep(M, Sim, {{}, {}});
-  EXPECT_EQ(Sim.valueOf(Sim.slotOf("r")), 2u);
+  checkNbaMergeOrder(compiled());
 }
 
 TEST_F(CompiledSimTest, CrossProcessBlockingReadsCycleStartState) {
-  // P1 conditionally blocking-writes t; P2 non-blocking-reads t.  Later
-  // processes must see the cycle-start value of t, not P1's write —
-  // the per-process shadow discipline of the compiled code.
-  VModule M;
-  M.Ports.push_back({VPort::Dir::Input, "sel", VType::boolean()});
-  M.Decls.push_back({"t", VType::vec(8)});
-  M.Decls.push_back({"r", VType::vec(8)});
-  VProcess P1;
-  P1.Body = vIf(vVar("sel"), vBlocking("t", vConstVec(8, 9)), nullptr);
-  VProcess P2;
-  P2.Body = vNonBlocking("r", vVar("t"));
-  M.Processes.push_back(std::move(P1));
-  M.Processes.push_back(std::move(P2));
-
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
-  ASSERT_TRUE(SimOr) << SimOr.error().str();
-  CompiledSim &Sim = **SimOr;
-  lockstep(M, Sim, {{{"sel", 1}}, {{"sel", 0}}, {{"sel", 1}}, {{"sel", 0}}});
-  // After cycle 1 (sel=0): t kept 9 from cycle 0; r latched the
-  // cycle-start t of each cycle, never the in-cycle write.
-  EXPECT_EQ(Sim.valueOf(Sim.slotOf("t")), 9u);
-  EXPECT_EQ(Sim.valueOf(Sim.slotOf("r")), 9u);
+  checkCrossProcessBlocking(compiled());
 }
 
 TEST_F(CompiledSimTest, ExhaustiveLeafSweepMatchesReference) {
-  // One leaf process exercising every expression constructor, swept
-  // over the full 4-bit x 4-bit x bool input space (512 combinations),
-  // compared against the interpreter after every cycle.
-  VModule M;
-  M.Ports.push_back({VPort::Dir::Input, "a", VType::vec(4)});
-  M.Ports.push_back({VPort::Dir::Input, "b", VType::vec(4)});
-  M.Ports.push_back({VPort::Dir::Input, "sel", VType::boolean()});
-  for (const char *Name : {"sum", "dif", "prod", "shl", "shr", "sha",
-                           "bnot", "cnd", "sl"})
-    M.Decls.push_back({Name, VType::vec(4)});
-  M.Decls.push_back({"cat", VType::vec(8)});
-  M.Decls.push_back({"sx", VType::vec(8)});
-  M.Decls.push_back({"lts", VType::boolean()});
-  M.Decls.push_back({"eq", VType::boolean()});
-  VProcess P;
-  P.Body = vBlock([] {
-    std::vector<VStmtPtr> S;
-    auto A = [] { return vVar("a"); };
-    auto B = [] { return vVar("b"); };
-    S.push_back(vNonBlocking("sum", vBinary(BinaryOp::Add, A(), B())));
-    S.push_back(vNonBlocking("dif", vBinary(BinaryOp::Sub, A(), B())));
-    S.push_back(vNonBlocking("prod", vBinary(BinaryOp::Mul, A(), B())));
-    S.push_back(vNonBlocking("shl", vBinary(BinaryOp::Shl, A(), B())));
-    S.push_back(vNonBlocking("shr", vBinary(BinaryOp::ShrL, A(), B())));
-    S.push_back(vNonBlocking("sha", vBinary(BinaryOp::ShrA, A(), B())));
-    S.push_back(vNonBlocking("bnot", vUnary(UnaryOp::Not, A())));
-    S.push_back(vNonBlocking("cnd", vCond(vVar("sel"), A(), B())));
-    S.push_back(vNonBlocking("sl", vZeroExt(4, vSlice(A(), 3, 1))));
-    S.push_back(vNonBlocking("cat", vConcat(A(), B())));
-    S.push_back(vNonBlocking("sx", vSignExt(8, A())));
-    S.push_back(vNonBlocking("lts", vBinary(BinaryOp::LtS, A(), B())));
-    S.push_back(vNonBlocking("eq", vBinary(BinaryOp::Eq, A(), B())));
-    return S;
-  }());
-  M.Processes.push_back(std::move(P));
-  ASSERT_TRUE(typeCheck(M));
-
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
-  ASSERT_TRUE(SimOr) << SimOr.error().str();
-  std::vector<std::map<std::string, uint64_t>> Frames;
-  for (uint64_t A = 0; A != 16; ++A)
-    for (uint64_t B = 0; B != 16; ++B)
-      for (uint64_t Sel = 0; Sel != 2; ++Sel)
-        Frames.push_back({{"a", A}, {"b", B}, {"sel", Sel}});
-  lockstep(M, **SimOr, Frames);
+  checkExhaustiveLeafSweep(compiled());
 }
 
 TEST_F(CompiledSimTest, MemoryModuleMatchesReference) {
-  // A memory written and read back through both assignment classes,
-  // with an interleaved non-blocking scalar — the commit partition
-  // (blocking, then scalar NBA, then memory writes) must be invisible.
-  VModule M;
-  M.Ports.push_back({VPort::Dir::Input, "wi", VType::vec(3)});
-  M.Ports.push_back({VPort::Dir::Input, "wv", VType::vec(8)});
-  M.Ports.push_back({VPort::Dir::Input, "ri", VType::vec(3)});
-  M.Decls.push_back({"m", VType::mem(8, 8)});
-  M.Decls.push_back({"out", VType::vec(8)});
-  VProcess P;
-  P.Body = vBlock([] {
-    std::vector<VStmtPtr> S;
-    S.push_back(vNonBlocking("out", vMemRead("m", vVar("ri"))));
-    S.push_back(vMemWrite("m", vVar("wi"), vVar("wv")));
-    return S;
-  }());
-  M.Processes.push_back(std::move(P));
-  ASSERT_TRUE(typeCheck(M));
+  checkMemoryModule(compiled());
+}
 
-  Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M, Opts);
-  ASSERT_TRUE(SimOr) << SimOr.error().str();
-  Rng R(7);
-  std::vector<std::map<std::string, uint64_t>> Frames;
-  for (int I = 0; I != 200; ++I)
-    Frames.push_back({{"wi", R.next64() & 7},
-                      {"wv", R.next64() & 255},
-                      {"ri", R.next64() & 7}});
-  lockstep(M, **SimOr, Frames);
+TEST_F(CompiledSimTest, NestedIfNbaLastWriteWins) {
+  checkNestedIfNbaLastWriteWins(compiled());
+}
+
+TEST_F(CompiledSimTest, ConditionalBlockingAcrossProcesses) {
+  checkConditionalBlockingAcrossProcesses(compiled());
+}
+
+TEST_F(CompiledSimTest, MemoryReadOutOfRangeIsAnError) {
+  checkMemoryReadOutOfRange(compiled());
 }
 
 TEST_F(CompiledSimTest, SlotSurfaceMatchesFastSim) {

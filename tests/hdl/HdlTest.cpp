@@ -4,6 +4,7 @@
 #include "hdl/Printer.h"
 #include "hdl/Semantics.h"
 
+#include "Agreement.h"
 #include "DenseFrame.h"
 
 #include "support/Rng.h"
@@ -14,31 +15,6 @@ using namespace silver;
 using namespace silver::hdl;
 
 namespace {
-
-/// The paper's AB example (§3), transcribed from its generated Verilog:
-///   always_ff @(posedge clk)  if (pulse) count <= count + 8'd1;  // A
-///   always_ff @(posedge clk)  if (8'd10 < count) done = 1;       // B
-VModule makeAB() {
-  VModule M;
-  M.Name = "ABv";
-  M.Ports.push_back({VPort::Dir::Input, "pulse", VType::boolean()});
-  M.Decls.push_back({"count", VType::vec(8)});
-  M.Decls.push_back({"done", VType::boolean()});
-
-  VProcess A;
-  A.Comment = "A";
-  A.Body = vIf(vVar("pulse"),
-               vNonBlocking("count", vBinary(BinaryOp::Add, vVar("count"),
-                                             vConstVec(8, 1))),
-               nullptr);
-  VProcess B;
-  B.Comment = "B";
-  B.Body = vIf(vBinary(BinaryOp::LtU, vConstVec(8, 10), vVar("count")),
-               vBlocking("done", vConstBool(true)), nullptr);
-  M.Processes.push_back(std::move(A));
-  M.Processes.push_back(std::move(B));
-  return M;
-}
 
 Result<void> pulseCycle(const VModule &M, SimState &S, bool Pulse) {
   std::map<std::string, VValue> In;
@@ -278,8 +254,8 @@ TEST(FastSimTest, AgreesWithReferenceOnAB) {
   FastSim &Fast = **FastOr;
   ASSERT_EQ(Fast.numInputs(), 1u);
   ASSERT_EQ(Fast.inputName(0), "pulse");
-  // AB has two processes, so this also covers the undo/commit-log path
-  // (single-process modules take the direct-blocking shortcut).
+  // AB's blocking write is in its last process, which writes through;
+  // MultiProcessBlockingIsolation covers the shadow slots.
   SimState Ref = SimState::init(M);
   Rng R(11);
   for (int Cycle = 0; Cycle != 500; ++Cycle) {
@@ -294,7 +270,8 @@ TEST(FastSimTest, AgreesWithReferenceOnAB) {
 
 TEST(FastSimTest, MultiProcessBlockingIsolation) {
   // Same module as OtherProcessesSeeCycleStartState: the fast simulator
-  // must preserve the per-process read view.
+  // must preserve the per-process read view (P1's write goes to a shadow
+  // slot until the end of the cycle).
   VModule M;
   M.Decls.push_back({"t", VType::vec(8)});
   M.Decls.push_back({"r", VType::vec(8)});
@@ -347,4 +324,45 @@ TEST(FastSimTest, SlotAccessorsMatchNamedOnes) {
 
   Fast.setValue(Count, 3);
   EXPECT_EQ(Fast.exportState(M).Vars.at("count").Bits, 3u);
+}
+
+// The agreement cases shared with the compiled backend (Agreement.h).
+
+namespace {
+
+Result<std::unique_ptr<ModuleSim>> makeFastSim(const VModule &M) {
+  Result<std::unique_ptr<FastSim>> Sim = FastSim::compile(M);
+  if (!Sim)
+    return Sim.error();
+  return std::unique_ptr<ModuleSim>(Sim.take());
+}
+
+} // namespace
+
+TEST(FastSimTest, ExhaustiveLeafSweepMatchesReference) {
+  checkExhaustiveLeafSweep(makeFastSim);
+}
+
+TEST(FastSimTest, NbaMergeOrderIsProgramOrder) {
+  checkNbaMergeOrder(makeFastSim);
+}
+
+TEST(FastSimTest, NestedIfNbaLastWriteWins) {
+  checkNestedIfNbaLastWriteWins(makeFastSim);
+}
+
+TEST(FastSimTest, CrossProcessBlockingReadsCycleStartState) {
+  checkCrossProcessBlocking(makeFastSim);
+}
+
+TEST(FastSimTest, ConditionalBlockingAcrossProcesses) {
+  checkConditionalBlockingAcrossProcesses(makeFastSim);
+}
+
+TEST(FastSimTest, MemoryModuleMatchesReference) {
+  checkMemoryModule(makeFastSim);
+}
+
+TEST(FastSimTest, MemoryReadOutOfRangeIsAnError) {
+  checkMemoryReadOutOfRange(makeFastSim);
 }

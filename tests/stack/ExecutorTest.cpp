@@ -348,7 +348,7 @@ void expectReplenishedRunMatchesUnbudgeted(Level L) {
 }
 
 // The compiled simulator backend (hdl/compile) must be observationally
-// identical to the AST interpreter at the Verilog level: same Observed
+// identical to hdl::FastSim at the Verilog level: same Observed
 // (including instruction and cycle counts), same retire stream, same
 // final StateDigest.  The compiled backend is the core's simulator
 // linked into the build, so this runs the generated code on every host
