@@ -28,6 +28,16 @@ const char *silver::stack::runStatusName(RunStatus S) {
   return "?";
 }
 
+/// The cycle budget derived from an instruction budget: a generous
+/// cycles-per-instruction bound (the core retires one instruction every
+/// few cycles; 16 leaves slack for memory latency), saturating.
+static uint64_t cyclesFor(uint64_t Instructions) {
+  constexpr uint64_t CyclesPerInstruction = 16;
+  constexpr uint64_t Cap = UINT64_MAX / CyclesPerInstruction;
+  return Instructions > Cap ? UINT64_MAX
+                            : Instructions * CyclesPerInstruction;
+}
+
 static obs::ExecLevel toExecLevel(Level L) {
   switch (L) {
   case Level::Spec:
@@ -352,11 +362,7 @@ const std::vector<std::string> &Executor::ffiNames() {
 uint64_t Executor::cycleBudget() const {
   if (Spec.Exec.MaxCycles)
     return Spec.Exec.MaxCycles;
-  // Derived: a generous cycles-per-instruction bound over the
-  // instruction budget (the core retires one instruction every few
-  // cycles; 16 leaves slack for memory latency), saturating.
-  const uint64_t Cap = UINT64_MAX / 16;
-  return Spec.Exec.MaxSteps > Cap ? UINT64_MAX : Spec.Exec.MaxSteps * 16;
+  return cyclesFor(Spec.Exec.MaxSteps);
 }
 
 Result<void> Executor::begin(Level L) {
@@ -488,12 +494,8 @@ Result<void> Executor::replenish(uint64_t ExtraInstructions,
   InstrBudgetLeft = ExtraInstructions > UINT64_MAX - InstrBudgetLeft
                         ? UINT64_MAX
                         : InstrBudgetLeft + ExtraInstructions;
-  if (ExtraCycles == 0) {
-    const uint64_t Cap = UINT64_MAX / 16;
-    ExtraCycles =
-        ExtraInstructions > Cap ? UINT64_MAX : ExtraInstructions * 16;
-  }
-  Session->addCycles(ExtraCycles);
+  Session->addCycles(ExtraCycles ? ExtraCycles
+                                 : cyclesFor(ExtraInstructions));
   LastStatus = RunStatus::Paused;
   return {};
 }
