@@ -8,7 +8,6 @@
 #include "cpu/Check.h"
 
 #include "isa/Abi.h"
-#include "isa/ExecBackend.h"
 #include "isa/Encoding.h"
 #include "support/StringUtils.h"
 
@@ -188,12 +187,9 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
   Sim.primeArchState(Initial);
 
   // The ISA side: its own copy of the machine state and environment,
-  // stepped through an execution backend (the lock-step retire-by-retire
-  // comparison wants interpreter-exact single steps, so the reference
-  // backend is the right one; SysEnv only reads memory on interrupts,
-  // and the backend's own store invalidation keeps it exact).
+  // stepped by the reference semantics — isHalted and step, the paper's
+  // Next — one retire at a time.
   isa::MachineState Isa = Initial;
-  std::unique_ptr<isa::ExecBackend> IsaBackend = isa::makeInterpBackend();
   std::unique_ptr<sys::SysEnv> SysEnv;
   if (Layout)
     SysEnv = std::make_unique<sys::SysEnv>(*Layout);
@@ -225,7 +221,7 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
   };
 
   while (Instructions < MaxInstructions) {
-    if (IsaBackend->isHalted(Isa))
+    if (isa::isHalted(Isa))
       break;
     if (Cycles > Options.MaxCycles)
       return Error("cycle budget exhausted before instruction " +
@@ -240,7 +236,7 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
       continue;
 
     // One implementation retire corresponds to one ISA Next step.
-    isa::StepResult S = IsaBackend->step(Isa, IsaEnv);
+    isa::StepResult S = isa::step(Isa, IsaEnv);
     if (!S.ok())
       return Error("ISA faulted at instruction " +
                    std::to_string(Instructions) +

@@ -123,9 +123,9 @@ struct OracleOptions {
   /// instruction and cycle counts, the full retire stream, and the
   /// digest, with no masking: both sides are the same hardware
   /// semantics.  Adds the interpreted Verilog run if Levels does not
-  /// already request it.  On hosts without a usable C++ compiler the
-  /// run degrades to the interpreter, so the comparison is trivially
-  /// green rather than an error.
+  /// already request it.  The core's compiled simulator is linked into
+  /// the build, so the comparison needs no host C++ compiler at run
+  /// time and always runs the compiled code.
   bool CompareCompiled = false;
 };
 

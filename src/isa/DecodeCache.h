@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A decode cache for the Silver interpreters: each instruction word is
-/// decoded once per address into a dense DecodedInsn entry, and the hot
-/// run loops (isa::run, machine::MachineSem, cpu::checkIsaRtl) execute
-/// from the cached entry instead of re-running fetch-decode every step.
+/// A decode cache for the Silver interpreter: each instruction word is
+/// decoded once per address into a dense DecodedInsn entry, and the run
+/// loop (isa::run, under every ExecBackend) executes from the cached
+/// entry instead of re-running fetch-decode every step.
 /// This removes the double decode the reference loop performs (isHalted
 /// decodes PC, then step decodes it again) — the halt self-jump test
 /// becomes a cached flag.
@@ -39,7 +39,7 @@
 /// invalidate is a stale decode.
 ///
 /// In the other direction, lookup() marks a page code when it fills one
-/// of its slots, whoever calls it (a run loop, a single step, isHalted,
+/// of its slots, whoever calls it (the run loop, a single cached step,
 /// the JIT dispatcher).  A JIT store into a code page leaves native code
 /// and is interpreted, so it reaches invalidate(): the table, not the
 /// caller, is what keeps every decoded slot guarded.

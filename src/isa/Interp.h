@@ -20,6 +20,8 @@
 #include "obs/Observer.h"
 #include "support/Result.h"
 
+#include <optional>
+
 namespace silver {
 namespace isa {
 
@@ -110,63 +112,26 @@ StepResult step(MachineState &State, IsaEnv &Env, DecodeCache &Cache);
 StepResult step(MachineState &State, IsaEnv &Env, obs::Observer &Obs,
                 uint64_t RetireIndex);
 
-/// Instrumented predecoded step.
-StepResult step(MachineState &State, IsaEnv &Env, obs::Observer &Obs,
-                uint64_t RetireIndex, DecodeCache &Cache);
-
-/// Result of a fused halt-check-and-step (see stepUnlessHalted).
-struct HaltOrStep {
-  bool Halted = false;
-  StepResult S;
-};
-
-/// The is_halted test and the step the reference loop performs
-/// back-to-back, fused over a single cache lookup: if the instruction at
-/// PC is the halt self-jump, returns Halted without stepping; otherwise
-/// executes it.  machine::MachineSem's per-step loop is built on this.
-HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                            DecodeCache &Cache);
-HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                            obs::Observer &Obs, uint64_t RetireIndex,
-                            DecodeCache &Cache);
-
-/// Outcome of runUntilPc: exactly one of AtStopPc / Halted is set, or
-/// Fault is non-None, or the step budget ran out (none set).
-struct RunStopResult {
-  uint64_t Steps = 0;    ///< instructions executed (none at StopPc)
-  bool AtStopPc = false; ///< stopped with PC == StopPc, before executing
-  bool Halted = false;   ///< the halt self-jump was reached
-  StepFault Fault = StepFault::None;
-};
-
-/// Predecoded run that additionally stops — before executing — whenever
-/// PC equals \p StopPc.  machine::MachineSem points StopPc at the FFI
-/// trampoline so its uninstrumented run is one tight loop with a single
-/// extra compare per instruction, instead of a cross-call per step.
-RunStopResult runUntilPc(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                         Word StopPc, DecodeCache &Cache);
-
-/// Runs until the machine halts (reaches the self-jump fixpoint), a fault
-/// occurs, or \p MaxSteps instructions execute.
+/// Outcome of a run: exactly one of Halted / AtStopPc is set, or Fault is
+/// non-None, or the step budget ran out (none set).
 struct RunResult {
-  uint64_t Steps = 0;
-  bool Halted = false;
+  uint64_t Steps = 0;    ///< instructions executed (none at StopPc)
+  bool Halted = false;   ///< the halt self-jump was reached
+  bool AtStopPc = false; ///< stopped with PC == StopPc, before executing
   StepFault Fault = StepFault::None;
 };
+
+/// The reference run: isHalted and step, repeated until the machine
+/// halts (reaches the self-jump fixpoint), a fault occurs, or
+/// \p MaxSteps instructions execute.
 RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps);
 
-/// Predecoded run loop: one cache lookup per instruction replaces the
-/// fetch-decode pair the reference loop performs (isHalted + step), with
-/// the halt test reduced to the entry's self-jump flag.
-RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-              DecodeCache &Cache);
-
 /// Observation hooks for an instrumented run.  All fields are optional;
-/// a default-constructed ObsHooks makes run() behave exactly like the
-/// plain overload.
+/// a default-constructed ObsHooks makes run() behave exactly like an
+/// uninstrumented run.
 struct ObsHooks {
   obs::Observer *Obs = nullptr;
-  /// Retirement index of the first instruction this run executes (lets a
+  /// Retirement index of the next instruction the run executes (lets a
   /// resumed run continue the event stream where it paused).
   uint64_t RetireIndexBase = 0;
   /// FFI-span detection: entering \p FfiEntryPc opens a span for the call
@@ -180,27 +145,29 @@ struct ObsHooks {
   unsigned FfiIndex = 0;
 };
 
-/// Instrumented run: emits retire/memory/FFI events to Hooks.Obs.  With a
-/// null observer this is exactly the plain run().  \p Hooks is updated so
-/// a subsequent call resumes the event stream (paper-faithful pause /
-/// step-N execution for the stack::Executor API).
-RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-              ObsHooks &Hooks);
-
-/// Instrumented predecoded run: the Hooks overload above with a caller-
-/// owned cache (a session that pauses and resumes keeps its predecode
-/// work across calls).
-RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-              ObsHooks &Hooks, DecodeCache &Cache);
+/// The predecoded run loop, the one every execution backend is built on.
+/// One cache lookup per instruction replaces the fetch-decode pair of the
+/// reference loop (isHalted + step), with the halt test reduced to the
+/// entry's self-jump flag.  Stops at halt, fault, after \p MaxSteps
+/// instructions, or — when \p StopPc is set — before executing the
+/// instruction at StopPc (machine::MachineSem points it at the FFI
+/// trampoline, which costs one compare per instruction).
+///
+/// With \p Hooks and Hooks->Obs set the run is instrumented: it emits
+/// retire/memory/FFI events to Hooks->Obs and updates \p Hooks so a
+/// subsequent call resumes the event stream (paper-faithful pause /
+/// step-N execution for the stack::Executor API).  Whether to observe
+/// and whether to test a stop PC are decided once per call; each of the
+/// four combinations is its own instantiation of one loop template, so
+/// the uninstrumented loop pays nothing for either.
+RunResult run(MachineState &State, IsaEnv &Env, DecodeCache &Cache,
+              uint64_t MaxSteps, std::optional<Word> StopPc = std::nullopt,
+              ObsHooks *Hooks = nullptr);
 
 /// The paper's is_halted predicate: the instruction at PC is an
 /// unconditional self-jump, so every further step leaves the ISA-visible
 /// state unchanged (after the link register stabilises).
 bool isHalted(const MachineState &State);
-
-/// Predecoded is_halted: the self-jump test is the cached flag.  A fill
-/// marks the page code (isa/DecodeCache.h), hence the mutable state.
-bool isHalted(MachineState &State, DecodeCache &Cache);
 
 } // namespace isa
 } // namespace silver

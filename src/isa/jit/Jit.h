@@ -30,12 +30,12 @@
 ///  - Exact step accounting.  A block charges its length against the
 ///    budget at entry and refunds the unexecuted tail on a side exit;
 ///    the dispatcher interprets single steps whenever the remaining
-///    budget is smaller than a block.  run/runUntilPc therefore report
-///    step counts identical to the interpreter's.
+///    budget is smaller than a block.  run therefore reports step counts
+///    identical to the interpreter's, with or without a stop PC.
 ///  - Store guard.  The guard is the PageCode bit of the state's
 ///    page-state table (MachineState::PageFlags): the decode cache sets
 ///    it on every page it fills a slot of, whoever asked (the dispatcher,
-///    a delegated step, isHalted, an observed run), and the backend sets
+///    an interpreted step, an observed run), and the backend sets
 ///    it on a compiled block's source pages.  A native store into a code
 ///    page side-exits and the offending store is interpreted, which
 ///    honors the DecodeCache invalidation contract and drops the
@@ -49,8 +49,8 @@
 ///
 /// Blocks chain directly block-to-block: a terminator whose target is a
 /// compiled block is patched to jump straight to it (the target's entry
-/// re-checks the budget), so hot loops never touch the dispatcher.  In
-/// runUntilPc mode the stop PC is a compile-time guard: no block is
+/// re-checks the budget), so hot loops never touch the dispatcher.  In a
+/// run with a stop PC, the stop PC is a compile-time guard: no block is
 /// compiled at or across it and no chain targets it, so the boundary is
 /// always observed by the dispatcher.
 ///
@@ -94,7 +94,7 @@ enum class RefuseReason : uint8_t {
   None,            ///< not refused
   BlockTooLong,    ///< no terminator within MaxBlockInstrs
   EmptyBlock,      ///< the entry instruction itself cannot be compiled
-  StopPcGuard,     ///< the block starts at the active runUntilPc stop PC
+  StopPcGuard,     ///< the block starts at the active stop PC
   HostUnsupported, ///< no native execution on this host
 };
 

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The JIT ExecBackend: a dispatcher structured exactly like the
-/// predecoded interpreter loops of isa/Interp.cpp (budget first, then
+/// predecoded interpreter loop of isa/Interp.cpp (budget first, then
 /// the stop PC, PC validity, illegal, the halt self-jump), which runs
 /// hot compiled blocks natively and interprets everything else one step
-/// at a time.  Keeping the loop shape identical to isa::run/runUntilPc
-/// is what makes the backend's step counts, faults, and halt decisions
+/// at a time.  Keeping the loop shape identical to isa::run is what
+/// makes the backend's step counts, faults, and halt decisions
 /// bit-identical to the interpreter's.
 ///
 //===----------------------------------------------------------------------===//
@@ -83,75 +83,20 @@ public:
     ThunkBytes = Arena.used();
   }
 
-  const char *name() const override { return "jit"; }
-
-  StepResult step(MachineState &State, IsaEnv &Env) override {
-    PendingStore PS = pendingStore(State);
-    StepResult S = isa::step(State, Env, Cache);
-    if (S.ok())
-      commitPendingStore(PS);
-    return S;
-  }
-
-  HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env) override {
-    PendingStore PS = pendingStore(State);
-    HaltOrStep H = isa::stepUnlessHalted(State, Env, Cache);
-    if (!H.Halted && H.S.ok())
-      commitPendingStore(PS);
-    return H;
-  }
-
-  HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                              obs::Observer &Obs,
-                              uint64_t RetireIndex) override {
-    PendingStore PS = pendingStore(State);
-    HaltOrStep H =
-        isa::stepUnlessHalted(State, Env, Obs, RetireIndex, Cache);
-    if (!H.Halted && H.S.ok())
-      commitPendingStore(PS);
-    return H;
-  }
-
-  bool isHalted(MachineState &State) override {
-    return isa::isHalted(State, Cache);
-  }
-
-  RunResult run(MachineState &State, IsaEnv &Env,
-                uint64_t MaxSteps) override {
-    if (!NativeOk)
-      return isa::run(State, Env, MaxSteps, Cache);
-    DispatchOut O = dispatch(State, Env, MaxSteps, /*HasStop=*/false, 0);
-    RunResult R;
-    R.Steps = O.Steps;
-    R.Halted = O.Halted;
-    R.Fault = O.Fault;
-    return R;
-  }
-
   RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                ObsHooks &Hooks) override {
-    if (!Hooks.Obs)
-      return run(State, Env, MaxSteps);
-    // Observed runs are interpreter-exact by definition; the delegated
-    // run's stores bypass block invalidation, so drop every block.
-    RunResult R = isa::run(State, Env, MaxSteps, Hooks, Cache);
-    if (NativeOk)
-      flushBlocks();
-    return R;
-  }
-
-  RunStopResult runUntilPc(MachineState &State, IsaEnv &Env,
-                           uint64_t MaxSteps, Word StopPc) override {
+                std::optional<Word> StopPc, ObsHooks *Hooks) override {
+    if (Hooks && Hooks->Obs) {
+      // Observed runs are interpreter-exact by definition; the delegated
+      // run's stores bypass block invalidation, so drop every block.
+      RunResult R = isa::run(State, Env, Cache, MaxSteps, StopPc, Hooks);
+      if (NativeOk)
+        flushBlocks();
+      return R;
+    }
     if (!NativeOk)
-      return isa::runUntilPc(State, Env, MaxSteps, StopPc, Cache);
-    DispatchOut O =
-        dispatch(State, Env, MaxSteps, /*HasStop=*/true, StopPc);
-    RunStopResult R;
-    R.Steps = O.Steps;
-    R.AtStopPc = O.AtStopPc;
-    R.Halted = O.Halted;
-    R.Fault = O.Fault;
-    return R;
+      return isa::run(State, Env, Cache, MaxSteps, StopPc);
+    return dispatch(State, Env, MaxSteps, StopPc.has_value(),
+                    StopPc.value_or(0));
   }
 
   void invalidate(Word Addr, Word Size) override {
@@ -194,12 +139,6 @@ private:
     uint8_t *InvalidStub = nullptr;
     bool Live = false;
   };
-  struct DispatchOut {
-    uint64_t Steps = 0;
-    bool AtStopPc = false;
-    bool Halted = false;
-    StepFault Fault = StepFault::None;
-  };
   struct PendingStore {
     Word Addr = 0;
     Word Size = 0;
@@ -221,8 +160,8 @@ private:
   /// be compiled.
   std::unordered_multimap<Word, uint8_t *> PendingChains;
 
-  /// The runUntilPc stop PC the current block population was compiled
-  /// under; changing it flushes (blocks never straddle the stop PC).
+  /// The stop PC the current block population was compiled under;
+  /// changing it flushes (blocks never straddle the stop PC).
   bool HasStamp = false;
   bool StampHasStop = false;
   Word StampStopPc = 0;
@@ -297,7 +236,7 @@ private:
       Arena.endWrite();
   }
 
-  /// Pre-decodes the store the next delegated step would perform, so
+  /// Pre-decodes the store the next interpreted step would perform, so
   /// its block invalidation can be applied after the step commits.
   PendingStore pendingStore(MachineState &State) {
     PendingStore P;
@@ -316,11 +255,6 @@ private:
       P.Size = 1;
     }
     return P;
-  }
-
-  void commitPendingStore(const PendingStore &P) {
-    if (P.Size)
-      invalidateBlocksOverlap(P.Addr, P.Size);
   }
 
   void prepareRun(MachineState &State, bool HasStop, Word StopPc) {
@@ -363,10 +297,10 @@ private:
 
   /// One interpreted step at a PC the dispatcher has already validated
   /// (in range, aligned, decodable, not the halt self-jump).  Mirrors
-  /// the loop bodies of isa::run/runUntilPc, plus the block-side half
-  /// of the store-invalidation contract.
+  /// the body of the isa::run loop, plus the block-side half of the
+  /// store-invalidation contract.
   bool interpretOne(MachineState &State, IsaEnv &Env, uint64_t &Remaining,
-                    DispatchOut &R) {
+                    RunResult &R) {
     PendingStore PS = pendingStore(State);
     StepResult S = isa::step(State, Env, Cache);
     if (!S.ok()) {
@@ -438,14 +372,13 @@ private:
     ++Stats.BlocksCompiled;
   }
 
-  /// The dispatcher.  Structured exactly like isa::run (HasStop=false)
-  /// and isa::runUntilPc (HasStop=true): budget, stop PC, PC validity,
-  /// illegal word, halt self-jump — then either a native burst through
-  /// compiled blocks or one interpreted step.
-  DispatchOut dispatch(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                       bool HasStop, Word StopPc) {
+  /// The dispatcher.  Structured exactly like the isa::run loop: budget,
+  /// stop PC, PC validity, illegal word, halt self-jump — then either a
+  /// native burst through compiled blocks or one interpreted step.
+  RunResult dispatch(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
+                     bool HasStop, Word StopPc) {
     prepareRun(State, HasStop, StopPc);
-    DispatchOut R;
+    RunResult R;
     uint64_t Remaining = MaxSteps;
     while (Remaining > 0) {
       if (HasStop && State.PC == StopPc) {
@@ -497,7 +430,6 @@ silver::isa::jit::makeJitBackend(const JitOptions &Opts) {
 }
 
 const JitStats *silver::isa::jit::backendStats(const ExecBackend &Backend) {
-  if (std::strcmp(Backend.name(), "jit") != 0)
-    return nullptr;
-  return &static_cast<const JitBackend &>(Backend).stats();
+  const auto *J = dynamic_cast<const JitBackend *>(&Backend);
+  return J ? &J->stats() : nullptr;
 }

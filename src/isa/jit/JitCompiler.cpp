@@ -12,7 +12,7 @@
 /// at the first terminator (Jump / JumpIfZero / JumpIfNotZero) or just
 /// before anything the JIT never translates — illegal words, the halt
 /// self-jump, I/O instructions (In/Out/Interrupt mutate the IO-event
-/// trace and call into the environment), the active runUntilPc stop PC,
+/// trace and call into the environment), the active stop PC,
 /// or the edge of memory.
 ///
 /// The flag templates lean on x86 having the same ALU flag semantics as

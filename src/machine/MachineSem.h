@@ -111,17 +111,14 @@ public:
         Backend(Backend ? std::move(Backend) : isa::makeInterpBackend()) {}
 
   /// Runs for at most \p MaxSteps ISA steps (oracle steps count as one).
+  /// A paused run resumes where the previous call stopped.
   Behaviour run(uint64_t MaxSteps);
-
-  /// Performs exactly one step (ISA or oracle).  Returns false when the
-  /// program has terminated or faulted; details land in LastBehaviour.
-  bool stepOnce();
 
   /// Streams retire/memory events for every ISA step and an FFI span for
   /// every oracle consultation to \p O (null detaches; not owned).  The
   /// uninstrumented path is unchanged.
   void attachObserver(obs::Observer *O) {
-    Obs = O;
+    Hooks.Obs = O;
     Ffi.attachObserver(O);
   }
 
@@ -132,7 +129,7 @@ public:
   Behaviour LastBehaviour;
 
 private:
-  /// The oracle-consultation arm of stepOnce (PC at the FFI entry):
+  /// The oracle-consultation arm of run (PC at the FFI entry):
   /// validates the call registers, runs the interference oracle, applies
   /// ffi_interfer.  Returns false on Failed/Terminated.
   bool oracleStep();
@@ -140,8 +137,9 @@ private:
   isa::MachineState State;
   ffi::BasisFfi Ffi;
   sys::MemoryLayout Layout;
-  obs::Observer *Obs = nullptr;
-  uint64_t RetireIndex = 0;
+  /// The observer and the retire index of the next ISA step; FFI-span
+  /// detection stays off (the oracle reports the spans).
+  isa::ObsHooks Hooks;
   /// The ISA execution backend; owns all derived execution state
   /// (decode cache, compiled blocks) and is kept valid across
   /// interpreter stores and oracle interference writes.

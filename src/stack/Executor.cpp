@@ -143,12 +143,11 @@ struct IsaSession final : Executor::SessionBase {
   Result<RunStatus> step(uint64_t MaxInstructions) override {
     if (Halted)
       return RunStatus::Completed;
-    // The null-observer test happens once per step() call, not per
-    // retire: the uninstrumented branch runs the predecoded NullEmit
-    // loop, which does no virtual dispatch at all.
-    isa::RunResult R =
-        Hooks.Obs ? Backend->run(Boot.State, Env, MaxInstructions, Hooks)
-                  : Backend->run(Boot.State, Env, MaxInstructions);
+    // The null-observer test happens once per call inside the backend,
+    // not per retire: without an observer the predecoded loop does no
+    // virtual dispatch at all.
+    isa::RunResult R = Backend->run(Boot.State, Env, MaxInstructions,
+                                    std::nullopt, &Hooks);
     Steps += R.Steps;
     if (R.Fault != isa::StepFault::None)
       return Error("ISA execution faulted");

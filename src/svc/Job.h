@@ -63,8 +63,9 @@ struct JobSpec {
   /// degrades to the interpreter on hosts without native support.
   stack::BackendKind Backend = stack::BackendKind::Interp;
   /// Verilog-level simulator backend (stack::HdlBackendKind); part of
-  /// the wire format and the prepare-cache key.  Compiled degrades to
-  /// the interpreter on hosts without a usable C++ compiler.
+  /// the wire format and the prepare-cache key.  Compiled runs the
+  /// core's simulator linked into the build, so it needs no host C++
+  /// compiler at run time.
   stack::HdlBackendKind Hdl = stack::HdlBackendKind::Interp;
   /// Fairness key: jobs sharing a ClientId share one tenant's queue
   /// quota and one round-robin slot per priority lane (svc/JobQueue.h).

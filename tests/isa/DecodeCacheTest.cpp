@@ -4,8 +4,8 @@
 // entry is valid only while the instruction word at its address is
 // unchanged, and every memory-writing path invalidates.  These tests
 // cover the cache mechanics directly, then hold the cached interpreter
-// in agreement with the reference fetch-decode-execute loop — and with
-// the hardware levels — on self-modifying code.
+// in agreement with the reference fetch-decode-execute loop, and the
+// reference with the hardware levels, on self-modifying code.
 //
 //===----------------------------------------------------------------------===//
 
@@ -150,7 +150,7 @@ TEST(CachedInterp, SelfModifyingLoopMatchesReference) {
 TEST(CachedInterp, CachedRunExecutesPatchedCode) {
   MachineState S = makeMachine(selfModifyingLoop());
   DecodeCache C;
-  RunResult R = run(S, nullEnv(), 1000, C);
+  RunResult R = run(S, nullEnv(), C, 1000);
   EXPECT_TRUE(R.Halted);
   EXPECT_EQ(R.Fault, StepFault::None);
   EXPECT_EQ(S.Regs[2], 5u);
@@ -169,7 +169,7 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
        Instruction::halt()});
   DecodeCache C;
 
-  RunStopResult R = runUntilPc(S, nullEnv(), 1000, /*StopPc=*/8, C);
+  RunResult R = run(S, nullEnv(), C, 1000, /*StopPc=*/8);
   EXPECT_TRUE(R.AtStopPc);
   EXPECT_FALSE(R.Halted);
   EXPECT_EQ(R.Steps, 2u);
@@ -177,7 +177,7 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
   EXPECT_EQ(S.Regs[3], 0u); // the stop instruction itself did not run
 
   // Resuming with an unreachable stop pc runs to the halt self-loop.
-  R = runUntilPc(S, nullEnv(), 1000, /*StopPc=*/0x400, C);
+  R = run(S, nullEnv(), C, 1000, /*StopPc=*/0x400);
   EXPECT_TRUE(R.Halted);
   EXPECT_FALSE(R.AtStopPc);
   EXPECT_EQ(R.Steps, 1u);
@@ -185,7 +185,7 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
 
   // An exhausted budget reports neither flag and no fault.
   MachineState S2 = makeMachine({addImm(1, 0, 1), Instruction::halt()});
-  R = runUntilPc(S2, nullEnv(), 0, /*StopPc=*/0x400, C);
+  R = run(S2, nullEnv(), C, 0, /*StopPc=*/0x400);
   EXPECT_FALSE(R.AtStopPc);
   EXPECT_FALSE(R.Halted);
   EXPECT_EQ(R.Steps, 0u);
@@ -193,10 +193,10 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
 }
 
 TEST(SelfModifying, IsaAgreesWithRtlCore) {
-  // The end-to-end invalidation check: the predecoded ISA side of
-  // checkIsaRtl against the circuit-level core, which fetches every
-  // instruction from memory afresh.  A stale decode would diverge at
-  // the first post-patch retire.
+  // The end-to-end self-modifying check: checkIsaRtl's reference ISA
+  // side against the circuit-level core, which fetches every instruction
+  // from memory afresh.  A level executing the stale word would diverge
+  // at the first post-patch retire.
   MachineState Init = makeMachine(selfModifyingLoop());
   cpu::RunOptions Options;
   Options.MaxCycles = 100'000;

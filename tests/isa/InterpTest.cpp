@@ -18,7 +18,7 @@ MachineState makeMachine(const std::vector<Instruction> &Program,
   return S;
 }
 
-StepFault stepOnce(MachineState &S) {
+StepFault stepFault(MachineState &S) {
   return step(S, nullEnv()).Fault;
 }
 
@@ -110,7 +110,7 @@ TEST(Step, NormalWritesDestination) {
   MachineState S = makeMachine(
       {Instruction::normal(Func::Add, 3, Operand::imm(20),
                            Operand::imm(22))});
-  EXPECT_EQ(stepOnce(S), StepFault::None);
+  EXPECT_EQ(stepFault(S), StepFault::None);
   EXPECT_EQ(S.Regs[3], 42u);
   EXPECT_EQ(S.PC, 4u);
 }
@@ -121,11 +121,11 @@ TEST(Step, LoadConstantAndUpper) {
       Instruction::loadConstant(2, true, 5),
       Instruction::loadUpperConstant(1, 0x7ff),
   });
-  stepOnce(S);
+  stepFault(S);
   EXPECT_EQ(S.Regs[1], 0x12345u);
-  stepOnce(S);
+  stepFault(S);
   EXPECT_EQ(S.Regs[2], static_cast<Word>(-5));
-  stepOnce(S);
+  stepFault(S);
   EXPECT_EQ(S.Regs[1], (0x7ffu << 21) | 0x12345u);
 }
 
@@ -139,7 +139,7 @@ TEST(Step, MemoryWordAndByte) {
       Instruction::loadMemByte(4, Operand::reg(1)),
   });
   for (int I = 0; I != 6; ++I)
-    ASSERT_EQ(stepOnce(S), StepFault::None);
+    ASSERT_EQ(stepFault(S), StepFault::None);
   EXPECT_EQ(S.Regs[3], 0xabcdu);
   EXPECT_EQ(S.Regs[4], 7u);
   EXPECT_EQ(S.readWord(0x100), 0xab07u); // low byte overwritten
@@ -150,8 +150,8 @@ TEST(Step, MisalignedWordAccessFaults) {
       Instruction::loadConstant(1, false, 0x101),
       Instruction::loadMem(3, Operand::reg(1)),
   });
-  stepOnce(S);
-  EXPECT_EQ(stepOnce(S), StepFault::MemMisaligned);
+  stepFault(S);
+  EXPECT_EQ(stepFault(S), StepFault::MemMisaligned);
 }
 
 TEST(Step, OutOfRangeAccessFaults) {
@@ -160,30 +160,30 @@ TEST(Step, OutOfRangeAccessFaults) {
       Instruction::loadUpperConstant(1, 0x7ff), // a huge address
       Instruction::loadMem(3, Operand::reg(1)),
   });
-  stepOnce(S);
-  stepOnce(S);
-  EXPECT_EQ(stepOnce(S), StepFault::MemOutOfRange);
+  stepFault(S);
+  stepFault(S);
+  EXPECT_EQ(stepFault(S), StepFault::MemOutOfRange);
 }
 
 TEST(Step, IllegalInstructionFaults) {
   MachineState S(4096);
   S.writeWord(0, 0xf0000000u);
-  EXPECT_EQ(stepOnce(S), StepFault::IllegalInstruction);
+  EXPECT_EQ(stepFault(S), StepFault::IllegalInstruction);
 }
 
 TEST(Step, PcOutOfRangeFaults) {
   MachineState S(64);
   S.PC = 64;
-  EXPECT_EQ(stepOnce(S), StepFault::PcOutOfRange);
+  EXPECT_EQ(stepFault(S), StepFault::PcOutOfRange);
   S.PC = 2;
-  EXPECT_EQ(stepOnce(S), StepFault::PcMisaligned);
+  EXPECT_EQ(stepFault(S), StepFault::PcMisaligned);
 }
 
 TEST(Step, JumpAbsoluteAndRelative) {
   MachineState S = makeMachine({
       Instruction::jump(Func::Add, 5, Operand::imm(8)), // relative +8
   });
-  stepOnce(S);
+  stepFault(S);
   EXPECT_EQ(S.PC, 8u);
   EXPECT_EQ(S.Regs[5], 4u); // link = return address
 
@@ -191,8 +191,8 @@ TEST(Step, JumpAbsoluteAndRelative) {
       Instruction::loadConstant(1, false, 0x40),
       Instruction::jump(Func::Snd, 5, Operand::reg(1)), // absolute
   });
-  stepOnce(T);
-  stepOnce(T);
+  stepFault(T);
+  stepFault(T);
   EXPECT_EQ(T.PC, 0x40u);
   EXPECT_EQ(T.Regs[5], 8u);
 }
@@ -203,7 +203,7 @@ TEST(Step, ConditionalBranches) {
       Instruction::jumpIfZero(Func::Snd, Operand::imm(0), Operand::imm(0),
                               3),
   });
-  stepOnce(S);
+  stepFault(S);
   EXPECT_EQ(S.PC, 12u);
 
   // Not taken.
@@ -211,7 +211,7 @@ TEST(Step, ConditionalBranches) {
       Instruction::jumpIfZero(Func::Snd, Operand::imm(0), Operand::imm(1),
                               3),
   });
-  stepOnce(T);
+  stepFault(T);
   EXPECT_EQ(T.PC, 4u);
 
   // Backward branch.
@@ -220,8 +220,8 @@ TEST(Step, ConditionalBranches) {
       Instruction::jumpIfNotZero(Func::Snd, Operand::imm(0),
                                  Operand::imm(1), -1),
   });
-  stepOnce(U);
-  stepOnce(U);
+  stepFault(U);
+  stepFault(U);
   EXPECT_EQ(U.PC, 0u);
 }
 
@@ -231,14 +231,14 @@ TEST(Step, BranchesUpdateFlagsLikeTheAlu) {
       Instruction::jumpIfZero(Func::Sub, Operand::imm(3), Operand::imm(3),
                               2),
   });
-  stepOnce(S);
+  stepFault(S);
   EXPECT_TRUE(S.CarryFlag); // 3 - 3: no borrow
   EXPECT_EQ(S.PC, 8u);
 }
 
 TEST(Step, InterruptRecordsIoEvent) {
   MachineState S = makeMachine({Instruction::interrupt()});
-  stepOnce(S);
+  stepFault(S);
   ASSERT_EQ(S.IoEvents.size(), 1u);
   EXPECT_EQ(S.IoEvents[0].K, IoEvent::Kind::Interrupt);
   EXPECT_EQ(S.PC, 4u);
@@ -249,8 +249,8 @@ TEST(Step, OutRecordsValueAndEvent) {
       Instruction::loadConstant(1, false, 77),
       Instruction::out(Operand::reg(1)),
   });
-  stepOnce(S);
-  stepOnce(S);
+  stepFault(S);
+  stepFault(S);
   EXPECT_EQ(S.DataOut, 77u);
   ASSERT_EQ(S.IoEvents.size(), 1u);
   EXPECT_EQ(S.IoEvents[0].K, IoEvent::Kind::Output);

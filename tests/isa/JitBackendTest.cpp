@@ -6,7 +6,7 @@
 // the interpreter backend across the ALU/shift/memory matrix, the
 // DecodeCacheTest self-modifying corpus (store invalidation), external
 // (oracle-style) invalidation, exact budget accounting, and the
-// runUntilPc stop-PC contract.  On hosts without native support the
+// stop-PC contract.  On hosts without native support the
 // backend degrades to interpretation and every test still passes.
 //
 //===----------------------------------------------------------------------===//
@@ -324,17 +324,21 @@ TEST(JitBackend, CrossPageStoreInvalidates) {
 
 namespace {
 
-/// How the code on the patched page first reaches the decode cache.
-enum class DecodedVia { Step, IsHalted };
+/// How the code on the patched page first reaches the decode cache
+/// without a block being compiled for it.
+enum class DecodedVia {
+  OneStepRun,  ///< a one-step run: decoded, found halted, never hot
+  ObservedRun, ///< an observed run: delegated to the interpreter loop
+};
 
-/// Page A (8192) holds a halt that the backend decodes outside its
-/// dispatcher, through step() or isHalted(); then a hot compiled loop on
-/// page 0 rewrites it into a return and calls it, four times.  The
+/// Page A (8192) holds a halt that the backend decodes without compiling
+/// it, through a one-step run or an observed run; then a hot compiled
+/// loop on page 0 rewrites it into a return and calls it, four times.  The
 /// decoded slot is stale after the first store: only the PageCode mark
 /// its decode left on page A makes the native store leave native code,
 /// so the interpreted store drops the slot.  Without the mark the loop
 /// "halts" at page A on its first call.
-void expectDecodeOutsideDispatcherIsGuarded(DecodedVia Via) {
+void expectDecodeWithoutCompileIsGuarded(DecodedVia Via) {
   std::vector<Instruction> P;
   emitConst(P, 3, encode(Instruction::jump(Func::Snd, 62,
                                            Operand::reg(10)))); // 0: return
@@ -371,10 +375,13 @@ void expectDecodeOutsideDispatcherIsGuarded(DecodedVia Via) {
     ASSERT_EQ(Setup.Steps, 5u);
     ASSERT_EQ(S.PC, 20u);
     S.PC = 8192;
-    if (Via == DecodedVia::Step)
-      ASSERT_TRUE(B.step(S, nullEnv()).ok());
-    else
-      ASSERT_TRUE(B.isHalted(S));
+    obs::Observer Null;
+    ObsHooks Hooks;
+    if (Via == DecodedVia::ObservedRun)
+      Hooks.Obs = &Null;
+    RunResult Probe = B.run(S, nullEnv(), 1, std::nullopt, &Hooks);
+    ASSERT_TRUE(Probe.Halted);
+    ASSERT_EQ(Probe.Steps, 0u);
     S.PC = 20;
     RunResult Run = B.run(S, nullEnv(), 100'000);
     EXPECT_TRUE(Run.Halted);
@@ -398,12 +405,12 @@ void expectDecodeOutsideDispatcherIsGuarded(DecodedVia Via) {
 
 } // namespace
 
-TEST(JitBackend, CodeDecodedByStepIsGuarded) {
-  expectDecodeOutsideDispatcherIsGuarded(DecodedVia::Step);
+TEST(JitBackend, CodeDecodedByOneStepRunIsGuarded) {
+  expectDecodeWithoutCompileIsGuarded(DecodedVia::OneStepRun);
 }
 
-TEST(JitBackend, CodeDecodedByIsHaltedIsGuarded) {
-  expectDecodeOutsideDispatcherIsGuarded(DecodedVia::IsHalted);
+TEST(JitBackend, CodeDecodedByObservedRunIsGuarded) {
+  expectDecodeWithoutCompileIsGuarded(DecodedVia::ObservedRun);
 }
 
 TEST(JitBackend, ExternalInvalidateDropsCompiledBlocks) {
@@ -513,8 +520,8 @@ TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
 
   uint64_t JSteps = 0, RSteps = 0;
   for (int Round = 0; Round != 200; ++Round) {
-    RunStopResult Jr = JB->runUntilPc(J, nullEnv(), 7, 20);
-    RunStopResult Rr = IB->runUntilPc(R, nullEnv(), 7, 20);
+    RunResult Jr = JB->run(J, nullEnv(), 7, /*StopPc=*/20);
+    RunResult Rr = IB->run(R, nullEnv(), 7, /*StopPc=*/20);
     ASSERT_EQ(Jr.Steps, Rr.Steps) << "round " << Round;
     ASSERT_EQ(Jr.AtStopPc, Rr.AtStopPc) << "round " << Round;
     ASSERT_EQ(Jr.Halted, Rr.Halted) << "round " << Round;
@@ -530,8 +537,8 @@ TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
   EXPECT_EQ(J.Regs[1], 0u);
 
   // Changing the stop PC mid-session (prepare-state restamp) stays exact.
-  RunStopResult Jr = JB->runUntilPc(J, nullEnv(), 100, 0);
-  RunStopResult Rr = IB->runUntilPc(R, nullEnv(), 100, 0);
+  RunResult Jr = JB->run(J, nullEnv(), 100, /*StopPc=*/0);
+  RunResult Rr = IB->run(R, nullEnv(), 100, /*StopPc=*/0);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(Jr.Halted, Rr.Halted);
   EXPECT_EQ(J.Regs, R.Regs);
@@ -563,9 +570,7 @@ TEST(JitBackend, HotLoopCompilesAndChains) {
 
 TEST(JitBackend, StatsAndNameAreWellFormed) {
   std::unique_ptr<ExecBackend> JB = jit::makeJitBackend();
-  EXPECT_STREQ(JB->name(), "jit");
   EXPECT_NE(jit::backendStats(*JB), nullptr);
   std::unique_ptr<ExecBackend> IB = makeInterpBackend();
-  EXPECT_STREQ(IB->name(), "interp");
   EXPECT_EQ(jit::backendStats(*IB), nullptr);
 }

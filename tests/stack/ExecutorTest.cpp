@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 using namespace silver;
 using namespace silver::stack;
 
@@ -134,6 +137,114 @@ TEST(Executor, NullObserverIsBehaviourNeutral) {
     else
       EXPECT_EQ(Counters.Retired, Observed->Behaviour.Instructions);
     EXPECT_EQ(Counters.Cycles, Observed->Behaviour.Cycles);
+  }
+}
+
+namespace {
+
+/// What a completed session leaves: its Observed, its final StateDigest,
+/// and its retire count — the observer's retirements (plus the oracle's
+/// FFI calls at Machine, which are steps but not retirements) for an
+/// observed run, Observed.Instructions for a null one.
+struct SessionEnd {
+  Observed Behaviour;
+  StateDigest Digest;
+  uint64_t Retired = 0;
+  std::array<uint64_t, 16> OpcodeCounts{};
+};
+
+/// Runs \p Spec at \p L to completion in slices of \p Slice instructions,
+/// with an obs::Counters attached when \p Observe.
+SessionEnd runToCompletion(const RunSpec &Spec, Level L, bool Observe,
+                           uint64_t Slice, const std::string &What) {
+  SessionEnd End;
+  Result<Executor> ExecOr = Executor::create(Spec);
+  EXPECT_TRUE(ExecOr) << What << ": " << ExecOr.error().str();
+  if (!ExecOr)
+    return End;
+  Executor Exec = ExecOr.take();
+  std::unique_ptr<obs::Counters> Counters;
+  if (Observe) {
+    Counters = std::make_unique<obs::Counters>(Exec.regionMap().take(),
+                                               Executor::ffiNames());
+    Exec.attach(Counters.get());
+  }
+  EXPECT_TRUE(Exec.begin(L)) << What;
+  for (;;) {
+    Result<RunStatus> S = Exec.step(Slice);
+    EXPECT_TRUE(S) << What << ": " << S.error().str();
+    if (!S || *S == RunStatus::Completed)
+      break;
+    EXPECT_EQ(*S, RunStatus::Paused) << What;
+    if (*S != RunStatus::Paused)
+      break;
+  }
+  Result<StateDigest> D = Exec.sessionState();
+  EXPECT_TRUE(D) << What;
+  if (D)
+    End.Digest = *D;
+  Result<Outcome> Out = Exec.finish();
+  EXPECT_TRUE(Out) << What;
+  if (Out)
+    End.Behaviour = Out->Behaviour;
+  if (!Counters) {
+    End.Retired = End.Behaviour.Instructions;
+    return End;
+  }
+  End.Retired = Counters->Retired;
+  if (L == Level::Machine)
+    for (const obs::Counters::FfiCost &C : Counters->Ffi)
+      End.Retired += C.Calls;
+  End.OpcodeCounts = Counters->OpcodeCounts;
+  return End;
+}
+
+void expectSameEnd(const SessionEnd &A, const SessionEnd &B,
+                   const std::string &What) {
+  SCOPED_TRACE(What);
+  expectSameObserved(A.Behaviour, B.Behaviour);
+  EXPECT_EQ(A.Digest, B.Digest);
+  EXPECT_EQ(A.Retired, B.Retired);
+}
+
+} // namespace
+
+TEST(Executor, ObserverIsNeutralOnEveryBackend) {
+  // The observed run at Isa and Machine is one call to the backend's
+  // run loop with hooks, where the null run has none; at Machine both
+  // are bursts between oracle steps.  An observer must change nothing:
+  // not the Observed, not the final state, not the step count.
+  RunSpec Wc;
+  Wc.Source = wcSource();
+  Wc.CommandLine = {"wc"};
+  Wc.StdinData = randomLines(30, 5);
+  RunSpec Sort;
+  Sort.Source = sortSource();
+  Sort.StdinData = randomLines(20, 6);
+  const std::pair<const char *, RunSpec *> Apps[] = {{"wc", &Wc},
+                                                    {"sort", &Sort}};
+  for (const auto &[Name, Spec] : Apps) {
+    Spec->Exec.MaxSteps = 100'000'000;
+    Spec->Exec.JitHotThreshold = 1; // compile every block it can
+    for (Level L : {Level::Machine, Level::Isa}) {
+      SessionEnd Observed[2];
+      for (BackendKind B : {BackendKind::Interp, BackendKind::Jit}) {
+        Spec->Exec.Backend = B;
+        std::string What = std::string(Name) + " at " + levelName(L) +
+                           (B == BackendKind::Jit ? " on jit" : " on interp");
+        SessionEnd Null = runToCompletion(*Spec, L, false, UINT64_MAX, What);
+        EXPECT_TRUE(Null.Behaviour.Terminated) << What;
+        SessionEnd Obs = runToCompletion(*Spec, L, true, UINT64_MAX, What);
+        expectSameEnd(Null, Obs, What + ", observed");
+        if (L == Level::Machine)
+          expectSameEnd(Null, runToCompletion(*Spec, L, true, 97, What),
+                        What + ", observed in slices of 97");
+        Observed[B == BackendKind::Jit] = Obs;
+      }
+      // The event stream does not depend on the backend either.
+      EXPECT_EQ(Observed[0].OpcodeCounts, Observed[1].OpcodeCounts)
+          << Name << " at " << levelName(L);
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "cpu/Check.h"
 #include "isa/Abi.h"
-#include "isa/ExecBackend.h"
+#include "isa/DecodeCache.h"
 #include "obs/TraceSink.h"
 #include "stack/Apps.h"
 #include "stack/Executor.h"
@@ -345,8 +345,8 @@ TEST(Snapshot, RecycledBootMatchesAFreshOne) {
     Result<BootResult> First = sys::boot(Done->Snapshot, Done->Image);
     ASSERT_TRUE(First) << First.error().str();
     SysEnv Env(First->Layout);
-    isa::InterpBackend Backend; // its decode cache marks code pages
-    ASSERT_TRUE(Backend.run(First->State, Env, 100'000'000).Halted);
+    isa::DecodeCache Cache; // marks the code pages it decodes
+    ASSERT_TRUE(isa::run(First->State, Env, Cache, 100'000'000).Halted);
     const std::vector<uint8_t> &Flags = First->State.PageFlags;
     ASSERT_TRUE(std::any_of(Flags.begin(), Flags.end(),
                             [](uint8_t F) { return F & isa::PageCode; }));
