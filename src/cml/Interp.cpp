@@ -8,7 +8,9 @@
 #include "cml/Interp.h"
 
 #include "cml/Infer.h"
+#include "cml/Runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 
@@ -331,8 +333,8 @@ Outcome Machine::applyPrim(const std::string &Name,
     int32_t Max = Int(0);
     if (Max < 0)
       Max = 0;
-    size_t Take = std::min(static_cast<size_t>(Max),
-                           StdinData.size() - StdinOffset);
+    size_t Take = std::min({static_cast<size_t>(Max), size_t(IoChunkBytes),
+                            StdinData.size() - StdinOffset});
     std::string Chunk = StdinData.substr(StdinOffset, Take);
     StdinOffset += Take;
     return Outcome::value(makeStr(std::move(Chunk)));

@@ -13,6 +13,11 @@
 /// this interpreter — modulo the permitted early out-of-memory exit
 /// (extend_with_oom), which the interpreter never takes.
 ///
+/// `read_chunk n` returns at most min(n, IoChunkBytes) bytes of stdin
+/// (cml/Runtime.h): one FFI read is one chunk of the compiled runtime's
+/// IO buffer, and the semantics has the same bound, so a program that asks
+/// for more sees the same short chunk at every level.
+///
 /// The interpreter is iterative in tail positions (proper tail calls), so
 /// accumulator-style loops run in constant C++ stack space, matching the
 /// compiled code's TCO.

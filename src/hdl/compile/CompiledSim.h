@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ahead-of-time compiled counterpart of FastSim: C++ generated for
-/// the module (Codegen.h), stepped through its compiled entry point.
-/// Exposes the same ModuleSim surface — slot handles, dense input
-/// frames, cycle observer — so the Verilog execution level swaps
-/// backends without touching its binding code.  The entry point is
+/// The ahead-of-time compiled counterpart of FastSim: the module's tape
+/// printed as C++ (Codegen.h), stepped through its compiled entry point.
+/// The state, the layout and every accessor are ModuleSim's, so the
+/// Verilog execution level swaps backends without touching its binding
+/// code; CompiledSim supplies only the cycle.  The entry point is
 /// either linked into the build (the Silver core: CompiledModule::link)
 /// or built and dlopen'ed at run time (any other module:
 /// CompiledModule::create over Build.h).
@@ -49,24 +49,25 @@ public:
   static Result<std::shared_ptr<CompiledModule>>
   link(const VModule &M, CompiledCycleFn Cycle, uint64_t LinkedHash);
 
-  const CompiledLayout &layout() const { return Layout; }
+  const CompiledLayout &layout() const { return *Layout; }
   uint64_t designHash() const { return DesignHash; }
 
 private:
   friend class CompiledSim;
   CompiledModule(CompiledLayout L, CompiledCycleFn Entry, uint64_t Hash,
                  std::shared_ptr<LoadedModule> Code)
-      : Layout(std::move(L)), Entry(Entry), DesignHash(Hash),
-        Code(std::move(Code)) {}
+      : Layout(std::make_shared<const CompiledLayout>(std::move(L))),
+        Entry(Entry), DesignHash(Hash), Code(std::move(Code)) {}
 
-  CompiledLayout Layout;
+  std::shared_ptr<const CompiledLayout> Layout;
   CompiledCycleFn Entry;
   uint64_t DesignHash;
   /// Keeps a dlopen'ed unit loaded; null for a linked one.
   std::shared_ptr<LoadedModule> Code;
 };
 
-/// A single compiled instance behind the common ModuleSim surface.
+/// A single compiled instance: ModuleSim's state, stepped by the
+/// module's compiled cycle function.
 class CompiledSim final : public ModuleSim {
 public:
   /// Convenience: CompiledModule::create + instantiate.
@@ -74,29 +75,14 @@ public:
   compile(const VModule &M, const BuildOptions &O = {});
   /// One instance over an already-loaded module.
   explicit CompiledSim(std::shared_ptr<CompiledModule> M);
-  ~CompiledSim() override;
-
-  Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
-  size_t numInputs() const override;
-  const std::string &inputName(size_t Ordinal) const override;
-  int slotOf(const std::string &Name) const override;
-  int memSlotOf(const std::string &Name) const override;
-  uint64_t valueOf(int Slot) const override;
-  void setValue(int Slot, uint64_t Bits) override;
-  const std::vector<uint64_t> &memOf(int MemSlot) const override;
-  std::vector<uint64_t> &memOf(int MemSlot) override;
-  void setCycleObserver(obs::Observer *O) override;
-  SimState exportState(const VModule &M) const override;
 
   uint64_t designHash() const { return Module->designHash(); }
 
 private:
+  int cycle() override { return Module->Entry(Slots.data(), MemPtrs.data()); }
+
   std::shared_ptr<CompiledModule> Module;
-  std::vector<uint64_t> Values;
-  std::vector<std::vector<uint64_t>> Mems;
   std::vector<uint64_t *> MemPtrs;
-  obs::Observer *CycleObs = nullptr;
-  uint64_t Cycle = 0;
 };
 
 } // namespace hdl

@@ -145,6 +145,30 @@ Result<Observed> silver::stack::runSpecLevel(const RunSpec &Spec) {
   return O;
 }
 
+Result<void> silver::stack::checkAgainstSpec(Level L, const Observed &Run,
+                                            const Observed &Spec) {
+  std::string Where = std::string(levelName(L)) + ": ";
+  if (Run.ExitCode == machine::OomExitCode &&
+      Spec.ExitCode != machine::OomExitCode) {
+    // extend_with_oom: premature OOM termination with a prefix of the
+    // specified output is within the compiler's contract.
+    if (!startsWith(Spec.StdoutData, Run.StdoutData))
+      return Error(Where + "OOM stdout is not a prefix of the spec's");
+    if (!startsWith(Spec.StderrData, Run.StderrData))
+      return Error(Where + "OOM stderr is not a prefix of the spec's");
+    return {};
+  }
+  if (Run.StdoutData != Spec.StdoutData)
+    return Error(Where + "stdout mismatch: \"" + escapeString(Run.StdoutData) +
+                 "\" vs spec \"" + escapeString(Spec.StdoutData) + "\"");
+  if (Run.StderrData != Spec.StderrData)
+    return Error(Where + "stderr mismatch");
+  if (Run.ExitCode != Spec.ExitCode)
+    return Error(Where + "exit code " + std::to_string(Run.ExitCode) +
+                 " vs spec " + std::to_string(Spec.ExitCode));
+  return {};
+}
+
 Result<std::vector<Observed>>
 silver::stack::checkEndToEnd(const RunSpec &Spec,
                              const std::vector<Level> &Levels) {
@@ -156,7 +180,6 @@ silver::stack::checkEndToEnd(const RunSpec &Spec,
   Result<Outcome> SpecOut = Exec->run(Level::Spec);
   if (!SpecOut)
     return SpecOut.error();
-  const Observed &SpecRun = SpecOut->Behaviour;
 
   std::vector<Observed> Results;
   for (Level L : Levels) {
@@ -167,28 +190,10 @@ silver::stack::checkEndToEnd(const RunSpec &Spec,
     if (R->Status != RunStatus::Completed)
       return Error(std::string(levelName(L)) +
                    ": did not terminate within the step budget");
-    const Observed &O = R->Behaviour;
-    bool Oom = O.ExitCode == machine::OomExitCode &&
-               SpecRun.ExitCode != machine::OomExitCode;
-    if (Oom) {
-      // extend_with_oom: premature OOM termination with a prefix of the
-      // specified output is within the compiler's contract.
-      if (!startsWith(SpecRun.StdoutData, O.StdoutData))
-        return Error(std::string(levelName(L)) +
-                     ": OOM output is not a prefix of the spec output");
-    } else {
-      if (O.StdoutData != SpecRun.StdoutData)
-        return Error(std::string(levelName(L)) + ": stdout mismatch: \"" +
-                     escapeString(O.StdoutData) + "\" vs spec \"" +
-                     escapeString(SpecRun.StdoutData) + "\"");
-      if (O.StderrData != SpecRun.StderrData)
-        return Error(std::string(levelName(L)) + ": stderr mismatch");
-      if (O.ExitCode != SpecRun.ExitCode)
-        return Error(std::string(levelName(L)) + ": exit code " +
-                     std::to_string(O.ExitCode) + " vs spec " +
-                     std::to_string(SpecRun.ExitCode));
-    }
-    Results.push_back(O);
+    if (Result<void> C = checkAgainstSpec(L, R->Behaviour, SpecOut->Behaviour);
+        !C)
+      return C.error();
+    Results.push_back(R->Behaviour);
   }
   return Results;
 }

@@ -57,10 +57,11 @@ bool parseBackendKind(const std::string &Name, BackendKind &Out);
 bool backendSupported(BackendKind B);
 
 /// Which simulator backend the Verilog level steps with.  Interp is
-/// hdl::FastSim, which runs the module as an instruction tape; Compiled is the C++ generated from the
-/// core's module (hdl/compile) at build time and linked in, so it runs
-/// on every host.  Behaviour and digests are identical — enforced by the
-/// compiled-vs-interpreted differential level.
+/// hdl::FastSim, which runs the module as an instruction tape; Compiled
+/// is that tape printed as C++ for the core's module (hdl/compile) at
+/// build time and linked in, so it runs on every host.  Behaviour and
+/// digests are identical — enforced by the compiled-vs-interpreted
+/// differential level.
 enum class HdlBackendKind : uint8_t { Interp, Compiled };
 
 /// Stable identifier ("interp", "compiled") for CLIs, logs, cache keys.
@@ -145,11 +146,17 @@ auditPrepared(const Prepared &P, const analysis::SummaryObligations &O);
 /// compiles.
 Result<Observed> runSpecLevel(const RunSpec &Spec);
 
+/// The per-level half of checkEndToEnd: whether \p Run, observed at
+/// level \p L, is a behaviour the spec run \p Spec licenses — its
+/// stdout, stderr and exit code, or an exit with the OOM code after a
+/// prefix of its stdout and a prefix of its stderr (extend_with_oom).
+Result<void> checkAgainstSpec(Level L, const Observed &Run,
+                              const Observed &Spec);
+
 /// The cross-level check (theorem (8)): compiles once, runs the given
 /// levels on one stack::Executor, and verifies that each completes with
-/// the spec's stdout/stderr/exit code.  A run that exited with the OOM
-/// code is accepted when its output is a prefix of the spec's
-/// (extend_with_oom).  Returns the per-level behaviours in order.
+/// the spec's stdout/stderr/exit code, or exits early with the OOM code
+/// (checkAgainstSpec).  Returns the per-level behaviours in order.
 Result<std::vector<Observed>> checkEndToEnd(const RunSpec &Spec,
                                             const std::vector<Level> &Levels);
 

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cml/Runtime.h"
 #include "stack/Executor.h"
 
 #include <gtest/gtest.h>
@@ -236,6 +237,20 @@ TEST(Compiler, TrapExitCodesMatchInterpreter) {
         checkEndToEnd(Spec, {Level::Machine, Level::Isa});
     EXPECT_TRUE(R) << Src << ": " << (R ? "" : R.error().str());
   }
+}
+
+TEST(Compiler, ReadChunkReturnsAtMostOneFfiChunk) {
+  // Asking for more than one FFI chunk returns one chunk, at the spec
+  // as on the machine: 60000 of the 80000 bytes, not 70000.
+  RunSpec Spec;
+  Spec.Source = "val _ = print (int_to_string (str_size (read_chunk 70000)))";
+  Spec.StdinData = std::string(80'000, 'x');
+  Spec.Exec.MaxSteps = 500'000'000;
+  Result<std::vector<Observed>> R =
+      checkEndToEnd(Spec, {Level::Machine, Level::Isa});
+  ASSERT_TRUE(R) << R.error().str();
+  for (const Observed &O : *R)
+    EXPECT_EQ(O.StdoutData, std::to_string(cml::IoChunkBytes));
 }
 
 TEST(Compiler, LargeStringIoRoundTrips) {

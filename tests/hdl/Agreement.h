@@ -341,6 +341,72 @@ inline void checkMemoryReadOutOfRange(const SimFactory &Make) {
   EXPECT_EQ(Sim->valueOf(Sim->slotOf("n")), 6u);
 }
 
+/// One process blocking-writes b, then reads a depth-3 memory at a 2-bit
+/// index, so index 3 fails the cycle.  The failed cycle keeps nothing
+/// of the process, b included, and fails with the reference's error.
+inline void
+checkBlockingWriteBeforeAFailedReadIsDropped(const SimFactory &Make) {
+  VModule M;
+  M.Ports.push_back({VPort::Dir::Input, "i", VType::vec(2)});
+  M.Decls.push_back({"m", VType::mem(8, 3)});
+  M.Decls.push_back({"b", VType::vec(8)});
+  M.Decls.push_back({"x", VType::vec(8)});
+  VProcess P;
+  P.Body = vBlock(stmts(
+      vBlocking("b", vBinary(BinaryOp::Add, vVar("b"), vConstVec(8, 1))),
+      vNonBlocking("x", vMemRead("m", vVar("i")))));
+  M.Processes.push_back(std::move(P));
+
+  std::unique_ptr<ModuleSim> Sim = build(Make, M);
+  ASSERT_TRUE(Sim);
+  SimState Ref = SimState::init(M);
+  for (uint64_t I : {1, 3, 0, 3, 2}) {
+    Stimulus In = {{"i", I}};
+    Result<void> RefR = stepCycle(M, Ref, namedInputs(M, In));
+    std::vector<uint64_t> Dense = denseFrame(*Sim, In);
+    Result<void> SimR = Sim->stepDense(Dense.data(), Dense.size());
+    ASSERT_EQ(bool(SimR), I != 3) << "i=" << I;
+    ASSERT_EQ(bool(RefR), bool(SimR)) << "i=" << I;
+    if (!SimR) {
+      EXPECT_EQ(SimR.error().str(), RefR.error().str());
+    }
+    EXPECT_TRUE(Sim->exportState(M) == Ref) << "i=" << I;
+  }
+  EXPECT_EQ(Sim->valueOf(Sim->slotOf("b")), 3u);
+}
+
+/// A memory write out of range, queued before a scalar non-blocking
+/// write: the reference commits the queue in program order and stops at
+/// the failing write, so the scalar keeps its value.
+inline void checkMemoryWriteOutOfRangeStopsTheCommit(const SimFactory &Make) {
+  VModule M;
+  M.Ports.push_back({VPort::Dir::Input, "i", VType::vec(2)});
+  M.Decls.push_back({"m", VType::mem(8, 3)});
+  M.Decls.push_back({"r", VType::vec(8)});
+  VProcess P;
+  P.Body = vBlock(stmts(
+      vMemWrite("m", vVar("i"), vConstVec(8, 7)),
+      vNonBlocking("r", vBinary(BinaryOp::Add, vVar("r"), vConstVec(8, 1)))));
+  M.Processes.push_back(std::move(P));
+
+  std::unique_ptr<ModuleSim> Sim = build(Make, M);
+  ASSERT_TRUE(Sim);
+  SimState Ref = SimState::init(M);
+  for (uint64_t I : {0, 3, 1, 3, 2}) {
+    Stimulus In = {{"i", I}};
+    Result<void> RefR = stepCycle(M, Ref, namedInputs(M, In));
+    std::vector<uint64_t> Dense = denseFrame(*Sim, In);
+    Result<void> SimR = Sim->stepDense(Dense.data(), Dense.size());
+    ASSERT_EQ(bool(SimR), I != 3) << "i=" << I;
+    ASSERT_EQ(bool(RefR), bool(SimR)) << "i=" << I;
+    if (!SimR) {
+      EXPECT_EQ(SimR.error().str(), RefR.error().str());
+    }
+    EXPECT_TRUE(Sim->exportState(M) == Ref) << "i=" << I;
+  }
+  EXPECT_EQ(Sim->valueOf(Sim->slotOf("r")), 3u);
+}
+
 } // namespace hdl
 } // namespace silver
 

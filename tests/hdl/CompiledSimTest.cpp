@@ -16,6 +16,7 @@
 #include "cpu/Sim.h"
 #include "hdl/FastSim.h"
 #include "hdl/Semantics.h"
+#include "hdl/Tape.h"
 #include "hdl/compile/Build.h"
 #include "hdl/compile/Codegen.h"
 #include "hdl/compile/CompiledSim.h"
@@ -127,17 +128,28 @@ TEST(CompiledCodegen, LinkRejectsAStaleDesignHash) {
 }
 
 TEST(CompiledCodegen, NbaCommitFollowsEveryProcessBody) {
-  // The non-blocking merge is compiled in: every latch store (N<k> = ...)
-  // textually precedes the commit block (if (Ns<k>) ...), which mirrors
-  // the semantics' merge of nb-queues after all processes ran.
+  // The non-blocking merge is compiled in: every latch store (the
+  // printed Latch sets its flag, `t<f> = 1;`) textually precedes its
+  // commit (`if (t<f>) { ... }`), which mirrors the semantics' merge of
+  // nb-queues after all processes ran.
   VModule M = makeAB();
+  Result<Tape> T = lowerModule(M);
+  ASSERT_TRUE(T);
   Result<GeneratedModule> G = generateCpp(M);
   ASSERT_TRUE(G);
-  size_t Latch = G->Source.find("N0 =");
-  size_t Commit = G->Source.find("if (Ns0)");
-  ASSERT_NE(Latch, std::string::npos);
-  ASSERT_NE(Commit, std::string::npos);
-  EXPECT_LT(Latch, Commit);
+  size_t Latches = 0;
+  for (const Instr &In : T->Code) {
+    if (In.Code != Op::Latch)
+      continue;
+    ++Latches;
+    std::string Flag = "t" + std::to_string(In.D + 1);
+    size_t Latch = G->Source.find(" " + Flag + " = 1;");
+    size_t Commit = G->Source.find("if (" + Flag + ") {");
+    ASSERT_NE(Latch, std::string::npos) << Flag;
+    ASSERT_NE(Commit, std::string::npos) << Flag;
+    EXPECT_LT(Latch, Commit) << Flag;
+  }
+  EXPECT_EQ(Latches, 1u); // A's `count <= count + 1` under `if (pulse)`
 }
 
 TEST(CompiledCodegen, LayoutMatchesInterpreterPlan) {
@@ -204,6 +216,14 @@ TEST_F(CompiledSimTest, ConditionalBlockingAcrossProcesses) {
 
 TEST_F(CompiledSimTest, MemoryReadOutOfRangeIsAnError) {
   checkMemoryReadOutOfRange(compiled());
+}
+
+TEST_F(CompiledSimTest, BlockingWriteBeforeAFailedReadIsDropped) {
+  checkBlockingWriteBeforeAFailedReadIsDropped(compiled());
+}
+
+TEST_F(CompiledSimTest, MemoryWriteOutOfRangeStopsTheCommit) {
+  checkMemoryWriteOutOfRangeStopsTheCommit(compiled());
 }
 
 TEST_F(CompiledSimTest, SlotSurfaceMatchesFastSim) {

@@ -366,3 +366,11 @@ TEST(FastSimTest, MemoryModuleMatchesReference) {
 TEST(FastSimTest, MemoryReadOutOfRangeIsAnError) {
   checkMemoryReadOutOfRange(makeFastSim);
 }
+
+TEST(FastSimTest, BlockingWriteBeforeAFailedReadIsDropped) {
+  checkBlockingWriteBeforeAFailedReadIsDropped(makeFastSim);
+}
+
+TEST(FastSimTest, MemoryWriteOutOfRangeStopsTheCommit) {
+  checkMemoryWriteOutOfRangeStopsTheCommit(makeFastSim);
+}

@@ -212,6 +212,33 @@ TEST(EndToEnd, CheckRejectsARunThatExhaustsItsBudget) {
       << R.error().str();
 }
 
+TEST(EndToEnd, OomRunMustKeepAPrefixOfEveryStream) {
+  // extend_with_oom licenses an early OOM exit after a prefix of all the
+  // output: stdout and stderr alike.
+  Observed Spec;
+  Spec.StdoutData = "out";
+  Spec.StderrData = "err";
+  Observed Oom;
+  Oom.ExitCode = machine::OomExitCode;
+  Oom.StdoutData = "ou";
+  Oom.StderrData = "e";
+  EXPECT_TRUE(checkAgainstSpec(Level::Isa, Oom, Spec));
+
+  Oom.StderrData = "oops";
+  Result<void> R = checkAgainstSpec(Level::Isa, Oom, Spec);
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().str().find("stderr"), std::string::npos)
+      << R.error().str();
+
+  Oom.StderrData = "";
+  Oom.StdoutData = "in";
+  EXPECT_FALSE(checkAgainstSpec(Level::Isa, Oom, Spec));
+  // A spec that itself exits with the OOM code is matched exactly.
+  Spec.ExitCode = machine::OomExitCode;
+  Oom.StdoutData = "ou";
+  EXPECT_FALSE(checkAgainstSpec(Level::Isa, Oom, Spec));
+}
+
 TEST(EndToEnd, InstructionCountsAreDeterministic) {
   RunSpec Spec;
   Spec.Source = helloSource();
