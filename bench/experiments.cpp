@@ -226,13 +226,16 @@ sys::MemoryImage loopImage(const std::vector<Instruction> &Body) {
   return Image;
 }
 
-cpu::CoreRunResult runOnCore(const sys::MemoryImage &Image, unsigned Latency,
-                             const std::string &What) {
+std::unique_ptr<cpu::CoreRunner> runOnCore(const sys::MemoryImage &Image,
+                                           unsigned Latency,
+                                           const std::string &What) {
   cpu::RunOptions Options;
   Options.Env.MemLatency = Latency;
-  Options.MaxCycles = 100'000'000;
-  cpu::CoreRunResult R = orFail(cpu::runCore(Image, Options), What);
-  if (!R.Halted)
+  std::unique_ptr<cpu::CoreRunner> R = orFail(
+      cpu::CoreRunner::create(sys::initialState(Image), Image.Layout, Options),
+      What);
+  if (orFail(R->advance(UINT64_MAX, 100'000'000), What) !=
+      cpu::CoreStop::Halted)
     fail(What + ": the core did not halt");
   return R;
 }
@@ -254,25 +257,28 @@ void latencyReport(std::string &Json) {
   int64_t AluTail = 0;
   for (unsigned L : {0u, 1u, 2u, 4u, 8u}) {
     std::string At = " at latency " + std::to_string(L);
-    cpu::CoreRunResult A = runOnCore(Alu, L, "ALU loop" + At);
-    cpu::CoreRunResult M = runOnCore(Memory, L, "memory loop" + At);
-    cpu::CoreRunResult H = runOnCore(Hello, L, "hello" + At);
-    if (H.StdoutData != HelloOutput)
+    std::unique_ptr<cpu::CoreRunner> A = runOnCore(Alu, L, "ALU loop" + At);
+    std::unique_ptr<cpu::CoreRunner> M =
+        runOnCore(Memory, L, "memory loop" + At);
+    std::unique_ptr<cpu::CoreRunner> H = runOnCore(Hello, L, "hello" + At);
+    if (H->collectedStdout() != HelloOutput)
       fail("hello" + At + ": output differs from its specification");
     // Every ALU instruction costs fetch-issue(1) + fetch-wait(1+L) +
     // execute(1): beyond 3+L cycles each, the loop's tail is fixed.
-    int64_t Tail = int64_t(A.Cycles) - int64_t((3 + L) * A.Instructions);
+    int64_t Tail =
+        int64_t(A->cycles()) - int64_t((3 + L) * A->instructions());
     if (L == 0)
       AluTail = Tail;
     else if (Tail != AluTail)
       fail("ALU loop" + At + ": " + std::to_string(Tail) +
            " cycles beyond 3+L per instruction, " + std::to_string(AluTail) +
            " at latency 0");
-    addRow(Rows, format("{\"latency\": %u, \"alu\": ", L) +
-                     counts(A.Instructions, A.Cycles) +
-                     ",\n   \"memory\": " + counts(M.Instructions, M.Cycles) +
-                     ",\n   \"hello\": " + counts(H.Instructions, H.Cycles) +
-                     "}");
+    addRow(Rows,
+           format("{\"latency\": %u, \"alu\": ", L) +
+               counts(A->instructions(), A->cycles()) +
+               ",\n   \"memory\": " + counts(M->instructions(), M->cycles()) +
+               ",\n   \"hello\": " + counts(H->instructions(), H->cycles()) +
+               "}");
   }
   Json += format(" \"alu_tail_cycles\": %lld,\n", (long long)AluTail);
   Json += table("memory_latency", Rows);
@@ -427,7 +433,7 @@ void bootstrapRatios(double ProjectedSeconds) {
     cml::RunOutput I;
     double Ti = secondsOf(
         [&] { I = cml::interpretProgram(Interp, {"tin"}, Program); });
-    if (!I.Ok || I.StdoutData != Expected)
+    if (!I.Ok || I.Ffi.getStdout() != Expected)
       fail("tin under the interpreter: output differs from its specification");
     double Ts = secondsOf([&] {
       runChecked(Exec, Level::Isa, Expected, "tin on the ISA level");

@@ -317,21 +317,22 @@ int main(int Argc, char **Argv) {
   bool WantObs = !TraceFile.empty() || !TraceJsonlFile.empty() || ShowCounters;
   if (!WantObs && L == stack::Level::Spec) {
     // The reference interpreter needs no compilation.
-    Result<stack::Observed> R = stack::runSpecLevel(Spec);
-    if (!R)
-      return fail(R.error().str());
+    Result<stack::Outcome> Out = stack::runSpecLevel(Spec);
+    if (!Out)
+      return fail(Out.error().str());
+    const stack::Observed &R = Out->Behaviour;
     if (Json) {
       std::printf("%s\n",
-                  svc::outcomeJson(R->Terminated ? "completed" : "timeout",
-                                   Level, *R)
+                  svc::outcomeJson(R.Terminated ? "completed" : "timeout",
+                                   Level, R)
                       .c_str());
-      return R->Terminated ? R->ExitCode : 1;
+      return R.Terminated ? R.ExitCode : 1;
     }
-    std::fwrite(R->StdoutData.data(), 1, R->StdoutData.size(), stdout);
-    std::fwrite(R->StderrData.data(), 1, R->StderrData.size(), stderr);
+    std::fwrite(R.StdoutData.data(), 1, R.StdoutData.size(), stdout);
+    std::fwrite(R.StderrData.data(), 1, R.StderrData.size(), stderr);
     std::fprintf(stderr, "silverc: [spec] %llu instructions, exit %d\n",
-                 (unsigned long long)R->Instructions, R->ExitCode);
-    return R->ExitCode;
+                 (unsigned long long)R.Instructions, R.ExitCode);
+    return R.ExitCode;
   }
 
   Result<stack::Executor> ExecOr = stack::Executor::create(Spec);

@@ -167,12 +167,8 @@ struct Outcome {
 
 class Machine {
 public:
-  Machine(const std::vector<std::string> &CommandLine,
-          const std::string &StdinData, uint64_t MaxSteps)
-      : CommandLine(CommandLine), StdinData(StdinData), MaxSteps(MaxSteps) {}
-
-  std::string StdoutData;
-  std::string StderrData;
+  Machine(ffi::BasisFfi &Ffi, uint64_t MaxSteps)
+      : Ffi(Ffi), MaxSteps(MaxSteps) {}
 
   Outcome evalTop(const Exp &E, EnvRef Env) { return eval(&E, std::move(Env)); }
   uint64_t Steps = 0;
@@ -180,9 +176,7 @@ public:
   EnvRef bindPrims(EnvRef Env);
 
 private:
-  const std::vector<std::string> &CommandLine;
-  const std::string &StdinData;
-  size_t StdinOffset = 0;
+  ffi::BasisFfi &Ffi;
   uint64_t MaxSteps;
 
   Outcome eval(const Exp *E, EnvRef Env);
@@ -191,6 +185,13 @@ private:
   bool matchPat(const Pat &P, const ValueRef &V, EnvRef &Env);
   static bool valueEquals(const ValueRef &A, const ValueRef &B);
 };
+
+/// The 8-byte big-endian fd word the runtime passes as conf.
+static std::vector<uint8_t> fdConf(uint64_t Fd) {
+  std::vector<uint8_t> Conf(8);
+  Conf[7] = static_cast<uint8_t>(Fd);
+  return Conf;
+}
 
 EnvRef Machine::bindPrims(EnvRef Env) {
   for (const auto &[Name, Info] : primitiveSchemes()) {
@@ -321,31 +322,43 @@ Outcome Machine::applyPrim(const std::string &Name,
       return Outcome::trap(TrapSubscriptCode);
     return Outcome::value(makeInt(Int(0)));
   }
-  if (Name == "print") {
-    StdoutData += Str(0);
-    return Outcome::value(makeInt(0));
-  }
-  if (Name == "print_err") {
-    StderrData += Str(0);
+  if (Name == "print" || Name == "print_err") {
+    const std::string &S = Str(0);
+    for (size_t Off = 0; Off < S.size(); Off += IoChunkBytes) {
+      size_t K = std::min<size_t>(S.size() - Off, IoChunkBytes);
+      std::vector<uint8_t> Bytes(K + 4);
+      ffi::u16ToBytes(static_cast<uint16_t>(K), Bytes.data());
+      std::copy_n(S.begin() + Off, K, Bytes.begin() + 4);
+      Ffi.call("write",
+               fdConf(Name == "print" ? ffi::StdoutFd : ffi::StderrFd), Bytes);
+    }
     return Outcome::value(makeInt(0));
   }
   if (Name == "read_chunk") {
-    int32_t Max = Int(0);
-    if (Max < 0)
-      Max = 0;
-    size_t Take = std::min({static_cast<size_t>(Max), size_t(IoChunkBytes),
-                            StdinData.size() - StdinOffset});
-    std::string Chunk = StdinData.substr(StdinOffset, Take);
-    StdinOffset += Take;
-    return Outcome::value(makeStr(std::move(Chunk)));
+    size_t K = std::min<size_t>(std::max(Int(0), 0), IoChunkBytes);
+    std::vector<uint8_t> Bytes(K + 4);
+    ffi::u16ToBytes(static_cast<uint16_t>(K), Bytes.data());
+    ffi::FfiResult R = Ffi.call("read", fdConf(ffi::StdinFd), Bytes);
+    size_t N = std::min<size_t>(ffi::bytesToU16(R.Bytes.data() + 1), K);
+    return Outcome::value(
+        makeStr(std::string(R.Bytes.begin() + 4, R.Bytes.begin() + 4 + N)));
   }
-  if (Name == "arg_count")
-    return Outcome::value(makeInt(static_cast<int32_t>(CommandLine.size())));
+  if (Name == "arg_count") {
+    ffi::FfiResult R = Ffi.call("get_arg_count", {}, {0, 0});
+    return Outcome::value(makeInt(ffi::bytesToU16(R.Bytes.data())));
+  }
   if (Name == "arg_n") {
     int32_t I = Int(0);
-    if (I < 0 || static_cast<size_t>(I) >= CommandLine.size())
+    if (I < 0 || static_cast<size_t>(I) >= Ffi.CommandLine.size())
       return Outcome::trap(TrapSubscriptCode);
-    return Outcome::value(makeStr(CommandLine[I]));
+    std::vector<uint8_t> Bytes(2);
+    ffi::u16ToBytes(static_cast<uint16_t>(I), Bytes.data());
+    size_t Len =
+        ffi::bytesToU16(Ffi.call("get_arg_length", {}, Bytes).Bytes.data());
+    Bytes.resize(Len + 2);
+    ffi::FfiResult R = Ffi.call("get_arg", {}, Bytes);
+    return Outcome::value(
+        makeStr(std::string(R.Bytes.begin(), R.Bytes.begin() + Len)));
   }
   if (Name == "exit")
     return Outcome::trap(static_cast<uint8_t>(Int(0)));
@@ -567,7 +580,8 @@ silver::cml::interpretProgram(const Program &Prog,
                               const std::string &StdinData,
                               uint64_t MaxSteps) {
   RunOutput Out;
-  Machine M(CommandLine, StdinData, MaxSteps);
+  Out.Ffi = ffi::BasisFfi(CommandLine, ffi::Filesystem::withStdin(StdinData));
+  Machine M(Out.Ffi, MaxSteps);
   EnvRef Env = M.bindPrims(nullptr);
 
   for (const Dec &D : Prog.Decs) {
@@ -575,15 +589,11 @@ silver::cml::interpretProgram(const Program &Prog,
       Outcome O = M.evalTop(*D.Body, Env);
       if (O.K == Outcome::Kind::Error) {
         Out.ErrorMessage = O.ErrorMessage;
-        Out.StdoutData = M.StdoutData;
-        Out.StderrData = M.StderrData;
         return Out;
       }
       if (O.K == Outcome::Kind::Trap) {
         Out.Ok = true;
         Out.ExitCode = O.TrapCode;
-        Out.StdoutData = M.StdoutData;
-        Out.StderrData = M.StderrData;
         Out.Steps = M.Steps;
         return Out;
       }
@@ -594,8 +604,6 @@ silver::cml::interpretProgram(const Program &Prog,
     }
   }
   Out.Ok = true;
-  Out.StdoutData = M.StdoutData;
-  Out.StderrData = M.StderrData;
   Out.Steps = M.Steps;
   return Out;
 }

@@ -139,6 +139,8 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
 
     ++Instructions;
     ++InstrDone;
+    if (NextPc == Layout.SyscallCodeBase && Layout.SyscallCodeBase != 0)
+      sys::recordFfiCall(Trace, Sim->archState().Regs, Env.memory());
     if (NextPc == PcBefore) {
       // The halt self-loop: the machine will stay here forever.
       Halted = true;
@@ -148,30 +150,6 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
 }
 
 ArchState CoreRunner::archState() const { return Sim->archState(); }
-
-CoreRunResult CoreRunner::result() const {
-  CoreRunResult R;
-  R.Halted = Halted;
-  R.Cycles = Cycles;
-  R.Instructions = Instructions;
-  R.StdoutData = Env.collectedStdout();
-  R.StderrData = Env.collectedStderr();
-  R.Exit = sys::readExitStatus(Env.memory(), Layout);
-  return R;
-}
-
-Result<CoreRunResult> silver::cpu::runCore(const sys::MemoryImage &Image,
-                                           const RunOptions &Options) {
-  Result<std::unique_ptr<CoreRunner>> RunnerOr =
-      CoreRunner::create(sys::initialState(Image), Image.Layout, Options);
-  if (!RunnerOr)
-    return RunnerOr.error();
-  CoreRunner &Runner = **RunnerOr;
-  Result<CoreStop> Stop = Runner.advance(UINT64_MAX, Options.MaxCycles);
-  if (!Stop)
-    return Stop.error();
-  return Runner.result();
-}
 
 Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
                                           uint64_t MaxInstructions,

@@ -15,12 +15,11 @@
 ///    full architectural state (the ag32_eq_* relation family) at every
 ///    retire pulse, and the memories at the end.
 ///
-///  - runCore / CoreRunner: executes a memory image on the core and
+///  - CoreRunner: executes a memory image on the core, resumably, and
 ///    reports the observable behaviour (the hardware half of theorem
-///    (8)).  CoreRunner is the resumable form used by stack::Executor:
-///    it holds the simulator, the lab environment (whose DRAM is a
-///    state instantiated from the boot snapshot), and the observer
-///    hookup across multiple advance() calls.
+///    (8)).  It holds the simulator, the lab environment (whose DRAM is
+///    a state instantiated from the boot snapshot), the FFI trace, and
+///    the observer hookup across multiple advance() calls.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,15 +55,6 @@ struct RunOptions {
   uint64_t WedgeCycles = 4096;
 };
 
-struct CoreRunResult {
-  bool Halted = false;
-  uint64_t Cycles = 0;
-  uint64_t Instructions = 0;
-  std::string StdoutData;
-  std::string StderrData;
-  sys::ExitStatus Exit;
-};
-
 /// Why an advance() call returned.
 enum class CoreStop : uint8_t {
   Halted,            ///< the halt self-loop retired; the run is over
@@ -76,7 +66,9 @@ enum class CoreStop : uint8_t {
 /// A resumable core execution: create once from a bootable image, then
 /// advance() any number of times with per-call instruction/cycle quotas.
 /// This is what lets stack::Executor pause, step, and enforce budgets at
-/// the hardware levels; runCore below is the one-shot wrapper.
+/// the hardware levels.  Each retire that enters the syscall code
+/// (next pc = SyscallCodeBase) records the call in trace()
+/// (sys::recordFfiCall).
 ///
 /// Event streams (when RunOptions::Obs is set): onCycle ticks come from
 /// the simulator itself, onRetire carries the retire_pc and the decoded
@@ -119,9 +111,11 @@ public:
   /// Moves the lab DRAM out (to sys::recycle); the runner is spent.
   isa::MachineState takeMemory() { return Env.takeMemory(); }
 
-  /// Snapshots the observable behaviour so far (stdout, stderr, exit
-  /// status).
-  CoreRunResult result() const;
+  /// Terminal output the lab environment collected so far.
+  const std::string &collectedStdout() const { return Env.collectedStdout(); }
+  const std::string &collectedStderr() const { return Env.collectedStderr(); }
+  /// The FFI calls made so far.
+  const ffi::IoTrace &trace() const { return Trace; }
 
 private:
   CoreRunner(isa::MachineState Dram, const sys::MemoryLayout &Layout,
@@ -138,15 +132,10 @@ private:
   uint64_t CyclesSinceRetire = 0;
   bool InFfi = false;
   unsigned FfiIndex = 0;
+  ffi::IoTrace Trace;
   CoreInputs Inputs;
   CoreOutputs Outputs;
 };
-
-/// Runs a bootable image on the Silver core until the halt self-loop is
-/// first executed, the cycle budget runs out, or the environment reports
-/// a protocol violation.
-Result<CoreRunResult> runCore(const sys::MemoryImage &Image,
-                              const RunOptions &Options);
 
 /// Lock-step ISA/implementation check from an arbitrary initial machine
 /// state.  \p Layout enables the interrupt-observables comparison (pass

@@ -74,7 +74,6 @@ Result<void> LabEnv::observeOutputs(const CoreOutputs &Out) {
     // The observable action happens at notification time, matching the
     // ISA semantics of the Interrupt instruction.
     sys::interruptObservable(Dram.Memory.data(), Layout, Stdout, Stderr);
-    ++Interrupts;
     IntBusy = true;
     IntRemaining = Opt.AckDelay;
   }

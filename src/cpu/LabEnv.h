@@ -65,7 +65,6 @@ public:
   isa::MachineState takeMemory() { return std::move(Dram); }
   const std::string &collectedStdout() const { return Stdout; }
   const std::string &collectedStderr() const { return Stderr; }
-  uint64_t interruptCount() const { return Interrupts; }
 
 private:
   isa::MachineState Dram;
@@ -74,7 +73,6 @@ private:
   uint64_t Cycle = 0;
   std::string Stdout;
   std::string Stderr;
-  uint64_t Interrupts = 0;
 
   // Memory transaction in flight.
   bool MemBusy = false;

@@ -113,27 +113,44 @@ const std::vector<std::string> &BasisFfi::callNames() {
   return Names;
 }
 
-bool BasisFfi::isKnownCall(const std::string &Name) {
-  const auto &Names = callNames();
-  return std::find(Names.begin(), Names.end(), Name) != Names.end();
+std::optional<IoEvent> silver::ffi::ioEvent(unsigned Index,
+                                           std::vector<uint8_t> Conf,
+                                           const uint8_t *Bytes,
+                                           uint64_t BytesLen) {
+  FfiIndex Call = static_cast<FfiIndex>(Index);
+  if (Call == FfiIndex::Exit)
+    return std::nullopt;
+  uint64_t Header = Call == FfiIndex::Write ? 4
+                    : Call == FfiIndex::Read || Call == FfiIndex::GetArg ||
+                            Call == FfiIndex::GetArgLength
+                        ? 2
+                        : 0;
+  IoEvent E{Index, std::move(Conf), BytesLen, {}};
+  E.Request.assign(Bytes, Bytes + std::min(Header, BytesLen));
+  if (Header == 4 && BytesLen >= 4) {
+    uint64_t Count = bytesToU16(Bytes);
+    uint64_t Offset = bytesToU16(Bytes + 2);
+    if (Offset + Count <= BytesLen - 4)
+      E.Request.insert(E.Request.end(), Bytes + 4 + Offset,
+                       Bytes + 4 + Offset + Count);
+  }
+  return E;
 }
 
 FfiResult BasisFfi::call(const std::string &Name,
                          const std::vector<uint8_t> &Conf,
                          const std::vector<uint8_t> &Bytes) {
-  if (!Obs)
-    return callImpl(Name, Conf, Bytes);
   const std::vector<std::string> &Names = callNames();
-  unsigned Index = 0;
-  while (Index < Names.size() && Names[Index] != Name)
-    ++Index;
-  obs::FfiEvent E;
-  E.Index = Index;
-  E.Entry = true;
-  Obs->onFfi(E);
+  unsigned Index = static_cast<unsigned>(
+      std::find(Names.begin(), Names.end(), Name) - Names.begin());
+  if (std::optional<IoEvent> E = ioEvent(Index, Conf, Bytes.data(),
+                                         Bytes.size()))
+    Trace.push_back(std::move(*E));
+  if (Obs)
+    Obs->onFfi({Index, /*Entry=*/true});
   FfiResult R = callImpl(Name, Conf, Bytes);
-  E.Entry = false;
-  Obs->onFfi(E);
+  if (Obs)
+    Obs->onFfi({Index, /*Entry=*/false});
   return R;
 }
 
@@ -240,11 +257,5 @@ FfiResult BasisFfi::callImpl(const std::string &Name,
   } else {
     return Fail();
   }
-
-  FfiIoEvent Event;
-  Event.Name = Name;
-  Event.Conf = Conf;
-  Event.Bytes = R.Bytes;
-  IoEvents.push_back(std::move(Event));
   return R;
 }

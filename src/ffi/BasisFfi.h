@@ -34,6 +34,13 @@
 ///  - `close`: fd in conf; out: bytes[0]=status.
 ///  - `exit`:  bytes[0]=exit code; terminates the program.
 ///
+/// A run's FFI behaviour is its IoTrace: one IoEvent per call, holding
+/// the call's request only (ioEvent).  Every level records it, through
+/// this oracle (Spec, Machine) or at the syscall entry (Isa, Rtl,
+/// Verilog; sys::recordFfiCall), and the end-to-end checks compare it
+/// (stack::compareBehaviour).  Responses are a function of the oracle
+/// state and the requests, so the requests determine the trace.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_FFI_BASISFFI_H
@@ -43,11 +50,26 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace silver {
 namespace ffi {
+
+/// FFI indices, in BasisFfi::callNames() order (the syscall table order
+/// of the Silver memory image).
+enum class FfiIndex : unsigned {
+  Read = 0,
+  Write = 1,
+  GetArgCount = 2,
+  GetArgLength = 3,
+  GetArg = 4,
+  OpenIn = 5,
+  OpenOut = 6,
+  Close = 7,
+  Exit = 8,
+};
 
 /// Standard stream descriptors.
 inline constexpr uint64_t StdinFd = 0;
@@ -107,13 +129,28 @@ struct FfiResult {
   uint8_t ExitCode = 0;       ///< Exit only
 };
 
-/// One recorded IO event, mirroring CakeML's io_events: the call name,
-/// its configuration, and the byte array after the call.
-struct FfiIoEvent {
-  std::string Name;
+/// One FFI call of a run, CakeML's io_events entry reduced to its
+/// request: the call index, the conf bytes, the byte-array length, and
+/// the bytes of the array the wire format reads (Request).  Bytes the
+/// call ignores, such as the stale tail of a read buffer, are not part
+/// of it.
+struct IoEvent {
+  unsigned Index = 0;
   std::vector<uint8_t> Conf;
-  std::vector<uint8_t> Bytes;
+  uint64_t BytesLen = 0;
+  std::vector<uint8_t> Request;
+
+  bool operator==(const IoEvent &) const = default;
 };
+using IoTrace = std::vector<IoEvent>;
+
+/// The event of call \p Index on the \p BytesLen-byte array at \p Bytes:
+/// `read`, `get_arg_length` and `get_arg` read bytes[0..1]; `write`
+/// reads its 4-byte header and, when it fits, the payload it names;
+/// the other calls read only conf.  The footprint is clamped to the
+/// array.  `exit` is no event: CakeML treats it as final.
+std::optional<IoEvent> ioEvent(unsigned Index, std::vector<uint8_t> Conf,
+                               const uint8_t *Bytes, uint64_t BytesLen);
 
 /// The basis_ffi oracle state: command line + filesystem, with the oracle
 /// function as a method and the trace of IO events.
@@ -125,11 +162,11 @@ public:
 
   std::vector<std::string> CommandLine;
   Filesystem Fs;
-  std::vector<FfiIoEvent> IoEvents;
+  IoTrace Trace;
 
-  /// The oracle: dispatches on \p Name, evolves the state, records the
-  /// IO event, and returns the updated bytes (paper's call_FFI wrapper
-  /// around basis_ffi_oracle).
+  /// The oracle: dispatches on \p Name, records the call's IoEvent,
+  /// evolves the state, and returns the updated bytes (paper's call_FFI
+  /// wrapper around basis_ffi_oracle).
   FfiResult call(const std::string &Name, const std::vector<uint8_t> &Conf,
                  const std::vector<uint8_t> &Bytes);
 
@@ -141,9 +178,6 @@ public:
   /// All bytes written to stdout so far (the paper's get_stdout io).
   const std::string &getStdout() const { return Fs.StdoutData; }
   const std::string &getStderr() const { return Fs.StderrData; }
-
-  /// True when \p Name is one of the recognised basis calls.
-  static bool isKnownCall(const std::string &Name);
 
   /// The FFI names in their canonical index order (the syscall table
   /// order used by the Silver memory image).

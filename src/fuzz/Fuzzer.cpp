@@ -71,9 +71,9 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
                    : Run.Jit    ? JitSlot
                                 : static_cast<size_t>(Run.L);
         LevelRuns[L].fetch_add(1, std::memory_order_relaxed);
-        LevelInstrs[L].fetch_add(Run.Behaviour.Instructions,
+        LevelInstrs[L].fetch_add(Run.Out.Behaviour.Instructions,
                                  std::memory_order_relaxed);
-        LevelCycles[L].fetch_add(Run.Behaviour.Cycles,
+        LevelCycles[L].fetch_add(Run.Out.Behaviour.Cycles,
                                  std::memory_order_relaxed);
       }
       if (R->Diff.Kind == DiffKind::Inconclusive) {

@@ -36,12 +36,13 @@ const char *silver::fuzz::diffKindName(DiffKind K) {
   return "?";
 }
 
+static const char *runName(Level L, bool Jit, bool Compiled) {
+  return Compiled ? "verilog-compiled" : Jit ? "jit" : stack::levelName(L);
+}
+
 std::string Divergence::fingerprint() const {
-  std::string Other_ = OtherCompiled ? "verilog-compiled"
-                       : OtherJit    ? "jit"
-                                     : stack::levelName(Other);
   return std::string(diffKindName(Kind)) + ":" + stack::levelName(Ref) + ":" +
-         Other_;
+         runName(Other, OtherJit, OtherCompiled);
 }
 
 Result<stack::Prepared> silver::fuzz::prepareCase(const CaseSpec &C) {
@@ -121,7 +122,6 @@ LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Level L,
     R.ErrorMessage = St.error().message();
     return R;
   }
-  R.Status = *St;
   if (Result<stack::StateDigest> D = E.sessionState())
     R.Digest = *D;
   Result<stack::Outcome> Out = E.finish();
@@ -130,31 +130,31 @@ LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Level L,
     R.ErrorMessage = Out.error().message();
     return R;
   }
-  R.Behaviour = Out->Behaviour;
+  R.Out = Out.take();
   R.Retires = Sink.retireStream();
   return R;
 }
 
 bool isHardware(Level L) { return L == Level::Rtl || L == Level::Verilog; }
 
-const char *runName(const LevelRun &R) {
-  return R.Compiled ? "verilog-compiled"
-         : R.Jit    ? "jit"
-                    : stack::levelName(R.L);
-}
-
-Divergence diverge(DiffKind K, const LevelRun &Other, std::string Detail) {
+Divergence diverge(DiffKind K, const LevelRun &Ref, const LevelRun &Other,
+                   std::string Detail) {
   Divergence D;
   D.Kind = K;
-  D.Ref = Level::Isa;
+  D.Ref = Ref.L;
   D.Other = Other.L;
   D.OtherJit = Other.Jit;
+  D.OtherCompiled = Other.Compiled;
   D.Detail = std::move(Detail);
   return D;
 }
 
-/// Compares \p R against the ISA reference \p Ref; see the file comment
-/// of Oracle.h for the two masked asymmetries.
+/// Compares \p R against the reference run \p Ref: the Isa run, with the
+/// two masked asymmetries of the file comment of Oracle.h, or, for the
+/// compiled-simulator run, the interpreted Verilog run.  Both of those
+/// are the same hardware semantics on the same module, so that
+/// comparison is exact: no asymmetry is masked, the retire streams are
+/// compared whole, and the instruction and cycle counts must match too.
 Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
   if (Ref.Errored || R.Errored) {
     // Both sides failing is agreement (the generator aims never to get
@@ -176,33 +176,33 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
       return D;
     }
     const LevelRun &Bad = Ref.Errored ? Ref : R;
-    return diverge(DiffKind::Status, R,
-                   std::string(stack::levelName(Bad.L)) +
-                       " errored: " + Bad.ErrorMessage);
+    return diverge(DiffKind::Status, Ref, R,
+                   std::string(runName(Bad.L, Bad.Jit, Bad.Compiled)) +
+                       " errored: " +
+                       Bad.ErrorMessage);
   }
-  if (Ref.Status != R.Status)
-    return diverge(DiffKind::Status, R,
-                   std::string(stack::runStatusName(Ref.Status)) + " vs " +
-                       stack::runStatusName(R.Status));
+  if (Ref.Out.Status != R.Out.Status)
+    return diverge(DiffKind::Status, Ref, R,
+                   std::string(stack::runStatusName(Ref.Out.Status)) +
+                       " vs " + stack::runStatusName(R.Out.Status));
+  if (Result<void> B = stack::compareBehaviour(R.Out, Ref.Out, false); !B)
+    return diverge(DiffKind::Behaviour, Ref, R, B.error().message());
+  const bool Exact = isHardware(Ref.L);
+  const stack::Observed &A = Ref.Out.Behaviour;
+  const stack::Observed &B = R.Out.Behaviour;
+  if (Exact && (A.Instructions != B.Instructions || A.Cycles != B.Cycles))
+    return diverge(DiffKind::Behaviour, Ref, R,
+                   "counters " + std::to_string(A.Instructions) + "i/" +
+                       std::to_string(A.Cycles) + "c vs " +
+                       std::to_string(B.Instructions) + "i/" +
+                       std::to_string(B.Cycles) + "c");
 
-  const stack::Observed &A = Ref.Behaviour;
-  const stack::Observed &B = R.Behaviour;
-  if (A.StdoutData != B.StdoutData)
-    return diverge(DiffKind::Behaviour, R, "stdout differs");
-  if (A.StderrData != B.StderrData)
-    return diverge(DiffKind::Behaviour, R, "stderr differs");
-  if (A.Terminated != B.Terminated || A.ExitCode != B.ExitCode)
-    return diverge(DiffKind::Behaviour, R,
-                   "exit " + std::to_string(A.Terminated) + "/" +
-                       std::to_string(A.ExitCode) + " vs " +
-                       std::to_string(B.Terminated) + "/" +
-                       std::to_string(B.ExitCode));
-
-  // Retire streams: Isa vs the hardware levels only (the Machine level
-  // compresses each FFI call into one unobserved oracle step).
+  // Retire streams: against the hardware levels only (the Machine level
+  // compresses each FFI call into one unobserved oracle step, and the
+  // JIT run is unobserved).
   if (isHardware(R.L)) {
     std::vector<std::pair<Word, uint8_t>> Other = R.Retires;
-    if (Other.size() == Ref.Retires.size() + 1 && !Other.empty() &&
+    if (!Exact && Other.size() == Ref.Retires.size() + 1 &&
         Other.back().first == Ref.Digest.Pc)
       Other.pop_back(); // the hardware's extra halt-self-jump retire
     if (Other != Ref.Retires) {
@@ -214,7 +214,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
           break;
         }
       Divergence D = diverge(
-          DiffKind::Retire, R,
+          DiffKind::Retire, Ref, R,
           At < N ? "first mismatch at retire " + std::to_string(At) +
                        ": pc " + toHex(Ref.Retires[At].first) + " vs " +
                        toHex(Other[At].first)
@@ -227,7 +227,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
 
   stack::StateDigest DA = Ref.Digest;
   stack::StateDigest DB = R.Digest;
-  if (isHardware(R.L)) {
+  if (!Exact && isHardware(R.L)) {
     // The retired halt self-jump wrote PC+4 to the link register and
     // ran the ALU once more; the epilogue preserved the real flags in
     // r43/r44, which stay unmasked.
@@ -244,99 +244,17 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
       DB.Regs[Reg] = DA.Regs[Reg];
   }
   if (DA.Pc != DB.Pc)
-    return diverge(DiffKind::State, R,
+    return diverge(DiffKind::State, Ref, R,
                    "pc " + toHex(DA.Pc) + " vs " + toHex(DB.Pc));
   if (DA.Carry != DB.Carry || DA.Overflow != DB.Overflow)
-    return diverge(DiffKind::State, R, "flags differ");
+    return diverge(DiffKind::State, Ref, R, "flags differ");
   for (unsigned I = 0; I != isa::NumRegs; ++I)
     if (DA.Regs[I] != DB.Regs[I])
-      return diverge(DiffKind::State, R,
+      return diverge(DiffKind::State, Ref, R,
                      "r" + std::to_string(I) + " = " + toHex(DA.Regs[I]) +
                          " vs " + toHex(DB.Regs[I]));
   if (DA.MemoryBytes != DB.MemoryBytes || DA.MemoryHash != DB.MemoryHash)
-    return diverge(DiffKind::State, R, "final memory differs");
-  return {};
-}
-
-Divergence divergeCompiled(DiffKind K, std::string Detail) {
-  Divergence D;
-  D.Kind = K;
-  D.Ref = Level::Verilog;
-  D.Other = Level::Verilog;
-  D.OtherCompiled = true;
-  D.Detail = std::move(Detail);
-  return D;
-}
-
-/// Compiled-vs-interpreted Verilog: both sides are the same hardware
-/// semantics on the same module, so neither masked asymmetry applies
-/// and the comparison is exact — status, behaviour including the
-/// instruction and cycle counts, the full retire stream (no halt-retire
-/// trim), and the digest, bit for bit.
-Divergence compareCompiled(const LevelRun &Ref, const LevelRun &R) {
-  if (Ref.Errored || R.Errored) {
-    if (Ref.Errored && R.Errored)
-      return {}; // both sides failing identically is agreement
-    const LevelRun &Bad = Ref.Errored ? Ref : R;
-    return divergeCompiled(DiffKind::Status, std::string(runName(Bad)) +
-                                                 " errored: " +
-                                                 Bad.ErrorMessage);
-  }
-  if (Ref.Status != R.Status)
-    return divergeCompiled(DiffKind::Status,
-                           std::string(stack::runStatusName(Ref.Status)) +
-                               " vs " + stack::runStatusName(R.Status));
-  const stack::Observed &A = Ref.Behaviour;
-  const stack::Observed &B = R.Behaviour;
-  if (A.StdoutData != B.StdoutData)
-    return divergeCompiled(DiffKind::Behaviour, "stdout differs");
-  if (A.StderrData != B.StderrData)
-    return divergeCompiled(DiffKind::Behaviour, "stderr differs");
-  if (A.Terminated != B.Terminated || A.ExitCode != B.ExitCode)
-    return divergeCompiled(DiffKind::Behaviour,
-                           "exit " + std::to_string(A.Terminated) + "/" +
-                               std::to_string(A.ExitCode) + " vs " +
-                               std::to_string(B.Terminated) + "/" +
-                               std::to_string(B.ExitCode));
-  if (A.Instructions != B.Instructions || A.Cycles != B.Cycles)
-    return divergeCompiled(DiffKind::Behaviour,
-                           "counters " + std::to_string(A.Instructions) +
-                               "i/" + std::to_string(A.Cycles) + "c vs " +
-                               std::to_string(B.Instructions) + "i/" +
-                               std::to_string(B.Cycles) + "c");
-  if (Ref.Retires != R.Retires) {
-    size_t N = std::min(Ref.Retires.size(), R.Retires.size());
-    size_t At = N;
-    for (size_t I = 0; I != N; ++I)
-      if (Ref.Retires[I] != R.Retires[I]) {
-        At = I;
-        break;
-      }
-    Divergence D = divergeCompiled(
-        DiffKind::Retire,
-        At < N ? "first mismatch at retire " + std::to_string(At) +
-                     ": pc " + toHex(Ref.Retires[At].first) + " vs " +
-                     toHex(R.Retires[At].first)
-               : "stream lengths " + std::to_string(Ref.Retires.size()) +
-                     " vs " + std::to_string(R.Retires.size()));
-    D.RetireAt = At;
-    return D;
-  }
-  const stack::StateDigest &DA = Ref.Digest;
-  const stack::StateDigest &DB = R.Digest;
-  if (DA.Pc != DB.Pc)
-    return divergeCompiled(DiffKind::State, "pc " + toHex(DA.Pc) + " vs " +
-                                                toHex(DB.Pc));
-  if (DA.Carry != DB.Carry || DA.Overflow != DB.Overflow)
-    return divergeCompiled(DiffKind::State, "flags differ");
-  for (unsigned I = 0; I != isa::NumRegs; ++I)
-    if (DA.Regs[I] != DB.Regs[I])
-      return divergeCompiled(DiffKind::State,
-                             "r" + std::to_string(I) + " = " +
-                                 toHex(DA.Regs[I]) + " vs " +
-                                 toHex(DB.Regs[I]));
-  if (DA.MemoryBytes != DB.MemoryBytes || DA.MemoryHash != DB.MemoryHash)
-    return divergeCompiled(DiffKind::State, "final memory differs");
+    return diverge(DiffKind::State, Ref, R, "final memory differs");
   return {};
 }
 
@@ -355,8 +273,8 @@ Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
 
   OracleResult Res;
   LevelRun Isa = runOne(*POr, C, Level::Isa, O.MaxSteps);
-  Res.IsaInstructions = Isa.Behaviour.Instructions;
-  if (!Isa.Errored && Isa.Status != stack::RunStatus::Completed) {
+  Res.IsaInstructions = Isa.Out.Behaviour.Instructions;
+  if (!Isa.Errored && Isa.Out.Status != stack::RunStatus::Completed) {
     // Nothing to compare against; also keeps runaway loops away from
     // the cycle-accurate levels.
     Res.Diff.Kind = DiffKind::Inconclusive;
@@ -370,7 +288,7 @@ Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
   // the ISA instruction count (the slack covers the startup prefix and
   // the extra halt retire).
   uint64_t Budget =
-      Isa.Errored ? O.MaxSteps : Isa.Behaviour.Instructions + 256;
+      Isa.Errored ? O.MaxSteps : Isa.Out.Behaviour.Instructions + 256;
 
   Res.Runs.push_back(Isa);
   if (O.CompareJit) {
@@ -414,7 +332,7 @@ Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
     }
     LevelRun CR = runOne(*POr, C, Level::Verilog, Budget, /*Jit=*/false,
                          /*Compiled=*/true);
-    Divergence D = compareCompiled(Res.Runs[VIdx], CR);
+    Divergence D = compareRuns(Res.Runs[VIdx], CR, C.hasFfi());
     Res.Runs.push_back(std::move(CR));
     if (D.found() && !Res.Diff.found())
       Res.Diff = D;

@@ -12,7 +12,8 @@
 ///
 ///  - the same run status (completed vs budget timeout vs error),
 ///  - the same observable behaviour (stdout, stderr, exit code,
-///    termination),
+///    termination, and the FFI request trace: stack::compareBehaviour
+///    with no OOM licence),
 ///  - the same retire stream (pc, opcode) — Isa vs Rtl/Verilog, and
 ///  - the same final architectural state (stack::StateDigest).
 ///
@@ -67,8 +68,7 @@ struct LevelRun {
   bool Ran = false;
   bool Errored = false; ///< the executor reported an error (fault, ...)
   std::string ErrorMessage;
-  stack::RunStatus Status = stack::RunStatus::Completed;
-  stack::Observed Behaviour;
+  stack::Outcome Out; ///< status, behaviour and FFI trace
   stack::StateDigest Digest;
   std::vector<std::pair<Word, uint8_t>> Retires; ///< (pc, opcode)
 };
@@ -78,7 +78,7 @@ enum class DiffKind : uint8_t {
   None,         ///< all levels agree
   Inconclusive, ///< the reference level timed out; nothing compared
   Status,       ///< completed vs timeout vs error
-  Behaviour,    ///< stdout/stderr/exit code/termination differ
+  Behaviour,    ///< stdout/stderr/exit code/termination/FFI trace differ
   Retire,       ///< first retire-stream mismatch
   State,        ///< final digest mismatch
 };

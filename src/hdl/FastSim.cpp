@@ -124,6 +124,12 @@ const Instr *runTape(const Instr *Code, uint64_t *S,
       break;
     case Op::MemCommit:
       if (S[In.A + 2] != 0) {
+        Mems[In.B][S[In.A]] = S[In.A + 1];
+        S[In.A + 2] = 0;
+      }
+      break;
+    case Op::MemCommitChecked:
+      if (S[In.A + 2] != 0) {
         std::vector<uint64_t> &Mem = Mems[In.B];
         uint64_t Index = S[In.A];
         if (Index >= Mem.size())

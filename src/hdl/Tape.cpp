@@ -84,6 +84,11 @@ private:
     T.Code.push_back({Code, static_cast<uint8_t>(Sh), D, A, B, Imm});
     return static_cast<uint32_t>(T.Code.size() - 1);
   }
+  /// Whether an index of \p Width bits into memory \p Mem needs a range
+  /// check: one no wider than log2 of the depth is always in range.
+  bool indexChecked(unsigned Width, int Mem) const {
+    return Width >= 64 || (uint64_t(1) << Width) > L.MemDepths[Mem];
+  }
   /// Points the jump at \p At to the next instruction emitted.
   void patch(uint32_t At) {
     T.Code[At].D = static_cast<uint32_t>(T.Code.size());
@@ -147,9 +152,7 @@ Operand TapeBuilder::compileExp(const VExp &E, uint32_t Hint) {
     int Mem = L.MemSlots.at(E.Name);
     Operand Idx = compileExp(*E.Args[0], NoHint);
     uint32_t D = Dst();
-    // An index no wider than log2 of the depth is always in range.
-    bool Checked = Idx.Width >= 64 ||
-                   (uint64_t(1) << Idx.Width) > L.MemDepths[Mem];
+    bool Checked = indexChecked(Idx.Width, Mem);
     CheckedRead |= Checked;
     emit(Checked ? Op::MemReadChecked : Op::MemRead, D, Idx.Slot,
          static_cast<uint32_t>(Mem));
@@ -328,13 +331,15 @@ void TapeBuilder::compileStmt(const VStmt &S, bool Conditional) {
   }
   case VStmtKind::MemWrite: {
     uint32_t Mem = static_cast<uint32_t>(L.MemSlots.at(S.Lhs));
-    uint32_t Index = compileExp(*S.Index, NoHint).Slot;
+    Operand Index = compileExp(*S.Index, NoHint);
     uint32_t Value = compileExp(*S.Rhs, NoHint).Slot;
     uint32_t Latch = newSlot();
     newSlot();
     T.Flags.push_back(newSlot());
-    emit(Op::MemLatch, Latch, Index, Value);
-    NbCommits.push_back({Op::MemCommit, 0, 0, Latch, Mem, 0});
+    emit(Op::MemLatch, Latch, Index.Slot, Value);
+    NbCommits.push_back({indexChecked(Index.Width, Mem) ? Op::MemCommitChecked
+                                                        : Op::MemCommit,
+                         0, 0, Latch, Mem, 0});
     return;
   }
   }

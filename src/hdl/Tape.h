@@ -24,8 +24,9 @@
 ///  - Non-blocking and memory writes fill latch slots that a commit
 ///    section at the end of the tape applies in program order.
 /// A memory read whose index is wider than log2 of the depth is checked
-/// and fails the cycle before any commit, as in the reference; any other
-/// read is in range by its width and unchecked.
+/// and fails the cycle before any commit, as in the reference; a memory
+/// write with such an index is checked at its commit.  Any other access
+/// is in range by its width and unchecked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +89,8 @@ enum class Op : uint8_t {
   MemLatch,   ///< S[D] = S[A]; S[D + 1] = S[B]; S[D + 2] = 1
   Commit,     ///< if S[A + 1]: S[D] = S[A]; S[A + 1] = 0
   MemCommit,  ///< if S[A + 2]: memory B at S[A] = S[A + 1]; S[A + 2] = 0;
-              ///< out of range fails the cycle
+              ///< in range by the index width
+  MemCommitChecked, ///< MemCommit; out of range fails the cycle
   Halt,
 };
 

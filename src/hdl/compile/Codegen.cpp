@@ -124,7 +124,9 @@ std::string TapePrinter::statement(const Instr &In) const {
     return "if (" + ref(In.A + 1) + ") { " + D() + A() + "; " +
            ref(In.A + 1) + " = 0; }";
   case Op::MemCommit:
-    return "if (" + ref(In.A + 2) + ") { " + Fails(A(), false) + " " +
+  case Op::MemCommitChecked:
+    return "if (" + ref(In.A + 2) + ") { " +
+           (In.Code == Op::MemCommitChecked ? Fails(A(), false) + " " : "") +
            Mem() + "[" + A() + "] = " + ref(In.A + 1) + "; " +
            ref(In.A + 2) + " = 0; }";
   case Op::Halt:

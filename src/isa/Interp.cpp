@@ -7,7 +7,6 @@
 
 #include "isa/Interp.h"
 
-#include "isa/Abi.h"
 #include "isa/DecodeCache.h"
 
 using namespace silver;
@@ -15,7 +14,7 @@ using namespace silver::isa;
 
 IsaEnv::~IsaEnv() = default;
 
-std::vector<uint8_t> IsaEnv::onInterrupt(MachineState &) { return {}; }
+void IsaEnv::onInterrupt(MachineState &) {}
 
 Word IsaEnv::inputWord(MachineState &) { return 0; }
 
@@ -136,7 +135,6 @@ namespace {
 struct NullEmit {
   void mem(Word, uint8_t, bool) {}
   void retire(Word, const Instruction &) {}
-  void beforeStep(const MachineState &) {}
   void afterStep(const MachineState &) {}
 };
 
@@ -161,29 +159,16 @@ struct ObsEmit {
   }
 };
 
-/// The observed run loop's emitter: ObsEmit plus the FFI-span detection
-/// of ObsHooks around each executed instruction.
+/// The observed run loop's emitter: ObsEmit plus the closing of an open
+/// FFI span (ObsHooks) after each executed instruction.
 struct HooksEmit : ObsEmit {
   ObsHooks &H;
-  void beforeStep(const MachineState &State) {
-    if (H.FfiEntryPc && !H.InFfi && State.PC == H.FfiEntryPc) {
-      H.InFfi = true;
-      H.FfiIndex = State.Regs[abi::FfiIndexReg];
-      ffi(/*Entry=*/true);
-    }
-  }
   void afterStep(const MachineState &State) {
     if (H.InFfi &&
         (State.PC < H.FfiRegionBegin || State.PC >= H.FfiRegionEnd)) {
       H.InFfi = false;
-      ffi(/*Entry=*/false);
+      Obs.onFfi({H.FfiIndex, /*Entry=*/false});
     }
-  }
-  void ffi(bool Entry) {
-    obs::FfiEvent E;
-    E.Index = H.FfiIndex;
-    E.Entry = Entry;
-    Obs.onFfi(E);
   }
 };
 
@@ -301,13 +286,9 @@ static StepResult execImpl(MachineState &State, IsaEnv &Env,
       NextPC = State.PC + static_cast<Word>(I.Offset) * 4;
     break;
   }
-  case Opcode::Interrupt: {
-    IoEvent Event;
-    Event.K = IoEvent::Kind::Interrupt;
-    Event.Bytes = Env.onInterrupt(State);
-    State.IoEvents.push_back(std::move(Event));
+  case Opcode::Interrupt:
+    Env.onInterrupt(State);
     break;
-  }
   case Opcode::In:
     State.Regs[I.WReg] = Env.inputWord(State);
     break;
@@ -315,10 +296,6 @@ static StepResult execImpl(MachineState &State, IsaEnv &Env,
     Word V = State.operandValue(I.A);
     State.DataOut = V;
     Env.onOutput(State, V);
-    IoEvent Event;
-    Event.K = IoEvent::Kind::Output;
-    Event.Value = V;
-    State.IoEvents.push_back(std::move(Event));
     break;
   }
   }
@@ -410,7 +387,7 @@ RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
 /// fetches and decodes PC twice per iteration (isHalted, then step);
 /// here both collapse into one cache lookup, and on a hit the body is
 /// check-flag-and-execute.  \p HasStop and the emitter are compile-time:
-/// with NullEmit the before/after-step hooks vanish, and without a stop
+/// with NullEmit the after-step hook vanishes, and without a stop
 /// PC so does its compare.  Each instantiation stays its own function:
 /// inlined together into run(), they share one register allocation, and
 /// with GCC -O3 on x86-64 the Isa-level loop spilled its step counter
@@ -439,7 +416,6 @@ template <bool HasStop, class Emit>
       R.Halted = true;
       return R;
     }
-    E.beforeStep(State);
     StepResult S = execImpl(State, Env, D.I, E, CacheInval{Cache});
     if (!S.ok()) {
       R.Fault = S.Fault;

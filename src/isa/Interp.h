@@ -32,16 +32,14 @@ class IsaEnv {
 public:
   virtual ~IsaEnv();
 
-  /// Invoked when an Interrupt instruction executes.  The returned bytes
-  /// are recorded in the IO-event trace as the observable part of memory
-  /// (see IoEvent).  The default returns no bytes.
-  virtual std::vector<uint8_t> onInterrupt(MachineState &State);
+  /// Invoked when an Interrupt instruction executes; default: no effect.
+  virtual void onInterrupt(MachineState &State);
 
   /// Value delivered by the In instruction; default 0.
   virtual Word inputWord(MachineState &State);
 
   /// Invoked when an Out instruction executes; default: no effect beyond
-  /// the DataOut register and the trace entry the interpreter records.
+  /// the DataOut register.
   virtual void onOutput(MachineState &State, Word Value);
 };
 
@@ -134,13 +132,12 @@ struct ObsHooks {
   /// Retirement index of the next instruction the run executes (lets a
   /// resumed run continue the event stream where it paused).
   uint64_t RetireIndexBase = 0;
-  /// FFI-span detection: entering \p FfiEntryPc opens a span for the call
-  /// index in register abi::FfiIndexReg; leaving [FfiRegionBegin,
-  /// FfiRegionEnd) closes it.  All-zero disables detection.
-  Word FfiEntryPc = 0;
+  /// FFI-span closing: while a span is open (InFfi, for call FfiIndex),
+  /// leaving [FfiRegionBegin, FfiRegionEnd) closes it.  The caller opens
+  /// spans: the run has no notion of the syscall entry.  The state is
+  /// carried across paused runs.
   Word FfiRegionBegin = 0;
   Word FfiRegionEnd = 0;
-  /// True when an FFI span is open (carried across paused runs).
   bool InFfi = false;
   unsigned FfiIndex = 0;
 };

@@ -7,11 +7,14 @@
 ///
 /// \file
 /// The Silver ISA machine state (paper §4.1): memory (bytes), a 64-entry
-/// register file, the program counter, carry and overflow flags, and a
-/// trace of IO events.  The paper models memory as a total function from
-/// addresses to bytes; we use a flat byte array of configurable size and
-/// treat out-of-range accesses as errors (the machine-sem layer turns
-/// these into Fail behaviours, which compiled programs never exhibit).
+/// register file, the program counter, and carry and overflow flags.
+/// The paper models memory as a total function from addresses to bytes;
+/// we use a flat byte array of configurable size and treat out-of-range
+/// accesses as errors (the machine-sem layer turns these into Fail
+/// behaviours, which compiled programs never exhibit).
+///
+/// The paper's IO-event trace is not part of the state: a run's IO is the
+/// FFI trace the levels record at each syscall entry (ffi::IoTrace).
 ///
 /// The state also carries the page-state table (isa/PageMemory.h), one
 /// PageFlag byte per 4 KiB page.  Every write through the accessors
@@ -41,19 +44,6 @@
 namespace silver {
 namespace isa {
 
-/// One observable IO event.  In the paper's ISA semantics the Interrupt
-/// instruction "silently records the current state of memory by pushing it
-/// onto the trace of IO events"; snapshotting all of memory per event is
-/// impractical in a simulator, so the environment (see IsaEnv) extracts
-/// the observable bytes — for the Silver system-call convention, the
-/// output-buffer region — and those are what the trace stores.
-struct IoEvent {
-  enum class Kind : uint8_t { Interrupt, Output };
-  Kind K = Kind::Interrupt;
-  Word Value = 0;              ///< Out instruction payload
-  std::vector<uint8_t> Bytes;  ///< environment-extracted observable bytes
-};
-
 /// The Silver machine state.
 class MachineState {
 public:
@@ -77,7 +67,6 @@ public:
   /// The page-state table: PageFlag bits for each 4 KiB page of Memory.
   /// Always pageCount(Memory.size()) entries.
   std::vector<uint8_t> PageFlags;
-  std::vector<IoEvent> IoEvents;
   /// Last value written by an Out instruction (the data-out port).
   Word DataOut = 0;
 
@@ -151,9 +140,8 @@ public:
     return Op.IsImm ? Op.immValue() : Regs[Op.Value];
   }
 
-  /// ISA-visible equality: registers, PC, flags and memory.  IO traces are
-  /// compared separately (they live at different abstraction levels in the
-  /// cross-layer checks, mirroring the paper's ag32_eq_* relation family).
+  /// ISA-visible equality: registers, PC, flags and memory (the paper's
+  /// ag32_eq_* relation family).
   bool isaVisibleEquals(const MachineState &O) const {
     return Regs == O.Regs && PC == O.PC && CarryFlag == O.CarryFlag &&
            OverflowFlag == O.OverflowFlag && Memory == O.Memory;

@@ -11,8 +11,8 @@
 /// bit for bit.  A block is a straight-line run of instructions ending
 /// at the first terminator (Jump / JumpIfZero / JumpIfNotZero) or just
 /// before anything the JIT never translates — illegal words, the halt
-/// self-jump, I/O instructions (In/Out/Interrupt mutate the IO-event
-/// trace and call into the environment), the active stop PC,
+/// self-jump, I/O instructions (In/Out/Interrupt call into the
+/// environment), the active stop PC,
 /// or the edge of memory.
 ///
 /// The flag templates lean on x86 having the same ALU flag semantics as

@@ -9,24 +9,13 @@
 
 #include "cpu/Check.h"
 #include "ffi/BasisFfi.h"
+#include "isa/Abi.h"
 #include "isa/jit/Jit.h"
 
 #include <algorithm>
 
 using namespace silver;
 using namespace silver::stack;
-
-const char *silver::stack::runStatusName(RunStatus S) {
-  switch (S) {
-  case RunStatus::Completed:
-    return "completed";
-  case RunStatus::Paused:
-    return "paused";
-  case RunStatus::Timeout:
-    return "timeout";
-  }
-  return "?";
-}
 
 /// The cycle budget derived from an instruction budget: a generous
 /// cycles-per-instruction bound (the core retires one instruction every
@@ -69,6 +58,8 @@ struct Executor::SessionBase {
   virtual uint64_t instructions() const = 0;
   /// Snapshots the observable behaviour.
   virtual Observed collect() const = 0;
+  /// The FFI calls made so far.
+  virtual const ffi::IoTrace &trace() const = 0;
   /// Snapshots the architectural state (Executor::sessionState);
   /// \p FromScratch hashes every page (sessionStateFromScratch).
   virtual StateDigest digest(bool FromScratch) const = 0;
@@ -118,6 +109,11 @@ StateDigest digestOf(const isa::MachineState &S,
 /// code (sys::SysEnv reacting to Interrupt).  The startup prefix retires
 /// under the observer too, so the retire stream lines up with the RTL
 /// levels, which execute the startup code on the core from reset.
+///
+/// The backend runs in bursts that stop at the syscall entry (one stop
+/// PC per session, so the Jit keeps its blocks), where the session
+/// records the call, opens the observer's FFI span, and takes the entry
+/// instruction, which stores nothing, with one reference step.
 struct IsaSession final : Executor::SessionBase {
   sys::BootResult Boot;
   sys::SysEnv Env;
@@ -127,6 +123,7 @@ struct IsaSession final : Executor::SessionBase {
   /// backend (stores invalidate what they overwrite, so self-modifying
   /// code stays correct at every backend).
   std::unique_ptr<isa::ExecBackend> Backend;
+  ffi::IoTrace Trace;
   uint64_t Steps = 0; ///< post-startup ISA steps
   bool Halted = false;
 
@@ -135,7 +132,6 @@ struct IsaSession final : Executor::SessionBase {
         Backend(makeSessionBackend(E)) {
     Hooks.Obs = Obs;
     Hooks.RetireIndexBase = Boot.StartupSteps;
-    Hooks.FfiEntryPc = Boot.Layout.SyscallCodeBase;
     Hooks.FfiRegionBegin = Boot.Layout.SyscallCodeBase;
     Hooks.FfiRegionEnd = Boot.Layout.HeapBase;
   }
@@ -143,16 +139,35 @@ struct IsaSession final : Executor::SessionBase {
   Result<RunStatus> step(uint64_t MaxInstructions) override {
     if (Halted)
       return RunStatus::Completed;
-    // The null-observer test happens once per call inside the backend,
-    // not per retire: without an observer the predecoded loop does no
-    // virtual dispatch at all.
-    isa::RunResult R = Backend->run(Boot.State, Env, MaxInstructions,
-                                    std::nullopt, &Hooks);
-    Steps += R.Steps;
-    if (R.Fault != isa::StepFault::None)
-      return Error("ISA execution faulted");
-    Halted = R.Halted;
-    return Halted ? RunStatus::Completed : RunStatus::Paused;
+    isa::MachineState &State = Boot.State;
+    for (uint64_t Start = Steps;;) {
+      // The null-observer test happens once per call inside the
+      // backend, not per retire: without an observer the predecoded
+      // loop does no virtual dispatch at all.
+      isa::RunResult R =
+          Backend->run(State, Env, MaxInstructions - (Steps - Start),
+                       Boot.Layout.SyscallCodeBase, &Hooks);
+      Steps += R.Steps;
+      if (R.AtStopPc) {
+        sys::recordFfiCall(Trace, State.Regs, State);
+        if (Hooks.Obs) {
+          Hooks.InFfi = true;
+          Hooks.FfiIndex = State.Regs[abi::FfiIndexReg];
+          Hooks.Obs->onFfi({Hooks.FfiIndex, true});
+        }
+        R.Fault = (Hooks.Obs ? isa::step(State, Env, *Hooks.Obs,
+                                         Hooks.RetireIndexBase++)
+                             : isa::step(State, Env))
+                      .Fault;
+        Steps += R.Fault == isa::StepFault::None;
+      }
+      if (R.Fault != isa::StepFault::None)
+        return Error("ISA execution faulted");
+      if (!R.AtStopPc) {
+        Halted = R.Halted;
+        return Halted ? RunStatus::Completed : RunStatus::Paused;
+      }
+    }
   }
 
   // Matches collect().Instructions (startup prefix included): the
@@ -170,6 +185,8 @@ struct IsaSession final : Executor::SessionBase {
     O.ExitCode = S.Exited ? S.Code : 0;
     return O;
   }
+
+  const ffi::IoTrace &trace() const override { return Trace; }
 
   StateDigest digest(bool FromScratch) const override {
     return digestOf(Boot.State, FromScratch ? nullptr : Boot.Snapshot.get());
@@ -223,6 +240,8 @@ struct MachineSession final : Executor::SessionBase {
     O.StderrData = Sem.ffi().getStderr();
     return O;
   }
+
+  const ffi::IoTrace &trace() const override { return Sem.ffi().Trace; }
 
   StateDigest digest(bool FromScratch) const override {
     return digestOf(Sem.state(), FromScratch ? nullptr : Snapshot.get());
@@ -284,16 +303,19 @@ struct RtlSession final : Executor::SessionBase {
   }
 
   Observed collect() const override {
-    cpu::CoreRunResult R = Runner->result();
     Observed O;
-    O.Terminated = R.Halted;
-    O.Cycles = R.Cycles;
-    O.Instructions = R.Instructions;
-    O.StdoutData = R.StdoutData;
-    O.StderrData = R.StderrData;
-    O.ExitCode = R.Exit.Exited ? R.Exit.Code : 0;
+    O.Terminated = Runner->halted();
+    O.Cycles = Runner->cycles();
+    O.Instructions = Runner->instructions();
+    O.StdoutData = Runner->collectedStdout();
+    O.StderrData = Runner->collectedStderr();
+    sys::ExitStatus S =
+        sys::readExitStatus(Runner->memory(), Snapshot->Layout);
+    O.ExitCode = S.Exited ? S.Code : 0;
     return O;
   }
+
+  const ffi::IoTrace &trace() const override { return Runner->trace(); }
 
   // The memory half from the lab DRAM, the architectural half from the
   // core.
@@ -505,6 +527,7 @@ Result<Outcome> Executor::finish() {
   Outcome Out;
   Out.Status = LastStatus;
   Out.Behaviour = Session->collect();
+  Out.Trace = Session->trace();
   if (Obs)
     Obs->onRunEnd();
   Session->recycle();
@@ -518,15 +541,10 @@ Result<Outcome> Executor::run(Level L) {
     // behaviour.  Bracketed so counters/traces still see the run.
     if (Obs)
       Obs->onRunBegin(obs::ExecLevel::Spec);
-    Result<Observed> R = runSpecLevel(Spec);
+    Result<Outcome> R = runSpecLevel(Spec);
     if (Obs)
       Obs->onRunEnd();
-    if (!R)
-      return R.error();
-    Outcome Out;
-    Out.Status = RunStatus::Completed;
-    Out.Behaviour = *R;
-    return Out;
+    return R;
   }
   if (Result<void> B = begin(L); !B)
     return B.error();

@@ -73,23 +73,6 @@ inline bool operator!=(const StateDigest &A, const StateDigest &B) {
   return !(A == B);
 }
 
-/// Why an execution stopped.
-enum class RunStatus : uint8_t {
-  Completed, ///< the program halted / terminated
-  Paused,    ///< a step() quota was used up; the session is resumable
-  Timeout,   ///< the instruction or cycle budget ran out
-};
-const char *runStatusName(RunStatus S);
-
-/// Final outcome of an execution: how it stopped plus the observable
-/// behaviour so far (complete when Status == Completed, the prefix
-/// otherwise).  Faults and environment protocol violations are reported
-/// as errors, not outcomes.
-struct Outcome {
-  RunStatus Status = RunStatus::Completed;
-  Observed Behaviour;
-};
-
 /// The observable execution engine.  Movable, not copyable.  An attached
 /// observer sees, per run: onRunBegin, then retire / memory / FFI-span /
 /// cycle events as the level produces them, then onRunEnd.  With no

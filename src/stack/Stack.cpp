@@ -66,6 +66,18 @@ bool silver::stack::parseHdlBackendKind(const std::string &Name,
   return false;
 }
 
+const char *silver::stack::runStatusName(RunStatus S) {
+  switch (S) {
+  case RunStatus::Completed:
+    return "completed";
+  case RunStatus::Paused:
+    return "paused";
+  case RunStatus::Timeout:
+    return "timeout";
+  }
+  return "?";
+}
+
 const char *silver::stack::levelName(Level L) {
   switch (L) {
   case Level::Spec:
@@ -127,7 +139,7 @@ silver::stack::auditPrepared(const Prepared &P,
   return Report;
 }
 
-Result<Observed> silver::stack::runSpecLevel(const RunSpec &Spec) {
+Result<Outcome> silver::stack::runSpecLevel(const RunSpec &Spec) {
   Result<cml::Program> Prog =
       cml::parseProgram(cml::withPrelude(Spec.Source));
   if (!Prog)
@@ -136,36 +148,64 @@ Result<Observed> silver::stack::runSpecLevel(const RunSpec &Spec) {
                                              Spec.StdinData, 0);
   if (!Out.Ok)
     return Error("interpreter error: " + Out.ErrorMessage);
-  Observed O;
-  O.StdoutData = Out.StdoutData;
-  O.StderrData = Out.StderrData;
-  O.ExitCode = Out.ExitCode;
-  O.Terminated = true;
-  O.Instructions = Out.Steps;
-  return O;
+  Observed B{Out.Ffi.getStdout(), Out.Ffi.getStderr(), Out.ExitCode,
+             /*Terminated=*/true, Out.Steps};
+  return Outcome{RunStatus::Completed, std::move(B), std::move(Out.Ffi.Trace)};
 }
 
-Result<void> silver::stack::checkAgainstSpec(Level L, const Observed &Run,
-                                            const Observed &Spec) {
-  std::string Where = std::string(levelName(L)) + ": ";
-  if (Run.ExitCode == machine::OomExitCode &&
-      Spec.ExitCode != machine::OomExitCode) {
-    // extend_with_oom: premature OOM termination with a prefix of the
-    // specified output is within the compiler's contract.
-    if (!startsWith(Spec.StdoutData, Run.StdoutData))
-      return Error(Where + "OOM stdout is not a prefix of the spec's");
-    if (!startsWith(Spec.StderrData, Run.StderrData))
-      return Error(Where + "OOM stderr is not a prefix of the spec's");
-    return {};
-  }
-  if (Run.StdoutData != Spec.StdoutData)
-    return Error(Where + "stdout mismatch: \"" + escapeString(Run.StdoutData) +
-                 "\" vs spec \"" + escapeString(Spec.StdoutData) + "\"");
-  if (Run.StderrData != Spec.StderrData)
-    return Error(Where + "stderr mismatch");
-  if (Run.ExitCode != Spec.ExitCode)
-    return Error(Where + "exit code " + std::to_string(Run.ExitCode) +
-                 " vs spec " + std::to_string(Spec.ExitCode));
+/// `read(conf "...", 104 bytes, request "\u0000d")`; long byte strings
+/// are cut short.
+static std::string describe(const ffi::IoEvent &E) {
+  auto Text = [](const std::vector<uint8_t> &V) {
+    std::string S(V.begin(), V.begin() + std::min<size_t>(V.size(), 32));
+    return jsonQuote(S) + (V.size() > 32 ? "..." : "");
+  };
+  const std::vector<std::string> &Names = ffi::BasisFfi::callNames();
+  return (E.Index < Names.size() ? Names[E.Index]
+                                 : "ffi " + std::to_string(E.Index)) +
+         "(conf " + Text(E.Conf) + ", " + std::to_string(E.BytesLen) +
+         " bytes, request " + Text(E.Request) + ")";
+}
+
+Result<void> silver::stack::compareBehaviour(const Outcome &Run,
+                                             const Outcome &Ref,
+                                             bool LicenseOom) {
+  const Observed &A = Run.Behaviour;
+  const Observed &B = Ref.Behaviour;
+  // extend_with_oom: premature OOM termination after a prefix of the
+  // reference's behaviour is within the compiler's contract.
+  bool Oom = LicenseOom && A.ExitCode == machine::OomExitCode &&
+             B.ExitCode != machine::OomExitCode;
+  auto Licensed = [Oom](const std::string &X, const std::string &Y) {
+    return Oom ? startsWith(Y, X) : X == Y;
+  };
+  const char *After = Oom ? " after an OOM exit" : "";
+  if (!Licensed(A.StdoutData, B.StdoutData))
+    return Error("stdout \"" + escapeString(A.StdoutData) + "\" vs \"" +
+                 escapeString(B.StdoutData) + "\"" + After);
+  if (!Licensed(A.StderrData, B.StderrData))
+    return Error(std::string("stderr differs") + After);
+  if (!Oom && (A.Terminated != B.Terminated || A.ExitCode != B.ExitCode))
+    return Error("exit " + std::to_string(A.Terminated) + "/" +
+                 std::to_string(A.ExitCode) + " vs " +
+                 std::to_string(B.Terminated) + "/" +
+                 std::to_string(B.ExitCode));
+  size_t N = std::min(Run.Trace.size(), Ref.Trace.size());
+  for (size_t I = 0; I != N; ++I)
+    if (Run.Trace[I] != Ref.Trace[I])
+      return Error("FFI trace differs at event " + std::to_string(I) + ": " +
+                   describe(Run.Trace[I]) + " vs " +
+                   describe(Ref.Trace[I]));
+  if (Run.Trace.size() > N || (!Oom && Ref.Trace.size() > N))
+    return Error("FFI trace of " + std::to_string(Run.Trace.size()) +
+                 " events vs " + std::to_string(Ref.Trace.size()) + After);
+  return {};
+}
+
+Result<void> silver::stack::checkAgainstSpec(Level L, const Outcome &Run,
+                                            const Outcome &Spec) {
+  if (Result<void> C = compareBehaviour(Run, Spec, /*LicenseOom=*/true); !C)
+    return Error(std::string(levelName(L)) + " vs spec: " + C.error().str());
   return {};
 }
 
@@ -190,8 +230,7 @@ silver::stack::checkEndToEnd(const RunSpec &Spec,
     if (R->Status != RunStatus::Completed)
       return Error(std::string(levelName(L)) +
                    ": did not terminate within the step budget");
-    if (Result<void> C = checkAgainstSpec(L, R->Behaviour, SpecOut->Behaviour);
-        !C)
+    if (Result<void> C = checkAgainstSpec(L, *R, *SpecOut); !C)
       return C.error();
     Results.push_back(R->Behaviour);
   }

@@ -14,9 +14,10 @@
 ///   Isa       the Silver ISA Next function with real system calls,
 ///   Rtl       the circuit-level Silver core (cycle accurate),
 ///   Verilog   the generated Verilog AST under verilog_sem —
-/// and check that every level produces the same observable behaviour.
-/// The out-of-memory exit is permitted as a prefix behaviour, exactly as
-/// extend_with_oom licenses.
+/// and check that every level produces the same observable behaviour:
+/// the FFI request trace (ffi::IoTrace), stdout, stderr and the exit
+/// code.  The out-of-memory exit is permitted as a prefix behaviour,
+/// exactly as extend_with_oom licenses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,6 +112,25 @@ struct Observed {
   uint64_t Cycles = 0;       ///< clock cycles (Rtl/Verilog only)
 };
 
+/// Why an execution stopped.
+enum class RunStatus : uint8_t {
+  Completed, ///< the program halted / terminated
+  Paused,    ///< a step() quota was used up; the session is resumable
+  Timeout,   ///< the instruction or cycle budget ran out
+};
+const char *runStatusName(RunStatus S);
+
+/// Final outcome of an execution: how it stopped, the observable
+/// behaviour so far (complete when Status == Completed, the prefix
+/// otherwise), and the FFI calls the run made, in order.  Faults and
+/// environment protocol violations are reported as errors, not
+/// outcomes.
+struct Outcome {
+  RunStatus Status = RunStatus::Completed;
+  Observed Behaviour;
+  ffi::IoTrace Trace;
+};
+
 /// Compiles once; reusable across levels.  Snapshot is the program's
 /// boot snapshot (sys::BootSnapshot), shared by every run and every
 /// Prepared of the same program; when it is null (the layout does not
@@ -144,19 +164,26 @@ auditPrepared(const Prepared &P, const analysis::SummaryObligations &O);
 
 /// Runs the reference interpreter (the Spec level) directly; never
 /// compiles.
-Result<Observed> runSpecLevel(const RunSpec &Spec);
+Result<Outcome> runSpecLevel(const RunSpec &Spec);
 
-/// The per-level half of checkEndToEnd: whether \p Run, observed at
-/// level \p L, is a behaviour the spec run \p Spec licenses — its
-/// stdout, stderr and exit code, or an exit with the OOM code after a
-/// prefix of its stdout and a prefix of its stderr (extend_with_oom).
-Result<void> checkAgainstSpec(Level L, const Observed &Run,
-                              const Observed &Spec);
+/// The one behaviour comparison: whether \p Run behaves as \p Ref — the
+/// same stdout, stderr, termination and exit code, and the same FFI
+/// trace.  With \p LicenseOom, a Run that exits with the OOM code where
+/// Ref does not needs only a prefix of Ref's trace and of its streams
+/// (extend_with_oom).  The error names the first difference, for the
+/// trace the first differing event.
+Result<void> compareBehaviour(const Outcome &Run, const Outcome &Ref,
+                              bool LicenseOom);
+
+/// The per-level half of checkEndToEnd: compareBehaviour of \p Run, at
+/// level \p L, against the spec run \p Spec with the OOM licence.
+Result<void> checkAgainstSpec(Level L, const Outcome &Run,
+                              const Outcome &Spec);
 
 /// The cross-level check (theorem (8)): compiles once, runs the given
 /// levels on one stack::Executor, and verifies that each completes with
-/// the spec's stdout/stderr/exit code, or exits early with the OOM code
-/// (checkAgainstSpec).  Returns the per-level behaviours in order.
+/// the spec's behaviour, FFI trace included, or exits early with the OOM
+/// code (checkAgainstSpec).  Returns the per-level behaviours in order.
 Result<std::vector<Observed>> checkEndToEnd(const RunSpec &Spec,
                                             const std::vector<Level> &Levels);
 

@@ -235,30 +235,25 @@ ExitStatus silver::sys::readExitStatus(const uint8_t *Memory,
   return S;
 }
 
-std::vector<uint8_t>
-silver::sys::interruptObservable(const uint8_t *Memory,
-                                 const MemoryLayout &Layout,
-                                 std::string &StdoutData,
-                                 std::string &StderrData) {
-  // An exit interrupt carries the exit code as its observable byte.
+void silver::sys::interruptObservable(const uint8_t *Memory,
+                                      const MemoryLayout &Layout,
+                                      std::string &StdoutData,
+                                      std::string &StderrData) {
   if (readWordFrom(Memory, Layout.ExitFlagAddr) != 0)
-    return {static_cast<uint8_t>(readWordFrom(Memory, Layout.ExitCodeAddr))};
-
+    return; // the exit interrupt writes no stream
   Word Id = readWordFrom(Memory, Layout.OutBufBase);
-  Word Len = readWordFrom(Memory, Layout.OutBufBase + 4);
-  if (Len > Layout.Params.OutBufCap)
-    Len = Layout.Params.OutBufCap;
-  std::vector<uint8_t> Bytes(Memory + Layout.OutBufBase + 8,
-                             Memory + Layout.OutBufBase + 8 + Len);
+  Word Len = std::min(readWordFrom(Memory, Layout.OutBufBase + 4),
+                      Layout.Params.OutBufCap);
+  const char *Text =
+      reinterpret_cast<const char *>(Memory + Layout.OutBufBase + 8);
   if (Id == 1)
-    StdoutData.append(Bytes.begin(), Bytes.end());
+    StdoutData.append(Text, Len);
   else if (Id == 2)
-    StderrData.append(Bytes.begin(), Bytes.end());
-  return Bytes;
+    StderrData.append(Text, Len);
 }
 
-std::vector<uint8_t> SysEnv::onInterrupt(isa::MachineState &State) {
-  return interruptObservable(State.Memory.data(), Layout, Stdout, Stderr);
+void SysEnv::onInterrupt(isa::MachineState &State) {
+  interruptObservable(State.Memory.data(), Layout, Stdout, Stderr);
 }
 
 Result<void> silver::sys::validateInstalled(const isa::MachineState &State,

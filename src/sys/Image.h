@@ -89,24 +89,21 @@ ExitStatus readExitStatus(const isa::MachineState &State,
 ExitStatus readExitStatus(const uint8_t *Memory, const MemoryLayout &Layout);
 
 /// The observable action of one Interrupt notification against a raw
-/// memory: reads the exit cells / output buffer, appends terminal text to
-/// \p StdoutData / \p StderrData, and returns the observable bytes for
-/// the IO-event trace.  Shared by the ISA-level SysEnv and the RTL-level
-/// LabEnv so both layers expose identical behaviour.
-std::vector<uint8_t> interruptObservable(const uint8_t *Memory,
-                                         const MemoryLayout &Layout,
-                                         std::string &StdoutData,
-                                         std::string &StderrData);
+/// memory: unless the exit cells say the program exited, appends the
+/// output buffer to \p StdoutData / \p StderrData.  Shared by the
+/// ISA-level SysEnv and the RTL-level LabEnv so both layers expose
+/// identical behaviour.
+void interruptObservable(const uint8_t *Memory, const MemoryLayout &Layout,
+                         std::string &StdoutData, std::string &StderrData);
 
 /// The environment in the lab setup (paper §4.2): reacts to Interrupt by
 /// reading the output buffer and appending it to the collected terminal
-/// streams (stdout id 1, stderr id 2).  The bytes it extracts are what
-/// the IO-event trace records.
+/// streams (stdout id 1, stderr id 2).
 class SysEnv : public isa::IsaEnv {
 public:
   explicit SysEnv(MemoryLayout Layout) : Layout(std::move(Layout)) {}
 
-  std::vector<uint8_t> onInterrupt(isa::MachineState &State) override;
+  void onInterrupt(isa::MachineState &State) override;
 
   /// Terminal output collected so far (the paper's stdout/stderr of the
   /// io_events trace).

@@ -36,6 +36,23 @@ const std::vector<unsigned> &silver::sys::syscallClobberedRegs() {
   return Regs;
 }
 
+void silver::sys::recordFfiCall(ffi::IoTrace &Trace,
+                                const std::array<Word, isa::NumRegs> &Regs,
+                                const isa::MachineState &Memory) {
+  auto Span = [&](unsigned PtrReg, unsigned LenReg) {
+    size_t Ptr = std::min<size_t>(Regs[PtrReg], Memory.memSize());
+    size_t Len = std::min<size_t>(Regs[LenReg], Memory.memSize() - Ptr);
+    return std::make_pair(Memory.Memory.data() + Ptr, Len);
+  };
+  auto [Conf, ConfLen] = Span(abi::FfiConfReg, abi::FfiConfLenReg);
+  auto [Bytes, BytesLen] = Span(abi::FfiBytesReg, abi::FfiBytesLenReg);
+  if (std::optional<ffi::IoEvent> E =
+          ffi::ioEvent(Regs[abi::FfiIndexReg],
+                       std::vector<uint8_t>(Conf, Conf + ConfLen), Bytes,
+                       BytesLen))
+    Trace.push_back(std::move(*E));
+}
+
 static Operand R(unsigned Reg) { return Operand::reg(Reg); }
 static Operand Imm(int32_t V) { return Operand::imm(V); }
 

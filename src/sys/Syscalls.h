@@ -37,23 +37,14 @@
 #define SILVER_SYS_SYSCALLS_H
 
 #include "asm/Assembler.h"
+#include "ffi/BasisFfi.h"
+#include "isa/MachineState.h"
 #include "sys/Layout.h"
 
 namespace silver {
 namespace sys {
 
-/// FFI indices, matching BasisFfi::callNames() order.
-enum class FfiIndex : unsigned {
-  Read = 0,
-  Write = 1,
-  GetArgCount = 2,
-  GetArgLength = 3,
-  GetArg = 4,
-  OpenIn = 5,
-  OpenOut = 6,
-  Close = 7,
-  Exit = 8,
-};
+using ffi::FfiIndex;
 
 /// Assembles the system-call code for \p Layout.  The entry point
 /// (label "ffi_dispatch") is at Layout.SyscallCodeBase.  Fails when the
@@ -66,6 +57,15 @@ Result<assembler::Assembled> buildStartupProgram(const MemoryLayout &Layout);
 
 /// Registers the syscall code is allowed to clobber (plus the flags).
 const std::vector<unsigned> &syscallClobberedRegs();
+
+/// Appends the FFI call a machine makes on entering the syscall code to
+/// \p Trace: the ffi::ioEvent of the index, conf and byte array that
+/// \p Regs (r5-r9) name in \p Memory.  Arrays are clamped to memory; an
+/// exit call records nothing.  The Isa, Rtl and Verilog levels record
+/// their trace with this.
+void recordFfiCall(ffi::IoTrace &Trace,
+                   const std::array<Word, isa::NumRegs> &Regs,
+                   const isa::MachineState &Memory);
 
 } // namespace sys
 } // namespace silver

@@ -25,7 +25,7 @@ std::string out(const std::string &Src) {
   RunOutput O = evalWithPrelude(Src);
   EXPECT_TRUE(O.Ok) << O.ErrorMessage;
   EXPECT_EQ(O.ExitCode, 0);
-  return O.StdoutData;
+  return O.Ffi.getStdout();
 }
 
 } // namespace
@@ -63,7 +63,7 @@ TEST(Interp, TrapExitCodes) {
   O = evalWithPrelude("val _ = print \"a\" val _ = exit 9 "
                       "val _ = print \"b\"");
   EXPECT_EQ(O.ExitCode, 9);
-  EXPECT_EQ(O.StdoutData, "a");
+  EXPECT_EQ(O.Ffi.getStdout(), "a");
 }
 
 TEST(Interp, ClosuresCaptureLexically) {
@@ -129,13 +129,13 @@ TEST(Interp, PolymorphicEquality) {
 TEST(Interp, IoPrimitives) {
   RunOutput O = evalWithPrelude(
       "val _ = print (input_all ())", {"prog"}, "line1\nline2");
-  EXPECT_EQ(O.StdoutData, "line1\nline2");
+  EXPECT_EQ(O.Ffi.getStdout(), "line1\nline2");
   O = evalWithPrelude(
       "val _ = print (join \",\" (arguments ()))", {"a", "bb", "c"});
-  EXPECT_EQ(O.StdoutData, "a,bb,c");
+  EXPECT_EQ(O.Ffi.getStdout(), "a,bb,c");
   O = evalWithPrelude("val _ = print_err \"oops\"");
-  EXPECT_EQ(O.StderrData, "oops");
-  EXPECT_EQ(O.StdoutData, "");
+  EXPECT_EQ(O.Ffi.getStderr(), "oops");
+  EXPECT_EQ(O.Ffi.getStdout(), "");
 }
 
 TEST(Interp, PreludeListFunctions) {

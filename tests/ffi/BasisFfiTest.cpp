@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace silver;
 using namespace silver::ffi;
 
@@ -187,8 +189,6 @@ TEST(BasisFfiOracle, ExitTerminates) {
 TEST(BasisFfiOracle, UnknownCallFails) {
   BasisFfi Ffi({}, Filesystem());
   EXPECT_EQ(Ffi.call("frobnicate", {}, {0}).Outcome, FfiOutcome::Fail);
-  EXPECT_FALSE(BasisFfi::isKnownCall("frobnicate"));
-  EXPECT_TRUE(BasisFfi::isKnownCall("read"));
 }
 
 TEST(BasisFfiOracle, IoEventsRecorded) {
@@ -196,12 +196,15 @@ TEST(BasisFfiOracle, IoEventsRecorded) {
   Ffi.call("read", fdConf(0), readRequest(1, 4));
   std::vector<uint8_t> B = {0, 1, 0, 0, 'q'};
   Ffi.call("write", fdConf(1), B);
-  ASSERT_EQ(Ffi.IoEvents.size(), 2u);
-  EXPECT_EQ(Ffi.IoEvents[0].Name, "read");
-  EXPECT_EQ(Ffi.IoEvents[1].Name, "write");
-  // Exit and Fail do not append events.
+  ASSERT_EQ(Ffi.Trace.size(), 2u);
+  EXPECT_EQ(Ffi.Trace[0].Index, unsigned(FfiIndex::Read));
+  EXPECT_EQ(Ffi.Trace[1].Index, unsigned(FfiIndex::Write));
+  // The events hold the requests, not the responses.
+  EXPECT_EQ(Ffi.Trace[0].Request, (std::vector<uint8_t>{0, 1}));
+  EXPECT_EQ(Ffi.Trace[1].Request, B);
+  // Exit appends no event.
   Ffi.call("exit", {}, {1});
-  EXPECT_EQ(Ffi.IoEvents.size(), 2u);
+  EXPECT_EQ(Ffi.Trace.size(), 2u);
 }
 
 TEST(BasisFfiOracle, CallNamesMatchSyscallIndices) {
@@ -217,4 +220,91 @@ TEST(BigEndianHelpers, RoundTrip) {
   u16ToBytes(0xbeef, B);
   EXPECT_EQ(bytesToU16(B), 0xbeef);
   EXPECT_EQ(bytesToU64({0, 0, 0, 0, 0, 0, 0x12, 0x34}), 0x1234u);
+}
+
+namespace {
+
+/// The request ioEvent records for call \p Index on \p Bytes.
+std::vector<uint8_t> requestOf(FfiIndex Index,
+                               const std::vector<uint8_t> &Bytes) {
+  std::optional<IoEvent> E =
+      ioEvent(unsigned(Index), {}, Bytes.data(), Bytes.size());
+  EXPECT_TRUE(E);
+  return E ? E->Request : std::vector<uint8_t>{};
+}
+
+} // namespace
+
+TEST(IoEvent, FootprintOfEachCall) {
+  using V = std::vector<uint8_t>;
+  // read: the 16-bit count; bytes[2..3] and the data area are ignored.
+  EXPECT_EQ(requestOf(FfiIndex::Read, {0, 3, 7, 7, 1, 2, 3}), (V{0, 3}));
+  // write: the header and the payload it names, not the bytes around it.
+  EXPECT_EQ(requestOf(FfiIndex::Write, {0, 2, 0, 1, 'x', 'h', 'i', 'y'}),
+            (V{0, 2, 0, 1, 'h', 'i'}));
+  // get_arg_length / get_arg: the 16-bit index.
+  EXPECT_EQ(requestOf(FfiIndex::GetArgLength, {0, 1, 9}), (V{0, 1}));
+  EXPECT_EQ(requestOf(FfiIndex::GetArg, {0, 2, 9, 9, 9}), (V{0, 2}));
+  // get_arg_count, open_in, open_out, close read no byte of the array.
+  for (FfiIndex I : {FfiIndex::GetArgCount, FfiIndex::OpenIn,
+                     FfiIndex::OpenOut, FfiIndex::Close})
+    EXPECT_EQ(requestOf(I, {1, 2, 3}), V{}) << unsigned(I);
+
+  // The rest of the event: index, conf and the array's length.
+  std::vector<uint8_t> Bytes = {0, 5, 0, 0};
+  std::optional<IoEvent> E =
+      ioEvent(unsigned(FfiIndex::Read), fdConf(0), Bytes.data(), 9);
+  ASSERT_TRUE(E);
+  EXPECT_EQ(E->Index, unsigned(FfiIndex::Read));
+  EXPECT_EQ(E->Conf, fdConf(0));
+  EXPECT_EQ(E->BytesLen, 9u);
+}
+
+TEST(IoEvent, StaleBytesOutsideTheFootprintAreNotPartOfIt) {
+  // The compiled runtime reuses one IO buffer, so whatever an earlier call
+  // left behind its footprint must not change the event.
+  auto Event = [](FfiIndex I, std::vector<uint8_t> Bytes) {
+    return ioEvent(unsigned(I), {}, Bytes.data(), Bytes.size());
+  };
+  EXPECT_EQ(Event(FfiIndex::GetArgCount, {0, 0}),
+            Event(FfiIndex::GetArgCount, {0xde, 0xad}));
+  EXPECT_EQ(Event(FfiIndex::Read, {0, 4, 0, 0, 0, 0, 0, 0}),
+            Event(FfiIndex::Read, {0, 4, 'o', 'l', 'd', '!', 'x', 'y'}));
+  EXPECT_EQ(Event(FfiIndex::GetArg, {0, 1, 0, 0, 0}),
+            Event(FfiIndex::GetArg, {0, 1, 'a', 'r', 'g'}));
+  // Inside the footprint, a byte does change it.
+  EXPECT_NE(Event(FfiIndex::Read, {0, 4, 0, 0, 0, 0, 0, 0}),
+            Event(FfiIndex::Read, {0, 3, 0, 0, 0, 0, 0, 0}));
+}
+
+TEST(IoEvent, ShortArraysAreClampedNeverReadPast) {
+  // Each array is a prefix of Buf in a heap block of exactly its length,
+  // so a read past its end is one the sanitizer build reports.
+  using V = std::vector<uint8_t>;
+  const V Buf = {0x12, 0x34, 0xee, 0xee, 0xee, 0xee};
+  auto Request = [&](FfiIndex I, size_t Len) {
+    std::unique_ptr<uint8_t[]> Array(new uint8_t[Len]);
+    std::copy_n(Buf.begin(), Len, Array.get());
+    std::optional<IoEvent> E = ioEvent(unsigned(I), {}, Array.get(), Len);
+    EXPECT_TRUE(E);
+    EXPECT_EQ(E->BytesLen, Len);
+    return E->Request;
+  };
+  EXPECT_EQ(Request(FfiIndex::Read, 0), V{});
+  EXPECT_EQ(Request(FfiIndex::Read, 1), V{0x12});
+  EXPECT_EQ(Request(FfiIndex::GetArg, 1), V{0x12});
+  EXPECT_EQ(Request(FfiIndex::Write, 3), (V{0x12, 0x34, 0xee}));
+  // A write whose count runs past the array reads its header only (the
+  // oracle fails it), not the payload it names.
+  EXPECT_EQ(Request(FfiIndex::Write, 4), (V{0x12, 0x34, 0xee, 0xee}));
+  EXPECT_EQ(requestOf(FfiIndex::Write, {0, 3, 0, 0, 'a', 'b'}),
+            (V{0, 3, 0, 0}));
+}
+
+TEST(IoEvent, ExitRecordsNothing) {
+  uint8_t Code = 7;
+  EXPECT_FALSE(ioEvent(unsigned(FfiIndex::Exit), {}, &Code, 1));
+  BasisFfi Ffi({}, Filesystem());
+  EXPECT_EQ(Ffi.call("exit", {}, {7}).Outcome, FfiOutcome::Exit);
+  EXPECT_TRUE(Ffi.Trace.empty());
 }

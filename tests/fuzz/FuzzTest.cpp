@@ -46,8 +46,9 @@ TEST(Generator, RespectsRegisterDiscipline) {
     CaseSpec C = generateCase(9, Index,
                               static_cast<Profile>(Index % NumProfiles));
     for (const ProgItem &It : C.Items) {
-      if (It.K == ProgItem::Kind::Li)
+      if (It.K == ProgItem::Kind::Li) {
         EXPECT_TRUE(WritableReg(It.Reg)) << "li r" << unsigned(It.Reg);
+      }
       if (It.K != ProgItem::Kind::Instr)
         continue;
       const isa::Instruction &I = It.Instr;

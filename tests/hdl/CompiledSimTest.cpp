@@ -152,6 +152,26 @@ TEST(CompiledCodegen, NbaCommitFollowsEveryProcessBody) {
   EXPECT_EQ(Latches, 1u); // A's `count <= count + 1` under `if (pulse)`
 }
 
+TEST(CompiledCodegen, CoreMemoryWritesAreUnchecked) {
+  // A write index no wider than log2 of the depth is always in range, so
+  // the core's register-file write (6-bit index, depth 64) commits with
+  // no bounds check, in the tape and in the printed C++ alike.
+  cpu::SilverCore Core = cpu::buildSilverCore();
+  Result<VModule> Mod = rtl::toVerilog(Core.Circuit);
+  ASSERT_TRUE(Mod) << Mod.error().str();
+  Result<Tape> T = lowerModule(*Mod);
+  ASSERT_TRUE(T) << T.error().str();
+  size_t Commits = 0;
+  for (const Instr &In : T->Code) {
+    EXPECT_NE(In.Code, Op::MemCommitChecked);
+    Commits += In.Code == Op::MemCommit;
+  }
+  EXPECT_GE(Commits, 1u);
+  Result<GeneratedModule> G = generateCpp(*Mod);
+  ASSERT_TRUE(G) << G.error().str();
+  EXPECT_EQ(G->Source.find(">= UINT64_C(64)) return"), std::string::npos);
+}
+
 TEST(CompiledCodegen, LayoutMatchesInterpreterPlan) {
   // Slot planning is shared with FastSim (ports first, then decls), so
   // slot handles are interchangeable across backends.

@@ -52,8 +52,9 @@ TEST(AB, PulseSpecImpliesEventuallyDone) {
   for (int Cycle = 0; Cycle != 200; ++Cycle) {
     bool Pulse = R.chance(1, 3);
     ASSERT_TRUE(pulseCycle(M, S, Pulse));
-    if (DoneSeen)
+    if (DoneSeen) {
       EXPECT_TRUE(S.Vars.at("done").B); // remains true thereafter
+    }
     DoneSeen |= S.Vars.at("done").B;
   }
   EXPECT_TRUE(DoneSeen);

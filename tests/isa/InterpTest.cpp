@@ -236,25 +236,30 @@ TEST(Step, BranchesUpdateFlagsLikeTheAlu) {
   EXPECT_EQ(S.PC, 8u);
 }
 
-TEST(Step, InterruptRecordsIoEvent) {
+TEST(Step, InterruptNotifiesEnvironment) {
+  struct Env : IsaEnv {
+    unsigned Interrupts = 0;
+    void onInterrupt(MachineState &) override { ++Interrupts; }
+  } E;
   MachineState S = makeMachine({Instruction::interrupt()});
-  stepFault(S);
-  ASSERT_EQ(S.IoEvents.size(), 1u);
-  EXPECT_EQ(S.IoEvents[0].K, IoEvent::Kind::Interrupt);
+  ASSERT_TRUE(step(S, E).ok());
+  EXPECT_EQ(E.Interrupts, 1u);
   EXPECT_EQ(S.PC, 4u);
 }
 
-TEST(Step, OutRecordsValueAndEvent) {
+TEST(Step, OutSetsDataOutAndNotifiesEnvironment) {
+  struct Env : IsaEnv {
+    std::vector<Word> Outputs;
+    void onOutput(MachineState &, Word V) override { Outputs.push_back(V); }
+  } E;
   MachineState S = makeMachine({
       Instruction::loadConstant(1, false, 77),
       Instruction::out(Operand::reg(1)),
   });
-  stepFault(S);
-  stepFault(S);
+  ASSERT_TRUE(step(S, E).ok());
+  ASSERT_TRUE(step(S, E).ok());
   EXPECT_EQ(S.DataOut, 77u);
-  ASSERT_EQ(S.IoEvents.size(), 1u);
-  EXPECT_EQ(S.IoEvents[0].K, IoEvent::Kind::Output);
-  EXPECT_EQ(S.IoEvents[0].Value, 77u);
+  EXPECT_EQ(E.Outputs, std::vector<Word>{77u});
 }
 
 TEST(Step, InReadsEnvironment) {

@@ -113,8 +113,10 @@ TEST(MachineSem, WriteCallGoesThroughTheOracle) {
   Behaviour B = Sem.run(10'000);
   EXPECT_EQ(B.Kind, BehaviourKind::Terminated);
   EXPECT_EQ(Sem.ffi().getStdout(), "ok");
-  ASSERT_EQ(Sem.ffi().IoEvents.size(), 1u);
-  EXPECT_EQ(Sem.ffi().IoEvents[0].Name, "write");
+  ASSERT_EQ(Sem.ffi().Trace.size(), 1u);
+  EXPECT_EQ(Sem.ffi().Trace[0].Index, unsigned(sys::FfiIndex::Write));
+  EXPECT_EQ(Sem.ffi().Trace[0].Request,
+            (std::vector<uint8_t>{0, 2, 0, 0, 'o', 'k'}));
 }
 
 TEST(MachineSem, OracleWritesMarkTheirPagesWritten) {

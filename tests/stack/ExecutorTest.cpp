@@ -40,8 +40,9 @@ void expectSameObserved(const Observed &A, const Observed &B,
   EXPECT_EQ(A.StderrData, B.StderrData);
   EXPECT_EQ(A.ExitCode, B.ExitCode);
   EXPECT_EQ(A.Terminated, B.Terminated);
-  if (CompareInstructions)
+  if (CompareInstructions) {
     EXPECT_EQ(A.Instructions, B.Instructions);
+  }
 }
 
 // Runs Spec at Isa and Rtl with a TraceSink each and requires the
@@ -148,6 +149,7 @@ namespace {
 /// observed run, Observed.Instructions for a null one.
 struct SessionEnd {
   Observed Behaviour;
+  ffi::IoTrace Trace;
   StateDigest Digest;
   uint64_t Retired = 0;
   std::array<uint64_t, 16> OpcodeCounts{};
@@ -185,8 +187,10 @@ SessionEnd runToCompletion(const RunSpec &Spec, Level L, bool Observe,
     End.Digest = *D;
   Result<Outcome> Out = Exec.finish();
   EXPECT_TRUE(Out) << What;
-  if (Out)
+  if (Out) {
     End.Behaviour = Out->Behaviour;
+    End.Trace = Out->Trace;
+  }
   if (!Counters) {
     End.Retired = End.Behaviour.Instructions;
     return End;
@@ -203,6 +207,7 @@ void expectSameEnd(const SessionEnd &A, const SessionEnd &B,
                    const std::string &What) {
   SCOPED_TRACE(What);
   expectSameObserved(A.Behaviour, B.Behaviour);
+  EXPECT_TRUE(A.Trace == B.Trace);
   EXPECT_EQ(A.Digest, B.Digest);
   EXPECT_EQ(A.Retired, B.Retired);
 }
@@ -210,10 +215,11 @@ void expectSameEnd(const SessionEnd &A, const SessionEnd &B,
 } // namespace
 
 TEST(Executor, ObserverIsNeutralOnEveryBackend) {
-  // The observed run at Isa and Machine is one call to the backend's
-  // run loop with hooks, where the null run has none; at Machine both
-  // are bursts between oracle steps.  An observer must change nothing:
-  // not the Observed, not the final state, not the step count.
+  // The observed run at Isa and Machine is a burst of calls to the
+  // backend's run loop with hooks, where the null run has none, between
+  // oracle steps (Machine) or syscall entries (Isa).  An observer must
+  // change nothing: not the Observed, not the FFI trace, not the final
+  // state, not the step count; nor must pausing every 97 instructions.
   RunSpec Wc;
   Wc.Source = wcSource();
   Wc.CommandLine = {"wc"};
@@ -235,14 +241,16 @@ TEST(Executor, ObserverIsNeutralOnEveryBackend) {
         SessionEnd Null = runToCompletion(*Spec, L, false, UINT64_MAX, What);
         EXPECT_TRUE(Null.Behaviour.Terminated) << What;
         SessionEnd Obs = runToCompletion(*Spec, L, true, UINT64_MAX, What);
+        EXPECT_FALSE(Null.Trace.empty()) << What;
         expectSameEnd(Null, Obs, What + ", observed");
-        if (L == Level::Machine)
-          expectSameEnd(Null, runToCompletion(*Spec, L, true, 97, What),
-                        What + ", observed in slices of 97");
+        expectSameEnd(Null, runToCompletion(*Spec, L, true, 97, What),
+                      What + ", observed in slices of 97");
         Observed[B == BackendKind::Jit] = Obs;
       }
       // The event stream does not depend on the backend either.
       EXPECT_EQ(Observed[0].OpcodeCounts, Observed[1].OpcodeCounts)
+          << Name << " at " << levelName(L);
+      EXPECT_TRUE(Observed[0].Trace == Observed[1].Trace)
           << Name << " at " << levelName(L);
     }
   }

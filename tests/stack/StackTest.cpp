@@ -16,6 +16,8 @@ using namespace silver::stack;
 
 namespace {
 
+bool isHardware(Level L) { return L == Level::Rtl || L == Level::Verilog; }
+
 /// Compiles \p Spec and runs it once at \p L.
 Result<Outcome> runAt(const RunSpec &Spec, Level L) {
   Result<Executor> Exec = Executor::create(Spec);
@@ -214,29 +216,146 @@ TEST(EndToEnd, CheckRejectsARunThatExhaustsItsBudget) {
 
 TEST(EndToEnd, OomRunMustKeepAPrefixOfEveryStream) {
   // extend_with_oom licenses an early OOM exit after a prefix of all the
-  // output: stdout and stderr alike.
-  Observed Spec;
-  Spec.StdoutData = "out";
-  Spec.StderrData = "err";
-  Observed Oom;
-  Oom.ExitCode = machine::OomExitCode;
-  Oom.StdoutData = "ou";
-  Oom.StderrData = "e";
+  // output: stdout, stderr and the FFI trace alike.
+  auto Write = [](uint8_t Byte) {
+    return ffi::IoEvent{unsigned(ffi::FfiIndex::Write),
+                        {0, 0, 0, 0, 0, 0, 0, 1},
+                        5,
+                        {0, 1, 0, 0, Byte}};
+  };
+  Outcome Spec;
+  Spec.Behaviour.StdoutData = "out";
+  Spec.Behaviour.StderrData = "err";
+  Spec.Trace = {Write('o'), Write('u')};
+  Outcome Oom;
+  Oom.Behaviour.ExitCode = machine::OomExitCode;
+  Oom.Behaviour.StdoutData = "ou";
+  Oom.Behaviour.StderrData = "e";
+  Oom.Trace = {Write('o')};
   EXPECT_TRUE(checkAgainstSpec(Level::Isa, Oom, Spec));
 
-  Oom.StderrData = "oops";
+  Oom.Behaviour.StderrData = "oops";
   Result<void> R = checkAgainstSpec(Level::Isa, Oom, Spec);
   ASSERT_FALSE(R);
   EXPECT_NE(R.error().str().find("stderr"), std::string::npos)
       << R.error().str();
 
-  Oom.StderrData = "";
-  Oom.StdoutData = "in";
+  Oom.Behaviour.StderrData = "";
+  Oom.Trace = {Write('u')};
+  R = checkAgainstSpec(Level::Isa, Oom, Spec);
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().str().find("FFI trace differs at event 0"),
+            std::string::npos)
+      << R.error().str();
+  Oom.Trace = {Write('o'), Write('u'), Write('t')};
+  EXPECT_FALSE(checkAgainstSpec(Level::Isa, Oom, Spec));
+
+  Oom.Trace.clear();
+  Oom.Behaviour.StdoutData = "in";
   EXPECT_FALSE(checkAgainstSpec(Level::Isa, Oom, Spec));
   // A spec that itself exits with the OOM code is matched exactly.
-  Spec.ExitCode = machine::OomExitCode;
-  Oom.StdoutData = "ou";
+  Spec.Behaviour.ExitCode = machine::OomExitCode;
+  Oom.Behaviour.StdoutData = "ou";
   EXPECT_FALSE(checkAgainstSpec(Level::Isa, Oom, Spec));
+}
+
+TEST(EndToEnd, TraceCatchesAReadLengthThatStdoutMisses) {
+  // Stands in for a compiler that emits the wrong read length: two cat
+  // programs that differ only in the chunk size print the same stdout,
+  // and only the FFI trace tells them apart.
+  auto Cat = [](int Chunk) {
+    RunSpec Spec;
+    Spec.Source = "fun copy u = let val s = read_chunk " +
+                  std::to_string(Chunk) +
+                  " in if str_size s = 0 then () "
+                  "else let val _ = print s in copy () end end\n"
+                  "val _ = copy ()\n";
+    Spec.StdinData = randomLines(12, 3);
+    return Spec;
+  };
+  RunSpec Hundred = Cat(100), NinetyNine = Cat(99);
+  Result<Outcome> SpecA = runAt(Hundred, Level::Spec);
+  Result<Outcome> SpecB = runAt(NinetyNine, Level::Spec);
+  Result<Outcome> MachA = runAt(Hundred, Level::Machine);
+  Result<Outcome> MachB = runAt(NinetyNine, Level::Machine);
+  ASSERT_TRUE(SpecA && SpecB && MachA && MachB);
+  EXPECT_EQ(MachA->Behaviour.StdoutData, Hundred.StdinData);
+  EXPECT_EQ(MachA->Behaviour.StdoutData, SpecB->Behaviour.StdoutData);
+
+  EXPECT_TRUE(checkAgainstSpec(Level::Machine, *MachA, *SpecA));
+  EXPECT_TRUE(checkAgainstSpec(Level::Machine, *MachB, *SpecB));
+  Result<void> R = checkAgainstSpec(Level::Machine, *MachA, *SpecB);
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().str().find("FFI trace differs at event 0: read("),
+            std::string::npos)
+      << R.error().str();
+  EXPECT_FALSE(checkAgainstSpec(Level::Machine, *MachB, *SpecA));
+}
+
+TEST(EndToEnd, EveryLevelMakesTheSameFfiCalls) {
+  // The trace-agreement check: every app, on small inputs, makes the same
+  // FFI requests at Spec, Machine and Isa on both backends; the hardware
+  // levels, slower, run the cyclesim programs (hello, wc-5, tin-2).  An
+  // echo program adds the argument calls, stderr and an exit code.
+  std::string Wc5 = randomLines(20, 1);
+  Wc5.resize(95);
+  Wc5.push_back('\n');
+  struct App {
+    const char *Name;
+    std::string Source;
+    std::string Stdin;
+    bool Hardware;
+  };
+  const App Apps[] = {
+      {"hello", helloSource(), "", true},
+      {"cat", catSource(), "a\nbb\n", false},
+      {"wc", wcSource(), Wc5, true},
+      {"sort", sortSource(), randomLines(8, 2), false},
+      {"proof", proofCheckerSource(), sampleValidProof(), false},
+      {"tin", tinCompilerSource(), sampleTinProgram(2), true},
+      {"echo",
+       "val _ = print (join \" \" (arguments ()))\n"
+       "val _ = print_err \"done\"\nval _ = exit 3\n",
+       "", false}};
+  struct Cell {
+    Level L;
+    BackendKind Backend;
+    HdlBackendKind Hdl;
+    const char *Name;
+  };
+  const Cell Cells[] = {
+      {Level::Machine, BackendKind::Interp, HdlBackendKind::Interp, "machine"},
+      {Level::Isa, BackendKind::Interp, HdlBackendKind::Interp, "isa"},
+      {Level::Isa, BackendKind::Jit, HdlBackendKind::Interp, "jit"},
+      {Level::Rtl, BackendKind::Interp, HdlBackendKind::Interp, "rtl"},
+      {Level::Verilog, BackendKind::Interp, HdlBackendKind::Interp, "verilog"},
+      {Level::Verilog, BackendKind::Interp, HdlBackendKind::Compiled,
+       "verilog-compiled"}};
+  for (const App &A : Apps) {
+    RunSpec Spec;
+    Spec.Source = A.Source;
+    Spec.CommandLine = {A.Name, "-x", "arg"};
+    Spec.StdinData = A.Stdin;
+    Result<Prepared> P = prepare(Spec);
+    ASSERT_TRUE(P) << A.Name << ": " << P.error().str();
+    Result<Outcome> Ref = Executor::fromPrepared(Spec, *P).run(Level::Spec);
+    ASSERT_TRUE(Ref) << A.Name << ": " << Ref.error().str();
+    EXPECT_FALSE(Ref->Trace.empty()) << A.Name;
+    for (const Cell &C : Cells) {
+      if (isHardware(C.L) && !A.Hardware)
+        continue;
+      SCOPED_TRACE(std::string(A.Name) + " at " + C.Name);
+      RunSpec At = Spec;
+      At.Exec.Backend = C.Backend;
+      At.Exec.Hdl = C.Hdl;
+      Result<Outcome> Out = Executor::fromPrepared(At, *P).run(C.L);
+      ASSERT_TRUE(Out) << Out.error().str();
+      EXPECT_EQ(Out->Status, RunStatus::Completed);
+      EXPECT_TRUE(Out->Trace == Ref->Trace);
+      Result<void> Same = checkAgainstSpec(C.L, *Out, *Ref);
+      EXPECT_TRUE(Same) << Same.error().str();
+    }
+  }
 }
 
 TEST(EndToEnd, InstructionCountsAreDeterministic) {

@@ -215,19 +215,18 @@ TEST(SysEnv, CollectsTerminalOutputOnInterrupt) {
   Boot->State.writeWord(L.OutBufBase + 4, 2);
   Boot->State.writeByte(L.OutBufBase + 8, 'h');
   Boot->State.writeByte(L.OutBufBase + 9, 'i');
-  std::vector<uint8_t> Obs = Env.onInterrupt(Boot->State);
+  Env.onInterrupt(Boot->State);
   EXPECT_EQ(Env.collectedStdout(), "hi");
-  EXPECT_EQ(Obs.size(), 2u);
   // Stderr via id 2.
   Boot->State.writeWord(L.OutBufBase, 2);
   Env.onInterrupt(Boot->State);
   EXPECT_EQ(Env.collectedStderr(), "hi");
-  // After exit was recorded, the observable is the exit code.
+  // After exit was recorded, an interrupt writes no stream.
   Boot->State.writeWord(L.ExitFlagAddr, 1);
   Boot->State.writeWord(L.ExitCodeAddr, 3);
-  Obs = Env.onInterrupt(Boot->State);
-  ASSERT_EQ(Obs.size(), 1u);
-  EXPECT_EQ(Obs[0], 3);
+  Env.onInterrupt(Boot->State);
+  EXPECT_EQ(Env.collectedStdout(), "hi");
+  EXPECT_EQ(Env.collectedStderr(), "hi");
 }
 
 TEST(Syscalls, ProgramsFitTheirRegions) {
@@ -367,7 +366,6 @@ TEST(Snapshot, RecycledBootMatchesAFreshOne) {
     ASSERT_TRUE(Fresh);
     for (const BootResult *R : {&*A, &*B}) {
       EXPECT_TRUE(R->State.isaVisibleEquals(Expected));
-      EXPECT_TRUE(R->State.IoEvents.empty());
       EXPECT_EQ(R->State.PageFlags, Fresh->State.PageFlags);
     }
   }
@@ -396,7 +394,8 @@ TEST(Snapshot, RecycledLabDramBootsLikeAFreshOne) {
   Result<cpu::CoreStop> Stop = (*Runner)->advance(UINT64_MAX, UINT64_MAX);
   ASSERT_TRUE(Stop) << Stop.error().str();
   ASSERT_EQ(*Stop, cpu::CoreStop::Halted);
-  EXPECT_EQ((*Runner)->result().StdoutData, Isa->Behaviour.StdoutData);
+  EXPECT_EQ((*Runner)->collectedStdout(), Isa->Behaviour.StdoutData);
+  EXPECT_EQ((*Runner)->trace(), Isa->Trace);
   sys::recycle({P->Snapshot->Layout, (*Runner)->takeMemory(), 0,
                 P->Snapshot});
 
