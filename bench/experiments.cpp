@@ -1,20 +1,24 @@
 //===- bench/experiments.cpp - The checked EXPERIMENTS.md report ----------===//
 //
-// silver-experiments: reproduces EXPERIMENTS.md E1, E2 and E4-E7 in one
+// silver-experiments: reproduces EXPERIMENTS.md E1, E2 and E4-E8 in one
 // run, with no options.
 //
 //  - stdout is the deterministic report, as JSON: instruction and cycle
-//    counts, code bytes and OOM exits, plus values derived from them at
-//    fixed precision.  The experiments_report ctest byte-diffs it
-//    against reports/experiments.json, so no count moves unnoticed.
+//    counts, code bytes, OOM exits and the JIT's own counts, plus values
+//    derived from them at fixed precision.  The experiments_report ctest
+//    byte-diffs it against reports/experiments.json, so no count moves
+//    unnoticed.
 //  - stderr is the wall-clock table: E2's and E6's in-run ratios, each
 //    the median and MAD of a fixed number of repeats.
 //
 // Every run is checked: an application's output must equal its *_spec
 // function, the cycle-accurate core must retire the instructions the
-// ISA level retires (plus the halt self-loop), and the ALU loop must cost exactly 3+L cycles per
-// instruction at memory latency L.  A failed check prints the reason
-// and exits 1 before any report is written.
+// ISA level retires (plus the halt self-loop), the JIT must retire the
+// interpreter's instructions, and the ALU loop must cost exactly 3+L
+// cycles per instruction at memory latency L.  A failed check prints
+// the reason and exits 1 before any report is written.  On a host
+// without a native JIT the report has no "jit" table and the program
+// exits 77 after writing it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +30,7 @@
 #include "cpu/Core.h"
 #include "hdl/FastSim.h"
 #include "hdl/Semantics.h"
+#include "isa/jit/Jit.h"
 #include "obs/Counters.h"
 #include "rtl/ToVerilog.h"
 #include "stack/Apps.h"
@@ -52,6 +57,8 @@ namespace {
 /// designs clock in this range.
 constexpr double FpgaHz = 32e6;
 const std::string HelloOutput = "Hello, world!\n";
+/// The exit code of a complete report on a host without a native JIT.
+constexpr int SkipExitCode = 77;
 
 [[noreturn]] void fail(const std::string &Why) {
   std::fprintf(stderr, "silver-experiments: %s\n", Why.c_str());
@@ -92,11 +99,10 @@ std::string counts(uint64_t Instructions, uint64_t Cycles) {
                 double(Cycles) / double(Instructions));
 }
 
-/// Runs \p Exec at \p L and fails unless the program completes with exit
-/// code 0 and exactly \p Expected on stdout.
-Observed runChecked(Executor &Exec, Level L, const std::string &Expected,
-                    const std::string &What) {
-  Outcome Out = orFail(Exec.run(L), What);
+/// Fails unless \p Out completed with exit code 0 and exactly \p Expected
+/// on stdout.
+Observed checked(const Outcome &Out, const std::string &Expected,
+                 const std::string &What) {
   if (Out.Status != RunStatus::Completed)
     fail(What + ": " + runStatusName(Out.Status));
   if (Out.Behaviour.ExitCode != 0)
@@ -104,6 +110,12 @@ Observed runChecked(Executor &Exec, Level L, const std::string &Expected,
   if (Out.Behaviour.StdoutData != Expected)
     fail(What + ": output differs from its specification");
   return Out.Behaviour;
+}
+
+/// Runs \p Exec at \p L and checks the outcome.
+Observed runChecked(Executor &Exec, Level L, const std::string &Expected,
+                    const std::string &What) {
+  return checked(orFail(Exec.run(L), What), Expected, What);
 }
 
 //===----------------------------------------------------------------------===//
@@ -151,10 +163,50 @@ std::string inputLabel(const App &A, unsigned Size) {
   return Unit.empty() ? "none" : std::to_string(Size) + " " + Unit;
 }
 
-/// Prints the "cycle_probes" and "apps" tables to \p Json and returns the
-/// projected FPGA seconds of the 20-statement Tin compile (E2).
+/// What the JIT did on \p Spec: runs it at the Isa level on the Jit
+/// backend, checks the run against \p Expected and the interpreter's
+/// \p Instructions, and reads the JIT's counts before the session ends.
+std::string jitCounts(RunSpec Spec, const Prepared &P,
+                      const std::string &Expected, uint64_t Instructions,
+                      const std::string &What) {
+  Spec.Exec.Backend = BackendKind::Jit;
+  Executor Exec = Executor::fromPrepared(std::move(Spec), P);
+  orFail(Exec.begin(Level::Isa), What);
+  orFail(Exec.step(UINT64_MAX), What);
+  isa::jit::JitStats Stats = orFail(Exec.sessionJitStats(), What);
+  Observed Jit = checked(orFail(Exec.finish(), What), Expected, What);
+  if (Jit.Instructions != Instructions)
+    fail(What + ": the jit retired " + std::to_string(Jit.Instructions) +
+         " instructions, the interpreter " + std::to_string(Instructions));
+
+  std::string Refused, Exits;
+  for (size_t R = 1; R != isa::jit::NumRefuseReasons; ++R)
+    Refused += format("%s\"%s\": %llu", R == 1 ? "" : ", ",
+                      isa::jit::refuseReasonId(isa::jit::RefuseReason(R)),
+                      (unsigned long long)Stats.Refused[R]);
+  for (size_t K = 0; K != isa::jit::NumExitKinds; ++K)
+    Exits += format("%s\"%s\": {\"count\": %llu, \"per_1000_instr\": %.3f}",
+                    K == 0 ? "" : ",\n     ",
+                    isa::jit::exitKindId(isa::jit::ExitKind(K)),
+                    (unsigned long long)Stats.Exits[K],
+                    1000.0 * double(Stats.Exits[K]) / double(Instructions));
+  return format("\"instructions\": %llu, \"blocks_compiled\": %llu,\n"
+                "   \"blocks_refused\": {",
+                (unsigned long long)Instructions,
+                (unsigned long long)Stats.BlocksCompiled) +
+         Refused +
+         format("},\n   \"invalidations\": %llu, \"arena_flushes\": %llu,\n"
+                "   \"exits\": {",
+                (unsigned long long)Stats.BlockInvalidations,
+                (unsigned long long)Stats.ArenaFlushes) +
+         Exits + "}";
+}
+
+/// Prints the "cycle_probes", "apps" and, on a host with a native JIT,
+/// "jit" tables to \p Json and returns the projected FPGA seconds of the
+/// 20-statement Tin compile (E2).
 double appsReport(std::string &Json) {
-  std::string Probes, Rows;
+  std::string Probes, Rows, JitRows;
   double TinSeconds = 0;
   for (const App &A : apps()) {
     double Cpi = 0;
@@ -194,9 +246,18 @@ double appsReport(std::string &Json) {
                           "\"projected_fpga_ms\": %.3f}",
                           A.Name, inputLabel(A, Size).c_str(),
                           (unsigned long long)Instructions, Seconds * 1e3));
+      if (Size == A.Sizes.back() && isa::jit::hostSupported())
+        addRow(JitRows,
+               format("{\"app\": \"%s\", \"input\": \"%s\", ", A.Name,
+                      inputLabel(A, Size).c_str()) +
+                   jitCounts(Spec, Exec.prepared(), Expected, Instructions,
+                             What + " (jit)") +
+                   "}");
     }
   }
   Json += table("cycle_probes", Probes) + table("apps", Rows);
+  if (isa::jit::hostSupported())
+    Json += table("jit", JitRows);
   return TinSeconds;
 }
 
@@ -566,5 +627,7 @@ int main() {
   verilogRatios("Silver core", Core.Circuit, 2000, 50);
 
   std::fputs(Json.c_str(), stdout);
-  return 0;
+  // Without a native JIT the report has no "jit" table, so it cannot
+  // match the committed one: the experiments_report ctest skips.
+  return isa::jit::hostSupported() ? 0 : SkipExitCode;
 }

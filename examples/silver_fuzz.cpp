@@ -17,7 +17,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "fuzz/Containment.h"
 #include "fuzz/Fuzzer.h"
 #include "stack/Stack.h"
 
@@ -74,10 +73,7 @@ int usage(const char *Argv0) {
       << "  --shrink=0|1      minimize findings (default 1)\n"
       << "  --corpus=DIR      replay DIR/*.s as regression tests first;\n"
       << "                    replay failures fail the run\n"
-      << "  --corpus-out=DIR  write minimized reproducers to DIR\n"
-      << "  --containment=DIR check DIR/*.s against the symbolic block\n"
-      << "                    summaries (analysis/BlockSummary.h) instead\n"
-      << "                    of fuzzing; violations fail the run\n";
+      << "  --corpus-out=DIR  write minimized reproducers to DIR\n";
   return 2;
 }
 
@@ -123,7 +119,6 @@ int main(int Argc, char **Argv) {
   Opt.Jobs = std::max(1u, std::thread::hardware_concurrency());
   Opt.Log = &std::cout;
   std::string ReplayDir;
-  std::string ContainmentDir;
 
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
@@ -161,8 +156,6 @@ int main(int Argc, char **Argv) {
         Opt.Shrink = std::string(V) != "0";
       else if (const char *V = Value("--corpus="))
         ReplayDir = V;
-      else if (const char *V = Value("--containment="))
-        ContainmentDir = V;
       else if (const char *V = Value("--corpus-out="))
         Opt.CorpusDir = V;
       else
@@ -176,26 +169,6 @@ int main(int Argc, char **Argv) {
       !stack::backendSupported(stack::BackendKind::Jit))
     std::cerr << "silver-fuzz: warning: the jit backend is not supported on "
                  "this host; the jit level runs on the interpreter\n";
-
-  if (!ContainmentDir.empty()) {
-    fuzz::CorpusContainment C =
-        fuzz::checkCorpusContainment(ContainmentDir, Opt.Oracle.MaxSteps);
-    std::cout << "containment: " << C.Cases << " cases, "
-              << C.Totals.BlocksChecked << " block executions checked ("
-              << C.Totals.CheckedInstrs << " instrs), "
-              << C.Totals.BlocksSkipped << " skipped, "
-              << C.Totals.EntryMisses << " entry misses, "
-              << C.Violations.size() << " violations\n";
-    for (const auto &E : C.Errors)
-      std::cout << "containment ERROR: " << E.first << ": " << E.second
-                << "\n";
-    for (const auto &V : C.Violations)
-      std::cout << "containment VIOLATION: " << V.first << ": "
-                << fuzz::formatViolation(V.second) << "\n";
-    if (C.CaseErrors > 0)
-      return 2;
-    return C.ok() ? 0 : 1;
-  }
 
   bool ReplayFailed = false;
   if (!ReplayDir.empty()) {

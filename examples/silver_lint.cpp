@@ -4,23 +4,19 @@
 //
 //   silver-lint --hdl                  lint the generated Silver core Verilog
 //   silver-lint prog.cml [...]         compile each program, build its
-//                                      bare-metal image, run the
-//                                      installed-image audit and the
-//                                      block-summary JIT-readiness pass
+//                                      bare-metal image and run the
+//                                      installed-image audit
 //   silver-lint --hdl prog.cml         both
 //   silver-lint --json ...             one JSON object on stdout
 //
 // All findings are reported in the unified analysis::Diagnostic shape
-// (shared with silverc --analyze): errors are audit/lint rule violations
-// and fail the run; notes (e.g. "jit-interpreter-only") are advisory.
-// Exit code 0 when every subject is free of errors, 1 on any error
-// diagnostic or build failure.
+// (shared with silverc --analyze); each is an audit or lint rule
+// violation.  Exit code 0 when every subject is free of diagnostics, 1
+// on any diagnostic or build failure.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/BlockSummary.h"
 #include "analysis/Diagnostic.h"
-#include "analysis/JitReadiness.h"
 #include "analysis/VerilogLint.h"
 #include "cpu/Core.h"
 #include "rtl/ToVerilog.h"
@@ -98,14 +94,7 @@ bool auditProgram(const std::string &File,
     return false;
   }
 
-  analysis::ImageSummary Summary = analysis::summarizeImage(*Report);
-  analysis::JitReadinessReport Readiness = analysis::jitReadiness(Summary);
-
-  std::vector<analysis::Diagnostic> Diags =
-      analysis::toDiagnostics(Report->Diags);
-  for (analysis::Diagnostic &D : analysis::readinessDiagnostics(Summary))
-    Diags.push_back(std::move(D));
-  for (analysis::Diagnostic &D : Diags) {
+  for (analysis::Diagnostic &D : analysis::toDiagnostics(Report->Diags)) {
     setSubject(D, File);
     Out.push_back(std::move(D));
   }
@@ -117,11 +106,8 @@ bool auditProgram(const std::string &File,
       for (size_t I = 0, E = A->G.Instrs.size(); I != E; ++I)
         if (A->instrReachable(I))
           ++Reachable;
-    std::fprintf(stderr,
-                 "%s: %zu reachable instructions, %zu diagnostic(s), jit "
-                 "readiness %zu/%zu blocks\n",
-                 File.c_str(), Reachable, Report->Diags.size(),
-                 Readiness.totalTranslatable(), Readiness.totalBlocks());
+    std::fprintf(stderr, "%s: %zu reachable instructions, %zu diagnostic(s)\n",
+                 File.c_str(), Reachable, Report->Diags.size());
   }
   return true;
 }
@@ -161,9 +147,5 @@ int main(int Argc, char **Argv) {
       std::printf("%s\n", analysis::formatDiagnostic(D).c_str());
   }
 
-  size_t Errors = 0;
-  for (const analysis::Diagnostic &D : Diags)
-    if (D.Severity == analysis::Diagnostic::Level::Error)
-      ++Errors;
-  return (Errors == 0 && !BuildFailed) ? 0 : 1;
+  return (Diags.empty() && !BuildFailed) ? 0 : 1;
 }

@@ -10,8 +10,7 @@
 //                                         the ISA (degrades to the
 //                                         interpreter where unsupported)
 //   silverc --check prog.cml              run every level and compare
-//   silverc --analyze prog.cml            static installed-image audit plus
-//                                         block summaries and JIT readiness
+//   silverc --analyze prog.cml            static installed-image audit
 //                                         (--json: machine-readable report)
 //   silverc --builtin=hello ...           use a built-in app (hello, cat,
 //                                         wc, sort, proof, tin) as FILE
@@ -33,7 +32,6 @@
 
 #include "analysis/Diagnostic.h"
 #include "analysis/ImageAudit.h"
-#include "analysis/JitReadiness.h"
 #include "asm/Disassembler.h"
 #include "cml/CodeGen.h"
 #include "cml/Flat.h"
@@ -251,40 +249,22 @@ int main(int Argc, char **Argv) {
     Result<analysis::AuditReport> Report = stack::auditPrepared(*P);
     if (!Report)
       return fail(Report.error().str());
-    analysis::ImageSummary Summary = analysis::summarizeImage(*Report);
-    analysis::JitReadinessReport Readiness = analysis::jitReadiness(Summary);
-
     std::vector<analysis::Diagnostic> Diags =
         analysis::toDiagnostics(Report->Diags);
-    for (analysis::Diagnostic &D : analysis::readinessDiagnostics(Summary))
-      Diags.push_back(std::move(D));
-    // Cross-check the static classification against the JIT's actual
-    // block scan: a Translatable block the JIT still refuses becomes a
-    // "jit-bailout" note (and lands in the committed gate reports).
-    Result<sys::MemoryImage> Image = sys::buildImage(P->Image);
-    if (!Image)
-      return fail(Image.error().str());
-    for (analysis::Diagnostic &D : analysis::jitBailoutDiagnostics(
-             Summary, sys::initialState(*Image)))
-      Diags.push_back(std::move(D));
-
     if (Json) {
-      std::printf("{\n\"diagnostics\": %s,\n\"jit_readiness\": %s\n}\n",
-                  analysis::diagnosticsJson(Diags).c_str(),
-                  analysis::toJson(Readiness).c_str());
+      std::printf("{\n\"diagnostics\": %s\n}\n",
+                  analysis::diagnosticsJson(Diags).c_str());
       return Report->ok() ? 0 : 1;
     }
     for (const analysis::Diagnostic &D : Diags)
       std::printf("%s\n", analysis::formatDiagnostic(D).c_str());
     std::fprintf(stderr,
                  "silverc: image audit: %zu diagnostic(s), %zu resolved "
-                 "computed jumps; jit readiness: %zu/%zu blocks "
-                 "translatable\n",
+                 "computed jumps\n",
                  Report->Diags.size(),
                  Report->Startup.Resolved.size() +
                      Report->Syscall.Resolved.size() +
-                     Report->Program.Resolved.size(),
-                 Readiness.totalTranslatable(), Readiness.totalBlocks());
+                     Report->Program.Resolved.size());
     return Report->ok() ? 0 : 1;
   }
 

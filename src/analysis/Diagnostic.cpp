@@ -12,19 +12,8 @@
 using namespace silver;
 using namespace silver::analysis;
 
-const char *silver::analysis::severityName(Diagnostic::Level L) {
-  switch (L) {
-  case Diagnostic::Level::Error:
-    return "error";
-  case Diagnostic::Level::Note:
-    return "note";
-  }
-  return "?";
-}
-
 std::string silver::analysis::formatDiagnostic(const Diagnostic &D) {
-  std::string Out = severityName(D.Severity);
-  Out += ": ";
+  std::string Out = "error: ";
   Out += D.Id;
   if (!D.Subject.empty() || D.HasAddr) {
     Out += " @";
@@ -45,8 +34,7 @@ std::string silver::analysis::formatDiagnostic(const Diagnostic &D) {
 std::string silver::analysis::diagnosticJson(const Diagnostic &D) {
   std::string Out = "{\"id\":";
   Out += jsonQuote(D.Id);
-  Out += ",\"severity\":";
-  Out += jsonQuote(severityName(D.Severity));
+  Out += ",\"severity\":\"error\"";
   if (!D.Subject.empty()) {
     Out += ",\"subject\":";
     Out += jsonQuote(D.Subject);
@@ -75,7 +63,6 @@ silver::analysis::diagnosticsJson(const std::vector<Diagnostic> &Diags) {
 Diagnostic silver::analysis::toDiagnostic(const AuditDiag &D) {
   Diagnostic Out;
   Out.Id = auditRuleId(D.Rule);
-  Out.Severity = Diagnostic::Level::Error;
   if (D.HasRegion) {
     Out.Subject = regionName(D.Region);
     Out.HasAddr = true;
@@ -88,7 +75,6 @@ Diagnostic silver::analysis::toDiagnostic(const AuditDiag &D) {
 Diagnostic silver::analysis::toDiagnostic(const LintDiag &D) {
   Diagnostic Out;
   Out.Id = lintRuleId(D.Rule);
-  Out.Severity = Diagnostic::Level::Error;
   if (D.Process >= 0) {
     Out.Subject = "process " + std::to_string(D.Process);
     if (!D.Path.empty())

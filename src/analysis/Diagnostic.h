@@ -7,13 +7,13 @@
 ///
 /// \file
 /// One diagnostic shape for every static analysis in the tree.  The image
-/// audit (ImageAudit.h), the Verilog linter (VerilogLint.h), and the
-/// block-summary pass (BlockSummary.h) each have their own internal
-/// diagnostic structs tuned to what they check; this module converts all
-/// of them to a single `Diagnostic` with a stable rule identifier, an
-/// optional subject (code region, HDL process) and address, and a
-/// severity — so silver-lint and silverc --analyze print and serialise
+/// audit (ImageAudit.h) and the Verilog linter (VerilogLint.h) each have
+/// their own internal diagnostic structs tuned to what they check; this
+/// module converts both to a single `Diagnostic` with a stable rule
+/// identifier and an optional subject (code region, HDL process) and
+/// address — so silver-lint and silverc --analyze print and serialise
 /// them identically, and their `--json` outputs are parsed by one schema.
+/// Every diagnostic is an error: it fails the producing tool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,27 +31,20 @@ namespace analysis {
 
 /// One analysis finding in the unified shape.
 struct Diagnostic {
-  /// Errors fail the producing tool (non-zero exit); notes are
-  /// advisory — e.g. a block classified InterpreterOnly is a fact about
-  /// JIT readiness, not a defect of the image.
-  enum class Level : uint8_t { Error, Note };
-
   std::string Id;       ///< stable rule id, e.g. "img-layout"
-  Level Severity = Level::Error;
   std::string Subject;  ///< region/process/app context ("" when none)
   bool HasAddr = false;
   Word Addr = 0;        ///< offending address (when HasAddr)
   std::string Message;
 };
 
-const char *severityName(Diagnostic::Level L);
-
-/// Renders "severity: id @ subject 0xADDR: message" (parts omitted when
+/// Renders "error: id @ subject 0xADDR: message" (parts omitted when
 /// absent), the one human-readable line format of both front ends.
 std::string formatDiagnostic(const Diagnostic &D);
 
 /// Serialises one diagnostic as a JSON object (stable key order:
-/// id, severity, subject, addr, message; subject/addr omitted as absent).
+/// id, severity, subject, addr, message; subject/addr omitted as absent;
+/// severity is always "error").
 std::string diagnosticJson(const Diagnostic &D);
 
 /// Serialises a list as a JSON array, one object per line.

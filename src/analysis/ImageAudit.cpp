@@ -28,10 +28,6 @@ const char *silver::analysis::auditRuleId(AuditRule R) {
     return "img-write-to-code";
   case AuditRule::SyscallClobber:
     return "img-syscall-clobber";
-  case AuditRule::StackDiscipline:
-    return "img-stack-discipline";
-  case AuditRule::RawIo:
-    return "img-raw-io";
   }
   return "img-unknown";
 }

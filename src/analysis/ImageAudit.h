@@ -51,10 +51,6 @@ enum class AuditRule : uint8_t {
   JumpTarget,     ///< a resolvable transfer leaves the code regions
   WriteToCode,    ///< a resolvable store targets instruction bytes (W^X)
   SyscallClobber, ///< syscall code writes outside its permitted set
-  // Opt-in obligations derived from the symbolic block summaries
-  // (BlockSummary.h); enforced by stack::auditPrepared on request.
-  StackDiscipline, ///< a program block leaves the stack pointer unknown
-  RawIo,           ///< a program block does In/Out/Interrupt directly
 };
 
 /// The stable string identifier of a rule (e.g. "img-layout").

@@ -284,7 +284,7 @@ void Linter::checkStmt(const VStmt &S) {
   switch (S.Kind) {
   case VStmtKind::Block: {
     for (size_t I = 0; I != S.Stmts.size(); ++I) {
-      Path.push_back("s" + std::to_string(I));
+      Path.push_back('s' + std::to_string(I));
       checkStmt(*S.Stmts[I]);
       Path.pop_back();
     }

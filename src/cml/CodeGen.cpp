@@ -489,7 +489,7 @@ Result<void> silver::cml::generateProgram(const FlatProgram &Prog,
 
   // --- compiled functions ---
   for (const FlatFunction &F : Prog.Funs) {
-    FunctionCompiler FC(A, Prog, "f" + std::to_string(F.Id));
+    FunctionCompiler FC(A, Prog, 'f' + std::to_string(F.Id));
     FC.compile(fnLabel(F.Id), *F.Body, &F.CloParam, &F.ArgParam);
   }
   FunctionCompiler Main(A, Prog, "m");

@@ -214,16 +214,16 @@ std::string silver::cml::coreToString(const CExp &E) {
   case CExpKind::Fn:
     return "(fn " + E.Name + " => " + coreToString(*E.Args[0]) + ")";
   case CExpKind::App:
-    return "(" + coreToString(*E.Args[0]) + " " + coreToString(*E.Args[1]) +
+    return '(' + coreToString(*E.Args[0]) + " " + coreToString(*E.Args[1]) +
            ")";
   case CExpKind::Prim: {
     std::string S = std::string("(") + primName(E.Prim);
     if (E.Prim == PrimKind::GlobalGet || E.Prim == PrimKind::GlobalSet ||
         E.Prim == PrimKind::Trap || E.Prim == PrimKind::ClosEnv ||
         E.Prim == PrimKind::ClosSet || E.Prim == PrimKind::AllocClosure)
-      S += "[" + std::to_string(E.Imm) + "]";
+      S += '[' + std::to_string(E.Imm) + "]";
     for (const CExpPtr &A : E.Args)
-      S += " " + coreToString(*A);
+      S += ' ' + coreToString(*A);
     return S + ")";
   }
   case CExpKind::If:

@@ -24,10 +24,10 @@ std::string silver::cml::typeToString(const TypePtr &TIn) {
   if (T->K == Type::Kind::Var)
     return "'t" + std::to_string(T->Id);
   if (T->Name == "->")
-    return "(" + typeToString(T->Args[0]) + " -> " +
+    return '(' + typeToString(T->Args[0]) + " -> " +
            typeToString(T->Args[1]) + ")";
   if (T->Name == "pair")
-    return "(" + typeToString(T->Args[0]) + " * " +
+    return '(' + typeToString(T->Args[0]) + " * " +
            typeToString(T->Args[1]) + ")";
   if (T->Name == "list")
     return typeToString(T->Args[0]) + " list";

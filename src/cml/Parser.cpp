@@ -134,7 +134,7 @@ Result<Program> Parser::parseProgram() {
     if (consumeIdent("val")) {
       D.K = Dec::Kind::Val;
       if (consumePunct("_")) {
-        D.Name = "_";
+        D.Name = '_';
       } else {
         Result<std::string> Name = expectName();
         if (!Name)
@@ -169,7 +169,7 @@ Result<ExpPtr> Parser::parseExp() {
   if (consumeIdent("fn")) {
     std::string Param;
     if (consumePunct("_")) {
-      Param = "_";
+      Param = '_';
     } else {
       Result<std::string> Name = expectName();
       if (!Name)
@@ -260,7 +260,7 @@ Result<ExpPtr> Parser::parseLet() {
       B.IsVal = true;
       B.Where = peek().Where;
       if (consumePunct("_")) {
-        B.Name = "_";
+        B.Name = '_';
       } else {
         Result<std::string> Name = expectName();
         if (!Name)
@@ -306,7 +306,7 @@ Result<ExpPtr> Parser::parseLet() {
     if (!Next)
       return Next.error();
     ExpPtr Seq = makeExp(ExpKind::LetVal, BodyExp->Where);
-    Seq->Name = "_";
+    Seq->Name = '_';
     Seq->E0 = std::move(BodyExp);
     Seq->E1 = Next.take();
     BodyExp = std::move(Seq);

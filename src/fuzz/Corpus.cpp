@@ -57,8 +57,8 @@ Result<std::string> unhexBytes(const std::string &Hex) {
 
 std::string operandText(const isa::Operand &Op) {
   if (Op.IsImm)
-    return "#" + std::to_string(static_cast<int32_t>(Op.immValue()));
-  return "r" + std::to_string(Op.Value);
+    return '#' + std::to_string(static_cast<int32_t>(Op.immValue()));
+  return 'r' + std::to_string(Op.Value);
 }
 
 Result<isa::Operand> parseOperand(const std::string &Tok) {

@@ -428,7 +428,7 @@ void silver::fuzz::emitProgram(const CaseSpec &C, assembler::Assembler &A) {
     // epilogue instead of becoming an undefined-symbol error.
     if (!Defined.count(Id))
       return "exit";
-    return "L" + std::to_string(Id);
+    return 'L' + std::to_string(Id);
   };
 
   for (const ProgItem &It : C.Items) {
@@ -440,7 +440,7 @@ void silver::fuzz::emitProgram(const CaseSpec &C, assembler::Assembler &A) {
       A.emitLi(It.Reg, It.Value);
       break;
     case ProgItem::Kind::Label:
-      A.label("L" + std::to_string(It.Target));
+      A.label('L' + std::to_string(It.Target));
       break;
     case ProgItem::Kind::Branch:
       A.emitBranch(It.WhenZero, It.F, It.A, It.B, TargetName(It.Target));

@@ -251,7 +251,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
   for (unsigned I = 0; I != isa::NumRegs; ++I)
     if (DA.Regs[I] != DB.Regs[I])
       return diverge(DiffKind::State, Ref, R,
-                     "r" + std::to_string(I) + " = " + toHex(DA.Regs[I]) +
+                     'r' + std::to_string(I) + " = " + toHex(DA.Regs[I]) +
                          " vs " + toHex(DB.Regs[I]));
   if (DA.MemoryBytes != DB.MemoryBytes || DA.MemoryHash != DB.MemoryHash)
     return diverge(DiffKind::State, Ref, R, "final memory differs");

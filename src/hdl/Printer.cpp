@@ -66,9 +66,9 @@ std::string silver::hdl::printExp(const VExp &E) {
     return printExp(*E.Args[0]) + "[" + std::to_string(E.Hi) + ":" +
            std::to_string(E.Lo) + "]";
   case VExpKind::Concat:
-    return "{" + printExp(*E.Args[0]) + ", " + printExp(*E.Args[1]) + "}";
+    return '{' + printExp(*E.Args[0]) + ", " + printExp(*E.Args[1]) + "}";
   case VExpKind::Cond:
-    return "(" + printExp(*E.Args[0]) + " ? " + printExp(*E.Args[1]) +
+    return '(' + printExp(*E.Args[0]) + " ? " + printExp(*E.Args[1]) +
            " : " + printExp(*E.Args[2]) + ")";
   case VExpKind::ZeroExt:
     return std::to_string(E.Width) + "'(" + printExp(*E.Args[0]) + ")";
@@ -76,9 +76,9 @@ std::string silver::hdl::printExp(const VExp &E) {
     return std::to_string(E.Width) + "'($signed(" + printExp(*E.Args[0]) +
            "))";
   case VExpKind::BoolToVec:
-    return "{" + printExp(*E.Args[0]) + "}";
+    return '{' + printExp(*E.Args[0]) + "}";
   case VExpKind::VecToBool:
-    return "(" + printExp(*E.Args[0]) + " != 0)";
+    return '(' + printExp(*E.Args[0]) + " != 0)";
   }
   return "?";
 }

@@ -11,16 +11,18 @@
 /// ALU flags, its memory-access shape, and whether it interacts with the
 /// processor-external environment.  This is the single decoder-side
 /// source of truth the static analyses build on: the def/use dataflow
-/// summaries (analysis/Dataflow.h), the symbolic block summaries
-/// (analysis/BlockSummary.h), and the fuzzer's summary-containment check
-/// (fuzz/Containment.h) all derive their per-instruction footprints from
+/// summaries (analysis/Dataflow.h), and through them the image audit's
+/// syscall-clobber rule, derive their per-instruction footprints from
 /// effectsOf, so an ISA extension has exactly one place to declare what
 /// an instruction touches.
 ///
 /// The metadata is an over-approximation of execImpl (isa/Interp.cpp) by
 /// construction: every architectural write the interpreter can perform
-/// for an instruction is covered by the masks here (the containment fuzz
-/// level holds the two in agreement dynamically).
+/// for an instruction is covered by the masks here.  The effects
+/// property test (tests/fuzz/PropertyTest.cpp) holds the two in
+/// agreement dynamically: it steps every instruction of the encoding
+/// lattices from random states and checks each change against the
+/// masks.
 ///
 //===----------------------------------------------------------------------===//
 

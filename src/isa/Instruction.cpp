@@ -98,12 +98,12 @@ const char *silver::isa::opcodeName(Opcode Op) {
 
 static std::string operandString(Operand Op) {
   if (Op.IsImm)
-    return "#" + std::to_string(asSigned(Op.immValue()));
-  return "r" + std::to_string(Op.Value);
+    return '#' + std::to_string(asSigned(Op.immValue()));
+  return 'r' + std::to_string(Op.Value);
 }
 
 std::string silver::isa::toString(const Instruction &I) {
-  std::string W = "r" + std::to_string(I.WReg);
+  std::string W = 'r' + std::to_string(I.WReg);
   switch (I.Op) {
   case Opcode::Normal:
     return std::string(funcName(I.F)) + " " + W + ", " + operandString(I.A) +

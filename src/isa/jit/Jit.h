@@ -64,6 +64,7 @@
 
 #include "isa/ExecBackend.h"
 
+#include <array>
 #include <memory>
 
 namespace silver {
@@ -81,40 +82,46 @@ bool hostSupported();
 /// *refused* (reason "block-too-long") rather than split: the entry
 /// budget check retires a whole block up front, and an unbounded block
 /// would make the worst-case budget overshoot/refund window unbounded
-/// too.  Refused blocks stay on the interpreter and are surfaced by the
-/// "jit-bailout" diagnostic (analysis/JitReadiness.h).
+/// too.  Refused blocks stay on the interpreter and are counted in
+/// JitStats::Refused.
 inline constexpr unsigned MaxBlockInstrs = 64;
 static_assert(MaxBlockInstrs * 4 <= PageSize, "a block spans two pages");
 
-/// Why the compiler refused a block (the bailout taxonomy, §13).  The
-/// host-independent reasons (BlockTooLong) are also what the static
-/// jit-bailout diagnostic reports; StopPcGuard and HostUnsupported
-/// depend on the run configuration and host and are runtime-only.
+/// Why the compiler refused a block (the bailout taxonomy, §13).
 enum class RefuseReason : uint8_t {
   None,            ///< not refused
   BlockTooLong,    ///< no terminator within MaxBlockInstrs
   EmptyBlock,      ///< the entry instruction itself cannot be compiled
   StopPcGuard,     ///< the block starts at the active stop PC
   HostUnsupported, ///< no native execution on this host
+  ArenaTooSmall,   ///< the block does not fit in an emptied code arena
 };
+inline constexpr size_t NumRefuseReasons =
+    static_cast<size_t>(RefuseReason::ArenaTooSmall) + 1;
 
 /// The stable string identifier (e.g. "block-too-long").
 const char *refuseReasonId(RefuseReason R);
 
-/// Result of a compile probe: what the compiler would do with the block
-/// entered at a given address, without executing anything.
-struct BlockProbe {
-  bool Compilable = false;
-  RefuseReason Refused = RefuseReason::None;
-  unsigned Instrs = 0; ///< instructions the block would cover
+/// How translated code returned to the dispatcher.
+enum class ExitKind : uint8_t {
+  /// At a block end with a constant next PC: an unpatched chain slot,
+  /// the edge before an instruction the JIT never translates, or an
+  /// invalidated block's bounce.
+  Chain,
+  /// Before an instruction that may fault or writes a code page; the
+  /// dispatcher interprets that instruction.
+  Deopt,
+  /// A chained block entry found the budget smaller than the block.
+  Budget,
+  /// A jump whose target is computed from a register (returns, closure
+  /// calls): the dispatcher looks the target up.
+  Computed,
 };
+inline constexpr size_t NumExitKinds =
+    static_cast<size_t>(ExitKind::Computed) + 1;
 
-/// Probes the block entered at \p Entry against \p State's memory.
-/// Shares the compiler's block-scan code path, so the answer is exactly
-/// what JitBackend would decide — this is what the jit-bailout
-/// cross-check ctest compares against the committed reports.  The scan
-/// is pure C++ and host-independent (it ignores hostSupported()).
-BlockProbe probeBlock(const MachineState &State, Word Entry);
+/// The stable string identifier (e.g. "computed").
+const char *exitKindId(ExitKind K);
 
 struct JitOptions {
   /// Dispatcher visits of a cold block entry before it is compiled.
@@ -124,12 +131,16 @@ struct JitOptions {
   size_t CodeBytes = 4u << 20;
 };
 
+/// What the backend did.  Every count is a deterministic function of the
+/// program, its input, the options and the run's budgets and stop PC.
 struct JitStats {
   uint64_t BlocksCompiled = 0;
-  uint64_t BlocksRefused = 0;
+  /// Refused blocks, indexed by RefuseReason.
+  std::array<uint64_t, NumRefuseReasons> Refused{};
   uint64_t BlockInvalidations = 0;
-  uint64_t Deopts = 0;      ///< side exits that interpreted a step
   uint64_t ArenaFlushes = 0;
+  /// Returns from native code to the dispatcher, indexed by ExitKind.
+  std::array<uint64_t, NumExitKinds> Exits{};
 };
 
 /// Creates the JIT backend.  Always succeeds; on hosts without native

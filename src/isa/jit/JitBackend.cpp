@@ -316,21 +316,19 @@ private:
   void tryCompile(MachineState &State, Word Entry) {
     CompiledCode CC;
     RefuseReason Why = RefuseReason::None;
-    if (!compileBlock(State, Entry, StampHasStop, StampStopPc, CC, Why)) {
+    auto Refuse = [&](RefuseReason R) {
       blockEntry(Entry).St = StRefused;
-      ++Stats.BlocksRefused;
-      return;
-    }
+      ++Stats.Refused[static_cast<size_t>(R)];
+    };
+    if (!compileBlock(State, Entry, StampHasStop, StampStopPc, CC, Why))
+      return Refuse(Why);
     uint8_t *P = Arena.alloc(CC.Bytes.size());
     if (!P) {
       flushBlocks();
       ++Stats.ArenaFlushes;
       P = Arena.alloc(CC.Bytes.size());
-      if (!P) { // cannot ever fit
-        blockEntry(Entry).St = StRefused;
-        ++Stats.BlocksRefused;
-        return;
-      }
+      if (!P) // cannot ever fit
+        return Refuse(RefuseReason::ArenaTooSmall);
     }
     Arena.beginWrite();
     std::memcpy(P, CC.Bytes.data(), CC.Bytes.size());
@@ -407,8 +405,8 @@ private:
       const BlockEntry &BE = *findBlock(State.PC);
       if (BE.St == StCompiled && Remaining >= BE.Len) {
         runNative(State, BE.Code, Remaining);
+        ++Stats.Exits[Frame.ExitKind];
         if (Frame.ExitKind == ExitDeopt) {
-          ++Stats.Deopts;
           if (!interpretOne(State, Env, Remaining, R))
             break;
         }

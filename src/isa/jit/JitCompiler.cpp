@@ -48,8 +48,24 @@ const char *silver::isa::jit::refuseReasonId(RefuseReason R) {
     return "stop-pc-guard";
   case RefuseReason::HostUnsupported:
     return "host-unsupported";
+  case RefuseReason::ArenaTooSmall:
+    return "arena-too-small";
   }
   return "none";
+}
+
+const char *silver::isa::jit::exitKindId(ExitKind K) {
+  switch (K) {
+  case ExitKind::Chain:
+    return "chain";
+  case ExitKind::Deopt:
+    return "deopt";
+  case ExitKind::Budget:
+    return "budget";
+  case ExitKind::Computed:
+    return "computed";
+  }
+  return "chain";
 }
 
 namespace {
@@ -74,9 +90,7 @@ struct Scan {
   bool ok() const { return Refused == RefuseReason::None && !Insns.empty(); }
 };
 
-/// Walks the block entered at \p Entry.  Shared by probeBlock and
-/// compileBlock so the static jit-bailout diagnostic and the runtime
-/// compiler can never disagree about a block's fate.
+/// Walks the block entered at \p Entry.
 Scan scanBlock(const MachineState &State, Word Entry, bool HasGuard,
                Word GuardPc) {
   Scan S;
@@ -112,16 +126,6 @@ Scan scanBlock(const MachineState &State, Word Entry, bool HasGuard,
 }
 
 } // namespace
-
-BlockProbe silver::isa::jit::probeBlock(const MachineState &State,
-                                        Word Entry) {
-  Scan S = scanBlock(State, Entry, /*HasGuard=*/false, 0);
-  BlockProbe P;
-  P.Compilable = S.ok();
-  P.Refused = S.Refused;
-  P.Instrs = static_cast<unsigned>(S.Insns.size());
-  return P;
-}
 
 void silver::isa::jit::emitRuntimeThunks(Emitter &Em, size_t &EnterOff,
                                          size_t &ExitOff) {
@@ -426,7 +430,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
         loadOp(I.A, RCX);
         emitAluOp(I.F);
         Em.storeMI(R13, static_cast<int32_t>(4u * I.WReg), P + 4);
-        emitExit(ExitChain); // computed target: dispatcher resolves
+        emitExit(ExitComputed); // the dispatcher resolves the target
       }
       break;
     }

@@ -74,18 +74,13 @@ static_assert(offsetof(JitFrame, Overflow) == FrameOvf, "frame layout");
 static_assert(offsetof(JitFrame, InvertAddCarry) == FrameInvert,
               "frame layout");
 
-/// How translated code returned to the dispatcher (JitFrame::ExitKind).
-enum : uint32_t {
-  /// Frame.Pc is the committed next PC; dispatch from there (block end,
-  /// unresolved chain target, invalidated block bounce).
-  ExitChain = 0,
-  /// Interpret at least one step at Frame.Pc: the next instruction may
-  /// fault or writes a page marked PageCode.  No effect of that
-  /// instruction has happened; its budget charge was refunded.
-  ExitDeopt = 1,
-  /// A chained block entry found StepsLeft smaller than the block.
-  ExitBudget = 2,
-};
+/// JitFrame::ExitKind values: the ExitKind an exit stub stores.
+inline constexpr uint32_t ExitChain = uint32_t(ExitKind::Chain);
+/// Interpret at least one step at Frame.Pc.  No effect of that
+/// instruction has happened; its budget charge was refunded.
+inline constexpr uint32_t ExitDeopt = uint32_t(ExitKind::Deopt);
+inline constexpr uint32_t ExitBudget = uint32_t(ExitKind::Budget);
+inline constexpr uint32_t ExitComputed = uint32_t(ExitKind::Computed);
 
 /// A compiled block as emitted (position independent except for the
 /// recorded fixups, which the backend resolves against arena addresses).

@@ -165,7 +165,7 @@ std::string Counters::toJson() const {
                   (unsigned long long)Ffi[I].Calls,
                   (unsigned long long)Ffi[I].Instructions,
                   (unsigned long long)Ffi[I].Cycles);
-    Out += "\"" + ffiLabel(I) + "\":" + Buf;
+    Out += '"' + ffiLabel(I) + "\":" + Buf;
   }
   Out += "}}";
   return Out;

@@ -11,7 +11,7 @@ using namespace silver;
 using namespace silver::rtl;
 using namespace silver::hdl;
 
-static std::string nodeVarName(NodeId I) { return "n" + std::to_string(I); }
+static std::string nodeVarName(NodeId I) { return 'n' + std::to_string(I); }
 
 std::string silver::rtl::regVarName(const Circuit &, unsigned R) {
   return "r_" + std::to_string(R);

@@ -10,7 +10,6 @@
 #include "cpu/Check.h"
 #include "ffi/BasisFfi.h"
 #include "isa/Abi.h"
-#include "isa/jit/Jit.h"
 
 #include <algorithm>
 
@@ -63,6 +62,9 @@ struct Executor::SessionBase {
   /// Snapshots the architectural state (Executor::sessionState);
   /// \p FromScratch hashes every page (sessionStateFromScratch).
   virtual StateDigest digest(bool FromScratch) const = 0;
+  /// The JIT's statistics when the session steps with the Jit backend,
+  /// null otherwise.
+  virtual const isa::jit::JitStats *jitStats() const { return nullptr; }
   /// Grants more of the level-internal budget (cycles at the hardware
   /// levels; a no-op for the interpreters) and clears a level-internal
   /// Timeout so step() can continue (Executor::replenish).
@@ -187,6 +189,10 @@ struct IsaSession final : Executor::SessionBase {
   }
 
   const ffi::IoTrace &trace() const override { return Trace; }
+
+  const isa::jit::JitStats *jitStats() const override {
+    return isa::jit::backendStats(*Backend);
+  }
 
   StateDigest digest(bool FromScratch) const override {
     return digestOf(Boot.State, FromScratch ? nullptr : Boot.Snapshot.get());
@@ -492,6 +498,15 @@ Result<StateDigest> Executor::sessionStateFromScratch() const {
   if (!Session)
     return Error("no active execution session: call begin() first");
   return Session->digest(true);
+}
+
+Result<isa::jit::JitStats> Executor::sessionJitStats() const {
+  if (!Session)
+    return Error("no active execution session: call begin() first");
+  const isa::jit::JitStats *Stats = Session->jitStats();
+  if (!Stats)
+    return Error("the session does not run on the jit backend");
+  return *Stats;
 }
 
 Result<uint64_t> Executor::sessionInstructions() const {

@@ -28,6 +28,7 @@
 #ifndef SILVER_STACK_EXECUTOR_H
 #define SILVER_STACK_EXECUTOR_H
 
+#include "isa/jit/Jit.h"
 #include "obs/Observer.h"
 #include "stack/Stack.h"
 
@@ -161,6 +162,13 @@ public:
   /// hardware levels read the core's registers and the lab DRAM.  The
   /// Spec level has no machine state and is not supported.
   Result<StateDigest> sessionState() const;
+
+  /// What the JIT did in the active session: blocks compiled and
+  /// refused, invalidations, arena flushes and dispatcher exits by kind.
+  /// Valid between begin() and finish() of an Isa session on the Jit
+  /// backend; an error at other levels and backends, and where the Jit
+  /// degraded to the interpreter (isa::jit::hostSupported()).
+  Result<isa::jit::JitStats> sessionJitStats() const;
 
   /// sessionState() computed from scratch: every page hashed, ignoring
   /// the page-state table and the snapshot's page hashes.  Equal to

@@ -127,18 +127,6 @@ silver::stack::auditPrepared(const Prepared &P) {
                               static_cast<Word>(P.Image.Program.size()));
 }
 
-Result<analysis::AuditReport>
-silver::stack::auditPrepared(const Prepared &P,
-                             const analysis::SummaryObligations &O) {
-  Result<analysis::AuditReport> Report = auditPrepared(P);
-  if (!Report)
-    return Report;
-  analysis::ImageSummary Summary = analysis::summarizeImage(*Report);
-  for (analysis::AuditDiag &D : analysis::checkObligations(Summary, O))
-    Report->Diags.push_back(std::move(D));
-  return Report;
-}
-
 Result<Outcome> silver::stack::runSpecLevel(const RunSpec &Spec) {
   Result<cml::Program> Prog =
       cml::parseProgram(cml::withPrelude(Spec.Source));

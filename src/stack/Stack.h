@@ -24,7 +24,6 @@
 #ifndef SILVER_STACK_STACK_H
 #define SILVER_STACK_STACK_H
 
-#include "analysis/BlockSummary.h"
 #include "analysis/ImageAudit.h"
 #include "cml/Compiler.h"
 #include "machine/MachineSem.h"
@@ -154,13 +153,6 @@ snapshotFor(const cml::Compiled &Program, const RunSpec &Spec);
 /// the W^X store discipline, and the syscall clobber set.  The returned
 /// report is the audit outcome; the build itself failing is an error.
 Result<analysis::AuditReport> auditPrepared(const Prepared &P);
-
-/// As above, additionally enforcing the requested summary-derived
-/// obligations (analysis/BlockSummary.h): the symbolic block summaries
-/// are computed over the audited image and each violating program block
-/// becomes an "img-stack-discipline" / "img-raw-io" diagnostic.
-Result<analysis::AuditReport>
-auditPrepared(const Prepared &P, const analysis::SummaryObligations &O);
 
 /// Runs the reference interpreter (the Spec level) directly; never
 /// compiles.

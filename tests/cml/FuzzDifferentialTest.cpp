@@ -87,7 +87,7 @@ private:
 
   /// Integer literal in MiniCake syntax (~ is the negation sign).
   static std::string lit(int V) {
-    return V < 0 ? "~" + std::to_string(-V) : std::to_string(V);
+    return V < 0 ? '~' + std::to_string(-V) : std::to_string(V);
   }
 
   std::string intExp(int Depth) {
@@ -98,18 +98,18 @@ private:
     }
     switch (R.below(8)) {
     case 0:
-      return "(" + intExp(Depth - 1) + " + " + intExp(Depth - 1) + ")";
+      return '(' + intExp(Depth - 1) + " + " + intExp(Depth - 1) + ")";
     case 1:
-      return "(" + intExp(Depth - 1) + " - " + intExp(Depth - 1) + ")";
+      return '(' + intExp(Depth - 1) + " - " + intExp(Depth - 1) + ")";
     case 2:
-      return "(" + intExp(Depth - 1) + " * " + intExp(Depth - 1) + ")";
+      return '(' + intExp(Depth - 1) + " * " + intExp(Depth - 1) + ")";
     case 3:
       // Division with a never-zero divisor shape (trap-free), or a
       // literal divisor that may be zero (trap behaviour must match).
       if (R.chance(1, 4))
-        return "(" + intExp(Depth - 1) + " div " + lit(R.range(-3, 3)) +
+        return '(' + intExp(Depth - 1) + " div " + lit(R.range(-3, 3)) +
                ")";
-      return "(" + intExp(Depth - 1) + " mod (1 + abs " +
+      return '(' + intExp(Depth - 1) + " mod (1 + abs " +
              intExp(Depth - 1) + "))";
     case 4:
       return "(if " + boolExp(Depth - 1) + " then " + intExp(Depth - 1) +
@@ -132,16 +132,16 @@ private:
     }
     switch (R.below(6)) {
     case 0:
-      return "(" + intExp(Depth - 1) + " < " + intExp(Depth - 1) + ")";
+      return '(' + intExp(Depth - 1) + " < " + intExp(Depth - 1) + ")";
     case 1:
-      return "(" + intExp(Depth - 1) + " = " + intExp(Depth - 1) + ")";
+      return '(' + intExp(Depth - 1) + " = " + intExp(Depth - 1) + ")";
     case 2:
-      return "(" + strExp(Depth - 1) + " = " + strExp(Depth - 1) + ")";
+      return '(' + strExp(Depth - 1) + " = " + strExp(Depth - 1) + ")";
     case 3:
-      return "(" + boolExp(Depth - 1) + " andalso " + boolExp(Depth - 1) +
+      return '(' + boolExp(Depth - 1) + " andalso " + boolExp(Depth - 1) +
              ")";
     case 4:
-      return "(" + boolExp(Depth - 1) + " orelse " + boolExp(Depth - 1) +
+      return '(' + boolExp(Depth - 1) + " orelse " + boolExp(Depth - 1) +
              ")";
     default:
       return "(not " + boolExp(Depth - 1) + ")";
@@ -158,7 +158,7 @@ private:
     }
     switch (R.below(4)) {
     case 0:
-      return "(" + strExp(Depth - 1) + " ^ " + strExp(Depth - 1) + ")";
+      return '(' + strExp(Depth - 1) + " ^ " + strExp(Depth - 1) + ")";
     case 1:
       return "(int_to_string " + intExp(Depth - 1) + ")";
     case 2:

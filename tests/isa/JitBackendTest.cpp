@@ -93,40 +93,58 @@ void expectSameRun(const std::vector<Instruction> &Prog,
 
 } // namespace
 
-TEST(JitProbe, ClassifiesBlocksLikeTheCompiler) {
-  // Terminator-ended block: compilable, counts its instructions.
-  MachineState S = makeMachine({addImm(1, 0, 1), addImm(2, 0, 2),
-                                Instruction::jump(Func::Snd, 63,
-                                                  Operand::reg(1))});
-  jit::BlockProbe P = jit::probeBlock(S, 0);
-  EXPECT_TRUE(P.Compilable);
-  EXPECT_EQ(P.Refused, jit::RefuseReason::None);
-  EXPECT_EQ(P.Instrs, 3u);
+TEST(JitBackend, HotRunCountsRefusalsAndExitsByKind) {
+  if (!jit::hostSupported())
+    GTEST_SKIP() << "no native JIT on this host";
+  auto Refused = [](const jit::JitStats &St, jit::RefuseReason R) {
+    return St.Refused[static_cast<size_t>(R)];
+  };
+  auto Exits = [](const jit::JitStats &St, jit::ExitKind K) {
+    return St.Exits[static_cast<size_t>(K)];
+  };
+  // Runs \p Prog hot to its halt and returns what the JIT did.
+  auto statsOf = [](const std::vector<Instruction> &Prog) {
+    MachineState S = makeMachine(Prog);
+    std::unique_ptr<ExecBackend> JB = hotJit();
+    EXPECT_TRUE(JB->run(S, nullEnv(), 1000).Halted);
+    return *jit::backendStats(*JB);
+  };
 
-  // The block stops just before an I/O instruction; still compilable.
-  MachineState S2 = makeMachine(
-      {addImm(1, 0, 1), Instruction::out(Operand::reg(1)),
-       Instruction::halt()});
-  P = jit::probeBlock(S2, 0);
-  EXPECT_TRUE(P.Compilable);
-  EXPECT_EQ(P.Instrs, 1u);
+  // A block ended by a jump to a register target compiles and leaves
+  // through a computed exit.
+  jit::JitStats St = statsOf({Instruction::loadConstant(1, false, 12),
+                              addImm(2, 0, 2),
+                              Instruction::jump(Func::Snd, 63,
+                                                Operand::reg(1)),
+                              Instruction::halt()});
+  EXPECT_EQ(St.BlocksCompiled, 1u);
+  EXPECT_EQ(Exits(St, jit::ExitKind::Computed), 1u);
+  EXPECT_EQ(Exits(St, jit::ExitKind::Chain), 0u);
 
-  // Entered directly at the I/O instruction: nothing to compile.
-  P = jit::probeBlock(S2, 4);
-  EXPECT_FALSE(P.Compilable);
-  EXPECT_EQ(P.Refused, jit::RefuseReason::EmptyBlock);
+  // The block stops just before an I/O instruction and exits to the
+  // dispatcher; the block entered at the I/O instruction is empty.
+  St = statsOf({addImm(1, 0, 1), Instruction::out(Operand::reg(1)),
+                Instruction::halt()});
+  EXPECT_EQ(St.BlocksCompiled, 1u);
+  EXPECT_EQ(Refused(St, jit::RefuseReason::EmptyBlock), 1u);
+  EXPECT_EQ(Exits(St, jit::ExitKind::Chain), 1u);
 
-  // A straight-line run with no terminator within MaxBlockInstrs.
+  // A straight-line run with no terminator within MaxBlockInstrs: the
+  // entries at instructions 0..8 see MaxBlockInstrs of it and are
+  // refused, the one at instruction 9 reaches the halt and compiles.
   std::vector<Instruction> Long(jit::MaxBlockInstrs + 8, addImm(1, 1, 1));
   Long.push_back(Instruction::halt());
-  MachineState S3 = makeMachine(Long);
-  P = jit::probeBlock(S3, 0);
-  EXPECT_FALSE(P.Compilable);
-  EXPECT_EQ(P.Refused, jit::RefuseReason::BlockTooLong);
-  EXPECT_EQ(P.Instrs, jit::MaxBlockInstrs);
+  St = statsOf(Long);
+  EXPECT_EQ(Refused(St, jit::RefuseReason::BlockTooLong), 9u);
+  EXPECT_EQ(St.BlocksCompiled, 1u);
+  for (size_t R = 0; R != jit::NumRefuseReasons; ++R)
+    EXPECT_TRUE(St.Refused[R] == 0 ||
+                R == static_cast<size_t>(jit::RefuseReason::BlockTooLong))
+        << jit::refuseReasonId(jit::RefuseReason(R));
 
   EXPECT_STREQ(jit::refuseReasonId(jit::RefuseReason::BlockTooLong),
                "block-too-long");
+  EXPECT_STREQ(jit::exitKindId(jit::ExitKind::Computed), "computed");
 }
 
 TEST(JitBackend, AluMatrixMatchesInterpreter) {
@@ -273,7 +291,7 @@ TEST(JitBackend, SelfModifyingLoopMatchesInterpreter) {
     ASSERT_NE(St, nullptr);
     EXPECT_GT(St->BlocksCompiled, 0u);
     EXPECT_GT(St->BlockInvalidations, 0u);
-    EXPECT_GT(St->Deopts, 0u);
+    EXPECT_GT(St->Exits[static_cast<size_t>(jit::ExitKind::Deopt)], 0u);
   }
 }
 
@@ -564,7 +582,7 @@ TEST(JitBackend, HotLoopCompilesAndChains) {
   const jit::JitStats *St = jit::backendStats(*JB);
   ASSERT_NE(St, nullptr);
   EXPECT_GE(St->BlocksCompiled, 1u);
-  EXPECT_EQ(St->BlocksRefused, 0u);
+  EXPECT_EQ(St->Refused, decltype(St->Refused){});
 }
 
 TEST(JitBackend, StatsAndNameAreWellFormed) {
