@@ -295,7 +295,7 @@ std::unique_ptr<cpu::CoreRunner> runOnCore(const sys::MemoryImage &Image,
   std::unique_ptr<cpu::CoreRunner> R = orFail(
       cpu::CoreRunner::create(sys::initialState(Image), Image.Layout, Options),
       What);
-  if (orFail(R->advance(UINT64_MAX, 100'000'000), What) !=
+  if (orFail(R->advance(UINT64_MAX), What) !=
       cpu::CoreStop::Halted)
     fail(What + ": the core did not halt");
   return R;

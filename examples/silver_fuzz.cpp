@@ -6,12 +6,13 @@
 // silver-fuzz generates random well-formed Silver programs, runs each
 // one at several Figure-1 levels (machine_sem's interference oracle,
 // the ISA interpreter with real system calls, the circuit-level core,
-// and optionally the generated Verilog), and reports any divergence as
-// a minimized reproducer.  Exit code 0 = all levels agreed on every
-// case, 1 = divergences found, 2 = usage or internal error.
+// and optionally the generated Verilog, the JIT and the compiled
+// simulator), and reports any divergence as a minimized reproducer.
+// Exit code 0 = all runs agreed on every case, 1 = divergences found,
+// 2 = usage or internal error.
 //
 //   silver-fuzz --seed=7 --max-cases=500 --jobs=4
-//   silver-fuzz --levels=isa,rtl,verilog --shrink=0
+//   silver-fuzz --levels=machine,rtl,jit,verilog-compiled --shrink=0
 //   silver-fuzz --corpus=tests/fuzz/corpus            # replay, then fuzz
 //   silver-fuzz --time-budget=60 --corpus-out=findings/
 //
@@ -20,6 +21,7 @@
 #include "fuzz/Fuzzer.h"
 #include "stack/Stack.h"
 
+#include <algorithm>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
@@ -56,17 +58,14 @@ int usage(const char *Argv0) {
       << "  --jobs=N          worker threads (default: hardware threads)\n"
       << "  --max-cases=N     cases to generate (default 256)\n"
       << "  --time-budget=S   stop after S seconds (best-effort prefix)\n"
-      << "  --levels=a,b,..   levels to compare against the ISA reference\n"
-      << "                    (machine, isa, rtl, verilog; default\n"
-      << "                    machine,rtl).  The token \"compiled\" adds\n"
-      << "                    the Compiled-vs-Verilog differential level:\n"
-      << "                    the generated Verilog stepped by the compiled\n"
-      << "                    simulator (hdl/compile), compared exactly\n"
-      << "                    against hdl::FastSim\n"
-      << "  --backend=B       interp (default) or jit: jit additionally\n"
-      << "                    runs every case at the ISA level on the JIT\n"
-      << "                    backend and compares it exactly against the\n"
-      << "                    interpreter (the Jit-vs-Isa level)\n"
+      << "  --levels=a,b,..   runs to compare (machine, isa, jit, rtl,\n"
+      << "                    verilog, verilog-compiled; default\n"
+      << "                    machine,rtl).  Interpreted runs are compared\n"
+      << "                    against the ISA reference; jit (the ISA on\n"
+      << "                    the JIT backend) and verilog-compiled (the\n"
+      << "                    generated Verilog on the compiled simulator)\n"
+      << "                    exactly against the interpreted run at\n"
+      << "                    their level, which is added if not listed\n"
       << "  --profiles=a,b,.. program shapes (alu, branchy, loadstore,\n"
       << "                    ffi, mixed; default all)\n"
       << "  --max-steps=N     ISA instruction budget per case\n"
@@ -77,26 +76,17 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseLevels(const std::string &Arg, std::vector<stack::Level> &Out,
-                 bool &Compiled) {
+bool parseLevels(const std::string &Arg, std::vector<fuzz::Run> &Out) {
   Out.clear();
   std::istringstream In(Arg);
   std::string Name;
   while (std::getline(In, Name, ',')) {
-    if (Name == "machine")
-      Out.push_back(stack::Level::Machine);
-    else if (Name == "isa")
-      Out.push_back(stack::Level::Isa); // the reference; listing is harmless
-    else if (Name == "rtl")
-      Out.push_back(stack::Level::Rtl);
-    else if (Name == "verilog")
-      Out.push_back(stack::Level::Verilog);
-    else if (Name == "compiled")
-      Compiled = true; // Compiled-vs-Verilog; the oracle adds verilog itself
-    else
+    fuzz::Run R;
+    if (!fuzz::parseRun(Name, R))
       return false;
+    Out.push_back(R);
   }
-  return !Out.empty() || Compiled;
+  return !Out.empty();
 }
 
 bool parseProfiles(const std::string &Arg, std::vector<fuzz::Profile> &Out) {
@@ -140,15 +130,8 @@ int main(int Argc, char **Argv) {
       else if (const char *V = Value("--max-steps="))
         Opt.Oracle.MaxSteps = std::stoull(V);
       else if (const char *V = Value("--levels=")) {
-        bool Compiled = false;
-        if (!parseLevels(V, Opt.Oracle.Levels, Compiled))
+        if (!parseLevels(V, Opt.Oracle.Levels))
           return usage(Argv[0]);
-        Opt.Oracle.CompareCompiled = Compiled;
-      } else if (const char *V = Value("--backend=")) {
-        stack::BackendKind B;
-        if (!stack::parseBackendKind(V, B))
-          return usage(Argv[0]);
-        Opt.Oracle.CompareJit = B == stack::BackendKind::Jit;
       } else if (const char *V = Value("--profiles=")) {
         if (!parseProfiles(V, Opt.Profiles))
           return usage(Argv[0]);
@@ -165,10 +148,13 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (Opt.Oracle.CompareJit &&
+  const std::vector<fuzz::Run> &Runs = Opt.Oracle.Levels;
+  if (std::find(Runs.begin(), Runs.end(),
+                fuzz::Run(stack::Level::Isa, stack::BackendKind::Jit)) !=
+          Runs.end() &&
       !stack::backendSupported(stack::BackendKind::Jit))
     std::cerr << "silver-fuzz: warning: the jit backend is not supported on "
-                 "this host; the jit level runs on the interpreter\n";
+                 "this host; the jit run steps with the interpreter\n";
 
   bool ReplayFailed = false;
   if (!ReplayDir.empty()) {
@@ -191,12 +177,7 @@ int main(int Argc, char **Argv) {
               << Report.WallSeconds << " s, "
               << rate(Report.CasesRun, Report.WallSeconds) << " cases/s\n";
     for (const fuzz::LevelWork &W : Report.Work) {
-      std::cout << "  "
-                << (W.Compiled ? "verilog-compiled"
-                    : W.Jit    ? "jit"
-                               : stack::levelName(W.L))
-                << ": "
-                << W.Instructions
+      std::cout << "  " << fuzz::runName(W.Which) << ": " << W.Instructions
                 << " instrs (" << rate(W.Instructions, Report.WallSeconds)
                 << " instrs/s)";
       if (W.Cycles != 0)

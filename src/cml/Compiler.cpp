@@ -23,10 +23,7 @@ std::string silver::cml::withPrelude(const std::string &Source) {
 
 Result<Compiled> silver::cml::compileProgram(const std::string &Source,
                                              const CompileOptions &Options) {
-  std::string Full =
-      Options.IncludePrelude ? withPrelude(Source) : Source;
-
-  Result<Program> Prog = parseProgram(Full);
+  Result<Program> Prog = parseProgram(withPrelude(Source));
   if (!Prog)
     return Error("parse error: " + Prog.error().str());
 

@@ -32,7 +32,6 @@ namespace cml {
 struct CompileOptions {
   OptOptions Opt = OptOptions::all();
   sys::LayoutParams Layout; ///< determines memory size and CodeBase
-  bool IncludePrelude = true;
 };
 
 struct Compiled {
@@ -43,7 +42,8 @@ struct Compiled {
   unsigned NumGlobals = 0;
 };
 
-/// Compiles MiniCake source to a Silver program image fragment.
+/// Compiles MiniCake source, with the basis prelude prepended, to a
+/// Silver program image fragment.
 Result<Compiled> compileProgram(const std::string &Source,
                                 const CompileOptions &Options = {});
 

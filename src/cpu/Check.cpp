@@ -14,15 +14,6 @@
 using namespace silver;
 using namespace silver::cpu;
 
-static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
-                                                const RunOptions &Options) {
-  if (Options.Level == SimLevel::Circuit) {
-    std::unique_ptr<CoreSim> S = makeCircuitSim(Core);
-    return S;
-  }
-  return makeVerilogSim(Core, Options.CompiledVerilog);
-}
-
 //===----------------------------------------------------------------------===//
 // CoreRunner
 //===----------------------------------------------------------------------===//
@@ -30,7 +21,7 @@ static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
 CoreRunner::CoreRunner(isa::MachineState Dram, const sys::MemoryLayout &Layout,
                        const RunOptions &Options)
     : Core(buildSilverCore()), Env(std::move(Dram), Layout, Options.Env),
-      Layout(Layout), Opt(Options) {}
+      Layout(Layout), Opt(Options), CycleBudget(Options.MaxCycles) {}
 
 CoreRunner::~CoreRunner() = default;
 
@@ -42,28 +33,38 @@ CoreRunner::create(isa::MachineState Dram, const sys::MemoryLayout &Layout,
       new CoreRunner(std::move(Dram), Layout, Options));
   if (Result<void> V = R->Core.Circuit.validate(); !V)
     return V.error();
-  Result<std::unique_ptr<CoreSim>> SimOr = makeSim(R->Core, Options);
-  if (!SimOr)
-    return SimOr.error();
-  R->Sim = SimOr.take();
+  if (Options.Level == SimLevel::Circuit) {
+    R->Sim = makeCircuitSim(R->Core);
+  } else {
+    Result<std::unique_ptr<CoreSim>> SimOr = makeVerilogSim(
+        R->Core, Options.Level == SimLevel::VerilogCompiled);
+    if (!SimOr)
+      return SimOr.error();
+    R->Sim = SimOr.take();
+  }
+  R->Sim->primeArchState(R->Env.memory());
   if (Options.Obs)
     R->Sim->attachCycleObserver(Options.Obs);
   return R;
 }
 
-Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
-                                     uint64_t MaxCycles) {
+void CoreRunner::addCycles(uint64_t ExtraCycles) {
+  CycleBudget = ExtraCycles > UINT64_MAX - CycleBudget
+                    ? UINT64_MAX
+                    : CycleBudget + ExtraCycles;
+}
+
+Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions) {
   if (Halted)
     return CoreStop::Halted;
   obs::Observer *Obs = Opt.Obs;
   uint64_t InstrDone = 0;
-  uint64_t CycDone = 0;
   while (true) {
     if (InstrDone >= MaxInstructions)
       return CoreStop::InstructionBudget;
-    if (CycDone >= MaxCycles)
+    if (Cycles >= CycleBudget)
       return CoreStop::CycleBudget;
-    if (CyclesSinceRetire >= Opt.WedgeCycles)
+    if (CyclesSinceRetire >= MaxCyclesWithoutRetire)
       return CoreStop::NoRetireProgress;
 
     Word PcBefore = Sim->archPc();
@@ -73,7 +74,6 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
     if (Result<void> O = Env.observeOutputs(Outputs); !O)
       return O.error();
     ++Cycles;
-    ++CycDone;
     ++CyclesSinceRetire;
 
     if (Obs) {
@@ -155,14 +155,11 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
                                           uint64_t MaxInstructions,
                                           const RunOptions &Options,
                                           const sys::MemoryLayout *Layout) {
-  SilverCore Core = buildSilverCore();
-  if (Result<void> V = Core.Circuit.validate(); !V)
-    return V.error();
-  Result<std::unique_ptr<CoreSim>> SimOr = makeSim(Core, Options);
-  if (!SimOr)
-    return SimOr.error();
-  CoreSim &Sim = **SimOr;
-  Sim.primeArchState(Initial);
+  Result<std::unique_ptr<CoreRunner>> RunnerOr = CoreRunner::create(
+      Initial, Layout ? *Layout : sys::MemoryLayout{}, Options);
+  if (!RunnerOr)
+    return RunnerOr.error();
+  CoreRunner &Core = **RunnerOr;
 
   // The ISA side: its own copy of the machine state and environment,
   // stepped by the reference semantics — isHalted and step, the paper's
@@ -173,15 +170,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
     SysEnv = std::make_unique<sys::SysEnv>(*Layout);
   isa::IsaEnv &IsaEnv = SysEnv ? *SysEnv : isa::nullEnv();
 
-  LabEnv Env(Initial, Layout ? *Layout : sys::MemoryLayout{}, Options.Env);
-
-  uint64_t Instructions = 0;
-  uint64_t Cycles = 0;
-  CoreInputs Inputs;
-  CoreOutputs Outputs;
-
   auto CompareArch = [&](uint64_t At) -> Result<void> {
-    ArchState A = Sim.archState();
+    ArchState A = Core.archState();
     if (A.Pc != Isa.PC)
       return Error("instruction " + std::to_string(At) + ": PC " +
                    toHex(A.Pc) + " vs ISA " + toHex(Isa.PC));
@@ -198,22 +188,19 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
     return {};
   };
 
-  while (Instructions < MaxInstructions) {
-    if (isa::isHalted(Isa))
-      break;
-    if (Cycles > Options.MaxCycles)
+  uint64_t Instructions = 0;
+  while (Instructions < MaxInstructions && !Core.halted() &&
+         !isa::isHalted(Isa)) {
+    // One implementation retire corresponds to one ISA Next step.
+    Result<CoreStop> Stop = Core.advance(1);
+    if (!Stop)
+      return Stop.error();
+    if (*Stop == CoreStop::CycleBudget)
       return Error("cycle budget exhausted before instruction " +
                    std::to_string(Instructions));
-    Env.inputsForCycle(Inputs);
-    if (Result<void> S = Sim.stepDense(Inputs, Outputs); !S)
-      return S.error();
-    if (Result<void> O = Env.observeOutputs(Outputs); !O)
-      return O.error();
-    ++Cycles;
-    if (!Outputs.Retire)
-      continue;
-
-    // One implementation retire corresponds to one ISA Next step.
+    if (*Stop == CoreStop::NoRetireProgress)
+      return Error("the core stopped retiring before instruction " +
+                   std::to_string(Instructions));
     isa::StepResult S = isa::step(Isa, IsaEnv);
     if (!S.ok())
       return Error("ISA faulted at instruction " +
@@ -225,8 +212,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
   }
 
   // Memories must agree at the end (ag32_eq_* includes memory equality).
-  if (Env.memory().Memory != Isa.Memory) {
-    const isa::MemoryBytes &M = Env.memory().Memory;
+  if (Core.memory().Memory != Isa.Memory) {
+    const isa::MemoryBytes &M = Core.memory().Memory;
     for (size_t I = 0; I != M.size(); ++I)
       if (M[I] != Isa.Memory[I])
         return Error("memory differs at " + toHex(static_cast<Word>(I)) +
@@ -234,9 +221,9 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
                      " instructions");
   }
   if (SysEnv) {
-    if (Env.collectedStdout() != SysEnv->collectedStdout())
+    if (Core.collectedStdout() != SysEnv->collectedStdout())
       return Error("collected stdout differs between levels");
-    if (Env.collectedStderr() != SysEnv->collectedStderr())
+    if (Core.collectedStderr() != SysEnv->collectedStderr())
       return Error("collected stderr differs between levels");
   }
   return Instructions;

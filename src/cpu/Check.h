@@ -8,18 +8,19 @@
 /// \file
 /// The executable counterparts of the processor correctness theorems:
 ///
-///  - checkIsaRtl: theorem (9) — every instruction cycle of the ISA is
-///    simulated by some number of clock cycles of the implementation.
-///    Runs the core (circuit or Verilog level) against the lab
-///    environment and the ISA interpreter in lock-step, comparing the
-///    full architectural state (the ag32_eq_* relation family) at every
-///    retire pulse, and the memories at the end.
-///
 ///  - CoreRunner: executes a memory image on the core, resumably, and
 ///    reports the observable behaviour (the hardware half of theorem
 ///    (8)).  It holds the simulator, the lab environment (whose DRAM is
-///    a state instantiated from the boot snapshot), the FFI trace, and
-///    the observer hookup across multiple advance() calls.
+///    a state instantiated from the boot snapshot), the cycle budget,
+///    the FFI trace, and the observer hookup across multiple advance()
+///    calls.  Its cycle loop is the one every hardware run goes through.
+///
+///  - checkIsaRtl: theorem (9) — every instruction cycle of the ISA is
+///    simulated by some number of clock cycles of the implementation.
+///    Advances a CoreRunner one retire at a time in lock-step with the
+///    ISA interpreter, comparing the full architectural state (the
+///    ag32_eq_* relation family) at every retire, and the memories at
+///    the end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,38 +34,40 @@
 namespace silver {
 namespace cpu {
 
-/// Which implementation level to run.
-enum class SimLevel : uint8_t { Circuit, Verilog };
+/// Which implementation level to run: the circuit interpreter, or the
+/// generated Verilog stepped by hdl::FastSim or by the core's linked
+/// compiled simulator (see cpu::makeVerilogSim).
+enum class SimLevel : uint8_t { Circuit, Verilog, VerilogCompiled };
 
 struct RunOptions {
   SimLevel Level = SimLevel::Circuit;
   LabEnvOptions Env;
+  /// Total clock-cycle budget of the run (CoreRunner::addCycles grants
+  /// more).
   uint64_t MaxCycles = 100'000'000ull;
-  /// Verilog level only: step the generated module with the core's
-  /// linked compiled simulator instead of hdl::FastSim (see
-  /// cpu::makeVerilogSim).
-  bool CompiledVerilog = false;
   /// Receives retire / FFI / memory / cycle events; null runs silent.
   /// Not owned.
   obs::Observer *Obs = nullptr;
-  /// Wedge watchdog: a core that goes this many cycles without retiring
-  /// a single instruction is stuck in the memory/interrupt protocol (a
-  /// healthy transaction completes in a handful of cycles), and the
-  /// runner stops with CoreStop::NoRetireProgress instead of burning
-  /// the whole cycle budget.
-  uint64_t WedgeCycles = 4096;
 };
+
+/// Wedge watchdog: a core that goes this many cycles without retiring a
+/// single instruction is stuck in the memory/interrupt protocol (a
+/// healthy transaction completes in a handful of cycles), and the runner
+/// stops with CoreStop::NoRetireProgress instead of burning the whole
+/// cycle budget.
+inline constexpr uint64_t MaxCyclesWithoutRetire = 4096;
 
 /// Why an advance() call returned.
 enum class CoreStop : uint8_t {
   Halted,            ///< the halt self-loop retired; the run is over
   InstructionBudget, ///< this call's instruction quota was used up
-  CycleBudget,       ///< this call's cycle quota was used up
-  NoRetireProgress,  ///< wedge watchdog fired (see RunOptions)
+  CycleBudget,       ///< the run's cycle budget was used up
+  NoRetireProgress,  ///< wedge watchdog fired (see MaxCyclesWithoutRetire)
 };
 
-/// A resumable core execution: create once from a bootable image, then
-/// advance() any number of times with per-call instruction/cycle quotas.
+/// A resumable core execution: create once from a memory image, then
+/// advance() any number of times with per-call instruction quotas under
+/// one cycle budget (RunOptions::MaxCycles, raised by addCycles).
 /// This is what lets stack::Executor pause, step, and enforce budgets at
 /// the hardware levels.  Each retire that enters the syscall code
 /// (next pc = SyscallCodeBase) records the call in trace()
@@ -79,10 +82,11 @@ enum class CoreStop : uint8_t {
 class CoreRunner {
 public:
   /// Builds the core, validates it, and wires up the simulator, the lab
-  /// environment over \p Dram (a bootable image laid out as \p Layout;
-  /// the core runs its startup code from reset), and the observer.  The
-  /// runner is heap-allocated and pinned because the simulator keeps a
-  /// reference to the core.
+  /// environment over \p Dram (laid out as \p Layout), and the observer.
+  /// The core starts in the architectural state of \p Dram (PC, flags,
+  /// registers, data_out); for a bootable image that is the reset state,
+  /// and the core runs its startup code.  The runner is heap-allocated
+  /// and pinned because the simulator keeps a reference to the core.
   static Result<std::unique_ptr<CoreRunner>>
   create(isa::MachineState Dram, const sys::MemoryLayout &Layout,
          const RunOptions &Options);
@@ -92,11 +96,15 @@ public:
   CoreRunner &operator=(const CoreRunner &) = delete;
 
   /// Runs until the halt self-loop retires, \p MaxInstructions more
-  /// instructions retire, \p MaxCycles more cycles elapse, or the wedge
-  /// watchdog fires.  Quotas are per-call, not cumulative; pass
-  /// UINT64_MAX for "no limit".  Errors are environment protocol
-  /// violations or simulator failures.
-  Result<CoreStop> advance(uint64_t MaxInstructions, uint64_t MaxCycles);
+  /// instructions retire, the cycle budget runs out, or the wedge
+  /// watchdog fires.  The quota is per-call; pass UINT64_MAX for "no
+  /// limit".  Errors are environment protocol violations or simulator
+  /// failures.
+  Result<CoreStop> advance(uint64_t MaxInstructions);
+
+  /// Raises the cycle budget by \p ExtraCycles (saturating), so a run
+  /// stopped with CoreStop::CycleBudget can continue.
+  void addCycles(uint64_t ExtraCycles);
 
   bool halted() const { return Halted; }
   uint64_t cycles() const { return Cycles; }
@@ -126,6 +134,7 @@ private:
   LabEnv Env;
   sys::MemoryLayout Layout;
   RunOptions Opt;
+  uint64_t CycleBudget;
   bool Halted = false;
   uint64_t Cycles = 0;
   uint64_t Instructions = 0;
@@ -140,9 +149,11 @@ private:
 /// Lock-step ISA/implementation check from an arbitrary initial machine
 /// state.  \p Layout enables the interrupt-observables comparison (pass
 /// the image layout for compiled programs; nullptr for random-program
-/// tests that avoid Interrupt).  Stops at the ISA halt, after
-/// \p MaxInstructions, or at the first disagreement (returned as an
-/// error naming the instruction index and the differing component).
+/// tests that avoid Interrupt).  Stops at the ISA halt, when the core
+/// retires its halt self-loop, after \p MaxInstructions, or at the
+/// first disagreement (returned as an error naming the instruction
+/// index and the differing component).  Running out of
+/// Options.MaxCycles, or the wedge watchdog firing, is an error too.
 Result<uint64_t> checkIsaRtl(const isa::MachineState &Initial,
                              uint64_t MaxInstructions,
                              const RunOptions &Options,

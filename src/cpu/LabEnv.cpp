@@ -10,6 +10,11 @@
 using namespace silver;
 using namespace silver::cpu;
 
+/// The cycle at which mem_start_ready rises.
+static constexpr unsigned MemStartCycle = 2;
+/// Extra wait cycles before interrupt_ack.
+static constexpr unsigned InterruptAckWait = 1;
+
 void LabEnv::inputsForCycle(CoreInputs &In) {
   ReadyNow = false;
   AckNow = false;
@@ -43,7 +48,7 @@ void LabEnv::inputsForCycle(CoreInputs &In) {
 
   In.MemRdata = RData;
   In.MemReady = ReadyNow;
-  In.MemStartReady = Cycle >= Opt.StartDelay;
+  In.MemStartReady = Cycle >= MemStartCycle;
   In.InterruptAck = AckNow;
   In.DataIn = 0;
   ++Cycle;
@@ -75,7 +80,7 @@ Result<void> LabEnv::observeOutputs(const CoreOutputs &Out) {
     // ISA semantics of the Interrupt instruction.
     sys::interruptObservable(Dram.Memory.data(), Layout, Stdout, Stderr);
     IntBusy = true;
-    IntRemaining = Opt.AckDelay;
+    IntRemaining = InterruptAckWait;
   }
   return {};
 }

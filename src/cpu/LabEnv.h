@@ -23,6 +23,8 @@
 ///
 /// Timing: a request pulse observed on the core's outputs at cycle N is
 /// answered with a one-cycle ready pulse at cycle N+1+Latency.
+/// mem_start_ready rises at cycle 2, and an interrupt request at cycle N
+/// is acknowledged at cycle N+2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +42,6 @@ namespace cpu {
 
 struct LabEnvOptions {
   unsigned MemLatency = 1;  ///< extra wait cycles per memory transaction
-  unsigned StartDelay = 2;  ///< cycles before mem_start_ready rises
-  unsigned AckDelay = 1;    ///< cycles before interrupt_ack
 };
 
 class LabEnv {

@@ -8,12 +8,12 @@
 #include "fuzz/Fuzzer.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <ostream>
 #include <thread>
+#include <tuple>
 
 using namespace silver;
 using namespace silver::fuzz;
@@ -27,16 +27,7 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
   std::atomic<uint64_t> CasesRun{0};
   std::atomic<uint64_t> Inconclusive{0};
   std::atomic<uint64_t> CaseErrors{0};
-  // Per-level work totals, indexed by stack::Level with one extra slot
-  // for the Jit-vs-Isa differential runs; summed lock-free in the
-  // workers and folded into the report at the end.
-  constexpr size_t NumLevels = static_cast<size_t>(stack::Level::Verilog) + 1;
-  constexpr size_t JitSlot = NumLevels;
-  constexpr size_t CompiledSlot = NumLevels + 1;
-  std::array<std::atomic<uint64_t>, NumLevels + 2> LevelInstrs{};
-  std::array<std::atomic<uint64_t>, NumLevels + 2> LevelCycles{};
-  std::array<std::atomic<uint64_t>, NumLevels + 2> LevelRuns{};
-  std::mutex Mu; // guards Report.Findings and O.Log
+  std::mutex Mu; // guards Report.Findings, Report.Work and O.Log
   const auto Start = std::chrono::steady_clock::now();
   const auto Deadline =
       O.TimeBudgetSeconds > 0
@@ -45,13 +36,26 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
                     std::chrono::duration<double>(O.TimeBudgetSeconds))
           : std::chrono::steady_clock::time_point::max();
 
+  auto AddWork = [](std::vector<LevelWork> &Work, const LevelWork &W) {
+    auto It = std::find_if(Work.begin(), Work.end(), [&W](const LevelWork &X) {
+      return X.Which == W.Which;
+    });
+    if (It == Work.end()) {
+      Work.push_back(W);
+      return;
+    }
+    It->Instructions += W.Instructions;
+    It->Cycles += W.Cycles;
+  };
+
   auto Worker = [&] {
+    // Per-run work, summed here and folded into the report at the end.
+    std::vector<LevelWork> Work;
     while (true) {
       uint64_t Index = NextCase.fetch_add(1, std::memory_order_relaxed);
-      if (Index >= O.MaxCases)
-        return;
-      if (std::chrono::steady_clock::now() >= Deadline)
-        return;
+      if (Index >= O.MaxCases ||
+          std::chrono::steady_clock::now() >= Deadline)
+        break;
 
       Profile P = O.Profiles[Index % O.Profiles.size()];
       CaseSpec C = generateCase(O.Seed, Index, P);
@@ -64,18 +68,9 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
           *O.Log << "case " << Index << ": " << R.error().message() << "\n";
         continue;
       }
-      for (const LevelRun &Run : R->Runs) {
-        if (!Run.Ran)
-          continue;
-        size_t L = Run.Compiled ? CompiledSlot
-                   : Run.Jit    ? JitSlot
-                                : static_cast<size_t>(Run.L);
-        LevelRuns[L].fetch_add(1, std::memory_order_relaxed);
-        LevelInstrs[L].fetch_add(Run.Out.Behaviour.Instructions,
-                                 std::memory_order_relaxed);
-        LevelCycles[L].fetch_add(Run.Out.Behaviour.Cycles,
-                                 std::memory_order_relaxed);
-      }
+      for (const LevelRun &Run : R->Runs)
+        AddWork(Work, {Run.Which, Run.Out.Behaviour.Instructions,
+                       Run.Out.Behaviour.Cycles});
       if (R->Diff.Kind == DiffKind::Inconclusive) {
         Inconclusive.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -103,6 +98,9 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
                << " (shrunk to " << F.Shrunk.Items.size() << " items)\n";
       Report.Findings.push_back(std::move(F));
     }
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (const LevelWork &W : Work)
+      AddWork(Report.Work, W);
   };
 
   unsigned Jobs = std::max(1u, O.Jobs);
@@ -123,19 +121,13 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
   Report.WallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  for (size_t L = 0; L != NumLevels + 2; ++L) {
-    if (LevelRuns[L].load() == 0)
-      continue;
-    LevelWork W;
-    W.L = L == JitSlot        ? stack::Level::Isa
-          : L == CompiledSlot ? stack::Level::Verilog
-                              : static_cast<stack::Level>(L);
-    W.Jit = L == JitSlot;
-    W.Compiled = L == CompiledSlot;
-    W.Instructions = LevelInstrs[L].load();
-    W.Cycles = LevelCycles[L].load();
-    Report.Work.push_back(W);
-  }
+  std::sort(Report.Work.begin(), Report.Work.end(),
+            [](const LevelWork &A, const LevelWork &B) {
+              auto Key = [](const Run &R) {
+                return std::tuple(!R.interp(), R.L, R.Backend, R.Hdl);
+              };
+              return Key(A.Which) < Key(B.Which);
+            });
   // Workers race on push order; the index sort restores determinism.
   std::sort(Report.Findings.begin(), Report.Findings.end(),
             [](const Finding &A, const Finding &B) {

@@ -65,14 +65,11 @@ struct Finding {
   uint64_t ShrinkAttempts = 0;
 };
 
-/// Work done at one level over a whole campaign, for throughput
+/// Work done by one run over a whole campaign, for throughput
 /// reporting (instructions at every level; cycles only at the clocked
 /// ones).
 struct LevelWork {
-  stack::Level L = stack::Level::Isa;
-  bool Jit = false; ///< the Jit-vs-Isa differential runs (L is Isa)
-  /// The Compiled-vs-Verilog differential runs (L is Verilog).
-  bool Compiled = false;
+  Run Which;
   uint64_t Instructions = 0;
   uint64_t Cycles = 0;
 };
@@ -85,8 +82,9 @@ struct FuzzReport {
   /// Campaign wall-clock time (generation + oracle + shrinking), for
   /// cases/sec and per-level instrs/sec throughput lines.
   double WallSeconds = 0;
-  /// Per-level totals across every case the oracle ran, in level order;
-  /// levels that never ran are omitted.
+  /// Per-run totals across every case the oracle ran: the interpreted
+  /// runs in level order, then the other backends; runs that never ran
+  /// are omitted.
   std::vector<LevelWork> Work;
 };
 

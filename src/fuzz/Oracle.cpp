@@ -18,6 +18,10 @@ using namespace silver;
 using namespace silver::fuzz;
 using stack::Level;
 
+static constexpr Run JitRun(Level::Isa, stack::BackendKind::Jit);
+static constexpr Run CompiledRun(Level::Verilog, stack::BackendKind::Interp,
+                                 stack::HdlBackendKind::Compiled);
+
 const char *silver::fuzz::diffKindName(DiffKind K) {
   switch (K) {
   case DiffKind::None:
@@ -36,13 +40,34 @@ const char *silver::fuzz::diffKindName(DiffKind K) {
   return "?";
 }
 
-static const char *runName(Level L, bool Jit, bool Compiled) {
-  return Compiled ? "verilog-compiled" : Jit ? "jit" : stack::levelName(L);
+const char *silver::fuzz::runName(const Run &R) {
+  if (R.Backend == stack::BackendKind::Jit)
+    return "jit";
+  if (R.Hdl == stack::HdlBackendKind::Compiled)
+    return "verilog-compiled";
+  return stack::levelName(R.L);
+}
+
+bool silver::fuzz::parseRun(const std::string &Name, Run &Out) {
+  static const std::pair<const char *, Run> Runs[] = {
+      {"machine", Level::Machine},
+      {"isa", Level::Isa},
+      {"jit", JitRun},
+      {"rtl", Level::Rtl},
+      {"verilog", Level::Verilog},
+      {"verilog-compiled", CompiledRun},
+  };
+  for (const auto &[Spelling, R] : Runs)
+    if (Name == Spelling) {
+      Out = R;
+      return true;
+    }
+  return false;
 }
 
 std::string Divergence::fingerprint() const {
-  return std::string(diffKindName(Kind)) + ":" + stack::levelName(Ref) + ":" +
-         runName(Other, OtherJit, OtherCompiled);
+  return std::string(diffKindName(Kind)) + ":" + runName(Ref) + ":" +
+         runName(Other);
 }
 
 Result<stack::Prepared> silver::fuzz::prepareCase(const CaseSpec &C) {
@@ -84,22 +109,17 @@ Result<stack::Prepared> silver::fuzz::prepareCase(const CaseSpec &C) {
 
 namespace {
 
-LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Level L,
-                uint64_t MaxSteps, bool Jit = false, bool Compiled = false) {
+LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, const Run &Which,
+                uint64_t MaxSteps) {
   LevelRun R;
-  R.L = L;
-  R.Jit = Jit;
-  R.Compiled = Compiled;
-  R.Ran = true;
+  R.Which = Which;
 
   stack::RunSpec Spec;
   Spec.CommandLine = C.CommandLine;
   Spec.StdinData = C.StdinData;
   Spec.Exec.MaxSteps = MaxSteps;
-  Spec.Exec.Backend =
-      Jit ? stack::BackendKind::Jit : stack::BackendKind::Interp;
-  Spec.Exec.Hdl = Compiled ? stack::HdlBackendKind::Compiled
-                           : stack::HdlBackendKind::Interp;
+  Spec.Exec.Backend = Which.Backend;
+  Spec.Exec.Hdl = Which.Hdl;
   Spec.Exec.JitHotThreshold = 1; // cases are short; compile everything
 
   stack::Executor E = stack::Executor::fromPrepared(Spec, P);
@@ -108,10 +128,10 @@ LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Level L,
   // The JIT run stays unobserved: per-step retire events would force
   // every block back to the interpreter, and the retire stream is only
   // compared for the hardware levels anyway.
-  if (!Jit)
+  if (Which.Backend != stack::BackendKind::Jit)
     E.attach(&Sink);
 
-  if (Result<void> B = E.begin(L); !B) {
+  if (Result<void> B = E.begin(Which.L); !B) {
     R.Errored = true;
     R.ErrorMessage = B.error().message();
     return R;
@@ -141,28 +161,28 @@ Divergence diverge(DiffKind K, const LevelRun &Ref, const LevelRun &Other,
                    std::string Detail) {
   Divergence D;
   D.Kind = K;
-  D.Ref = Ref.L;
-  D.Other = Other.L;
-  D.OtherJit = Other.Jit;
-  D.OtherCompiled = Other.Compiled;
+  D.Ref = Ref.Which;
+  D.Other = Other.Which;
   D.Detail = std::move(Detail);
   return D;
 }
 
-/// Compares \p R against the reference run \p Ref: the Isa run, with the
-/// two masked asymmetries of the file comment of Oracle.h, or, for the
-/// compiled-simulator run, the interpreted Verilog run.  Both of those
-/// are the same hardware semantics on the same module, so that
-/// comparison is exact: no asymmetry is masked, the retire streams are
-/// compared whole, and the instruction and cycle counts must match too.
+/// Compares \p R against its reference run \p Ref (OracleOptions::Levels).
+/// An interpreted run's reference is the Isa run, with the two masked
+/// asymmetries of the file comment of Oracle.h.  Any other run's is the
+/// interpreted run at its level: the same semantics on another backend,
+/// so that comparison is exact — no asymmetry is masked, the retire
+/// streams are compared whole, and the instruction and cycle counts must
+/// match too.
 Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
+  const Level L = R.Which.L;
   if (Ref.Errored || R.Errored) {
     // Both sides failing is agreement (the generator aims never to get
     // here); one side failing while the other completes is the kind of
     // asymmetry the fuzzer exists to find.
     if (Ref.Errored == R.Errored)
       return {};
-    if (!Ref.Errored && R.L == Level::Machine &&
+    if (!Ref.Errored && L == Level::Machine &&
         R.ErrorMessage == machine::OracleRejectedMessage) {
       // ffi_interfer is specified only for well-formed FFI call states;
       // the real syscall code the other levels run has no such domain
@@ -177,8 +197,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
     }
     const LevelRun &Bad = Ref.Errored ? Ref : R;
     return diverge(DiffKind::Status, Ref, R,
-                   std::string(runName(Bad.L, Bad.Jit, Bad.Compiled)) +
-                       " errored: " +
+                   std::string(runName(Bad.Which)) + " errored: " +
                        Bad.ErrorMessage);
   }
   if (Ref.Out.Status != R.Out.Status)
@@ -187,7 +206,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
                        " vs " + stack::runStatusName(R.Out.Status));
   if (Result<void> B = stack::compareBehaviour(R.Out, Ref.Out, false); !B)
     return diverge(DiffKind::Behaviour, Ref, R, B.error().message());
-  const bool Exact = isHardware(Ref.L);
+  const bool Exact = !R.Which.interp();
   const stack::Observed &A = Ref.Out.Behaviour;
   const stack::Observed &B = R.Out.Behaviour;
   if (Exact && (A.Instructions != B.Instructions || A.Cycles != B.Cycles))
@@ -197,10 +216,10 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
                        std::to_string(B.Instructions) + "i/" +
                        std::to_string(B.Cycles) + "c");
 
-  // Retire streams: against the hardware levels only (the Machine level
+  // Retire streams: at the hardware levels only (the Machine level
   // compresses each FFI call into one unobserved oracle step, and the
   // JIT run is unobserved).
-  if (isHardware(R.L)) {
+  if (isHardware(L)) {
     std::vector<std::pair<Word, uint8_t>> Other = R.Retires;
     if (!Exact && Other.size() == Ref.Retires.size() + 1 &&
         Other.back().first == Ref.Digest.Pc)
@@ -227,7 +246,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
 
   stack::StateDigest DA = Ref.Digest;
   stack::StateDigest DB = R.Digest;
-  if (!Exact && isHardware(R.L)) {
+  if (!Exact && isHardware(L)) {
     // The retired halt self-jump wrote PC+4 to the link register and
     // ran the ALU once more; the epilogue preserved the real flags in
     // r43/r44, which stay unmasked.
@@ -235,7 +254,7 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
     DB.Carry = DA.Carry;
     DB.Overflow = DA.Overflow;
   }
-  if (R.L == Level::Machine && HasFfi) {
+  if (L == Level::Machine && HasFfi) {
     // The interference oracle zeroes the clobber set instead of running
     // the syscall code (which leaves junk in those registers).  The
     // flags stay unmasked: the generator re-normalises them with an
@@ -262,17 +281,31 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
 
 Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
                                            const OracleOptions &O) {
-  for (Level L : O.Levels)
-    if (L == Level::Spec)
+  // The schedule: the Isa reference, then each listed run, preceded by
+  // its interpreted reference when that is not scheduled yet.
+  const Run IsaRun = Level::Isa;
+  std::vector<Run> Schedule = {IsaRun};
+  auto Add = [&Schedule](const Run &R) {
+    if (std::find(Schedule.begin(), Schedule.end(), R) == Schedule.end())
+      Schedule.push_back(R);
+  };
+  for (const Run &R : O.Levels) {
+    if (R.L == Level::Spec)
       return Error("the fuzz oracle has no Spec level: generated cases "
                    "are machine code with no source program");
+    if (!R.interp() && R != JitRun && R != CompiledRun)
+      return Error(std::string("the fuzz oracle has no ") +
+                   stack::levelName(R.L) + " run on another backend");
+    Add(R.L);
+    Add(R);
+  }
 
   Result<stack::Prepared> POr = prepareCase(C);
   if (!POr)
     return POr.error();
 
   OracleResult Res;
-  LevelRun Isa = runOne(*POr, C, Level::Isa, O.MaxSteps);
+  LevelRun Isa = runOne(*POr, C, IsaRun, O.MaxSteps);
   Res.IsaInstructions = Isa.Out.Behaviour.Instructions;
   if (!Isa.Errored && Isa.Out.Status != stack::RunStatus::Completed) {
     // Nothing to compare against; also keeps runaway loops away from
@@ -283,59 +316,28 @@ Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
     return Res;
   }
 
-  // A diverging level that runs off into a loop should be cut short
+  // A diverging run that runs off into a loop should be cut short
   // cheaply: everything after the reference gets a budget just above
   // the ISA instruction count (the slack covers the startup prefix and
   // the extra halt retire).
   uint64_t Budget =
       Isa.Errored ? O.MaxSteps : Isa.Out.Behaviour.Instructions + 256;
 
-  Res.Runs.push_back(Isa);
-  if (O.CompareJit) {
-    // The Jit-vs-Isa differential level: the same image at Level::Isa
-    // stepped by the JIT backend.  Neither masked asymmetry applies (no
-    // extra halt retire, no oracle clobber difference), so the
-    // comparison is exact down to the final digest.
-    LevelRun J = runOne(*POr, C, Level::Isa, Budget, /*Jit=*/true);
-    Divergence D = compareRuns(Res.Runs.front(), J, C.hasFfi());
-    Res.Runs.push_back(std::move(J));
-    if (D.found() && !Res.Diff.found())
-      Res.Diff = D;
-  }
-  for (Level L : O.Levels) {
-    if (L == Level::Isa)
-      continue;
-    LevelRun R = runOne(*POr, C, L, Budget);
-    Divergence D = compareRuns(Res.Runs.front(), R, C.hasFfi());
-    Res.Runs.push_back(std::move(R));
+  Res.Runs.push_back(std::move(Isa));
+  for (size_t I = 1; I != Schedule.size(); ++I) {
+    const Run &R = Schedule[I];
+    const Run Ref = R.interp() ? IsaRun : Run(R.L);
+    const LevelRun &RefRun = *std::find_if(
+        Res.Runs.begin(), Res.Runs.end(),
+        [&Ref](const LevelRun &Done) { return Done.Which == Ref; });
+    LevelRun Other = runOne(*POr, C, R, Budget);
+    Divergence D = compareRuns(RefRun, Other, C.hasFfi());
+    Res.Runs.push_back(std::move(Other));
     if (D.found() && !Res.Diff.found())
       Res.Diff = D;
     else if (D.Kind == DiffKind::Inconclusive &&
              Res.Diff.Kind == DiffKind::None)
       Res.Diff = D; // counted, but a later real divergence still wins
-  }
-  if (O.CompareCompiled) {
-    // The Compiled-vs-Verilog differential level: locate (or add) the
-    // interpreted Verilog run, then the same image again with the
-    // compiled simulator backend, compared exactly (both sides are the
-    // hardware, so no asymmetry is masked).
-    size_t VIdx = Res.Runs.size();
-    for (size_t I = 0; I != Res.Runs.size(); ++I)
-      if (Res.Runs[I].L == Level::Verilog && !Res.Runs[I].Compiled)
-        VIdx = I;
-    if (VIdx == Res.Runs.size()) {
-      LevelRun V = runOne(*POr, C, Level::Verilog, Budget);
-      Divergence D = compareRuns(Res.Runs.front(), V, C.hasFfi());
-      Res.Runs.push_back(std::move(V));
-      if (D.found() && !Res.Diff.found())
-        Res.Diff = D;
-    }
-    LevelRun CR = runOne(*POr, C, Level::Verilog, Budget, /*Jit=*/false,
-                         /*Compiled=*/true);
-    Divergence D = compareRuns(Res.Runs[VIdx], CR, C.hasFfi());
-    Res.Runs.push_back(std::move(CR));
-    if (D.found() && !Res.Diff.found())
-      Res.Diff = D;
   }
   return Res;
 }

@@ -18,7 +18,8 @@
 ///  - the same final architectural state (stack::StateDigest).
 ///
 /// Two systematic asymmetries of the stack are normalised before
-/// comparing (both are documented invariants, not bugs):
+/// comparing an interpreted run against the Isa run (both are
+/// documented invariants, not bugs):
 ///
 ///  1. The halt self-jump.  isa::run stops *at* the halt instruction;
 ///     the hardware levels retire it once more, which appends one retire
@@ -40,7 +41,7 @@
 /// Protocol: the Isa level runs first with the full budget.  If it
 /// times out the case is Inconclusive (nothing to compare against, and
 /// it keeps runaway loops away from the slow cycle-accurate levels);
-/// otherwise every other requested level runs with a budget just above
+/// otherwise every other requested run gets a budget just above
 /// the ISA instruction count, so a diverging level that runs off into a
 /// loop is cut short cheaply and reported as a status mismatch.
 ///
@@ -58,25 +59,52 @@
 namespace silver {
 namespace fuzz {
 
-/// What one level did with the case.
+/// One differential run: a level and the backends that step it — the
+/// ISA backend at Isa, the simulator backend at Verilog.  A plain
+/// stack::Level converts to its interpreted run.
+struct Run {
+  stack::Level L;
+  stack::BackendKind Backend;
+  stack::HdlBackendKind Hdl;
+
+  constexpr Run(stack::Level L = stack::Level::Isa,
+                stack::BackendKind Backend = stack::BackendKind::Interp,
+                stack::HdlBackendKind Hdl = stack::HdlBackendKind::Interp)
+      : L(L), Backend(Backend), Hdl(Hdl) {}
+  bool operator==(const Run &) const = default;
+
+  /// Both backends are the interpreters.
+  bool interp() const {
+    return Backend == stack::BackendKind::Interp &&
+           Hdl == stack::HdlBackendKind::Interp;
+  }
+};
+
+/// The printed name: stack::levelName for an interpreted run, "jit" for
+/// the Isa level on the JIT backend, "verilog-compiled" for the Verilog
+/// level on the compiled simulator.
+const char *runName(const Run &R);
+
+/// Parses a run as the CLIs spell it: machine, isa, jit, rtl, verilog,
+/// verilog-compiled.  Returns false when \p Name is unknown.
+bool parseRun(const std::string &Name, Run &Out);
+
+/// What one run did with the case.
 struct LevelRun {
-  stack::Level L = stack::Level::Isa;
-  bool Jit = false; ///< ran at Isa with the JIT backend (Jit-vs-Isa level)
-  /// Ran at Verilog with the compiled simulator backend (the
-  /// Compiled-vs-Verilog differential level).
-  bool Compiled = false;
-  bool Ran = false;
+  Run Which;
   bool Errored = false; ///< the executor reported an error (fault, ...)
   std::string ErrorMessage;
   stack::Outcome Out; ///< status, behaviour and FFI trace
   stack::StateDigest Digest;
-  std::vector<std::pair<Word, uint8_t>> Retires; ///< (pc, opcode)
+  /// (pc, opcode).  Empty for the jit run, which runs unobserved: retire
+  /// events would force every block back to the interpreter.
+  std::vector<std::pair<Word, uint8_t>> Retires;
 };
 
-/// How two levels disagreed.
+/// How two runs disagreed.
 enum class DiffKind : uint8_t {
-  None,         ///< all levels agree
-  Inconclusive, ///< the reference level timed out; nothing compared
+  None,         ///< all runs agree
+  Inconclusive, ///< the reference run timed out; nothing compared
   Status,       ///< completed vs timeout vs error
   Behaviour,    ///< stdout/stderr/exit code/termination/FFI trace differ
   Retire,       ///< first retire-stream mismatch
@@ -84,15 +112,11 @@ enum class DiffKind : uint8_t {
 };
 const char *diffKindName(DiffKind K);
 
-/// A divergence between the reference level and another level.
+/// A divergence between a run and its reference run.
 struct Divergence {
   DiffKind Kind = DiffKind::None;
-  stack::Level Ref = stack::Level::Isa;
-  stack::Level Other = stack::Level::Isa;
-  bool OtherJit = false;  ///< Other ran at Isa with the JIT backend
-  /// Other ran at Verilog with the compiled simulator backend (the
-  /// reference side is then the interpreted Verilog run).
-  bool OtherCompiled = false;
+  Run Ref;
+  Run Other;
   std::string Detail;     ///< human-readable description
   uint64_t RetireAt = 0;  ///< Retire: first differing index
 
@@ -100,38 +124,35 @@ struct Divergence {
     return Kind != DiffKind::None && Kind != DiffKind::Inconclusive;
   }
   /// Stable identity used by the shrinker to reject candidates that
-  /// trade one bug for another: the kind plus the level pair.
+  /// trade one bug for another: the kind plus the two run names.
   std::string fingerprint() const;
 };
 
 struct OracleOptions {
-  /// Levels to compare.  Isa always runs (it is the reference); listing
-  /// it here is allowed and redundant.  stack::Level::Spec is invalid —
-  /// generated cases are machine code with no source program.
-  std::vector<stack::Level> Levels = {stack::Level::Machine,
-                                      stack::Level::Rtl};
+  /// Runs to compare.  The Isa interpreter run always runs first (it is
+  /// the reference); listing it is allowed and redundant.  Each run's
+  /// reference is picked by one rule:
+  ///
+  ///  - a run on another backend (jit, verilog-compiled) is compared
+  ///    exactly against the interpreted run at its level — status,
+  ///    behaviour with instruction and cycle counts, the whole retire
+  ///    stream at the hardware levels, and the digest, nothing masked —
+  ///    which the oracle adds when it is not listed;
+  ///  - every interpreted run is compared against the Isa run, with the
+  ///    two masked asymmetries of the file comment.
+  ///
+  /// The Spec level is invalid — generated cases are machine code with
+  /// no source program.  On hosts without native JIT support the jit run
+  /// degrades to the interpreter, so its comparison is trivially green.
+  std::vector<Run> Levels = {stack::Level::Machine, stack::Level::Rtl};
   uint64_t MaxSteps = 100'000; ///< ISA instruction budget
-  /// Also run the case at Level::Isa with the JIT backend
-  /// (stack::BackendKind::Jit) and compare it against the interpreter
-  /// exactly — the Jit-vs-Isa differential level.  On hosts without
-  /// native JIT support the run degrades to the interpreter, so the
-  /// comparison is trivially green rather than an error.
-  bool CompareJit = false;
-  /// Also run the case at Level::Verilog with the compiled simulator
-  /// backend (stack::HdlBackendKind::Compiled) and compare it against
-  /// the interpreted Verilog run exactly — status, behaviour including
-  /// instruction and cycle counts, the full retire stream, and the
-  /// digest, with no masking: both sides are the same hardware
-  /// semantics.  Adds the interpreted Verilog run if Levels does not
-  /// already request it.  The core's compiled simulator is linked into
-  /// the build, so the comparison needs no host C++ compiler at run
-  /// time and always runs the compiled code.
-  bool CompareCompiled = false;
 };
 
 struct OracleResult {
   Divergence Diff;
-  std::vector<LevelRun> Runs; ///< reference first, then OracleOptions order
+  /// The Isa reference first, then OracleOptions order (each added
+  /// interpreted reference just before the run compared against it).
+  std::vector<LevelRun> Runs;
   uint64_t IsaInstructions = 0;
 };
 
@@ -140,7 +161,7 @@ struct OracleResult {
 /// "ffi_dispatch" bound to the installed dispatcher.
 Result<stack::Prepared> prepareCase(const CaseSpec &C);
 
-/// Runs \p C at the requested levels and compares.  The error return is
+/// Runs \p C at the requested runs and compares.  The error return is
 /// for broken cases (assembly failure); level-side errors are part of
 /// the comparison, not errors of runCase.
 Result<OracleResult> runCase(const CaseSpec &C, const OracleOptions &O);

@@ -18,7 +18,7 @@
 /// The compiled backend is generated code executing the verified design,
 /// so it is only admissible alongside its differential harness: the
 /// interpreter remains the reference, and compiled-vs-interpreted
-/// agreement is a first-class fuzz level (DESIGN.md §14).
+/// agreement is a first-class fuzz run (DESIGN.md §14).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,8 +12,8 @@
 /// compiler refuses, FFI/oracle boundaries, faults, budget tails — runs
 /// on the reference interpreter.  The trusted artifact stays the
 /// interpreter: the JIT is validated differentially (the silver-fuzz
-/// Jit-vs-Isa level grinds it against isa::Interp on every campaign),
-/// never trusted.
+/// jit run grinds it against isa::Interp on every campaign), never
+/// trusted.
 ///
 /// Correctness invariants the backend maintains:
 ///
@@ -126,9 +126,6 @@ const char *exitKindId(ExitKind K);
 struct JitOptions {
   /// Dispatcher visits of a cold block entry before it is compiled.
   uint32_t HotThreshold = 16;
-  /// Code arena size; when full, all compiled blocks are flushed and
-  /// compilation starts over (bounded memory, self-healing).
-  size_t CodeBytes = 4u << 20;
 };
 
 /// What the backend did.  Every count is a deterministic function of the

@@ -59,11 +59,15 @@ bool silver::isa::jit::hostSupported() {
 
 namespace {
 
+/// Code arena size; when full, all compiled blocks are flushed and
+/// compilation starts over (bounded memory, self-healing).
+constexpr size_t CodeBytes = 4u << 20;
+
 class JitBackend final : public ExecBackend {
 public:
   explicit JitBackend(const JitOptions &O)
       : Opts(O), NativeOk(hostSupported()),
-        Arena(NativeOk ? O.CodeBytes : 0) {
+        Arena(NativeOk ? CodeBytes : 0) {
     if (!Arena.valid())
       NativeOk = false;
     if (!NativeOk)

@@ -57,9 +57,10 @@ enum class BehaviourKind : uint8_t {
 /// verified against it on exactly that domain — so consumers comparing
 /// machine_sem against levels that run the real syscall code (the fuzz
 /// oracle) treat this failure as "outside the modeled domain" rather
-/// than as a semantic divergence.
+/// than as a semantic divergence.  Like every level error it does not
+/// name the level; the caller does.
 inline constexpr const char *OracleRejectedMessage =
-    "machine-sem: FFI call outside the oracle's well-formed domain";
+    "FFI call outside the oracle's well-formed domain";
 
 struct Behaviour {
   BehaviourKind Kind = BehaviourKind::OutOfSteps;

@@ -66,8 +66,8 @@ struct Executor::SessionBase {
   /// null otherwise.
   virtual const isa::jit::JitStats *jitStats() const { return nullptr; }
   /// Grants more of the level-internal budget (cycles at the hardware
-  /// levels; a no-op for the interpreters) and clears a level-internal
-  /// Timeout so step() can continue (Executor::replenish).
+  /// levels; a no-op for the interpreters) so step() can continue
+  /// (Executor::replenish).
   virtual void addCycles(uint64_t /*ExtraCycles*/) {}
   /// Ends the session, handing its memory (the booted state, or the lab
   /// DRAM) to sys::recycle.
@@ -229,7 +229,7 @@ struct MachineSession final : Executor::SessionBase {
     Steps += B.Steps;
     if (B.Kind == machine::BehaviourKind::Failed)
       return Error(B.OracleRejected ? machine::OracleRejectedMessage
-                                    : "machine-sem execution failed");
+                                    : "execution failed");
     Last = B;
     Done = B.Kind == machine::BehaviourKind::Terminated;
     return Done ? RunStatus::Completed : RunStatus::Paused;
@@ -259,31 +259,20 @@ struct MachineSession final : Executor::SessionBase {
 };
 
 /// Rtl / Verilog levels: the Silver core in the lab environment, driven
-/// through the resumable cpu::CoreRunner.  Subject to the cycle budget
-/// and the wedge watchdog on top of the instruction budget.  The lab
-/// DRAM is instantiated from the program's snapshot, so it digests and
-/// recycles like the ISA state.
+/// through the resumable cpu::CoreRunner, which also holds the cycle
+/// budget and the wedge watchdog on top of the instruction budget.  The
+/// lab DRAM is instantiated from the program's snapshot, so it digests
+/// and recycles like the ISA state.
 struct RtlSession final : Executor::SessionBase {
   std::unique_ptr<cpu::CoreRunner> Runner;
   std::shared_ptr<const sys::BootSnapshot> Snapshot;
-  uint64_t CycleBudgetLeft;
-  bool TimedOut = false;
 
   RtlSession(std::unique_ptr<cpu::CoreRunner> R,
-             std::shared_ptr<const sys::BootSnapshot> Snap,
-             uint64_t CycleBudget)
-      : Runner(std::move(R)), Snapshot(std::move(Snap)),
-        CycleBudgetLeft(CycleBudget) {}
+             std::shared_ptr<const sys::BootSnapshot> Snap)
+      : Runner(std::move(R)), Snapshot(std::move(Snap)) {}
 
   Result<RunStatus> step(uint64_t MaxInstructions) override {
-    if (Runner->halted())
-      return RunStatus::Completed;
-    if (TimedOut)
-      return RunStatus::Timeout;
-    uint64_t CyclesBefore = Runner->cycles();
-    Result<cpu::CoreStop> S = Runner->advance(MaxInstructions, CycleBudgetLeft);
-    uint64_t Used = Runner->cycles() - CyclesBefore;
-    CycleBudgetLeft -= std::min(Used, CycleBudgetLeft);
+    Result<cpu::CoreStop> S = Runner->advance(MaxInstructions);
     if (!S)
       return S.error();
     switch (*S) {
@@ -293,7 +282,6 @@ struct RtlSession final : Executor::SessionBase {
       return RunStatus::Paused;
     case cpu::CoreStop::CycleBudget:
     case cpu::CoreStop::NoRetireProgress:
-      TimedOut = true;
       return RunStatus::Timeout;
     }
     return RunStatus::Paused;
@@ -302,10 +290,7 @@ struct RtlSession final : Executor::SessionBase {
   uint64_t instructions() const override { return Runner->instructions(); }
 
   void addCycles(uint64_t ExtraCycles) override {
-    CycleBudgetLeft = ExtraCycles > UINT64_MAX - CycleBudgetLeft
-                          ? UINT64_MAX
-                          : CycleBudgetLeft + ExtraCycles;
-    TimedOut = false;
+    Runner->addCycles(ExtraCycles);
   }
 
   Observed collect() const override {
@@ -440,22 +425,18 @@ Result<void> Executor::begin(Level L) {
         sys::instantiate(Prep.Snapshot, Prep.Image);
     if (!Dram)
       return Fail(Dram.error());
-    // The effective cycle budget is resolved once here into a plain
-    // integer; the per-cycle/per-step paths only ever compare counters.
-    uint64_t Cycles = cycleBudget();
     cpu::RunOptions Options;
-    Options.Level =
-        L == Level::Verilog ? cpu::SimLevel::Verilog : cpu::SimLevel::Circuit;
-    Options.MaxCycles = Cycles;
+    Options.Level = L == Level::Rtl ? cpu::SimLevel::Circuit
+                    : Spec.Exec.Hdl == HdlBackendKind::Compiled
+                        ? cpu::SimLevel::VerilogCompiled
+                        : cpu::SimLevel::Verilog;
+    Options.MaxCycles = cycleBudget();
     Options.Obs = Obs;
-    Options.CompiledVerilog = L == Level::Verilog &&
-                              Spec.Exec.Hdl == HdlBackendKind::Compiled;
     Result<std::unique_ptr<cpu::CoreRunner>> Runner = cpu::CoreRunner::create(
         std::move(Dram->State), Dram->Layout, Options);
     if (!Runner)
       return Fail(Runner.error());
-    Session =
-        std::make_unique<RtlSession>(Runner.take(), Prep.Snapshot, Cycles);
+    Session = std::make_unique<RtlSession>(Runner.take(), Prep.Snapshot);
     break;
   }
   case Level::Spec:

@@ -20,7 +20,7 @@
 /// Budgets: RunSpec::MaxSteps bounds retired instructions at every level;
 /// the cycle-accurate levels additionally get RunSpec::MaxCycles clock
 /// cycles (0 = derived as MaxSteps x 16, saturating) plus a wedge
-/// watchdog (cpu::RunOptions::WedgeCycles).  A budget running out is a
+/// watchdog (cpu::MaxCyclesWithoutRetire).  A budget running out is a
 /// distinct RunStatus::Timeout, never a hang and never an error.
 ///
 //===----------------------------------------------------------------------===//

@@ -24,7 +24,6 @@ std::string PrepareCache::keyOf(const RunSpec &Spec) {
   Num(C.Opt.DeadLetElim);
   Num(C.Opt.Inline);
   Num(C.Opt.InlineSizeLimit);
-  Num(C.IncludePrelude);
   Num(C.Layout.MemSize);
   Num(C.Layout.CmdlineCap);
   Num(C.Layout.StdinCap);

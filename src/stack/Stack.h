@@ -60,8 +60,8 @@ bool backendSupported(BackendKind B);
 /// hdl::FastSim, which runs the module as an instruction tape; Compiled
 /// is that tape printed as C++ for the core's module (hdl/compile) at
 /// build time and linked in, so it runs on every host.  Behaviour and
-/// digests are identical — enforced by the compiled-vs-interpreted
-/// differential level.
+/// digests are identical — enforced by the fuzz oracle's
+/// verilog-compiled run.
 enum class HdlBackendKind : uint8_t { Interp, Compiled };
 
 /// Stable identifier ("interp", "compiled") for CLIs, logs, cache keys.

@@ -40,10 +40,6 @@ void Client::close() {
   }
 }
 
-static Error errnoError(const std::string &What) {
-  return Error(What + ": " + std::strerror(errno));
-}
-
 Result<void> Client::connectUnix(const std::string &SocketPath) {
   if (Fd != -1)
     return Error("already connected");

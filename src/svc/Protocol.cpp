@@ -110,15 +110,18 @@ Result<Response> silver::svc::decodeResponse(const std::vector<uint8_t> &P) {
 // Framed socket IO
 //===----------------------------------------------------------------------===//
 
-namespace {
+Error silver::svc::errnoError(const std::string &What) {
+  return Error(What + ": " + std::strerror(errno));
+}
 
-Result<void> writeAll(int Fd, const uint8_t *Data, size_t Len) {
+Result<void> silver::svc::writeAll(int Fd, const uint8_t *Data, size_t Len,
+                                   const char *Label) {
   while (Len) {
     ssize_t N = ::write(Fd, Data, Len);
     if (N < 0) {
       if (errno == EINTR)
         continue;
-      return Error(std::string("socket write: ") + std::strerror(errno));
+      return errnoError(Label);
     }
     Data += N;
     Len -= static_cast<size_t>(N);
@@ -126,28 +129,22 @@ Result<void> writeAll(int Fd, const uint8_t *Data, size_t Len) {
   return {};
 }
 
-/// Returns 1 on a full read, 0 on clean EOF at offset 0, an error
-/// otherwise (including EOF mid-buffer: a truncated frame).
-Result<int> readAll(int Fd, uint8_t *Data, size_t Len) {
+Result<int> silver::svc::readExact(int Fd, uint8_t *Data, size_t Len,
+                                   const char *Label) {
   size_t Got = 0;
   while (Got != Len) {
     ssize_t N = ::read(Fd, Data + Got, Len - Got);
     if (N < 0) {
       if (errno == EINTR)
         continue;
-      return Error(std::string("socket read: ") + std::strerror(errno));
+      return errnoError(Label);
     }
-    if (N == 0) {
-      if (Got == 0)
-        return 0;
-      return Error("socket read: connection closed mid-frame");
-    }
+    if (N == 0)
+      return Got == 0 ? 0 : -1;
     Got += static_cast<size_t>(N);
   }
   return 1;
 }
-
-} // namespace
 
 Result<void> silver::svc::writeFrame(int Fd,
                                      const std::vector<uint8_t> &Payload) {
@@ -158,18 +155,21 @@ Result<void> silver::svc::writeFrame(int Fd,
   uint32_t Len = static_cast<uint32_t>(Payload.size());
   for (int I = 0; I != 4; ++I)
     Header[4 + I] = static_cast<uint8_t>(Len >> (8 * I));
-  if (Result<void> W = writeAll(Fd, Header, sizeof(Header)); !W)
+  if (Result<void> W = writeAll(Fd, Header, sizeof(Header), "socket write");
+      !W)
     return W;
-  return writeAll(Fd, Payload.data(), Payload.size());
+  return writeAll(Fd, Payload.data(), Payload.size(), "socket write");
 }
 
 Result<bool> silver::svc::readFrame(int Fd, std::vector<uint8_t> &Payload) {
   uint8_t Header[8];
-  Result<int> H = readAll(Fd, Header, sizeof(Header));
+  Result<int> H = readExact(Fd, Header, sizeof(Header), "socket read");
   if (!H)
     return H.error();
   if (*H == 0)
     return false; // clean end-of-stream between frames
+  if (*H < 0)
+    return Error("socket read: connection closed mid-frame");
   if (std::memcmp(Header, FrameMagic, 3) == 0 && Header[3] != FrameVersion)
     return Error(std::string("protocol: frame version '") +
                  static_cast<char>(Header[3]) + "' is not supported (this "
@@ -184,10 +184,10 @@ Result<bool> silver::svc::readFrame(int Fd, std::vector<uint8_t> &Payload) {
     return Error("protocol: frame payload too large");
   Payload.resize(Len);
   if (Len) {
-    Result<int> B = readAll(Fd, Payload.data(), Len);
+    Result<int> B = readExact(Fd, Payload.data(), Len, "socket read");
     if (!B)
       return B.error();
-    if (*B == 0)
+    if (*B != 1)
       return Error("socket read: connection closed mid-frame");
   }
   return true;

@@ -110,6 +110,19 @@ Result<Response> decodeResponse(const std::vector<uint8_t> &Payload);
 Result<void> writeFrame(int Fd, const std::vector<uint8_t> &Payload);
 Result<bool> readFrame(int Fd, std::vector<uint8_t> &Payload);
 
+/// The descriptor helpers under the framing, shared with the sockets of
+/// svc/Server.h and svc/Client.h and the job journal
+/// (svc/cluster/Journal.h).  Each error text starts with the caller's
+/// label.  errnoError is "<What>: <strerror(errno)>"; writeAll writes
+/// all \p Len bytes; readExact reads exactly \p Len bytes and returns 1,
+/// 0 on a clean end of file before the first byte, or -1 on an end of
+/// file mid-buffer.  Both retry on EINTR and fail with errnoError(\p
+/// Label).
+Error errnoError(const std::string &What);
+Result<void> writeAll(int Fd, const uint8_t *Data, size_t Len,
+                      const char *Label);
+Result<int> readExact(int Fd, uint8_t *Data, size_t Len, const char *Label);
+
 } // namespace svc
 } // namespace silver
 

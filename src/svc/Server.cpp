@@ -29,10 +29,6 @@ Server::Server(RequestHandler &H, ServerOptions OptsIn)
 
 Server::~Server() { stop(); }
 
-static Error errnoError(const std::string &What) {
-  return Error(What + ": " + std::strerror(errno));
-}
-
 Result<void> Server::start() {
   if (ListenFd != -1)
     return Error("server already started");

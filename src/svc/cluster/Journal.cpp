@@ -7,6 +7,7 @@
 
 #include "svc/cluster/Journal.h"
 
+#include "svc/Protocol.h"
 #include "svc/Wire.h"
 
 #include <cerrno>
@@ -44,10 +45,6 @@ struct Crc32Table {
 const Crc32Table &crcTable() {
   static const Crc32Table Table;
   return Table;
-}
-
-Error errnoError(const std::string &What) {
-  return Error(What + ": " + std::strerror(errno));
 }
 
 } // namespace
@@ -172,38 +169,6 @@ void Journal::closeFd() {
 
 namespace {
 
-Result<void> writeAll(int Fd, const uint8_t *Data, size_t Len) {
-  while (Len) {
-    ssize_t N = ::write(Fd, Data, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return errnoError("journal write");
-    }
-    Data += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return {};
-}
-
-/// Reads exactly \p Len bytes; 1 full, 0 clean EOF at offset 0 of this
-/// read, -1 short (EOF mid-buffer).
-Result<int> readExact(int Fd, uint8_t *Data, size_t Len) {
-  size_t Got = 0;
-  while (Got != Len) {
-    ssize_t N = ::read(Fd, Data + Got, Len - Got);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return errnoError("journal read");
-    }
-    if (N == 0)
-      return Got == 0 ? 0 : -1;
-    Got += static_cast<size_t>(N);
-  }
-  return 1;
-}
-
 std::vector<uint8_t> headerBytes() {
   std::vector<uint8_t> H(JournalMagic, JournalMagic + 4);
   for (int I = 0; I != 4; ++I)
@@ -217,7 +182,7 @@ Result<void> scanRecords(int Fd, ReplayResult &Out) {
   Out.GoodBytes = 8; // the header
   while (true) {
     uint8_t Head[8];
-    Result<int> H = readExact(Fd, Head, sizeof(Head));
+    Result<int> H = readExact(Fd, Head, sizeof(Head), "journal read");
     if (!H)
       return H.error();
     if (*H == 0)
@@ -241,7 +206,7 @@ Result<void> scanRecords(int Fd, ReplayResult &Out) {
       return {};
     }
     std::vector<uint8_t> Payload(Len);
-    Result<int> B = readExact(Fd, Payload.data(), Len);
+    Result<int> B = readExact(Fd, Payload.data(), Len, "journal read");
     if (!B)
       return B.error();
     if (*B != 1) {
@@ -292,14 +257,15 @@ Result<Journal> Journal::open(const std::string &Path, ReplayResult *Replay,
   if (St.st_size == 0) {
     // Fresh journal: write the header.
     std::vector<uint8_t> H = headerBytes();
-    if (Result<void> W = writeAll(Fd, H.data(), H.size()); !W) {
+    if (Result<void> W = writeAll(Fd, H.data(), H.size(), "journal write");
+        !W) {
       ::close(Fd);
       return W.error();
     }
     RR.GoodBytes = H.size();
   } else {
     uint8_t Head[8];
-    Result<int> H = readExact(Fd, Head, sizeof(Head));
+    Result<int> H = readExact(Fd, Head, sizeof(Head), "journal read");
     if (!H || *H != 1 || std::memcmp(Head, JournalMagic, 4) != 0) {
       ::close(Fd);
       return Error("journal: " + Path +
@@ -357,7 +323,9 @@ Result<void> Journal::append(const Record &R) {
   Buf.reserve(sizeof(Head) + Payload.size());
   Buf.insert(Buf.end(), Head, Head + sizeof(Head));
   Buf.insert(Buf.end(), Payload.begin(), Payload.end());
-  if (Result<void> W = writeAll(Fd, Buf.data(), Buf.size()); !W)
+  if (Result<void> W =
+          writeAll(Fd, Buf.data(), Buf.size(), "journal write");
+      !W)
     return W;
   if (Sync && ::fdatasync(Fd) != 0)
     return errnoError("journal fdatasync " + Path);
@@ -383,7 +351,9 @@ Result<void> Journal::compact(const std::vector<Record> &Live) {
       Buf.push_back(static_cast<uint8_t>(Crc >> (8 * I)));
     Buf.insert(Buf.end(), Payload.begin(), Payload.end());
   }
-  if (Result<void> W = writeAll(TmpFd, Buf.data(), Buf.size()); !W) {
+  if (Result<void> W =
+          writeAll(TmpFd, Buf.data(), Buf.size(), "journal write");
+      !W) {
     ::close(TmpFd);
     ::unlink(Tmp.c_str());
     return W;

@@ -1,7 +1,7 @@
 //===- tests/fuzz/CorpusReplayTest.cpp - committed-corpus regression --------===//
 //
 // Replays every reproducer committed under tests/fuzz/corpus/ through
-// the full differential oracle (Machine, Isa, Rtl, Verilog).  The
+// the full differential oracle (Machine, Isa, Jit, Rtl, Verilog).  The
 // committed corpus holds minimized cases from past campaigns plus
 // representative generated programs; a replay failure means a
 // once-agreed case diverges again.
@@ -21,8 +21,9 @@ using namespace silver::fuzz;
 
 TEST(CorpusReplay, CommittedReproducersStillAgree) {
   OracleOptions O;
-  O.Levels = {stack::Level::Machine, stack::Level::Rtl,
-              stack::Level::Verilog};
+  O.Levels = {stack::Level::Machine,
+              {stack::Level::Isa, stack::BackendKind::Jit},
+              stack::Level::Rtl, stack::Level::Verilog};
 
   std::vector<std::string> Files = listCorpus(SILVER_FUZZ_CORPUS_DIR);
   ASSERT_FALSE(Files.empty())
@@ -40,8 +41,8 @@ TEST(CorpusReplay, CommittedReproducersStillAgree) {
 // replay needs no host compiler.
 TEST(CorpusReplay, CommittedReproducersAgreeAtCompiledLevel) {
   OracleOptions O;
-  O.Levels = {stack::Level::Verilog};
-  O.CompareCompiled = true;
+  O.Levels = {{stack::Level::Verilog, stack::BackendKind::Interp,
+               stack::HdlBackendKind::Compiled}};
 
   std::vector<std::string> Files = listCorpus(SILVER_FUZZ_CORPUS_DIR);
   ASSERT_FALSE(Files.empty())

@@ -732,6 +732,28 @@ TEST(Executor, IncrementalDigestExactOnSelfModifyingCode) {
     }
 }
 
+TEST(Executor, MachineErrorLeavesTheLevelNameToTheCaller) {
+  // ffi-domain-0.s drives get_arg out of the interference oracle's
+  // domain.  The Machine level's error says what went wrong; the
+  // callers (checkEndToEnd, silverc) name the level once themselves.
+  Result<fuzz::CaseSpec> Case =
+      fuzz::loadCase(std::string(SILVER_FUZZ_CORPUS_DIR) + "/ffi-domain-0.s");
+  ASSERT_TRUE(Case) << Case.error().str();
+  Result<Prepared> P = fuzz::prepareCase(*Case);
+  ASSERT_TRUE(P) << P.error().str();
+  RunSpec Spec;
+  Spec.CommandLine = Case->CommandLine;
+  Spec.StdinData = Case->StdinData;
+  Result<Outcome> Out = Executor::fromPrepared(Spec, *P).run(Level::Machine);
+  ASSERT_FALSE(Out);
+  const std::string Message = Out.error().message();
+  EXPECT_EQ(Message, machine::OracleRejectedMessage);
+  for (Level L : {Level::Spec, Level::Machine, Level::Isa, Level::Rtl,
+                  Level::Verilog})
+    EXPECT_EQ(Message.find(levelName(L)), std::string::npos)
+        << Message << " names " << levelName(L);
+}
+
 TEST(Executor, IncrementalDigestSeesMachineOracleWrites) {
   // At the Machine level the FFI interference oracle, not the program,
   // writes stdin bytes into the program's buffers and the output buffer

@@ -391,7 +391,7 @@ TEST(Snapshot, RecycledLabDramBootsLikeAFreshOne) {
   Result<std::unique_ptr<cpu::CoreRunner>> Runner = cpu::CoreRunner::create(
       std::move(Dram->State), Dram->Layout, cpu::RunOptions{});
   ASSERT_TRUE(Runner) << Runner.error().str();
-  Result<cpu::CoreStop> Stop = (*Runner)->advance(UINT64_MAX, UINT64_MAX);
+  Result<cpu::CoreStop> Stop = (*Runner)->advance(UINT64_MAX);
   ASSERT_TRUE(Stop) << Stop.error().str();
   ASSERT_EQ(*Stop, cpu::CoreStop::Halted);
   EXPECT_EQ((*Runner)->collectedStdout(), Isa->Behaviour.StdoutData);
