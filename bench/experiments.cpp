@@ -25,7 +25,6 @@
 #include "asm/Assembler.h"
 #include "cml/Compiler.h"
 #include "cml/Interp.h"
-#include "cml/Parser.h"
 #include "cpu/Check.h"
 #include "cpu/Core.h"
 #include "hdl/FastSim.h"
@@ -473,7 +472,7 @@ void bootstrapRatios(double ProjectedSeconds) {
   std::string Program = sampleTinProgram(20);
   std::string Expected = tinSpec(Program);
   cml::Program Interp = orFail(
-      cml::parseProgram(cml::withPrelude(tinCompilerSource())), "tin parse");
+      cml::parseWithPrelude(tinCompilerSource()), "tin parse");
   RunSpec Spec;
   Spec.Source = tinCompilerSource();
   Spec.StdinData = Program;

@@ -1,17 +1,17 @@
 //===- examples/export_verilog.cpp - Print the synthesisable Silver core -------===//
 //
 // Builds the Silver core at the circuit level, runs the code generator to
-// the deeply embedded Verilog AST, type-checks it (the vars_has_type
-// obligation), and pretty-prints the synthesisable SystemVerilog — the
+// the deeply embedded Verilog AST, checks it against every rule of the
+// Verilog subset (the vars_has_type obligation and the stricter rules of
+// hdl/Check.h), and pretty-prints the synthesisable SystemVerilog — the
 // artefact the paper feeds to Vivado for the PYNQ-Z1 board.  Writes
 // silver_cpu.sv to the current directory and prints a summary.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/VerilogLint.h"
 #include "cpu/Core.h"
+#include "hdl/Check.h"
 #include "hdl/Printer.h"
-#include "hdl/Semantics.h"
 #include "rtl/ToVerilog.h"
 
 #include <cstdio>
@@ -31,15 +31,10 @@ int main() {
                  Module.error().str().c_str());
     return 1;
   }
-  if (Result<void> T = hdl::typeCheck(*Module); !T) {
-    std::fprintf(stderr, "vars_has_type failed: %s\n",
-                 T.error().str().c_str());
-    return 1;
-  }
-  std::vector<analysis::LintDiag> Diags = analysis::lintModule(*Module);
-  if (!Diags.empty()) {
-    for (const analysis::LintDiag &D : Diags)
-      std::fprintf(stderr, "lint: %s\n", analysis::formatDiag(D).c_str());
+  std::vector<hdl::Finding> Findings = hdl::checkModule(*Module);
+  if (!Findings.empty()) {
+    for (const hdl::Finding &F : Findings)
+      std::fprintf(stderr, "lint: %s\n", hdl::formatFinding(F).c_str());
     return 1;
   }
   std::string Text = hdl::printModule(*Module);

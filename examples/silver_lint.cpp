@@ -17,8 +17,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Diagnostic.h"
-#include "analysis/VerilogLint.h"
+#include "analysis/ImageAudit.h"
 #include "cpu/Core.h"
+#include "hdl/Check.h"
 #include "rtl/ToVerilog.h"
 #include "stack/Stack.h"
 
@@ -52,8 +53,9 @@ bool lintCoreHdl(std::vector<analysis::Diagnostic> &Out, bool Json) {
                  Module.error().str().c_str());
     return false;
   }
-  std::vector<analysis::LintDiag> Diags = analysis::lintModule(*Module);
-  for (analysis::Diagnostic &D : analysis::toDiagnostics(Diags)) {
+  std::vector<hdl::Finding> Findings = hdl::checkModule(*Module);
+  for (const hdl::Finding &F : Findings) {
+    analysis::Diagnostic D = analysis::toDiagnostic(F);
     setSubject(D, "hdl");
     Out.push_back(std::move(D));
   }
@@ -62,7 +64,7 @@ bool lintCoreHdl(std::vector<analysis::Diagnostic> &Out, bool Json) {
                  "hdl: silver core (%zu decls, %zu processes): %zu "
                  "diagnostic(s)\n",
                  Module->Decls.size(), Module->Processes.size(),
-                 Diags.size());
+                 Findings.size());
   return true;
 }
 
@@ -94,7 +96,7 @@ bool auditProgram(const std::string &File,
     return false;
   }
 
-  for (analysis::Diagnostic &D : analysis::toDiagnostics(Report->Diags)) {
+  for (analysis::Diagnostic &D : Report->Diags) {
     setSubject(D, File);
     Out.push_back(std::move(D));
   }

@@ -34,10 +34,10 @@
 #include "analysis/ImageAudit.h"
 #include "asm/Disassembler.h"
 #include "cml/CodeGen.h"
+#include "cml/Compiler.h"
 #include "cml/Flat.h"
 #include "cml/Infer.h"
 #include "cml/Lower.h"
-#include "cml/Parser.h"
 #include "obs/Counters.h"
 #include "obs/TraceSink.h"
 #include "stack/Apps.h"
@@ -96,8 +96,7 @@ const char *builtinSource(const std::string &Name) {
 
 int emitStage(const std::string &Source, const std::string &What,
               const cml::OptOptions &Opt) {
-  Result<cml::Program> Prog =
-      cml::parseProgram(cml::withPrelude(Source));
+  Result<cml::Program> Prog = cml::parseWithPrelude(Source);
   if (!Prog)
     return fail("parse: " + Prog.error().str());
   if (Result<std::map<std::string, cml::Scheme>> T =
@@ -249,8 +248,7 @@ int main(int Argc, char **Argv) {
     Result<analysis::AuditReport> Report = stack::auditPrepared(*P);
     if (!Report)
       return fail(Report.error().str());
-    std::vector<analysis::Diagnostic> Diags =
-        analysis::toDiagnostics(Report->Diags);
+    const std::vector<analysis::Diagnostic> &Diags = Report->Diags;
     if (Json) {
       std::printf("{\n\"diagnostics\": %s\n}\n",
                   analysis::diagnosticsJson(Diags).c_str());

@@ -7,6 +7,7 @@
 
 #include "analysis/Diagnostic.h"
 
+#include "hdl/Check.h"
 #include "support/StringUtils.h"
 
 using namespace silver;
@@ -60,46 +61,11 @@ silver::analysis::diagnosticsJson(const std::vector<Diagnostic> &Diags) {
   return Out;
 }
 
-Diagnostic silver::analysis::toDiagnostic(const AuditDiag &D) {
+Diagnostic silver::analysis::toDiagnostic(const hdl::Finding &F) {
   Diagnostic Out;
-  Out.Id = auditRuleId(D.Rule);
-  if (D.HasRegion) {
-    Out.Subject = regionName(D.Region);
-    Out.HasAddr = true;
-    Out.Addr = D.Addr;
-  }
-  Out.Message = D.Message;
-  return Out;
-}
-
-Diagnostic silver::analysis::toDiagnostic(const LintDiag &D) {
-  Diagnostic Out;
-  Out.Id = lintRuleId(D.Rule);
-  if (D.Process >= 0) {
-    Out.Subject = "process " + std::to_string(D.Process);
-    if (!D.Path.empty())
-      Out.Subject += ' ' + D.Path;
-  } else if (!D.Path.empty()) {
-    Out.Subject = D.Path;
-  }
-  Out.Message = D.Message;
-  return Out;
-}
-
-std::vector<Diagnostic>
-silver::analysis::toDiagnostics(const std::vector<AuditDiag> &Diags) {
-  std::vector<Diagnostic> Out;
-  Out.reserve(Diags.size());
-  for (const AuditDiag &D : Diags)
-    Out.push_back(toDiagnostic(D));
-  return Out;
-}
-
-std::vector<Diagnostic>
-silver::analysis::toDiagnostics(const std::vector<LintDiag> &Diags) {
-  std::vector<Diagnostic> Out;
-  Out.reserve(Diags.size());
-  for (const LintDiag &D : Diags)
-    Out.push_back(toDiagnostic(D));
+  Out.Id = hdl::ruleId(F.Kind);
+  if (F.Process >= 0)
+    Out.Subject = "process " + std::to_string(F.Process) + ' ' + F.Path;
+  Out.Message = F.Message;
   return Out;
 }

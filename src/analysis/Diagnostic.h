@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One diagnostic shape for every static analysis in the tree.  The image
-/// audit (ImageAudit.h) and the Verilog linter (VerilogLint.h) each have
-/// their own internal diagnostic structs tuned to what they check; this
-/// module converts both to a single `Diagnostic` with a stable rule
-/// identifier and an optional subject (code region, HDL process) and
-/// address — so silver-lint and silverc --analyze print and serialise
-/// them identically, and their `--json` outputs are parsed by one schema.
+/// One diagnostic shape for every static analysis in the tree: a stable
+/// rule identifier and an optional subject (code region, HDL process) and
+/// address.  The image audit (ImageAudit.h) emits it directly; the
+/// findings of the Verilog subset's checker (hdl/Check.h) are converted
+/// here.  So silver-lint and silverc --analyze print and serialise them
+/// identically, and their `--json` outputs are parsed by one schema.
 /// Every diagnostic is an error: it fails the producing tool.
 ///
 //===----------------------------------------------------------------------===//
@@ -20,13 +19,16 @@
 #ifndef SILVER_ANALYSIS_DIAGNOSTIC_H
 #define SILVER_ANALYSIS_DIAGNOSTIC_H
 
-#include "analysis/ImageAudit.h"
-#include "analysis/VerilogLint.h"
+#include "support/Bits.h"
 
 #include <string>
 #include <vector>
 
 namespace silver {
+namespace hdl {
+struct Finding;
+} // namespace hdl
+
 namespace analysis {
 
 /// One analysis finding in the unified shape.
@@ -50,12 +52,9 @@ std::string diagnosticJson(const Diagnostic &D);
 /// Serialises a list as a JSON array, one object per line.
 std::string diagnosticsJson(const std::vector<Diagnostic> &Diags);
 
-/// Conversions from the per-analysis diagnostic structs.
-Diagnostic toDiagnostic(const AuditDiag &D);
-Diagnostic toDiagnostic(const LintDiag &D);
-
-std::vector<Diagnostic> toDiagnostics(const std::vector<AuditDiag> &Diags);
-std::vector<Diagnostic> toDiagnostics(const std::vector<LintDiag> &Diags);
+/// A finding of the Verilog subset's checker in the unified shape
+/// (subject "process N path").
+Diagnostic toDiagnostic(const hdl::Finding &F);
 
 } // namespace analysis
 } // namespace silver

@@ -16,23 +16,12 @@ using namespace silver;
 using namespace silver::analysis;
 using sys::MemoryLayout;
 
-const char *silver::analysis::auditRuleId(AuditRule R) {
-  switch (R) {
-  case AuditRule::Layout:
-    return "img-layout";
-  case AuditRule::Decode:
-    return "img-decode";
-  case AuditRule::JumpTarget:
-    return "img-jump-target";
-  case AuditRule::WriteToCode:
-    return "img-write-to-code";
-  case AuditRule::SyscallClobber:
-    return "img-syscall-clobber";
-  }
-  return "img-unknown";
-}
+namespace {
 
-const char *silver::analysis::regionName(CodeRegion R) {
+/// The three code regions of Fig. 2.
+enum class CodeRegion : uint8_t { Startup, Syscall, Program };
+
+const char *regionName(CodeRegion R) {
   switch (R) {
   case CodeRegion::Startup:
     return "startup";
@@ -43,21 +32,6 @@ const char *silver::analysis::regionName(CodeRegion R) {
   }
   return "?";
 }
-
-std::string silver::analysis::formatDiag(const AuditDiag &D) {
-  std::string Out = auditRuleId(D.Rule);
-  if (D.HasRegion) {
-    Out += " @ ";
-    Out += regionName(D.Region);
-    Out += ' ';
-    Out += toHex(D.Addr);
-  }
-  Out += ": ";
-  Out += D.Message;
-  return Out;
-}
-
-namespace {
 
 /// The audit pass over one image.
 class Auditor {
@@ -74,17 +48,17 @@ private:
   AuditReport R;
 
   void layoutDiag(std::string Message) {
-    AuditDiag D;
-    D.Rule = AuditRule::Layout;
+    Diagnostic D;
+    D.Id = "img-layout";
     D.Message = std::move(Message);
     R.Diags.push_back(std::move(D));
   }
-  void diag(AuditRule Rule, CodeRegion Region, Word Addr,
+  void diag(const char *Id, CodeRegion Region, Word Addr,
             std::string Message) {
-    AuditDiag D;
-    D.Rule = Rule;
-    D.Region = Region;
-    D.HasRegion = true;
+    Diagnostic D;
+    D.Id = Id;
+    D.Subject = regionName(Region);
+    D.HasAddr = true;
     D.Addr = Addr;
     D.Message = std::move(Message);
     R.Diags.push_back(std::move(D));
@@ -190,13 +164,13 @@ bool Auditor::hitsReachableCode(Word Addr, Word Len) const {
 void Auditor::checkTarget(CodeRegion From, Word FromAddr, Word Target) {
   std::optional<CodeRegion> To = regionOf(Target);
   if (!To) {
-    diag(AuditRule::JumpTarget, From, FromAddr,
+    diag("img-jump-target", From, FromAddr,
          "transfer to " + toHex(Target) + " lands outside the code regions");
     return;
   }
   if (*To == From) {
     if (!analysisOf(From).G.instrAt(Target))
-      diag(AuditRule::JumpTarget, From, FromAddr,
+      diag("img-jump-target", From, FromAddr,
            "transfer to misaligned address " + toHex(Target));
     return;
   }
@@ -210,7 +184,7 @@ void Auditor::checkTarget(CodeRegion From, Word FromAddr, Word Target) {
   else if (*To == CodeRegion::Program)
     Entry = L.CodeBase;
   if (!Entry || Target != *Entry)
-    diag(AuditRule::JumpTarget, From, FromAddr,
+    diag("img-jump-target", From, FromAddr,
          "transfer to " + toHex(Target) + " enters the " +
              regionName(*To) + " region away from its entry point");
 }
@@ -223,7 +197,7 @@ void Auditor::checkRegion(CodeRegion Region) {
       continue;
     const assembler::DecodedInstr &D = G.Instrs[I];
     if (!D.Valid) {
-      diag(AuditRule::Decode, Region, D.Addr,
+      diag("img-decode", Region, D.Addr,
            "reachable word " + toHex(D.Encoded) + " does not decode");
       continue;
     }
@@ -235,7 +209,7 @@ void Auditor::checkRegion(CodeRegion Region) {
       if (std::optional<Word> Addr = ConstProp::operandValue(
               D.Instr.B, A.Consts.InstrIn[I]))
         if (hitsReachableCode(*Addr, Len))
-          diag(AuditRule::WriteToCode, Region, D.Addr,
+          diag("img-write-to-code", Region, D.Addr,
                "store to " + toHex(*Addr) +
                    " targets reachable instruction bytes");
     }
@@ -284,7 +258,7 @@ AuditReport Auditor::run() {
   uint64_t Bad = R.SyscallSummary.Defs & ~Permitted;
   for (unsigned Reg = 0; Reg != isa::NumRegs; ++Reg)
     if ((Bad >> Reg) & 1)
-      diag(AuditRule::SyscallClobber, CodeRegion::Syscall,
+      diag("img-syscall-clobber", CodeRegion::Syscall,
            L.SyscallCodeBase,
            "syscall code writes r" + std::to_string(Reg) +
                ", outside the permitted clobber set");

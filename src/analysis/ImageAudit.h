@@ -36,6 +36,7 @@
 #define SILVER_ANALYSIS_IMAGEAUDIT_H
 
 #include "analysis/Dataflow.h"
+#include "analysis/Diagnostic.h"
 #include "sys/Image.h"
 
 #include <string>
@@ -44,39 +45,19 @@
 namespace silver {
 namespace analysis {
 
-/// Audit rule identifiers; see DESIGN.md for the paper-side-condition map.
-enum class AuditRule : uint8_t {
-  Layout,         ///< regions misplaced, misaligned, or overlapping
-  Decode,         ///< a reachable instruction does not decode
-  JumpTarget,     ///< a resolvable transfer leaves the code regions
-  WriteToCode,    ///< a resolvable store targets instruction bytes (W^X)
-  SyscallClobber, ///< syscall code writes outside its permitted set
-};
-
-/// The stable string identifier of a rule (e.g. "img-layout").
-const char *auditRuleId(AuditRule R);
-
-/// The three code regions of Fig. 2.
-enum class CodeRegion : uint8_t { Startup, Syscall, Program };
-
-const char *regionName(CodeRegion R);
-
-/// One diagnostic.
-struct AuditDiag {
-  AuditRule Rule = AuditRule::Layout;
-  CodeRegion Region = CodeRegion::Startup;
-  bool HasRegion = false; ///< false for image-level (layout) diagnostics
-  Word Addr = 0;          ///< offending instruction address (when HasRegion)
-  std::string Message;
-};
-
-/// Renders "rule @ region addr: message".
-std::string formatDiag(const AuditDiag &D);
-
 /// The audit result: diagnostics plus the per-region analyses, exposed so
 /// callers (the silver-lint tool, tests) can report coverage statistics.
+/// A diagnostic's id is its rule (see DESIGN.md for the paper-side
+/// condition of each): img-layout (regions misplaced, misaligned or
+/// overlapping), img-decode (a reachable instruction does not decode),
+/// img-jump-target (a resolvable transfer leaves the code regions or
+/// enters one away from its entry), img-write-to-code (a resolvable
+/// store targets instruction bytes, W^X) and img-syscall-clobber (the
+/// syscall code writes outside its permitted set).  Its subject is the
+/// code region and its address the offending instruction; image-level
+/// layout diagnostics have neither.
 struct AuditReport {
-  std::vector<AuditDiag> Diags;
+  std::vector<Diagnostic> Diags;
   sys::MemoryLayout Layout; ///< the audited image's layout
   RegionAnalysis Startup;
   RegionAnalysis Syscall;

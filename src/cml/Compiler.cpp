@@ -17,13 +17,25 @@
 using namespace silver;
 using namespace silver::cml;
 
+Result<Program> silver::cml::parseWithPrelude(const std::string &Source) {
+  Result<Program> Prog = parseProgram(preludeSource());
+  if (!Prog)
+    return Error("prelude: " + Prog.error().str());
+  Result<Program> User = parseProgram(Source);
+  if (!User)
+    return User;
+  for (Dec &D : User->Decs)
+    Prog->Decs.push_back(std::move(D));
+  return Prog;
+}
+
 std::string silver::cml::withPrelude(const std::string &Source) {
   return std::string(preludeSource()) + "\n" + Source;
 }
 
 Result<Compiled> silver::cml::compileProgram(const std::string &Source,
                                              const CompileOptions &Options) {
-  Result<Program> Prog = parseProgram(withPrelude(Source));
+  Result<Program> Prog = parseWithPrelude(Source);
   if (!Prog)
     return Error("parse error: " + Prog.error().str());
 

@@ -18,6 +18,7 @@
 #ifndef SILVER_CML_COMPILER_H
 #define SILVER_CML_COMPILER_H
 
+#include "cml/Ast.h"
 #include "cml/Opt.h"
 #include "support/Result.h"
 #include "sys/Layout.h"
@@ -47,8 +48,15 @@ struct Compiled {
 Result<Compiled> compileProgram(const std::string &Source,
                                 const CompileOptions &Options = {});
 
-/// Prepends the basis prelude to user source (what compileProgram and
-/// the interpreter-based differential tests both use).
+/// Parses the basis prelude and \p Source separately and returns the
+/// prelude's declarations followed by the program's: the program every
+/// compiler, interpreter and tool runs.  Positions in errors are the
+/// source's own lines and columns.
+Result<Program> parseWithPrelude(const std::string &Source);
+
+/// The prelude and \p Source as one text.  Positions in it are shifted
+/// by the prelude's lines; perfbench's oneshot workload times the parse
+/// pass over it.
 std::string withPrelude(const std::string &Source);
 
 } // namespace cml

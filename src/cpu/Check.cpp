@@ -21,7 +21,7 @@ using namespace silver::cpu;
 CoreRunner::CoreRunner(isa::MachineState Dram, const sys::MemoryLayout &Layout,
                        const RunOptions &Options)
     : Core(buildSilverCore()), Env(std::move(Dram), Layout, Options.Env),
-      Layout(Layout), Opt(Options), CycleBudget(Options.MaxCycles) {}
+      Layout(Layout), Opt(Options) {}
 
 CoreRunner::~CoreRunner() = default;
 
@@ -48,12 +48,6 @@ CoreRunner::create(isa::MachineState Dram, const sys::MemoryLayout &Layout,
   return R;
 }
 
-void CoreRunner::addCycles(uint64_t ExtraCycles) {
-  CycleBudget = ExtraCycles > UINT64_MAX - CycleBudget
-                    ? UINT64_MAX
-                    : CycleBudget + ExtraCycles;
-}
-
 Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions) {
   if (Halted)
     return CoreStop::Halted;
@@ -62,7 +56,7 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions) {
   while (true) {
     if (InstrDone >= MaxInstructions)
       return CoreStop::InstructionBudget;
-    if (Cycles >= CycleBudget)
+    if (Cycles >= Opt.MaxCycles)
       return CoreStop::CycleBudget;
     if (CyclesSinceRetire >= MaxCyclesWithoutRetire)
       return CoreStop::NoRetireProgress;

@@ -42,8 +42,7 @@ enum class SimLevel : uint8_t { Circuit, Verilog, VerilogCompiled };
 struct RunOptions {
   SimLevel Level = SimLevel::Circuit;
   LabEnvOptions Env;
-  /// Total clock-cycle budget of the run (CoreRunner::addCycles grants
-  /// more).
+  /// Total clock-cycle budget of the run.
   uint64_t MaxCycles = 100'000'000ull;
   /// Receives retire / FFI / memory / cycle events; null runs silent.
   /// Not owned.
@@ -67,7 +66,7 @@ enum class CoreStop : uint8_t {
 
 /// A resumable core execution: create once from a memory image, then
 /// advance() any number of times with per-call instruction quotas under
-/// one cycle budget (RunOptions::MaxCycles, raised by addCycles).
+/// one cycle budget (RunOptions::MaxCycles).
 /// This is what lets stack::Executor pause, step, and enforce budgets at
 /// the hardware levels.  Each retire that enters the syscall code
 /// (next pc = SyscallCodeBase) records the call in trace()
@@ -102,10 +101,6 @@ public:
   /// failures.
   Result<CoreStop> advance(uint64_t MaxInstructions);
 
-  /// Raises the cycle budget by \p ExtraCycles (saturating), so a run
-  /// stopped with CoreStop::CycleBudget can continue.
-  void addCycles(uint64_t ExtraCycles);
-
   bool halted() const { return Halted; }
   uint64_t cycles() const { return Cycles; }
   uint64_t instructions() const { return Instructions; }
@@ -134,7 +129,6 @@ private:
   LabEnv Env;
   sys::MemoryLayout Layout;
   RunOptions Opt;
-  uint64_t CycleBudget;
   bool Halted = false;
   uint64_t Cycles = 0;
   uint64_t Instructions = 0;

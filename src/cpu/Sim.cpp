@@ -310,9 +310,6 @@ silver::cpu::makeVerilogSim(const SilverCore &Core, bool Compiled) {
   Result<hdl::VModule> Module = rtl::toVerilog(Core.Circuit);
   if (!Module)
     return Module.error();
-  if (Result<void> T = hdl::typeCheck(*Module); !T)
-    return Error("generated Silver module fails type checking: " +
-                 T.error().str());
 
   std::unique_ptr<hdl::ModuleSim> ModSim;
   if (Compiled) {

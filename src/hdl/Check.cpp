@@ -1,11 +1,11 @@
-//===- analysis/VerilogLint.cpp - Linter for the Verilog subset ------------===//
+//===- hdl/Check.cpp - The checker of the Verilog subset ------------------===//
 //
 // Part of SilverStack, a C++ reproduction of "Verified Compilation on a
 // Verified Processor" (PLDI 2019).
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/VerilogLint.h"
+#include "hdl/Check.h"
 
 #include <algorithm>
 #include <map>
@@ -14,42 +14,41 @@
 
 using namespace silver;
 using namespace silver::hdl;
-using namespace silver::analysis;
 
-const char *silver::analysis::lintRuleId(LintRule R) {
+const char *silver::hdl::ruleId(Rule R) {
   switch (R) {
-  case LintRule::MultiDriver:
+  case Rule::MultiDriver:
     return "hdl-multi-driver";
-  case LintRule::MixedAssign:
+  case Rule::MixedAssign:
     return "hdl-mixed-assign";
-  case LintRule::NonLocalIntermediate:
+  case Rule::NonLocalIntermediate:
     return "hdl-nonlocal-intermediate";
-  case LintRule::ReadBeforeWrite:
+  case Rule::ReadBeforeWrite:
     return "hdl-read-before-write";
-  case LintRule::WidthMismatch:
+  case Rule::WidthMismatch:
     return "hdl-width-mismatch";
-  case LintRule::Undeclared:
+  case Rule::Undeclared:
     return "hdl-undeclared";
-  case LintRule::InputWrite:
+  case Rule::InputWrite:
     return "hdl-input-write";
-  case LintRule::MemBounds:
+  case Rule::MemBounds:
     return "hdl-mem-bounds";
-  case LintRule::TypeError:
+  case Rule::TypeError:
     return "hdl-type-error";
   }
   return "hdl-unknown";
 }
 
-std::string silver::analysis::formatDiag(const LintDiag &D) {
-  std::string Out = lintRuleId(D.Rule);
-  if (D.Process >= 0) {
+std::string silver::hdl::formatFinding(const Finding &F) {
+  std::string Out = ruleId(F.Kind);
+  if (F.Process >= 0) {
     Out += " @ process ";
-    Out += std::to_string(D.Process);
+    Out += std::to_string(F.Process);
     Out += ' ';
-    Out += D.Path;
+    Out += F.Path;
   }
   Out += ": ";
-  Out += D.Message;
+  Out += F.Message;
   return Out;
 }
 
@@ -62,45 +61,47 @@ struct ProcessFacts {
   std::set<std::string> Reads;   ///< every variable or memory read
 };
 
-class Linter {
+/// The single walk: typing rules per expression and statement, then the
+/// cross-process rules over the facts collected on the way.
+class Walker {
 public:
-  explicit Linter(const VModule &M) : M(M) {}
+  explicit Walker(const VModule &M) : M(M) {}
 
-  std::vector<LintDiag> run();
+  std::vector<Finding> run();
 
 private:
   const VModule &M;
   std::map<std::string, VType> Types;
   std::set<std::string> InputNames;
-  std::vector<LintDiag> Diags;
+  std::vector<Finding> Findings;
 
-  // Walk-local state (valid while linting one process).
+  // Walk-local state (valid while checking one process).
   int Proc = -1;
   std::vector<std::string> Path;
   ProcessFacts *Facts = nullptr;
   std::set<std::string> Definite; ///< blocking vars assigned so far
 
-  void diag(LintRule R, std::string Message) {
-    LintDiag D;
-    D.Rule = R;
-    D.Process = Proc;
+  void diag(Rule R, std::string Message) {
+    Finding F;
+    F.Kind = R;
+    F.Process = Proc;
     for (const std::string &P : Path) {
-      if (!D.Path.empty())
-        D.Path += '/';
-      D.Path += P;
+      if (!F.Path.empty())
+        F.Path += '/';
+      F.Path += P;
     }
-    D.Message = std::move(Message);
-    Diags.push_back(std::move(D));
+    F.Message = std::move(Message);
+    Findings.push_back(std::move(F));
   }
 
-  /// Collects the write sets of a statement (pre-pass, no diagnostics).
+  /// Collects the write sets of a statement (pre-pass, no findings).
   static void collectWrites(const VStmt &S, ProcessFacts &F);
 
   std::optional<VType> typeOf(const VExp &E);
   void checkStmt(const VStmt &S);
 };
 
-void Linter::collectWrites(const VStmt &S, ProcessFacts &F) {
+void Walker::collectWrites(const VStmt &S, ProcessFacts &F) {
   switch (S.Kind) {
   case VStmtKind::Block:
     for (const VStmtPtr &Sub : S.Stmts)
@@ -121,7 +122,7 @@ void Linter::collectWrites(const VStmt &S, ProcessFacts &F) {
   }
 }
 
-std::optional<VType> Linter::typeOf(const VExp &E) {
+std::optional<VType> Walker::typeOf(const VExp &E) {
   switch (E.Kind) {
   case VExpKind::ConstBool:
     return VType::boolean();
@@ -131,17 +132,16 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
     Facts->Reads.insert(E.Name);
     auto It = Types.find(E.Name);
     if (It == Types.end()) {
-      diag(LintRule::Undeclared, "read of undeclared variable '" + E.Name +
-                                     "'");
+      diag(Rule::Undeclared, "read of undeclared variable '" + E.Name + "'");
       return std::nullopt;
     }
     if (It->second.K == VType::Kind::Mem) {
-      diag(LintRule::TypeError,
+      diag(Rule::TypeError,
            "memory '" + E.Name + "' used as a plain variable");
       return std::nullopt;
     }
     if (Facts->BlockWr.count(E.Name) && !Definite.count(E.Name))
-      diag(LintRule::ReadBeforeWrite,
+      diag(Rule::ReadBeforeWrite,
            "blocking intermediate '" + E.Name +
                "' read before it is assigned in this process");
     return It->second;
@@ -150,21 +150,21 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
     Facts->Reads.insert(E.Name);
     auto It = Types.find(E.Name);
     if (It == Types.end()) {
-      diag(LintRule::Undeclared,
+      diag(Rule::Undeclared,
            "memory read of undeclared '" + E.Name + "'");
       return std::nullopt;
     }
     if (It->second.K != VType::Kind::Mem) {
-      diag(LintRule::TypeError,
+      diag(Rule::TypeError,
            "memory read of non-memory '" + E.Name + "'");
       return std::nullopt;
     }
     std::optional<VType> Idx = typeOf(*E.Args[0]);
     if (Idx && Idx->K != VType::Kind::Vec)
-      diag(LintRule::TypeError, "memory index must be a vector");
+      diag(Rule::TypeError, "memory index must be a vector");
     if (E.Args[0]->Kind == VExpKind::ConstVec &&
         E.Args[0]->Bits >= It->second.Depth)
-      diag(LintRule::MemBounds,
+      diag(Rule::MemBounds,
            "constant index " + std::to_string(E.Args[0]->Bits) +
                " out of range for '" + E.Name + "' (depth " +
                std::to_string(It->second.Depth) + ")");
@@ -180,7 +180,7 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
     if (A->K == VType::Kind::Bool || B->K == VType::Kind::Bool) {
       if (!(A->K == VType::Kind::Bool && B->K == VType::Kind::Bool &&
             BoolOk)) {
-        diag(LintRule::TypeError, "boolean operand in a vector operator");
+        diag(Rule::TypeError, "boolean operand in a vector operator");
         return std::nullopt;
       }
       return E.BOp == BinaryOp::Eq ? VType::boolean() : *A;
@@ -188,7 +188,7 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
     bool ShiftOp = E.BOp == BinaryOp::Shl || E.BOp == BinaryOp::ShrL ||
                    E.BOp == BinaryOp::ShrA;
     if (!ShiftOp && A->Width != B->Width)
-      diag(LintRule::WidthMismatch,
+      diag(Rule::WidthMismatch,
            "width mismatch in binary operator: " +
                std::to_string(A->Width) + " vs " +
                std::to_string(B->Width));
@@ -208,7 +208,7 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
   case VExpKind::Slice: {
     if (E.Args[0]->Kind != VExpKind::Var &&
         E.Args[0]->Kind != VExpKind::MemRead) {
-      diag(LintRule::TypeError,
+      diag(Rule::TypeError,
            "slice base must be a variable (synthesisable subset)");
       return std::nullopt;
     }
@@ -216,7 +216,7 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
     if (!A)
       return std::nullopt;
     if (A->K != VType::Kind::Vec || E.Hi < E.Lo || E.Hi >= A->Width) {
-      diag(LintRule::TypeError, "bad slice bounds");
+      diag(Rule::TypeError, "bad slice bounds");
       return std::nullopt;
     }
     return VType::vec(E.Hi - E.Lo + 1);
@@ -228,7 +228,7 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
       return std::nullopt;
     if (A->K != VType::Kind::Vec || B->K != VType::Kind::Vec ||
         A->Width + B->Width > 64) {
-      diag(LintRule::TypeError, "bad concatenation");
+      diag(Rule::TypeError, "bad concatenation");
       return std::nullopt;
     }
     return VType::vec(A->Width + B->Width);
@@ -236,19 +236,19 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
   case VExpKind::Cond: {
     std::optional<VType> C = typeOf(*E.Args[0]);
     if (C && C->K != VType::Kind::Bool)
-      diag(LintRule::TypeError, "condition must be boolean");
+      diag(Rule::TypeError, "condition must be boolean");
     std::optional<VType> T = typeOf(*E.Args[1]);
     std::optional<VType> F = typeOf(*E.Args[2]);
     if (!T || !F)
       return std::nullopt;
     if (!(*T == *F)) {
       if (T->K == VType::Kind::Vec && F->K == VType::Kind::Vec)
-        diag(LintRule::WidthMismatch,
+        diag(Rule::WidthMismatch,
              "conditional branches have widths " +
                  std::to_string(T->Width) + " vs " +
                  std::to_string(F->Width));
       else
-        diag(LintRule::TypeError,
+        diag(Rule::TypeError,
              "conditional branches have different types");
     }
     return *T;
@@ -259,7 +259,7 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
     if (!A)
       return std::nullopt;
     if (A->K != VType::Kind::Vec || E.Width < A->Width || E.Width > 64) {
-      diag(LintRule::TypeError, "bad width extension");
+      diag(Rule::TypeError, "bad width extension");
       return std::nullopt;
     }
     return VType::vec(E.Width);
@@ -267,20 +267,20 @@ std::optional<VType> Linter::typeOf(const VExp &E) {
   case VExpKind::BoolToVec: {
     std::optional<VType> A = typeOf(*E.Args[0]);
     if (A && A->K != VType::Kind::Bool)
-      diag(LintRule::TypeError, "bool-to-vec of a non-boolean");
+      diag(Rule::TypeError, "bool-to-vec of a non-boolean");
     return VType::vec(1);
   }
   case VExpKind::VecToBool: {
     std::optional<VType> A = typeOf(*E.Args[0]);
     if (A && A->K != VType::Kind::Vec)
-      diag(LintRule::TypeError, "vec-to-bool of a non-vector");
+      diag(Rule::TypeError, "vec-to-bool of a non-vector");
     return VType::boolean();
   }
   }
   return std::nullopt;
 }
 
-void Linter::checkStmt(const VStmt &S) {
+void Walker::checkStmt(const VStmt &S) {
   switch (S.Kind) {
   case VStmtKind::Block: {
     for (size_t I = 0; I != S.Stmts.size(); ++I) {
@@ -291,9 +291,9 @@ void Linter::checkStmt(const VStmt &S) {
     return;
   }
   case VStmtKind::If: {
-    std::optional<VType> C = typeOf(*S.Cond);
-    if (C && C->K == VType::Kind::Mem)
-      diag(LintRule::TypeError, "memory used as a condition");
+    // A boolean or a vector (taken when nonzero): typeOf never yields a
+    // memory type.
+    typeOf(*S.Cond);
     std::set<std::string> Before = Definite;
     Path.push_back("then");
     checkStmt(*S.Then);
@@ -318,26 +318,26 @@ void Linter::checkStmt(const VStmt &S) {
     std::optional<VType> RT = typeOf(*S.Rhs);
     auto It = Types.find(S.Lhs);
     if (It == Types.end()) {
-      diag(LintRule::Undeclared,
+      diag(Rule::Undeclared,
            "assignment to undeclared '" + S.Lhs + "'");
       return;
     }
     if (InputNames.count(S.Lhs))
-      diag(LintRule::InputWrite,
+      diag(Rule::InputWrite,
            "assignment to input port '" + S.Lhs + "'");
     if (It->second.K == VType::Kind::Mem) {
-      diag(LintRule::TypeError,
+      diag(Rule::TypeError,
            "whole-memory assignment to '" + S.Lhs + "'");
       return;
     }
     if (RT && !(*RT == It->second)) {
       if (RT->K == VType::Kind::Vec && It->second.K == VType::Kind::Vec)
-        diag(LintRule::WidthMismatch,
+        diag(Rule::WidthMismatch,
              "assignment to '" + S.Lhs + "' ([" +
                  std::to_string(It->second.Width) + "]) from width " +
                  std::to_string(RT->Width));
       else
-        diag(LintRule::TypeError,
+        diag(Rule::TypeError,
              "assignment type mismatch on '" + S.Lhs + "'");
     }
     if (S.Kind == VStmtKind::BlockingAssign)
@@ -347,44 +347,44 @@ void Linter::checkStmt(const VStmt &S) {
   case VStmtKind::MemWrite: {
     auto It = Types.find(S.Lhs);
     if (It == Types.end()) {
-      diag(LintRule::Undeclared,
+      diag(Rule::Undeclared,
            "memory write to undeclared '" + S.Lhs + "'");
       return;
     }
     if (It->second.K != VType::Kind::Mem) {
-      diag(LintRule::TypeError,
+      diag(Rule::TypeError,
            "memory write to non-memory '" + S.Lhs + "'");
       return;
     }
     typeOf(*S.Index);
     if (S.Index->Kind == VExpKind::ConstVec &&
         S.Index->Bits >= It->second.Depth)
-      diag(LintRule::MemBounds,
+      diag(Rule::MemBounds,
            "constant index " + std::to_string(S.Index->Bits) +
                " out of range for '" + S.Lhs + "' (depth " +
                std::to_string(It->second.Depth) + ")");
     std::optional<VType> RT = typeOf(*S.Rhs);
     if (RT && (RT->K != VType::Kind::Vec || RT->Width != It->second.Width))
-      diag(LintRule::WidthMismatch,
+      diag(Rule::WidthMismatch,
            "memory write width mismatch on '" + S.Lhs + "'");
     return;
   }
   }
 }
 
-std::vector<LintDiag> Linter::run() {
+std::vector<Finding> Walker::run() {
   // Module level: declaration table.
   for (const VPort &P : M.Ports) {
     if (P.Type.K == VType::Kind::Mem)
-      diag(LintRule::TypeError, "memory-typed port '" + P.Name + "'");
+      diag(Rule::TypeError, "memory-typed port '" + P.Name + "'");
     if (!Types.emplace(P.Name, P.Type).second)
-      diag(LintRule::TypeError, "duplicate port '" + P.Name + "'");
+      diag(Rule::TypeError, "duplicate port '" + P.Name + "'");
     if (P.D == VPort::Dir::Input)
       InputNames.insert(P.Name);
   }
   for (const VDecl &D : M.Decls)
     if (!Types.emplace(D.Name, D.Type).second)
-      diag(LintRule::TypeError, "duplicate declaration '" + D.Name + "'");
+      diag(Rule::TypeError, "duplicate declaration '" + D.Name + "'");
 
   // Per process.
   std::vector<ProcessFacts> AllFacts(M.Processes.size());
@@ -419,28 +419,42 @@ std::vector<LintDiag> Linter::run() {
       std::string Which;
       for (size_t P : Procs)
         Which += (Which.empty() ? "" : ", ") + std::to_string(P);
-      diag(LintRule::MultiDriver, "variable '" + Name +
-                                      "' driven by processes " + Which);
+      diag(Rule::MultiDriver,
+           "variable '" + Name + "' driven by processes " + Which);
     }
   for (const auto &[Name, BProcs] : BlockWriters) {
     if (NbWriters.count(Name))
-      diag(LintRule::MixedAssign,
+      diag(Rule::MixedAssign,
            "variable '" + Name +
                "' written both blocking (intermediate) and non-blocking "
                "(state)");
     for (size_t I = 0; I != AllFacts.size(); ++I)
       if (AllFacts[I].Reads.count(Name) &&
           std::find(BProcs.begin(), BProcs.end(), I) == BProcs.end())
-        diag(LintRule::NonLocalIntermediate,
+        diag(Rule::NonLocalIntermediate,
              "blocking intermediate '" + Name +
                  "' written by process " + std::to_string(BProcs[0]) +
                  " but read by process " + std::to_string(I));
   }
-  return std::move(Diags);
+  return std::move(Findings);
 }
 
 } // namespace
 
-std::vector<LintDiag> silver::analysis::lintModule(const VModule &M) {
-  return Linter(M).run();
+std::vector<Finding> silver::hdl::checkModule(const VModule &M) {
+  return Walker(M).run();
+}
+
+Result<void> silver::hdl::typeCheck(const VModule &M) {
+  for (const Finding &F : checkModule(M)) {
+    // The stricter rules: verilog_sem, FastSim and the generated C++ all
+    // define modules that break them.
+    bool Stricter = F.Kind == Rule::MixedAssign ||
+                    F.Kind == Rule::NonLocalIntermediate ||
+                    F.Kind == Rule::ReadBeforeWrite ||
+                    F.Kind == Rule::MemBounds;
+    if (!Stricter)
+      return Error(formatFinding(F));
+  }
+  return {};
 }

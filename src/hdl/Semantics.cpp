@@ -8,7 +8,6 @@
 #include "hdl/Semantics.h"
 
 #include <cassert>
-#include <set>
 
 using namespace silver;
 using namespace silver::hdl;
@@ -323,251 +322,4 @@ Result<void> silver::hdl::stepCycle(const VModule &M, SimState &State,
     Mem.Elems[W.Index] = W.Value.Bits;
   }
   return {};
-}
-
-// --- type checking -----------------------------------------------------------
-
-namespace {
-
-class Checker {
-public:
-  explicit Checker(const VModule &M) : M(M) {}
-
-  Result<void> run();
-
-private:
-  const VModule &M;
-  std::map<std::string, VType> Types;
-  std::set<std::string> InputNames;
-
-  Result<VType> typeOf(const VExp &E);
-  Result<void> checkStmt(const VStmt &S, std::set<std::string> &BlockWr,
-                         std::set<std::string> &NbWr);
-};
-
-Result<VType> Checker::typeOf(const VExp &E) {
-  switch (E.Kind) {
-  case VExpKind::ConstBool:
-    return VType::boolean();
-  case VExpKind::ConstVec:
-    return VType::vec(E.Width);
-  case VExpKind::Var: {
-    auto It = Types.find(E.Name);
-    if (It == Types.end())
-      return Error("undeclared variable '" + E.Name + "'");
-    if (It->second.K == VType::Kind::Mem)
-      return Error("memory '" + E.Name + "' used as a plain variable");
-    return It->second;
-  }
-  case VExpKind::MemRead: {
-    auto It = Types.find(E.Name);
-    if (It == Types.end() || It->second.K != VType::Kind::Mem)
-      return Error("memory read of non-memory '" + E.Name + "'");
-    Result<VType> Idx = typeOf(*E.Args[0]);
-    if (!Idx)
-      return Idx;
-    if (Idx->K != VType::Kind::Vec)
-      return Error("memory index must be a vector");
-    return VType::vec(It->second.Width);
-  }
-  case VExpKind::Binary: {
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    Result<VType> B = typeOf(*E.Args[1]);
-    if (!B)
-      return B;
-    bool BoolOk = E.BOp == BinaryOp::And || E.BOp == BinaryOp::Or ||
-                  E.BOp == BinaryOp::Xor || E.BOp == BinaryOp::Eq;
-    if (A->K == VType::Kind::Bool || B->K == VType::Kind::Bool) {
-      if (!(A->K == VType::Kind::Bool && B->K == VType::Kind::Bool &&
-            BoolOk))
-        return Error("boolean operand in a vector operator");
-      return E.BOp == BinaryOp::Eq ? VType::boolean() : *A;
-    }
-    bool ShiftOp = E.BOp == BinaryOp::Shl || E.BOp == BinaryOp::ShrL ||
-                   E.BOp == BinaryOp::ShrA;
-    if (!ShiftOp && A->Width != B->Width)
-      return Error("width mismatch in binary operator: " +
-                   std::to_string(A->Width) + " vs " +
-                   std::to_string(B->Width));
-    if (E.BOp == BinaryOp::Eq || E.BOp == BinaryOp::LtU ||
-        E.BOp == BinaryOp::LtS)
-      return VType::boolean();
-    return *A;
-  }
-  case VExpKind::Unary: {
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    if (E.UOp == UnaryOp::LogicNot)
-      return VType::boolean();
-    return *A;
-  }
-  case VExpKind::Slice: {
-    if (E.Args[0]->Kind != VExpKind::Var &&
-        E.Args[0]->Kind != VExpKind::MemRead)
-      return Error("slice base must be a variable (synthesisable subset)");
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    if (A->K != VType::Kind::Vec || E.Hi < E.Lo || E.Hi >= A->Width)
-      return Error("bad slice bounds");
-    return VType::vec(E.Hi - E.Lo + 1);
-  }
-  case VExpKind::Concat: {
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    Result<VType> B = typeOf(*E.Args[1]);
-    if (!B)
-      return B;
-    if (A->K != VType::Kind::Vec || B->K != VType::Kind::Vec ||
-        A->Width + B->Width > 64)
-      return Error("bad concatenation");
-    return VType::vec(A->Width + B->Width);
-  }
-  case VExpKind::Cond: {
-    Result<VType> C = typeOf(*E.Args[0]);
-    if (!C)
-      return C;
-    if (C->K != VType::Kind::Bool)
-      return Error("condition must be boolean");
-    Result<VType> T = typeOf(*E.Args[1]);
-    if (!T)
-      return T;
-    Result<VType> F = typeOf(*E.Args[2]);
-    if (!F)
-      return F;
-    if (!(*T == *F))
-      return Error("conditional branches have different types");
-    return *T;
-  }
-  case VExpKind::ZeroExt:
-  case VExpKind::SignExt: {
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    if (A->K != VType::Kind::Vec || E.Width < A->Width || E.Width > 64)
-      return Error("bad width extension");
-    return VType::vec(E.Width);
-  }
-  case VExpKind::BoolToVec: {
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    if (A->K != VType::Kind::Bool)
-      return Error("bool-to-vec of a non-boolean");
-    return VType::vec(1);
-  }
-  case VExpKind::VecToBool: {
-    Result<VType> A = typeOf(*E.Args[0]);
-    if (!A)
-      return A;
-    if (A->K != VType::Kind::Vec)
-      return Error("vec-to-bool of a non-vector");
-    return VType::boolean();
-  }
-  }
-  return Error("unhandled expression kind");
-}
-
-Result<void> Checker::checkStmt(const VStmt &S,
-                                std::set<std::string> &BlockWr,
-                                std::set<std::string> &NbWr) {
-  switch (S.Kind) {
-  case VStmtKind::Block:
-    for (const VStmtPtr &Sub : S.Stmts)
-      if (Result<void> R = checkStmt(*Sub, BlockWr, NbWr); !R)
-        return R;
-    return {};
-  case VStmtKind::If: {
-    Result<VType> C = typeOf(*S.Cond);
-    if (!C)
-      return C.error();
-    if (Result<void> R = checkStmt(*S.Then, BlockWr, NbWr); !R)
-      return R;
-    if (S.Else)
-      return checkStmt(*S.Else, BlockWr, NbWr);
-    return {};
-  }
-  case VStmtKind::BlockingAssign:
-  case VStmtKind::NonBlockingAssign: {
-    auto It = Types.find(S.Lhs);
-    if (It == Types.end())
-      return Error("assignment to undeclared '" + S.Lhs + "'");
-    if (InputNames.count(S.Lhs))
-      return Error("assignment to input port '" + S.Lhs + "'");
-    if (It->second.K == VType::Kind::Mem)
-      return Error("whole-memory assignment to '" + S.Lhs + "'");
-    Result<VType> RT = typeOf(*S.Rhs);
-    if (!RT)
-      return RT.error();
-    if (!(*RT == It->second))
-      return Error("assignment type mismatch on '" + S.Lhs + "'");
-    (S.Kind == VStmtKind::BlockingAssign ? BlockWr : NbWr).insert(S.Lhs);
-    return {};
-  }
-  case VStmtKind::MemWrite: {
-    auto It = Types.find(S.Lhs);
-    if (It == Types.end() || It->second.K != VType::Kind::Mem)
-      return Error("memory write to non-memory '" + S.Lhs + "'");
-    Result<VType> Idx = typeOf(*S.Index);
-    if (!Idx)
-      return Idx.error();
-    Result<VType> RT = typeOf(*S.Rhs);
-    if (!RT)
-      return RT.error();
-    if (RT->K != VType::Kind::Vec || RT->Width != It->second.Width)
-      return Error("memory write width mismatch on '" + S.Lhs + "'");
-    NbWr.insert(S.Lhs);
-    return {};
-  }
-  }
-  return Error("unhandled statement kind");
-}
-
-Result<void> Checker::run() {
-  for (const VPort &P : M.Ports) {
-    if (P.Type.K == VType::Kind::Mem)
-      return Error("memory-typed port '" + P.Name + "'");
-    if (!Types.emplace(P.Name, P.Type).second)
-      return Error("duplicate port '" + P.Name + "'");
-    if (P.D == VPort::Dir::Input)
-      InputNames.insert(P.Name);
-  }
-  for (const VDecl &D : M.Decls)
-    if (!Types.emplace(D.Name, D.Type).second)
-      return Error("duplicate declaration '" + D.Name + "'");
-
-  // Per-process write sets for the non-interference obligation.
-  std::vector<std::set<std::string>> BlockWr(M.Processes.size());
-  std::vector<std::set<std::string>> NbWr(M.Processes.size());
-  for (size_t I = 0; I != M.Processes.size(); ++I)
-    if (Result<void> R =
-            checkStmt(*M.Processes[I].Body, BlockWr[I], NbWr[I]);
-        !R)
-      return R;
-
-  // Non-interference: a variable written by one process (blocking or
-  // non-blocking) must not be written by another; blocking-written
-  // variables are process-local intermediates.
-  std::map<std::string, size_t> Writer;
-  for (size_t I = 0; I != M.Processes.size(); ++I) {
-    for (const auto &Set : {BlockWr[I], NbWr[I]}) {
-      for (const std::string &Name : Set) {
-        auto [It, Inserted] = Writer.emplace(Name, I);
-        if (!Inserted && It->second != I)
-          return Error("variable '" + Name +
-                       "' written by two processes (interference)");
-      }
-    }
-  }
-  return {};
-}
-
-} // namespace
-
-Result<void> silver::hdl::typeCheck(const VModule &M) {
-  return Checker(M).run();
 }

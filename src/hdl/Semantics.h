@@ -12,24 +12,19 @@
 /// to later statements of the same process; the paper's subset requires
 /// processes to be non-interfering), and all non-blocking writes are
 /// saved in a queue that is merged into the state at the end of the
-/// cycle.  Type checking (vars_has_type) is a prerequisite of execution.
+/// cycle.  Type checking (vars_has_type, hdl::typeCheck in hdl/Check.h)
+/// is a prerequisite of execution.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_HDL_SEMANTICS_H
 #define SILVER_HDL_SEMANTICS_H
 
+#include "hdl/Check.h"
 #include "hdl/Verilog.h"
 
 namespace silver {
 namespace hdl {
-
-/// The paper's vars_has_type obligation: every referenced variable is
-/// declared with a consistent type, widths agree across operators and
-/// assignments, processes only write declared state, and non-blocking
-/// targets are not also written blocking by another process
-/// (non-interference).
-Result<void> typeCheck(const VModule &M);
 
 /// Simulation state: variable environment keyed by name.
 class SimState {

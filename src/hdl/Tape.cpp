@@ -7,7 +7,7 @@
 
 #include "hdl/Tape.h"
 
-#include "hdl/Semantics.h"
+#include "hdl/Check.h"
 
 #include <cassert>
 

@@ -65,10 +65,6 @@ struct Executor::SessionBase {
   /// The JIT's statistics when the session steps with the Jit backend,
   /// null otherwise.
   virtual const isa::jit::JitStats *jitStats() const { return nullptr; }
-  /// Grants more of the level-internal budget (cycles at the hardware
-  /// levels; a no-op for the interpreters) so step() can continue
-  /// (Executor::replenish).
-  virtual void addCycles(uint64_t /*ExtraCycles*/) {}
   /// Ends the session, handing its memory (the booted state, or the lab
   /// DRAM) to sys::recycle.
   virtual void recycle() = 0;
@@ -289,10 +285,6 @@ struct RtlSession final : Executor::SessionBase {
 
   uint64_t instructions() const override { return Runner->instructions(); }
 
-  void addCycles(uint64_t ExtraCycles) override {
-    Runner->addCycles(ExtraCycles);
-  }
-
   Observed collect() const override {
     Observed O;
     O.Terminated = Runner->halted();
@@ -500,21 +492,6 @@ Result<Observed> Executor::sessionBehaviour() const {
   if (!Session)
     return Error("no active execution session: call begin() first");
   return Session->collect();
-}
-
-Result<void> Executor::replenish(uint64_t ExtraInstructions,
-                                 uint64_t ExtraCycles) {
-  if (!Session)
-    return Error("no active execution session: call begin() first");
-  if (LastStatus == RunStatus::Completed)
-    return Error("session already completed; nothing to replenish");
-  InstrBudgetLeft = ExtraInstructions > UINT64_MAX - InstrBudgetLeft
-                        ? UINT64_MAX
-                        : InstrBudgetLeft + ExtraInstructions;
-  Session->addCycles(ExtraCycles ? ExtraCycles
-                                 : cyclesFor(ExtraInstructions));
-  LastStatus = RunStatus::Paused;
-  return {};
 }
 
 Result<Outcome> Executor::finish() {

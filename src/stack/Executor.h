@@ -21,7 +21,10 @@
 /// the cycle-accurate levels additionally get RunSpec::MaxCycles clock
 /// cycles (0 = derived as MaxSteps x 16, saturating) plus a wedge
 /// watchdog (cpu::MaxCyclesWithoutRetire).  A budget running out is a
-/// distinct RunStatus::Timeout, never a hang and never an error.
+/// distinct RunStatus::Timeout, never a hang and never an error, and it
+/// ends the program.  A caller that interrupts a run to resume it later
+/// (svc::Service's time slices) steps with an instruction quota instead,
+/// which returns RunStatus::Paused.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,15 +136,6 @@ public:
   /// Collects the outcome, fires onRunEnd, and ends the session.
   Result<Outcome> finish();
   bool active() const { return Session != nullptr; }
-
-  /// Grants the active session more budget so a Timeout can be resumed
-  /// (the serving layer's slice-based execution, svc::Service): adds
-  /// \p ExtraInstructions to the remaining instruction budget and, at
-  /// the hardware levels, \p ExtraCycles to the remaining cycle budget
-  /// (0 derives ExtraInstructions x 16, saturating — the same bound as
-  /// cycleBudget()).  A Timeout status becomes Paused again, so step()
-  /// continues where it stopped.  An error on a completed session.
-  Result<void> replenish(uint64_t ExtraInstructions, uint64_t ExtraCycles = 0);
 
   /// Instructions retired so far by the active session, in the same
   /// coordinate system as sessionBehaviour().Instructions (the ISA

@@ -7,8 +7,8 @@
 
 #include "stack/Stack.h"
 
+#include "cml/Infer.h"
 #include "cml/Interp.h"
-#include "cml/Parser.h"
 #include "isa/jit/Jit.h"
 #include "stack/Executor.h"
 #include "support/StringUtils.h"
@@ -128,10 +128,11 @@ silver::stack::auditPrepared(const Prepared &P) {
 }
 
 Result<Outcome> silver::stack::runSpecLevel(const RunSpec &Spec) {
-  Result<cml::Program> Prog =
-      cml::parseProgram(cml::withPrelude(Spec.Source));
+  Result<cml::Program> Prog = cml::parseWithPrelude(Spec.Source);
   if (!Prog)
     return Error("parse error: " + Prog.error().str());
+  if (auto Types = cml::inferProgram(*Prog); !Types)
+    return Error("type error: " + Types.error().str());
   cml::RunOutput Out = cml::interpretProgram(*Prog, Spec.CommandLine,
                                              Spec.StdinData, 0);
   if (!Out.Ok)

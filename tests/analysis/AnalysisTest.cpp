@@ -8,11 +8,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ImageAudit.h"
-#include "analysis/VerilogLint.h"
 
 #include "asm/Assembler.h"
 #include "cpu/Core.h"
-#include "hdl/Semantics.h"
+#include "hdl/Check.h"
 #include "isa/Abi.h"
 #include "isa/Encoding.h"
 #include "rtl/ToVerilog.h"
@@ -182,17 +181,17 @@ VModule makeCleanModule() {
   return M;
 }
 
-bool hasRule(const std::vector<LintDiag> &Diags, LintRule Rule) {
-  for (const LintDiag &D : Diags)
-    if (D.Rule == Rule)
+bool hasRule(const std::vector<Finding> &Diags, Rule Kind) {
+  for (const Finding &D : Diags)
+    if (D.Kind == Kind)
       return true;
   return false;
 }
 
-std::string dump(const std::vector<LintDiag> &Diags) {
+std::string dump(const std::vector<Finding> &Diags) {
   std::string Out;
-  for (const LintDiag &D : Diags)
-    Out += formatDiag(D) + "\n";
+  for (const Finding &D : Diags)
+    Out += formatFinding(D) + "\n";
   return Out;
 }
 
@@ -200,7 +199,7 @@ std::string dump(const std::vector<LintDiag> &Diags) {
 
 TEST(VerilogLint, CleanModuleHasNoDiagnostics) {
   VModule M = makeCleanModule();
-  std::vector<LintDiag> Diags = lintModule(M);
+  std::vector<Finding> Diags = checkModule(M);
   EXPECT_TRUE(Diags.empty()) << dump(Diags);
   EXPECT_TRUE(hdl::typeCheck(M));
 }
@@ -209,7 +208,7 @@ TEST(VerilogLint, GeneratedCoreIsClean) {
   cpu::SilverCore Core = cpu::buildSilverCore();
   Result<VModule> Module = rtl::toVerilog(Core.Circuit);
   ASSERT_TRUE(Module) << Module.error().str();
-  std::vector<LintDiag> Diags = lintModule(*Module);
+  std::vector<Finding> Diags = checkModule(*Module);
   EXPECT_TRUE(Diags.empty()) << dump(Diags);
 }
 
@@ -222,8 +221,8 @@ TEST(VerilogLint, MultiDriver) {
     return B;
   }());
   M.Processes.push_back(std::move(P));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::MultiDriver)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::MultiDriver)) << dump(Diags);
   // The fail-fast checker agrees this module is broken.
   EXPECT_FALSE(hdl::typeCheck(M));
 }
@@ -232,8 +231,8 @@ TEST(VerilogLint, MixedAssign) {
   VModule M = makeCleanModule();
   // Blocking-assign the state variable s in the same process.
   M.Processes[0].Body->Stmts.push_back(vBlocking("s", vConstVec(8, 3)));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::MixedAssign)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::MixedAssign)) << dump(Diags);
 }
 
 TEST(VerilogLint, NonLocalIntermediate) {
@@ -246,8 +245,8 @@ TEST(VerilogLint, NonLocalIntermediate) {
     return B;
   }());
   M.Processes.push_back(std::move(P));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::NonLocalIntermediate)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::NonLocalIntermediate)) << dump(Diags);
 }
 
 TEST(VerilogLint, ReadBeforeWrite) {
@@ -255,8 +254,8 @@ TEST(VerilogLint, ReadBeforeWrite) {
   // Read 'a' before its blocking assignment.
   auto &Stmts = M.Processes[0].Body->Stmts;
   Stmts.insert(Stmts.begin(), vBlocking("o8", vVar("a")));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::ReadBeforeWrite)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::ReadBeforeWrite)) << dump(Diags);
   ASSERT_FALSE(Diags.empty());
   EXPECT_EQ(Diags[0].Process, 0);
   EXPECT_EQ(Diags[0].Path, "body/s0");
@@ -270,8 +269,8 @@ TEST(VerilogLint, ReadAfterPartialWriteStillFires) {
   Stmts.push_back(vIf(vConstBool(true), vBlocking("a", vConstVec(8, 1)),
                       nullptr));
   Stmts.push_back(vBlocking("o8", vVar("a")));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::ReadBeforeWrite)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::ReadBeforeWrite)) << dump(Diags);
 }
 
 TEST(VerilogLint, BothBranchesAssignIsClean) {
@@ -281,7 +280,7 @@ TEST(VerilogLint, BothBranchesAssignIsClean) {
   Stmts.push_back(vIf(vConstBool(true), vBlocking("a", vConstVec(8, 1)),
                       vBlocking("a", vConstVec(8, 2))));
   Stmts.push_back(vBlocking("o8", vVar("a")));
-  std::vector<LintDiag> Diags = lintModule(M);
+  std::vector<Finding> Diags = checkModule(M);
   EXPECT_TRUE(Diags.empty()) << dump(Diags);
 }
 
@@ -289,22 +288,22 @@ TEST(VerilogLint, WidthMismatch) {
   VModule M = makeCleanModule();
   M.Processes[0].Body->Stmts.push_back(vBlocking(
       "a", vBinary(BinaryOp::Add, vVar("a"), vConstVec(4, 1))));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::WidthMismatch)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::WidthMismatch)) << dump(Diags);
 }
 
 TEST(VerilogLint, Undeclared) {
   VModule M = makeCleanModule();
   M.Processes[0].Body->Stmts.push_back(vBlocking("a", vVar("ghost")));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::Undeclared)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::Undeclared)) << dump(Diags);
 }
 
 TEST(VerilogLint, InputWrite) {
   VModule M = makeCleanModule();
   M.Processes[0].Body->Stmts.push_back(vBlocking("i8", vConstVec(8, 0)));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::InputWrite)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::InputWrite)) << dump(Diags);
 }
 
 TEST(VerilogLint, MemBounds) {
@@ -314,10 +313,10 @@ TEST(VerilogLint, MemBounds) {
       vBlocking("a", vMemRead("m", vConstVec(3, 7))));
   M.Processes[0].Body->Stmts.push_back(
       vMemWrite("m", vConstVec(3, 7), vVar("a")));
-  std::vector<LintDiag> Diags = lintModule(M);
+  std::vector<Finding> Diags = checkModule(M);
   size_t Bounds = 0;
-  for (const LintDiag &D : Diags)
-    Bounds += D.Rule == LintRule::MemBounds;
+  for (const Finding &D : Diags)
+    Bounds += D.Kind == Rule::MemBounds;
   EXPECT_EQ(Bounds, 2u) << dump(Diags);
 }
 
@@ -325,18 +324,18 @@ TEST(VerilogLint, TypeError) {
   VModule M = makeCleanModule();
   // Memory used as a plain variable.
   M.Processes[0].Body->Stmts.push_back(vBlocking("a", vVar("m")));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::TypeError)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::TypeError)) << dump(Diags);
 }
 
 TEST(VerilogLint, CollectsMultipleDiagnostics) {
-  // Unlike hdl::typeCheck, the linter reports everything at once.
+  // Unlike hdl::typeCheck, checkModule reports everything at once.
   VModule M = makeCleanModule();
   M.Processes[0].Body->Stmts.push_back(vBlocking("a", vVar("ghost")));
   M.Processes[0].Body->Stmts.push_back(vBlocking("i8", vConstVec(8, 0)));
-  std::vector<LintDiag> Diags = lintModule(M);
-  EXPECT_TRUE(hasRule(Diags, LintRule::Undeclared)) << dump(Diags);
-  EXPECT_TRUE(hasRule(Diags, LintRule::InputWrite)) << dump(Diags);
+  std::vector<Finding> Diags = checkModule(M);
+  EXPECT_TRUE(hasRule(Diags, Rule::Undeclared)) << dump(Diags);
+  EXPECT_TRUE(hasRule(Diags, Rule::InputWrite)) << dump(Diags);
 }
 
 // --- image audit --------------------------------------------------------------
@@ -370,17 +369,17 @@ Result<sys::MemoryImage> buildTestImage(const Assembler &A,
   return sys::buildImage(Spec);
 }
 
-bool hasRule(const std::vector<AuditDiag> &Diags, AuditRule Rule) {
-  for (const AuditDiag &D : Diags)
-    if (D.Rule == Rule)
+bool hasRule(const std::vector<Diagnostic> &Diags, const std::string &Id) {
+  for (const Diagnostic &D : Diags)
+    if (D.Id == Id)
       return true;
   return false;
 }
 
-std::string dump(const std::vector<AuditDiag> &Diags) {
+std::string dump(const std::vector<Diagnostic> &Diags) {
   std::string Out;
-  for (const AuditDiag &D : Diags)
-    Out += formatDiag(D) + "\n";
+  for (const Diagnostic &D : Diags)
+    Out += formatDiagnostic(D) + "\n";
   return Out;
 }
 
@@ -423,7 +422,7 @@ TEST(ImageAudit, LayoutMutant) {
   ASSERT_TRUE(Image);
   Image->Layout.HeapEnd += 8; // overlaps the program, breaks HeapEnd==CodeBase
   AuditReport R = auditImage(*Image, ProgSize);
-  EXPECT_TRUE(hasRule(R.Diags, AuditRule::Layout)) << dump(R.Diags);
+  EXPECT_TRUE(hasRule(R.Diags, "img-layout")) << dump(R.Diags);
 }
 
 TEST(ImageAudit, DecodeMutant) {
@@ -436,7 +435,7 @@ TEST(ImageAudit, DecodeMutant) {
   ASSERT_NE(Invalid, 0u) << "no invalid encoding found";
   patchWord(*Image, Image->Layout.CodeBase, Invalid);
   AuditReport R = auditImage(*Image, ProgSize);
-  EXPECT_TRUE(hasRule(R.Diags, AuditRule::Decode)) << dump(R.Diags);
+  EXPECT_TRUE(hasRule(R.Diags, "img-decode")) << dump(R.Diags);
 }
 
 TEST(ImageAudit, JumpOutsideCodeMutant) {
@@ -451,7 +450,7 @@ TEST(ImageAudit, JumpOutsideCodeMutant) {
   Result<sys::MemoryImage> Image = buildTestImage(A, ProgSize);
   ASSERT_TRUE(Image);
   AuditReport Rep = auditImage(*Image, ProgSize);
-  EXPECT_TRUE(hasRule(Rep.Diags, AuditRule::JumpTarget)) << dump(Rep.Diags);
+  EXPECT_TRUE(hasRule(Rep.Diags, "img-jump-target")) << dump(Rep.Diags);
 }
 
 TEST(ImageAudit, JumpIntoSyscallMiddleMutant) {
@@ -467,7 +466,7 @@ TEST(ImageAudit, JumpIntoSyscallMiddleMutant) {
   Result<sys::MemoryImage> Image = buildTestImage(A, ProgSize);
   ASSERT_TRUE(Image);
   AuditReport Rep = auditImage(*Image, ProgSize);
-  EXPECT_TRUE(hasRule(Rep.Diags, AuditRule::JumpTarget)) << dump(Rep.Diags);
+  EXPECT_TRUE(hasRule(Rep.Diags, "img-jump-target")) << dump(Rep.Diags);
 }
 
 TEST(ImageAudit, WriteToCodeMutant) {
@@ -483,7 +482,7 @@ TEST(ImageAudit, WriteToCodeMutant) {
   Result<sys::MemoryImage> Image = buildTestImage(A, ProgSize);
   ASSERT_TRUE(Image);
   AuditReport Rep = auditImage(*Image, ProgSize);
-  EXPECT_TRUE(hasRule(Rep.Diags, AuditRule::WriteToCode)) << dump(Rep.Diags);
+  EXPECT_TRUE(hasRule(Rep.Diags, "img-write-to-code")) << dump(Rep.Diags);
 }
 
 TEST(ImageAudit, StoreToHeapIsClean) {
@@ -512,7 +511,7 @@ TEST(ImageAudit, SyscallClobberMutant) {
             isa::encode(Instruction::normal(Func::Add, 10, Operand::imm(1),
                                             Operand::imm(1))));
   AuditReport R = auditImage(*Image, ProgSize);
-  EXPECT_TRUE(hasRule(R.Diags, AuditRule::SyscallClobber)) << dump(R.Diags);
+  EXPECT_TRUE(hasRule(R.Diags, "img-syscall-clobber")) << dump(R.Diags);
 }
 
 TEST(ImageAudit, SyscallRegionFootprintWithinClobberSet) {

@@ -172,6 +172,21 @@ TEST(Compiler, RejectsSyntaxErrors) {
   EXPECT_NE(R.error().message().find("parse error"), std::string::npos);
 }
 
+TEST(Compiler, ErrorsGiveTheProgramsOwnLines) {
+  // The prelude is parsed apart from the program, so its lines do not
+  // shift the program's.
+  Result<cml::Compiled> Parse =
+      cml::compileProgram("val x = 1\nval y = (2 +\n");
+  ASSERT_FALSE(Parse);
+  EXPECT_EQ(Parse.error().str().rfind("parse error: 3:1: ", 0), 0u)
+      << Parse.error().str();
+  Result<cml::Compiled> Type =
+      cml::compileProgram("val x = 1\nval _ = print (1)\n");
+  ASSERT_FALSE(Type);
+  EXPECT_EQ(Type.error().str().rfind("type error: 2:15: ", 0), 0u)
+      << Type.error().str();
+}
+
 TEST(Compiler, OptimisationShrinksFibCode) {
   cml::CompileOptions O0;
   O0.Opt = cml::OptOptions::none();

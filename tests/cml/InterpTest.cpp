@@ -14,7 +14,7 @@ namespace {
 RunOutput evalWithPrelude(const std::string &Src,
                           const std::vector<std::string> &Cl = {"prog"},
                           const std::string &Stdin = "") {
-  Result<Program> P = parseProgram(withPrelude(Src));
+  Result<Program> P = parseWithPrelude(Src);
   EXPECT_TRUE(P) << P.error().str();
   if (!P)
     return {};

@@ -22,6 +22,23 @@ Result<void> pulseCycle(const VModule &M, SimState &S, bool Pulse) {
   return stepCycle(M, S, In);
 }
 
+/// The rule id typeCheck fails \p M with, or "" when it passes.
+std::string rejectedBy(const VModule &M) {
+  Result<void> T = typeCheck(M);
+  if (T)
+    return "";
+  std::string Message = T.error().str();
+  return Message.substr(0, Message.find_first_of(" :"));
+}
+
+/// Whether checkModule reports a finding of \p Kind on \p M.
+bool reports(const VModule &M, Rule Kind) {
+  for (const Finding &F : checkModule(M))
+    if (F.Kind == Kind)
+      return true;
+  return false;
+}
+
 } // namespace
 
 TEST(AB, TypeChecks) {
@@ -184,7 +201,7 @@ TEST(TypeCheck, RejectsBadModules) {
     VProcess P;
     P.Body = vNonBlocking("a", vConstVec(16, 0));
     M.Processes.push_back(std::move(P));
-    EXPECT_FALSE(typeCheck(M));
+    EXPECT_EQ(rejectedBy(M), "hdl-width-mismatch");
   }
   // Undeclared variable.
   {
@@ -192,7 +209,7 @@ TEST(TypeCheck, RejectsBadModules) {
     VProcess P;
     P.Body = vNonBlocking("ghost", vConstVec(8, 0));
     M.Processes.push_back(std::move(P));
-    EXPECT_FALSE(typeCheck(M));
+    EXPECT_EQ(rejectedBy(M), "hdl-undeclared");
   }
   // Two processes writing one variable (interference).
   {
@@ -203,7 +220,7 @@ TEST(TypeCheck, RejectsBadModules) {
     P2.Body = vNonBlocking("a", vConstVec(8, 2));
     M.Processes.push_back(std::move(P1));
     M.Processes.push_back(std::move(P2));
-    EXPECT_FALSE(typeCheck(M));
+    EXPECT_EQ(rejectedBy(M), "hdl-multi-driver");
   }
   // Assignment to an input port.
   {
@@ -212,7 +229,7 @@ TEST(TypeCheck, RejectsBadModules) {
     VProcess P;
     P.Body = vNonBlocking("in", vConstVec(8, 1));
     M.Processes.push_back(std::move(P));
-    EXPECT_FALSE(typeCheck(M));
+    EXPECT_EQ(rejectedBy(M), "hdl-input-write");
   }
   // Slice of a non-variable (outside the synthesisable subset).
   {
@@ -224,7 +241,54 @@ TEST(TypeCheck, RejectsBadModules) {
                                         vVar("a")),
                                 3, 0)));
     M.Processes.push_back(std::move(P));
-    EXPECT_FALSE(typeCheck(M));
+    EXPECT_EQ(rejectedBy(M), "hdl-type-error");
+  }
+}
+
+TEST(TypeCheck, StricterRulesAreReportedButPass) {
+  // Each module breaks one of the four stricter rules only: typeCheck,
+  // the prerequisite of verilog_sem and both simulators, passes it, and
+  // checkModule reports it under that rule.
+  auto OneProcess = [](VStmtPtr Body) {
+    VModule M;
+    M.Decls.push_back({"a", VType::vec(8)});
+    M.Decls.push_back({"b", VType::vec(8)});
+    M.Decls.push_back({"m", VType::mem(8, 4)});
+    VProcess P;
+    P.Body = std::move(Body);
+    M.Processes.push_back(std::move(P));
+    return M;
+  };
+  auto Block = [](VStmtPtr First, VStmtPtr Second) {
+    std::vector<VStmtPtr> B;
+    B.push_back(std::move(First));
+    B.push_back(std::move(Second));
+    return vBlock(std::move(B));
+  };
+  // 'a' is both an intermediate and state.
+  VModule Mixed = OneProcess(Block(vBlocking("a", vConstVec(8, 1)),
+                                   vNonBlocking("a", vConstVec(8, 2))));
+  // 'a' is read before this cycle's blocking write.
+  VModule Early = OneProcess(
+      Block(vNonBlocking("b", vVar("a")), vBlocking("a", vConstVec(8, 1))));
+  // Constant index 4 of a depth-4 memory.
+  VModule Bounds =
+      OneProcess(vMemWrite("m", vConstVec(3, 4), vConstVec(8, 1)));
+  // Process 1 reads process 0's intermediate 'a'.
+  VModule Shared = OneProcess(vBlocking("a", vConstVec(8, 1)));
+  VProcess Reader;
+  Reader.Body = vNonBlocking("b", vVar("a"));
+  Shared.Processes.push_back(std::move(Reader));
+
+  const std::pair<const VModule *, Rule> Cases[] = {
+      {&Mixed, Rule::MixedAssign},
+      {&Early, Rule::ReadBeforeWrite},
+      {&Bounds, Rule::MemBounds},
+      {&Shared, Rule::NonLocalIntermediate},
+  };
+  for (const auto &[M, Kind] : Cases) {
+    EXPECT_EQ(rejectedBy(*M), "") << ruleId(Kind);
+    EXPECT_TRUE(reports(*M, Kind)) << ruleId(Kind);
   }
 }
 

@@ -413,13 +413,14 @@ TEST(Executor, SpecLevelRunsButIsNotResumable) {
   EXPECT_FALSE(ExecOr->begin(Level::Spec));
 }
 
-// Exhausts a deliberately small budget at \p L, replenishes through the
-// Timeout until the program completes, and requires the final
-// StateDigest and Observed to be identical to an unbudgeted run: a
+// Interrupts a run at \p L every 200 instructions with step() quotas,
+// the way the serving layer slices jobs, and requires the final
+// StateDigest and Observed to be identical to an uninterrupted run: a
 // resumed session must land on the same architectural state, bit for
-// bit, no matter how many times the budget interrupted it (the serving
-// layer's pause/resume correctness claim).
-void expectReplenishedRunMatchesUnbudgeted(Level L) {
+// bit, no matter how many times it paused (the serving layer's
+// pause/resume correctness claim).  A starvation budget still ends the
+// run in Timeout.
+void expectSlicedRunMatchesUnbudgeted(Level L) {
   // Reference: one run with budget to spare.
   Result<Executor> RefOr = Executor::create(helloSpec());
   ASSERT_TRUE(RefOr) << RefOr.error().str();
@@ -433,25 +434,21 @@ void expectReplenishedRunMatchesUnbudgeted(Level L) {
   Result<Outcome> RefOut = Ref.finish();
   ASSERT_TRUE(RefOut) << RefOut.error().str();
 
-  // The same program under a starvation budget, revived via replenish
-  // every time it times out.
-  RunSpec Starved = helloSpec();
-  Starved.Exec.MaxSteps = 200;
-  Result<Executor> ExecOr = Executor::create(Starved);
+  // The same program, paused after every 200-instruction slice.
+  Result<Executor> ExecOr = Executor::create(helloSpec());
   ASSERT_TRUE(ExecOr) << ExecOr.error().str();
   Executor Exec = ExecOr.take();
   ASSERT_TRUE(Exec.begin(L));
-  unsigned Timeouts = 0;
+  unsigned Pauses = 0;
   for (;;) {
-    Result<RunStatus> S = Exec.step(UINT64_MAX);
+    Result<RunStatus> S = Exec.step(200);
     ASSERT_TRUE(S) << S.error().str();
     if (*S == RunStatus::Completed)
       break;
-    ASSERT_EQ(*S, RunStatus::Timeout);
-    ASSERT_LT(++Timeouts, 10'000u) << "never completed";
-    ASSERT_TRUE(Exec.replenish(200));
+    ASSERT_EQ(*S, RunStatus::Paused);
+    ASSERT_LT(++Pauses, 10'000u) << "never completed";
   }
-  EXPECT_GT(Timeouts, 0u) << "budget was never exhausted; test is vacuous";
+  EXPECT_GT(Pauses, 0u) << "the run was never interrupted; test is vacuous";
   Result<StateDigest> Digest = Exec.sessionState();
   ASSERT_TRUE(Digest) << Digest.error().str();
   Result<Outcome> Out = Exec.finish();
@@ -464,6 +461,20 @@ void expectReplenishedRunMatchesUnbudgeted(Level L) {
   EXPECT_EQ(RefDigest->Regs, Digest->Regs);
   EXPECT_EQ(RefDigest->MemoryHash, Digest->MemoryHash);
   EXPECT_EQ(RefDigest->MemoryBytes, Digest->MemoryBytes);
+
+  // Under a starvation budget the run ends in Timeout.
+  RunSpec Starved = helloSpec();
+  Starved.Exec.MaxSteps = 200;
+  Result<Executor> StarvedOr = Executor::create(Starved);
+  ASSERT_TRUE(StarvedOr) << StarvedOr.error().str();
+  Executor StarvedExec = StarvedOr.take();
+  ASSERT_TRUE(StarvedExec.begin(L));
+  Result<RunStatus> S = StarvedExec.step(UINT64_MAX);
+  ASSERT_TRUE(S) << S.error().str();
+  EXPECT_EQ(*S, RunStatus::Timeout);
+  Result<Outcome> StarvedOut = StarvedExec.finish();
+  ASSERT_TRUE(StarvedOut) << StarvedOut.error().str();
+  EXPECT_EQ(StarvedOut->Status, RunStatus::Timeout);
 }
 
 // The compiled simulator backend (hdl/compile) must be observationally
@@ -517,32 +528,19 @@ TEST(Executor, CompiledHdlBackendMatchesInterpreterAtVerilog) {
 }
 
 TEST(Executor, ReplenishedTimeoutMatchesUnbudgetedAtMachine) {
-  expectReplenishedRunMatchesUnbudgeted(Level::Machine);
+  expectSlicedRunMatchesUnbudgeted(Level::Machine);
 }
 
 TEST(Executor, ReplenishedTimeoutMatchesUnbudgetedAtIsa) {
-  expectReplenishedRunMatchesUnbudgeted(Level::Isa);
+  expectSlicedRunMatchesUnbudgeted(Level::Isa);
 }
 
 TEST(Executor, ReplenishedTimeoutMatchesUnbudgetedAtRtl) {
-  expectReplenishedRunMatchesUnbudgeted(Level::Rtl);
+  expectSlicedRunMatchesUnbudgeted(Level::Rtl);
 }
 
 TEST(Executor, ReplenishedTimeoutMatchesUnbudgetedAtVerilog) {
-  expectReplenishedRunMatchesUnbudgeted(Level::Verilog);
-}
-
-TEST(Executor, ReplenishErrorsOutsideALiveSession) {
-  Result<Executor> ExecOr = Executor::create(helloSpec());
-  ASSERT_TRUE(ExecOr) << ExecOr.error().str();
-  Executor Exec = ExecOr.take();
-  EXPECT_FALSE(Exec.replenish(100)) << "no session yet";
-  ASSERT_TRUE(Exec.begin(Level::Isa));
-  Result<RunStatus> S = Exec.step(UINT64_MAX);
-  ASSERT_TRUE(S);
-  ASSERT_EQ(*S, RunStatus::Completed);
-  EXPECT_FALSE(Exec.replenish(100)) << "completed sessions cannot revive";
-  ASSERT_TRUE(Exec.finish());
+  expectSlicedRunMatchesUnbudgeted(Level::Verilog);
 }
 
 TEST(Executor, SessionBehaviourSnapshotsTheRunningPrefix) {

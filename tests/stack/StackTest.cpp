@@ -197,6 +197,17 @@ TEST(EndToEnd, LevelsDisagreeOnlyNever) {
   EXPECT_EQ((*R)[1].ExitCode, 4);
 }
 
+TEST(EndToEnd, SpecLevelRejectsIllTypedPrograms) {
+  // The reference interpreter would print the integer; the Spec level
+  // type-checks first, as the compiler does.
+  RunSpec Spec;
+  Spec.Source = "val x = 1\nval _ = print (1)\n";
+  Result<Outcome> R = runSpecLevel(Spec);
+  ASSERT_FALSE(R);
+  EXPECT_EQ(R.error().str().rfind("type error: 2:15: ", 0), 0u)
+      << R.error().str();
+}
+
 TEST(EndToEnd, CheckRejectsARunThatExhaustsItsBudget) {
   // 100 instructions do not get hello through startup: the first level
   // times out, and the check names it instead of comparing a prefix.
