@@ -36,7 +36,6 @@
 #include "cml/CodeGen.h"
 #include "cml/Compiler.h"
 #include "cml/Flat.h"
-#include "cml/Infer.h"
 #include "cml/Lower.h"
 #include "obs/Counters.h"
 #include "obs/TraceSink.h"
@@ -100,7 +99,7 @@ int emitStage(const std::string &Source, const std::string &What,
   if (!Prog)
     return fail("parse: " + Prog.error().str());
   if (Result<std::map<std::string, cml::Scheme>> T =
-          cml::inferProgram(*Prog);
+          cml::inferWithPrelude(*Prog);
       !T)
     return fail("type: " + T.error().str());
   Result<cml::CoreProgram> Core = cml::lowerProgram(*Prog);

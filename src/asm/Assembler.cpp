@@ -7,6 +7,7 @@
 
 #include "asm/Assembler.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace silver;
@@ -124,23 +125,41 @@ void Assembler::space(Word Count) {
 
 namespace {
 
-/// Per-item layout state used during relaxation.
-struct Layout {
-  std::vector<bool> Far;       // Branch/Jump items promoted to far form
-  std::vector<Word> Offset;    // item offset from base
-  Word TotalSize = 0;
-};
+/// Looks \p Sym up among the program's own labels, then the externs.
+const Word *findLabel(const std::map<std::string, Word> &Own,
+                      const std::map<std::string, Word> &Externs,
+                      const std::string &Sym) {
+  auto It = Own.find(Sym);
+  if (It != Own.end())
+    return &It->second;
+  It = Externs.find(Sym);
+  return It == Externs.end() ? nullptr : &It->second;
+}
+
+void putWord(uint8_t *At, Word W) {
+  At[0] = static_cast<uint8_t>(W);
+  At[1] = static_cast<uint8_t>(W >> 8);
+  At[2] = static_cast<uint8_t>(W >> 16);
+  At[3] = static_cast<uint8_t>(W >> 24);
+}
+
+/// The two-instruction address load every label reference uses, so its
+/// size is independent of the address.
+void putLiValue(uint8_t *At, unsigned Reg, Word Value) {
+  putWord(At, isa::encode(Instruction::loadConstant(Reg, false,
+                                                    Value & 0x1fffff)));
+  putWord(At + 4, isa::encode(Instruction::loadUpperConstant(Reg, Value >> 21)));
+}
 
 } // namespace
 
-Result<Assembled>
-Assembler::assemble(Word BaseAddr,
-                    const std::map<std::string, Word> &Externs) const {
+Result<Layout>
+Assembler::layout(Word BaseAddr,
+                  const std::map<std::string, Word> &Externs) const {
   Layout L;
+  L.BaseAddr = BaseAddr;
   L.Far.assign(Items.size(), false);
   L.Offset.assign(Items.size(), 0);
-
-  std::map<std::string, Word> Symbols;
 
   // Iterative relaxation.  Item sizes are monotone except Align padding,
   // so bound the iteration count and require a stable final pass.
@@ -148,18 +167,17 @@ Assembler::assemble(Word BaseAddr,
   bool Stable = false;
   for (int Iter = 0; Iter != MaxIterations && !Stable; ++Iter) {
     // Phase 1: lay out with the current Far flags and bind labels.
-    Symbols = Externs;
+    L.Labels.clear();
     Word At = 0;
     for (size_t I = 0, E = Items.size(); I != E; ++I) {
       const Item &It = Items[I];
       L.Offset[I] = At;
       switch (It.K) {
-      case Kind::Label: {
-        auto [Pos, Inserted] = Symbols.insert({It.Sym, BaseAddr + At});
-        if (!Inserted)
+      case Kind::Label:
+        if (Externs.count(It.Sym) ||
+            !L.Labels.insert({It.Sym, BaseAddr + At}).second)
           return Error("duplicate label '" + It.Sym + "'");
         break;
-      }
       case Kind::Fixed:
         At += 4;
         break;
@@ -182,6 +200,7 @@ Assembler::assemble(Word BaseAddr,
         At += static_cast<Word>(It.Blob.size());
         break;
       case Kind::Align:
+        L.MaxAlign = std::max(L.MaxAlign, It.Data);
         At = alignUp(At + BaseAddr, It.Data) - BaseAddr;
         break;
       case Kind::Space:
@@ -189,7 +208,7 @@ Assembler::assemble(Word BaseAddr,
         break;
       }
     }
-    L.TotalSize = At;
+    L.Size = At;
 
     // Phase 2: check ranges; promote out-of-range items to far form.
     Stable = true;
@@ -197,12 +216,12 @@ Assembler::assemble(Word BaseAddr,
       const Item &It = Items[I];
       if ((It.K != Kind::Branch && It.K != Kind::Jump) || L.Far[I])
         continue;
-      auto Sym = Symbols.find(It.Sym);
-      if (Sym == Symbols.end())
+      const Word *Target = findLabel(L.Labels, Externs, It.Sym);
+      if (!Target)
         return Error("undefined label '" + It.Sym + "'");
       Word ItemAddr = BaseAddr + L.Offset[I];
       int64_t Delta =
-          static_cast<int64_t>(Sym->second) - static_cast<int64_t>(ItemAddr);
+          static_cast<int64_t>(*Target) - static_cast<int64_t>(ItemAddr);
       bool Fits = It.K == Kind::Branch
                       ? (Delta % 4 == 0 && fitsSigned(Delta / 4, 10))
                       : fitsSigned(Delta, 6);
@@ -214,93 +233,151 @@ Assembler::assemble(Word BaseAddr,
   }
   if (!Stable)
     return Error("branch relaxation did not converge");
+  return L;
+}
 
-  // Phase 3: encode.
+Result<Assembled>
+Assembler::encode(const Layout &L, const std::map<std::string, Word> &Externs,
+                  Word Shift) const {
+  return encodeWith(L, Externs, Shift, nullptr);
+}
+
+Result<Assembled>
+Assembler::encodeWith(const Layout &L,
+                      const std::map<std::string, Word> &Externs, Word Shift,
+                      std::vector<Fragment::Reloc> *Relocs) const {
+  if (Shift % L.MaxAlign != 0)
+    return Error("layout cannot move by " + std::to_string(Shift) +
+                 " bytes: its alignment is " + std::to_string(L.MaxAlign));
+  Word BaseAddr = L.BaseAddr + Shift;
   Assembled Out;
   Out.BaseAddr = BaseAddr;
-  Out.Symbols = Symbols;
-  Out.Bytes.reserve(L.TotalSize);
+  for (const auto &[Name, Addr] : L.Labels)
+    Out.Symbols.emplace_hint(Out.Symbols.end(), Name, Addr + Shift);
+  Out.Bytes.resize(L.Size);
 
-  auto EmitWord = [&Out](Word W) {
-    Out.Bytes.push_back(static_cast<uint8_t>(W));
-    Out.Bytes.push_back(static_cast<uint8_t>(W >> 8));
-    Out.Bytes.push_back(static_cast<uint8_t>(W >> 16));
-    Out.Bytes.push_back(static_cast<uint8_t>(W >> 24));
+  auto EmitInstr = [&Out](size_t At, const Instruction &Instr) {
+    putWord(&Out.Bytes[At], isa::encode(Instr));
   };
-  auto EmitInstr = [&EmitWord](const Instruction &Instr) {
-    EmitWord(isa::encode(Instr));
-  };
-  auto EmitLiValue = [&EmitInstr](unsigned Reg, Word Value) {
-    // The label form is always two instructions (layout-independent).
-    EmitInstr(Instruction::loadConstant(Reg, false, Value & 0x1fffff));
-    EmitInstr(Instruction::loadUpperConstant(Reg, Value >> 21));
+  // An absolute address load of \p Sym at byte \p At.
+  auto EmitAddr = [&](size_t At, unsigned Reg,
+                      const std::string &Sym) -> Result<void> {
+    const Word *Target = findLabel(L.Labels, Externs, Sym);
+    if (!Target && !Relocs)
+      return Error("undefined label '" + Sym + "'");
+    Word Value = Target ? *Target + Shift : 0;
+    if (Relocs)
+      Relocs->push_back({static_cast<Word>(At), Reg, Value - BaseAddr,
+                         Target ? std::string() : Sym});
+    putLiValue(&Out.Bytes[At], Reg, Value);
+    return {};
   };
 
   for (size_t I = 0, E = Items.size(); I != E; ++I) {
     const Item &It = Items[I];
+    size_t At = L.Offset[I];
     Word ItemAddr = BaseAddr + L.Offset[I];
     switch (It.K) {
     case Kind::Label:
+    case Kind::Align: // padding stays zero
+    case Kind::Space:
       break;
     case Kind::Fixed:
-      EmitInstr(It.Instr);
+      EmitInstr(At, It.Instr);
       break;
     case Kind::LiLabel:
-      EmitLiValue(It.Reg, Symbols.at(It.Sym));
+      if (Result<void> V = EmitAddr(At, It.Reg, It.Sym); !V)
+        return V.error();
       break;
     case Kind::Branch: {
-      Word Target = Symbols.at(It.Sym);
       if (!L.Far[I]) {
+        Word Target = *findLabel(L.Labels, Externs, It.Sym) + Shift;
         int32_t Off = static_cast<int32_t>(
             (static_cast<int64_t>(Target) - ItemAddr) / 4);
-        EmitInstr(It.WhenZero
-                      ? Instruction::jumpIfZero(It.F, It.A, It.B, Off)
-                      : Instruction::jumpIfNotZero(It.F, It.A, It.B, Off));
+        EmitInstr(At, It.WhenZero
+                          ? Instruction::jumpIfZero(It.F, It.A, It.B, Off)
+                          : Instruction::jumpIfNotZero(It.F, It.A, It.B, Off));
       } else {
         // Inverted condition skips the 3-instruction far jump.
-        EmitInstr(It.WhenZero
-                      ? Instruction::jumpIfNotZero(It.F, It.A, It.B, 4)
-                      : Instruction::jumpIfZero(It.F, It.A, It.B, 4));
-        EmitLiValue(abi::TmpReg, Target);
-        EmitInstr(Instruction::jump(Func::Snd, abi::TmpReg,
-                                    Operand::reg(abi::TmpReg)));
+        EmitInstr(At, It.WhenZero
+                          ? Instruction::jumpIfNotZero(It.F, It.A, It.B, 4)
+                          : Instruction::jumpIfZero(It.F, It.A, It.B, 4));
+        if (Result<void> V = EmitAddr(At + 4, abi::TmpReg, It.Sym); !V)
+          return V.error();
+        EmitInstr(At + 12, Instruction::jump(Func::Snd, abi::TmpReg,
+                                             Operand::reg(abi::TmpReg)));
       }
       break;
     }
     case Kind::Jump: {
-      Word Target = Symbols.at(It.Sym);
       if (!L.Far[I]) {
+        Word Target = *findLabel(L.Labels, Externs, It.Sym) + Shift;
         int32_t Delta = static_cast<int32_t>(Target - ItemAddr);
-        EmitInstr(Instruction::jump(Func::Add, abi::TmpReg,
-                                    Operand::imm(Delta)));
+        EmitInstr(At, Instruction::jump(Func::Add, abi::TmpReg,
+                                        Operand::imm(Delta)));
       } else {
-        EmitLiValue(abi::TmpReg, Target);
-        EmitInstr(Instruction::jump(Func::Snd, abi::TmpReg,
-                                    Operand::reg(abi::TmpReg)));
+        if (Result<void> V = EmitAddr(At, abi::TmpReg, It.Sym); !V)
+          return V.error();
+        EmitInstr(At + 8, Instruction::jump(Func::Snd, abi::TmpReg,
+                                            Operand::reg(abi::TmpReg)));
       }
       break;
     }
-    case Kind::Call: {
-      EmitLiValue(abi::TmpReg, Symbols.at(It.Sym));
-      EmitInstr(
-          Instruction::jump(Func::Snd, It.Reg, Operand::reg(abi::TmpReg)));
+    case Kind::Call:
+      if (Result<void> V = EmitAddr(At, abi::TmpReg, It.Sym); !V)
+        return V.error();
+      EmitInstr(At + 8, Instruction::jump(Func::Snd, It.Reg,
+                                          Operand::reg(abi::TmpReg)));
       break;
-    }
     case Kind::Word:
-      EmitWord(It.Data);
+      putWord(&Out.Bytes[At], It.Data);
       break;
     case Kind::Bytes:
-      Out.Bytes.insert(Out.Bytes.end(), It.Blob.begin(), It.Blob.end());
-      break;
-    case Kind::Align:
-      while ((BaseAddr + Out.Bytes.size()) % It.Data != 0)
-        Out.Bytes.push_back(0);
-      break;
-    case Kind::Space:
-      Out.Bytes.insert(Out.Bytes.end(), It.Data, 0);
+      std::copy(It.Blob.begin(), It.Blob.end(), Out.Bytes.begin() + At);
       break;
     }
   }
-  assert(Out.Bytes.size() == L.TotalSize && "layout/encoding size mismatch");
+  return Out;
+}
+
+Result<Assembled>
+Assembler::assemble(Word BaseAddr,
+                    const std::map<std::string, Word> &Externs) const {
+  Result<Layout> L = layout(BaseAddr, Externs);
+  if (!L)
+    return L.error();
+  Result<Assembled> Out = encode(*L, Externs, 0);
+  if (Out)
+    Out->Symbols.insert(Externs.begin(), Externs.end());
+  return Out;
+}
+
+Result<Fragment> Assembler::fragment() const {
+  Result<Layout> L = layout(0);
+  if (!L)
+    return L.error();
+  Fragment F;
+  Result<Assembled> Out = encodeWith(*L, {}, 0, &F.Relocs);
+  if (!Out)
+    return Out.error();
+  F.Bytes = std::move(Out->Bytes);
+  F.Labels = std::move(L->Labels);
+  return F;
+}
+
+Result<std::vector<uint8_t>>
+Fragment::placeAt(Word BaseAddr,
+                  const std::map<std::string, Word> &Later) const {
+  std::vector<uint8_t> Out = Bytes;
+  for (const Reloc &R : Relocs) {
+    Word Value = BaseAddr + R.Target;
+    if (!R.Extern.empty()) {
+      auto It = Later.find(R.Extern);
+      if (It == Later.end())
+        return Error("undefined label '" + R.Extern + "'");
+      Value = It->second;
+    }
+    putLiValue(&Out[R.Offset], R.Reg, Value);
+  }
   return Out;
 }

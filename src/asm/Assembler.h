@@ -45,6 +45,39 @@ struct Assembled {
   Word addressOf(const std::string &Label) const;
 };
 
+/// The outcome of branch relaxation: every item's offset and form.  Item
+/// sizes depend only on distances, so the layout still holds when the
+/// whole program and its extern symbols move by a multiple of MaxAlign.
+struct Layout {
+  Word BaseAddr = 0; ///< the address the layout was computed at
+  Word Size = 0;
+  Word MaxAlign = 1; ///< largest Align directive
+  std::vector<Word> Offset;            ///< per item, from BaseAddr
+  std::vector<bool> Far;               ///< per Branch/Jump item
+  std::map<std::string, Word> Labels;  ///< own labels at BaseAddr
+};
+
+/// Code laid out and encoded once at address 0, to be placed at the start
+/// of an image.  Every absolute address in it is a two-instruction load
+/// (address loads, calls, far branches and jumps); Relocs lists them, so
+/// placing the fragment re-encodes those loads and copies the rest.
+struct Fragment {
+  struct Reloc {
+    Word Offset = 0;    ///< of the load's first instruction
+    unsigned Reg = 0;
+    Word Target = 0;    ///< fragment offset, when Extern is empty
+    std::string Extern; ///< a label the rest of the image defines
+  };
+  std::vector<uint8_t> Bytes;
+  std::map<std::string, Word> Labels; ///< own labels, as offsets
+  std::vector<Reloc> Relocs;
+
+  /// The bytes placed at \p BaseAddr, with the external labels resolved
+  /// from \p Later (absolute addresses).
+  Result<std::vector<uint8_t>>
+  placeAt(Word BaseAddr, const std::map<std::string, Word> &Later) const;
+};
+
 /// Program builder.  Emit instructions, labels, pseudo-instructions and
 /// data, then call assemble() with the load address.
 class Assembler {
@@ -105,6 +138,22 @@ public:
   assemble(Word BaseAddr,
            const std::map<std::string, Word> &Externs = {}) const;
 
+  /// Branch relaxation at \p BaseAddr: the first half of assemble().
+  Result<Layout> layout(Word BaseAddr,
+                        const std::map<std::string, Word> &Externs = {}) const;
+
+  /// Encodes \p L moved by \p Shift: the program lands at L.BaseAddr +
+  /// Shift and each of \p Externs (the map \p L was laid out with) at its
+  /// value + Shift.  Symbols holds the program's own labels only.
+  Result<Assembled> encode(const Layout &L,
+                           const std::map<std::string, Word> &Externs,
+                           Word Shift) const;
+
+  /// Lays out and encodes the program as a Fragment.  Branches and jumps
+  /// must target its own labels (their forms depend on distances); address
+  /// loads and calls may name labels defined after it.
+  Result<Fragment> fragment() const;
+
   /// Number of items emitted so far (for tests).
   size_t size() const { return Items.size(); }
 
@@ -134,6 +183,13 @@ private:
   };
 
   std::vector<Item> Items;
+
+  /// encode(), collecting the absolute loads into \p Relocs when given;
+  /// then labels nobody defines become relocations instead of errors.
+  Result<Assembled> encodeWith(const Layout &L,
+                               const std::map<std::string, Word> &Externs,
+                               Word Shift,
+                               std::vector<Fragment::Reloc> *Relocs) const;
 };
 
 } // namespace assembler

@@ -146,6 +146,9 @@ struct Program {
   std::vector<Dec> Decs;
 };
 
+/// Deep copy of a declaration.
+Dec cloneDec(const Dec &D);
+
 } // namespace cml
 } // namespace silver
 

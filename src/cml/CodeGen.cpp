@@ -461,8 +461,7 @@ void FunctionCompiler::compile(const std::string &EntryLabel,
 
 } // namespace
 
-Result<void> silver::cml::generateProgram(const FlatProgram &Prog,
-                                          Assembler &A) {
+void silver::cml::generateStart(Assembler &A) {
   // --- entry stub (the image's CodeBase = the first instruction) ---
   A.label("entry");
   // HP = usable-memory start (r1); stack at the top, limit below it.
@@ -486,12 +485,16 @@ Result<void> silver::cml::generateProgram(const FlatProgram &Prog,
 
   // --- runtime ---
   emitRuntime(A);
+}
 
-  // --- compiled functions ---
+void silver::cml::generateFunctions(const FlatProgram &Prog, Assembler &A) {
   for (const FlatFunction &F : Prog.Funs) {
     FunctionCompiler FC(A, Prog, 'f' + std::to_string(F.Id));
     FC.compile(fnLabel(F.Id), *F.Body, &F.CloParam, &F.ArgParam);
   }
+}
+
+void silver::cml::generateMainAndData(const FlatProgram &Prog, Assembler &A) {
   FunctionCompiler Main(A, Prog, "m");
   Main.compile("cml_main", *Prog.Main, nullptr, nullptr);
 
@@ -509,5 +512,12 @@ Result<void> silver::cml::generateProgram(const FlatProgram &Prog,
     A.ascii(Text);
     A.align(4);
   }
+}
+
+Result<void> silver::cml::generateProgram(const FlatProgram &Prog,
+                                          Assembler &A) {
+  generateStart(A);
+  generateFunctions(Prog, A);
+  generateMainAndData(Prog, A);
   return {};
 }

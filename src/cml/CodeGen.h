@@ -36,8 +36,18 @@ namespace cml {
 /// frames.
 inline constexpr uint32_t StackGuardBytes = 1024;
 
-/// Emits the whole program into \p A.  The caller assembles the result
-/// (twice: once at 0 for the size, once at the image's CodeBase).
+/// Emits the entry stub and the runtime: the start of every program.
+void generateStart(assembler::Assembler &A);
+
+/// Emits one block per function in Prog.Funs (label fn_<id>).
+void generateFunctions(const FlatProgram &Prog, assembler::Assembler &A);
+
+/// Emits cml_main, the globals table and the interned strings: the end
+/// of every program.
+void generateMainAndData(const FlatProgram &Prog, assembler::Assembler &A);
+
+/// Emits the whole program into \p A: the three parts above, in image
+/// order.  The caller assembles the result at the image's CodeBase.
 Result<void> generateProgram(const FlatProgram &Prog,
                              assembler::Assembler &A);
 

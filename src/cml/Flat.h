@@ -20,6 +20,7 @@
 
 #include "cml/Core.h"
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,8 +133,28 @@ struct FlatProgram {
   std::vector<std::string> StringPool;
 };
 
+/// Where flattening stands after some top-level declarations: the next
+/// function id, the temporaries' counter and the interned strings.
+struct FlattenState {
+  unsigned NextFunId = 0;
+  unsigned NextTmp = 0;
+  std::vector<std::string> StringPool;
+  std::map<std::string, unsigned> Interned; ///< StringPool, inverted
+};
+
+/// A-normalises and closure-converts \p Prog, which follows the code
+/// \p State describes, and advances \p State past it.  The result holds
+/// the functions this run emits (ids from State.NextFunId) and the whole
+/// string pool.
+FlatProgram flattenProgram(CoreProgram Prog, FlattenState &State);
+
 /// A-normalises and closure-converts a Core program.
 FlatProgram flattenProgram(CoreProgram Prog);
+
+/// \p Before with \p After in place of its final `ret`: the main of a
+/// program whose top-level declarations follow Before's.  Before must be a
+/// chain of lets ending in a return, as every flattened main is.
+FTailPtr appendMain(const FTail &Before, FTailPtr After);
 
 /// Renders the Flat IR (tests, -emit-flat debugging).
 std::string flatToString(const FlatProgram &Prog);

@@ -80,22 +80,26 @@ std::vector<std::string> freeVars(const CExp &E,
 
 class Flattener {
 public:
+  explicit Flattener(FlattenState &S) : S(S), FirstFunId(S.NextFunId) {
+    Out.StringPool = S.StringPool;
+  }
+
   FlatProgram run(CoreProgram Prog);
 
 private:
+  FlattenState &S;
+  const unsigned FirstFunId;
   FlatProgram Out;
-  unsigned NextTmp = 0;
-  std::map<std::string, unsigned> InternedStrings;
 
-  std::string fresh() { return "%t" + std::to_string(NextTmp++); }
+  std::string fresh() { return "%t" + std::to_string(S.NextTmp++); }
 
-  unsigned intern(const std::string &S) {
-    auto It = InternedStrings.find(S);
-    if (It != InternedStrings.end())
+  unsigned intern(const std::string &Str) {
+    auto It = S.Interned.find(Str);
+    if (It != S.Interned.end())
       return It->second;
     unsigned Idx = static_cast<unsigned>(Out.StringPool.size());
-    Out.StringPool.push_back(S);
-    InternedStrings.emplace(S, Idx);
+    Out.StringPool.push_back(Str);
+    S.Interned.emplace(Str, Idx);
     return Idx;
   }
 
@@ -140,7 +144,7 @@ unsigned Flattener::emitFunction(const std::string &DebugName,
                                  const std::string &Param, const CExp &Body,
                                  const std::vector<std::string> &Fvs) {
   FlatFunction F;
-  F.Id = static_cast<unsigned>(Out.Funs.size());
+  F.Id = FirstFunId + static_cast<unsigned>(Out.Funs.size());
   F.Name = DebugName;
   F.CloParam = "%clo" + std::to_string(F.Id);
   F.ArgParam = Param;
@@ -160,7 +164,7 @@ unsigned Flattener::emitFunction(const std::string &DebugName,
     Rhs.Args.push_back(Atom::var(CloParam));
     Inner = FTail::letRhs(Fvs[I], std::move(Rhs), std::move(Inner));
   }
-  Out.Funs[Id].Body = std::move(Inner);
+  Out.Funs[Id - FirstFunId].Body = std::move(Inner);
   return Id;
 }
 
@@ -378,14 +382,73 @@ FTailPtr Flattener::flatten(const CExp &E, const Kont &K) {
 FlatProgram Flattener::run(CoreProgram Prog) {
   Out.GlobalCount = Prog.GlobalCount;
   Out.Main = flattenTail(*Prog.Main);
+  S.NextFunId = FirstFunId + static_cast<unsigned>(Out.Funs.size());
+  S.StringPool = Out.StringPool;
   return std::move(Out);
+}
+
+FTailPtr cloneTail(const FTail &T);
+
+FRhs cloneRhs(const FRhs &R) {
+  FRhs C;
+  C.K = R.K;
+  C.A = R.A;
+  C.Prim = R.Prim;
+  C.Imm = R.Imm;
+  C.Imm2 = R.Imm2;
+  C.Args = R.Args;
+  if (R.Then)
+    C.Then = cloneTail(*R.Then);
+  if (R.Else)
+    C.Else = cloneTail(*R.Else);
+  return C;
+}
+
+FTailPtr cloneTail(const FTail &T) {
+  auto C = std::make_unique<FTail>();
+  C->K = T.K;
+  C->A = T.A;
+  C->B = T.B;
+  C->Name = T.Name;
+  C->Rhs = cloneRhs(T.Rhs);
+  if (T.Rest)
+    C->Rest = cloneTail(*T.Rest);
+  if (T.Then)
+    C->Then = cloneTail(*T.Then);
+  if (T.Else)
+    C->Else = cloneTail(*T.Else);
+  return C;
 }
 
 } // namespace
 
+FlatProgram silver::cml::flattenProgram(CoreProgram Prog,
+                                        FlattenState &State) {
+  return Flattener(State).run(std::move(Prog));
+}
+
 FlatProgram silver::cml::flattenProgram(CoreProgram Prog) {
-  Flattener F;
-  return F.run(std::move(Prog));
+  FlattenState State;
+  return flattenProgram(std::move(Prog), State);
+}
+
+FTailPtr silver::cml::appendMain(const FTail &Before, FTailPtr After) {
+  // Copy the chain of lets iteratively (it is as long as the earlier
+  // program's main), then hang After where its `ret` was.
+  FTailPtr Head;
+  FTailPtr *Hole = &Head;
+  const FTail *T = &Before;
+  for (; T->K == FTail::Kind::Let; T = T->Rest.get()) {
+    auto C = std::make_unique<FTail>();
+    C->K = FTail::Kind::Let;
+    C->Name = T->Name;
+    C->Rhs = cloneRhs(T->Rhs);
+    *Hole = std::move(C);
+    Hole = &(*Hole)->Rest;
+  }
+  assert(T->K == FTail::Kind::Ret && "a main ends in a return");
+  *Hole = std::move(After);
+  return Head;
 }
 
 // --- printing ---------------------------------------------------------------

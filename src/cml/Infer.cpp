@@ -81,10 +81,13 @@ public:
 
 class Inferencer {
 public:
-  Result<std::map<std::string, Scheme>> run(const Program &Prog);
+  explicit Inferencer(InferState &S) : S(S), NextVarId(S.NextVarId) {}
+
+  Result<std::map<std::string, Scheme>> run(std::span<const Dec> Decs);
 
 private:
-  int NextVarId = 0;
+  InferState &S;
+  int NextVarId;
   int Level = 0;
   std::vector<std::pair<TypePtr, Loc>> EqualityChecks;
 
@@ -468,38 +471,50 @@ Result<void> Inferencer::checkEqualities() {
   return {};
 }
 
-Result<std::map<std::string, Scheme>> Inferencer::run(const Program &Prog) {
+Result<std::map<std::string, Scheme>>
+Inferencer::run(std::span<const Dec> Decs) {
   TypeEnv Env;
-  for (const auto &[Name, Info] : primitiveSchemes())
-    Env.bind(Name, Info.TypeScheme);
-
-  std::map<std::string, Scheme> TopTypes;
-  for (const Dec &D : Prog.Decs) {
+  Env.Bindings = std::move(S.Env);
+  for (const Dec &D : Decs) {
     if (D.K == Dec::Kind::Val) {
       ++Level;
       Result<TypePtr> T = inferExp(*D.Body, Env);
       if (!T)
         return T.error();
       --Level;
-      Scheme S = generalize(T.take());
-      Env.bind(D.Name, S);
-      TopTypes[D.Name] = S;
+      Scheme Sc = generalize(T.take());
+      Env.bind(D.Name, Sc);
+      S.TopTypes[D.Name] = Sc;
     } else {
       if (Result<void> G = inferFunGroup(D.Funs, Env); !G)
         return G.error();
       for (const FunBind &F : D.Funs)
-        TopTypes[F.Name] = *Env.lookup(F.Name);
+        S.TopTypes[F.Name] = *Env.lookup(F.Name);
     }
   }
   if (Result<void> Eq = checkEqualities(); !Eq)
     return Eq.error();
-  return TopTypes;
+  S.Env = std::move(Env.Bindings);
+  S.NextVarId = NextVarId;
+  return S.TopTypes;
 }
 
 } // namespace
 
+InferState InferState::initial() {
+  InferState S;
+  for (const auto &[Name, Info] : primitiveSchemes())
+    S.Env[Name] = Info.TypeScheme;
+  return S;
+}
+
+Result<std::map<std::string, Scheme>>
+silver::cml::inferDecs(InferState &State, std::span<const Dec> Decs) {
+  return Inferencer(State).run(Decs);
+}
+
 Result<std::map<std::string, Scheme>>
 silver::cml::inferProgram(const Program &Prog) {
-  Inferencer I;
-  return I.run(Prog);
+  InferState State = InferState::initial();
+  return inferDecs(State, Prog.Decs);
 }

@@ -22,6 +22,7 @@
 #include "support/Result.h"
 
 #include <map>
+#include <span>
 #include <string>
 
 namespace silver {
@@ -39,8 +40,25 @@ struct PrimitiveInfo {
 /// exit.  Keyed by source-level name.
 const std::map<std::string, PrimitiveInfo> &primitiveSchemes();
 
-/// Type-checks a whole program.  On success returns the types of the
-/// top-level bindings (for tooling/tests); on failure, a located error.
+/// Where type checking stands after some top-level declarations: the
+/// environment, their types, and the type-variable counter (it numbers
+/// the variables that errors print).
+struct InferState {
+  std::map<std::string, Scheme> Env; ///< the primitives, initially
+  std::map<std::string, Scheme> TopTypes;
+  int NextVarId = 0;
+
+  static InferState initial();
+};
+
+/// Type-checks \p Decs, which follow the declarations \p State has seen.
+/// On success advances \p State past them and returns the types of every
+/// top-level binding so far; on failure returns a located error and
+/// leaves \p State unusable.
+Result<std::map<std::string, Scheme>> inferDecs(InferState &State,
+                                                std::span<const Dec> Decs);
+
+/// Type-checks a whole program: inferDecs from the initial state.
 Result<std::map<std::string, Scheme>> inferProgram(const Program &Prog);
 
 } // namespace cml

@@ -19,14 +19,6 @@ using namespace silver::cml;
 
 namespace {
 
-/// Source-primitive descriptor: Flat-level kind plus the number of
-/// curried source arguments that saturate it.
-struct PrimDesc {
-  PrimKind Kind;
-  unsigned SourceArity;
-  bool DropUnitArg; ///< arg_count: consumes a unit argument, passes none
-};
-
 const std::map<std::string, PrimDesc> &primDescs() {
   static const std::map<std::string, PrimDesc> M = {
       {"str_size", {PrimKind::StrSize, 1, false}},
@@ -47,27 +39,25 @@ const std::map<std::string, PrimDesc> &primDescs() {
   return M;
 }
 
-/// What a source name resolves to.
-struct Binding {
-  enum class Kind : uint8_t { Local, Global, Prim } K = Kind::Local;
-  std::string LocalName; // Local
-  unsigned Slot = 0;     // Global
-  PrimDesc Prim{PrimKind::Add, 1, false};
-};
-
 using Scope = std::map<std::string, Binding>;
+
+/// The name of the let that stores a top-level binding into its global
+/// slot.  It is never read; deriving it from the slot (and not from the
+/// fresh-name counter) leaves nothing to number after the last
+/// declaration, so lowering can stop there and resume.
+std::string globalSetName(unsigned Slot) { return "%g" + std::to_string(Slot); }
 
 class Lowerer {
 public:
-  Result<CoreProgram> run(const Program &Prog);
+  explicit Lowerer(LowerState &S) : S(S) {}
+
+  CoreProgram run(std::span<const Dec> Decs);
 
 private:
-  unsigned NextId = 0;
-  unsigned NextGlobal = 0;
-  std::vector<std::string> GlobalNames;
+  LowerState &S;
 
   std::string fresh(const std::string &Base) {
-    return Base + "$" + std::to_string(NextId++);
+    return Base + "$" + std::to_string(S.NextId++);
   }
 
   CExpPtr lowerExp(const Exp &E, const Scope &Sc);
@@ -436,37 +426,23 @@ CExpPtr Lowerer::lowerExp(const Exp &E, const Scope &Sc) {
   return nullptr;
 }
 
-Result<CoreProgram> Lowerer::run(const Program &Prog) {
-  Scope Sc;
-  for (const auto &[Name, Desc] : primDescs()) {
-    Binding B;
-    B.K = Binding::Kind::Prim;
-    B.Prim = Desc;
-    Sc[Name] = B;
-  }
-
+CoreProgram Lowerer::run(std::span<const Dec> Decs) {
   // Build the main expression back to front.
   struct PendingDec {
     const Dec *D;
     std::vector<unsigned> Slots; // one per bound name
   };
   std::vector<PendingDec> Pending;
-  for (const Dec &D : Prog.Decs) {
+  for (const Dec &D : Decs) {
     PendingDec P;
     P.D = &D;
     if (D.K == Dec::Kind::Val) {
-      P.Slots.push_back(NextGlobal);
-      GlobalNames.push_back(D.Name);
-      Binding B;
-      B.K = Binding::Kind::Global;
-      B.Slot = NextGlobal++;
-      // Bound only for *later* decs; recorded now, applied in order below.
-      P.Slots.back() = B.Slot;
+      P.Slots.push_back(S.NextGlobal++);
+      S.GlobalNames.push_back(D.Name);
     } else {
       for (const FunBind &F : D.Funs) {
-        P.Slots.push_back(NextGlobal);
-        GlobalNames.push_back(F.Name);
-        ++NextGlobal;
+        P.Slots.push_back(S.NextGlobal++);
+        S.GlobalNames.push_back(F.Name);
       }
     }
     Pending.push_back(std::move(P));
@@ -476,8 +452,10 @@ Result<CoreProgram> Lowerer::run(const Program &Prog) {
   // that wraps the remainder.
   std::function<CExpPtr(size_t, Scope)> Build = [&](size_t I,
                                                     Scope Current) -> CExpPtr {
-    if (I == Pending.size())
+    if (I == Pending.size()) {
+      S.Scope = std::move(Current);
       return CExp::intConst(0); // main returns unit
+    }
     const PendingDec &P = Pending[I];
     const Dec &D = *P.D;
     if (D.K == Dec::Kind::Val) {
@@ -490,40 +468,58 @@ Result<CoreProgram> Lowerer::run(const Program &Prog) {
       SetArgs.push_back(std::move(Bound));
       CExpPtr SetExp = CExp::prim(PrimKind::GlobalSet, std::move(SetArgs),
                                   static_cast<int32_t>(P.Slots[0]));
-      return CExp::let(fresh("w"), std::move(SetExp), Build(I + 1, Current));
+      return CExp::let(globalSetName(P.Slots[0]), std::move(SetExp),
+                       Build(I + 1, std::move(Current)));
     }
     // Fun group: letrec, then store each closure into its global slot.
     Scope GroupScope = Current;
     std::vector<CoreFun> Funs = lowerFunGroup(D.Funs, GroupScope);
     // After the group, the names resolve to globals.
-    Scope After = Current;
+    Scope After = std::move(Current);
     for (size_t J = 0; J != D.Funs.size(); ++J) {
       Binding B;
       B.K = Binding::Kind::Global;
       B.Slot = P.Slots[J];
       After[D.Funs[J].Name] = B;
     }
-    CExpPtr Body = Build(I + 1, After);
+    CExpPtr Body = Build(I + 1, std::move(After));
     for (size_t J = D.Funs.size(); J-- > 0;) {
       std::vector<CExpPtr> SetArgs;
       SetArgs.push_back(CExp::var(Funs[J].Name));
       CExpPtr SetExp = CExp::prim(PrimKind::GlobalSet, std::move(SetArgs),
                                   static_cast<int32_t>(P.Slots[J]));
-      Body = CExp::let(fresh("w"), std::move(SetExp), std::move(Body));
+      Body = CExp::let(globalSetName(P.Slots[J]), std::move(SetExp),
+                       std::move(Body));
     }
     return CExp::letrec(std::move(Funs), std::move(Body));
   };
 
   CoreProgram Out;
-  Out.Main = Build(0, Sc);
-  Out.GlobalCount = NextGlobal;
-  Out.GlobalNames = std::move(GlobalNames);
+  Out.Main = Build(0, S.Scope);
+  Out.GlobalCount = S.NextGlobal;
+  Out.GlobalNames = S.GlobalNames;
   return Out;
 }
 
 } // namespace
 
+LowerState LowerState::initial() {
+  LowerState S;
+  for (const auto &[Name, Desc] : primDescs()) {
+    Binding B;
+    B.K = Binding::Kind::Prim;
+    B.Prim = Desc;
+    S.Scope[Name] = B;
+  }
+  return S;
+}
+
+Result<CoreProgram> silver::cml::lowerDecs(LowerState &State,
+                                           std::span<const Dec> Decs) {
+  return Lowerer(State).run(Decs);
+}
+
 Result<CoreProgram> silver::cml::lowerProgram(const Program &Prog) {
-  Lowerer L;
-  return L.run(Prog);
+  LowerState State = LowerState::initial();
+  return lowerDecs(State, Prog.Decs);
 }

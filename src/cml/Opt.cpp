@@ -9,6 +9,7 @@
 
 #include "cml/Interp.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 
@@ -24,6 +25,7 @@ public:
   OptStats Stats;
 
   CExpPtr rewrite(CExpPtr E);
+  unsigned renames() const { return NextRename; }
 
 private:
   const OptOptions &Options;
@@ -367,18 +369,31 @@ CExpPtr Optimizer::rewrite(CExpPtr E) {
 
 } // namespace
 
-OptStats silver::cml::optimizeCore(CoreProgram &Prog,
-                                   const OptOptions &Options) {
+void silver::cml::optimizeCore(CoreProgram &Prog, const OptOptions &Options,
+                               OptState &State) {
   Optimizer Opt(Options);
   if (!Options.ConstantFold && !Options.DeadLetElim && !Options.Inline)
-    return Opt.Stats;
+    return;
   for (unsigned Round = 0; Round != 4; ++Round) {
     OptStats Before = Opt.Stats;
     Prog.Main = Opt.rewrite(std::move(Prog.Main));
-    if (Before.FoldedConstants == Opt.Stats.FoldedConstants &&
-        Before.RemovedLets == Opt.Stats.RemovedLets &&
-        Before.InlinedCalls == Opt.Stats.InlinedCalls)
+    bool Changed = Before.FoldedConstants != Opt.Stats.FoldedConstants ||
+                   Before.RemovedLets != Opt.Stats.RemovedLets ||
+                   Before.InlinedCalls != Opt.Stats.InlinedCalls;
+    if (Changed)
+      State.ChangedRounds = std::max(State.ChangedRounds, Round + 1);
+    else if (Round >= State.ChangedRounds)
       break;
   }
-  return Opt.Stats;
+  State.Stats.FoldedConstants += Opt.Stats.FoldedConstants;
+  State.Stats.RemovedLets += Opt.Stats.RemovedLets;
+  State.Stats.InlinedCalls += Opt.Stats.InlinedCalls;
+  State.Renames += Opt.renames();
+}
+
+OptStats silver::cml::optimizeCore(CoreProgram &Prog,
+                                   const OptOptions &Options) {
+  OptState State;
+  optimizeCore(Prog, Options, State);
+  return State.Stats;
 }

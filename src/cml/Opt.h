@@ -42,6 +42,24 @@ struct OptStats {
   unsigned InlinedCalls = 0;
 };
 
+/// What optimising the code before a program left behind.  Rounds run
+/// over the whole program, so a program optimised after that code gets
+/// at least ChangedRounds rounds, as it would have beside it.
+struct OptState {
+  OptStats Stats;
+  unsigned ChangedRounds = 0; ///< leading rounds that changed something
+  unsigned Renames = 0;       ///< binders the inliner renamed
+};
+
+/// Runs the enabled passes to a (bounded) fixpoint over Prog.Main, which
+/// follows the code \p State describes, and adds to \p State.  Resuming
+/// gives what one run over both would, provided the earlier code renamed
+/// nothing and is a fixpoint after its rounds: rounds rewrite a Letrec's
+/// body, the later code, before its functions, and the later code never
+/// names the earlier code's binders.
+void optimizeCore(CoreProgram &Prog, const OptOptions &Options,
+                  OptState &State);
+
 /// Runs the enabled passes to a (bounded) fixpoint over Prog.Main.
 OptStats optimizeCore(CoreProgram &Prog, const OptOptions &Options);
 

@@ -722,3 +722,56 @@ Result<ExpPtr> silver::cml::parseExpression(const std::string &Source) {
   Result<ExpPtr> E = P.parseExp();
   return E;
 }
+
+static PatPtr clonePat(const Pat &P) {
+  auto C = std::make_unique<Pat>();
+  C->Kind = P.Kind;
+  C->Where = P.Where;
+  C->Name = P.Name;
+  C->Int = P.Int;
+  C->Str = P.Str;
+  if (P.Sub0)
+    C->Sub0 = clonePat(*P.Sub0);
+  if (P.Sub1)
+    C->Sub1 = clonePat(*P.Sub1);
+  return C;
+}
+
+static ExpPtr cloneExp(const Exp &E);
+
+static std::vector<FunBind> cloneFuns(const std::vector<FunBind> &Funs) {
+  std::vector<FunBind> Out;
+  Out.reserve(Funs.size());
+  for (const FunBind &F : Funs)
+    Out.push_back({F.Where, F.Name, F.Params, cloneExp(*F.Body)});
+  return Out;
+}
+
+static ExpPtr cloneExp(const Exp &E) {
+  auto C = std::make_unique<Exp>();
+  C->Kind = E.Kind;
+  C->Where = E.Where;
+  C->Name = E.Name;
+  C->Int = E.Int;
+  C->Str = E.Str;
+  C->Op = E.Op;
+  for (auto [From, To] : {std::pair{&E.E0, &C->E0}, std::pair{&E.E1, &C->E1},
+                          std::pair{&E.E2, &C->E2}})
+    if (*From)
+      *To = cloneExp(**From);
+  for (const MatchArm &A : E.Arms)
+    C->Arms.push_back({clonePat(*A.Pattern), cloneExp(*A.Body)});
+  C->Funs = cloneFuns(E.Funs);
+  return C;
+}
+
+Dec silver::cml::cloneDec(const Dec &D) {
+  Dec C;
+  C.K = D.K;
+  C.Where = D.Where;
+  C.Name = D.Name;
+  if (D.Body)
+    C.Body = cloneExp(*D.Body);
+  C.Funs = cloneFuns(D.Funs);
+  return C;
+}

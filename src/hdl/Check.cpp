@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
+#include <unordered_map>
 
 using namespace silver;
 using namespace silver::hdl;
@@ -54,15 +54,26 @@ std::string silver::hdl::formatFinding(const Finding &F) {
 
 namespace {
 
-/// Per-process fact collection for the cross-process checks.
+/// Per-process facts for the cross-process checks, one flag per name id.
 struct ProcessFacts {
-  std::set<std::string> BlockWr; ///< blocking-assigned variables
-  std::set<std::string> NbWr;    ///< non-blocking / memory-write targets
-  std::set<std::string> Reads;   ///< every variable or memory read
+  std::vector<bool> BlockWr; ///< blocking-assigned variables
+  std::vector<bool> NbWr;    ///< non-blocking / memory-write targets
+  std::vector<bool> Reads;   ///< every variable or memory read
+
+  static bool has(const std::vector<bool> &Set, unsigned Id) {
+    return Id < Set.size() && Set[Id];
+  }
+  static void add(std::vector<bool> &Set, unsigned Id) {
+    if (Id >= Set.size())
+      Set.resize(Id + 1);
+    Set[Id] = true;
+  }
 };
 
 /// The single walk: typing rules per expression and statement, then the
-/// cross-process rules over the facts collected on the way.
+/// cross-process rules over the facts collected on the way.  Names are
+/// numbered once (declarations first, in order), so the per-read and
+/// per-branch bookkeeping works on ids, not strings.
 class Walker {
 public:
   explicit Walker(const VModule &M) : M(M) {}
@@ -71,15 +82,29 @@ public:
 
 private:
   const VModule &M;
-  std::map<std::string, VType> Types;
-  std::set<std::string> InputNames;
+  std::unordered_map<std::string, unsigned> Ids;
+  std::vector<std::string> Names;    ///< by id
+  std::vector<const VType *> Types;  ///< by id; null when undeclared
+  std::vector<bool> IsInput;         ///< by id
   std::vector<Finding> Findings;
 
   // Walk-local state (valid while checking one process).
   int Proc = -1;
   std::vector<std::string> Path;
   ProcessFacts *Facts = nullptr;
-  std::set<std::string> Definite; ///< blocking vars assigned so far
+  std::vector<bool> Definite; ///< blocking vars assigned so far, by id
+
+  /// The id of \p Name, numbering it on first sight.
+  unsigned id(const std::string &Name) {
+    auto [It, Inserted] =
+        Ids.try_emplace(Name, static_cast<unsigned>(Names.size()));
+    if (Inserted) {
+      Names.push_back(Name);
+      Types.push_back(nullptr);
+      IsInput.push_back(false);
+    }
+    return It->second;
+  }
 
   void diag(Rule R, std::string Message) {
     Finding F;
@@ -95,7 +120,7 @@ private:
   }
 
   /// Collects the write sets of a statement (pre-pass, no findings).
-  static void collectWrites(const VStmt &S, ProcessFacts &F);
+  void collectWrites(const VStmt &S, ProcessFacts &F);
 
   std::optional<VType> typeOf(const VExp &E);
   void checkStmt(const VStmt &S);
@@ -113,11 +138,11 @@ void Walker::collectWrites(const VStmt &S, ProcessFacts &F) {
       collectWrites(*S.Else, F);
     return;
   case VStmtKind::BlockingAssign:
-    F.BlockWr.insert(S.Lhs);
+    ProcessFacts::add(F.BlockWr, id(S.Lhs));
     return;
   case VStmtKind::NonBlockingAssign:
   case VStmtKind::MemWrite:
-    F.NbWr.insert(S.Lhs);
+    ProcessFacts::add(F.NbWr, id(S.Lhs));
     return;
   }
 }
@@ -129,32 +154,35 @@ std::optional<VType> Walker::typeOf(const VExp &E) {
   case VExpKind::ConstVec:
     return VType::vec(E.Width);
   case VExpKind::Var: {
-    Facts->Reads.insert(E.Name);
-    auto It = Types.find(E.Name);
-    if (It == Types.end()) {
+    unsigned Id = id(E.Name);
+    ProcessFacts::add(Facts->Reads, Id);
+    const VType *T = Types[Id];
+    if (!T) {
       diag(Rule::Undeclared, "read of undeclared variable '" + E.Name + "'");
       return std::nullopt;
     }
-    if (It->second.K == VType::Kind::Mem) {
+    if (T->K == VType::Kind::Mem) {
       diag(Rule::TypeError,
            "memory '" + E.Name + "' used as a plain variable");
       return std::nullopt;
     }
-    if (Facts->BlockWr.count(E.Name) && !Definite.count(E.Name))
+    if (ProcessFacts::has(Facts->BlockWr, Id) &&
+        !ProcessFacts::has(Definite, Id))
       diag(Rule::ReadBeforeWrite,
            "blocking intermediate '" + E.Name +
                "' read before it is assigned in this process");
-    return It->second;
+    return *T;
   }
   case VExpKind::MemRead: {
-    Facts->Reads.insert(E.Name);
-    auto It = Types.find(E.Name);
-    if (It == Types.end()) {
+    unsigned Id = id(E.Name);
+    ProcessFacts::add(Facts->Reads, Id);
+    const VType *T = Types[Id];
+    if (!T) {
       diag(Rule::Undeclared,
            "memory read of undeclared '" + E.Name + "'");
       return std::nullopt;
     }
-    if (It->second.K != VType::Kind::Mem) {
+    if (T->K != VType::Kind::Mem) {
       diag(Rule::TypeError,
            "memory read of non-memory '" + E.Name + "'");
       return std::nullopt;
@@ -163,12 +191,12 @@ std::optional<VType> Walker::typeOf(const VExp &E) {
     if (Idx && Idx->K != VType::Kind::Vec)
       diag(Rule::TypeError, "memory index must be a vector");
     if (E.Args[0]->Kind == VExpKind::ConstVec &&
-        E.Args[0]->Bits >= It->second.Depth)
+        E.Args[0]->Bits >= T->Depth)
       diag(Rule::MemBounds,
            "constant index " + std::to_string(E.Args[0]->Bits) +
                " out of range for '" + E.Name + "' (depth " +
-               std::to_string(It->second.Depth) + ")");
-    return VType::vec(It->second.Width);
+               std::to_string(T->Depth) + ")");
+    return VType::vec(T->Width);
   }
   case VExpKind::Binary: {
     std::optional<VType> A = typeOf(*E.Args[0]);
@@ -294,11 +322,11 @@ void Walker::checkStmt(const VStmt &S) {
     // A boolean or a vector (taken when nonzero): typeOf never yields a
     // memory type.
     typeOf(*S.Cond);
-    std::set<std::string> Before = Definite;
+    std::vector<bool> Before = Definite;
     Path.push_back("then");
     checkStmt(*S.Then);
     Path.pop_back();
-    std::set<std::string> AfterThen = std::move(Definite);
+    std::vector<bool> AfterThen = std::move(Definite);
     Definite = std::move(Before);
     if (S.Else) {
       Path.push_back("else");
@@ -306,65 +334,64 @@ void Walker::checkStmt(const VStmt &S) {
       Path.pop_back();
     }
     // Definitely assigned after the If: assigned on both paths.
-    std::set<std::string> Meet;
-    std::set_intersection(AfterThen.begin(), AfterThen.end(),
-                          Definite.begin(), Definite.end(),
-                          std::inserter(Meet, Meet.begin()));
-    Definite = std::move(Meet);
+    Definite.resize(std::min(Definite.size(), AfterThen.size()));
+    for (size_t I = 0; I != Definite.size(); ++I)
+      Definite[I] = Definite[I] && AfterThen[I];
     return;
   }
   case VStmtKind::BlockingAssign:
   case VStmtKind::NonBlockingAssign: {
     std::optional<VType> RT = typeOf(*S.Rhs);
-    auto It = Types.find(S.Lhs);
-    if (It == Types.end()) {
+    unsigned Id = id(S.Lhs);
+    const VType *T = Types[Id];
+    if (!T) {
       diag(Rule::Undeclared,
            "assignment to undeclared '" + S.Lhs + "'");
       return;
     }
-    if (InputNames.count(S.Lhs))
+    if (IsInput[Id])
       diag(Rule::InputWrite,
            "assignment to input port '" + S.Lhs + "'");
-    if (It->second.K == VType::Kind::Mem) {
+    if (T->K == VType::Kind::Mem) {
       diag(Rule::TypeError,
            "whole-memory assignment to '" + S.Lhs + "'");
       return;
     }
-    if (RT && !(*RT == It->second)) {
-      if (RT->K == VType::Kind::Vec && It->second.K == VType::Kind::Vec)
+    if (RT && !(*RT == *T)) {
+      if (RT->K == VType::Kind::Vec && T->K == VType::Kind::Vec)
         diag(Rule::WidthMismatch,
              "assignment to '" + S.Lhs + "' ([" +
-                 std::to_string(It->second.Width) + "]) from width " +
+                 std::to_string(T->Width) + "]) from width " +
                  std::to_string(RT->Width));
       else
         diag(Rule::TypeError,
              "assignment type mismatch on '" + S.Lhs + "'");
     }
     if (S.Kind == VStmtKind::BlockingAssign)
-      Definite.insert(S.Lhs);
+      ProcessFacts::add(Definite, Id);
     return;
   }
   case VStmtKind::MemWrite: {
-    auto It = Types.find(S.Lhs);
-    if (It == Types.end()) {
+    const VType *T = Types[id(S.Lhs)];
+    if (!T) {
       diag(Rule::Undeclared,
            "memory write to undeclared '" + S.Lhs + "'");
       return;
     }
-    if (It->second.K != VType::Kind::Mem) {
+    if (T->K != VType::Kind::Mem) {
       diag(Rule::TypeError,
            "memory write to non-memory '" + S.Lhs + "'");
       return;
     }
     typeOf(*S.Index);
     if (S.Index->Kind == VExpKind::ConstVec &&
-        S.Index->Bits >= It->second.Depth)
+        S.Index->Bits >= T->Depth)
       diag(Rule::MemBounds,
            "constant index " + std::to_string(S.Index->Bits) +
                " out of range for '" + S.Lhs + "' (depth " +
-               std::to_string(It->second.Depth) + ")");
+               std::to_string(T->Depth) + ")");
     std::optional<VType> RT = typeOf(*S.Rhs);
-    if (RT && (RT->K != VType::Kind::Vec || RT->Width != It->second.Width))
+    if (RT && (RT->K != VType::Kind::Vec || RT->Width != T->Width))
       diag(Rule::WidthMismatch,
            "memory write width mismatch on '" + S.Lhs + "'");
     return;
@@ -374,16 +401,23 @@ void Walker::checkStmt(const VStmt &S) {
 
 std::vector<Finding> Walker::run() {
   // Module level: declaration table.
+  auto Declare = [&](const std::string &Name, const VType &T) {
+    unsigned Id = id(Name);
+    if (Types[Id])
+      return false;
+    Types[Id] = &T;
+    return true;
+  };
   for (const VPort &P : M.Ports) {
     if (P.Type.K == VType::Kind::Mem)
       diag(Rule::TypeError, "memory-typed port '" + P.Name + "'");
-    if (!Types.emplace(P.Name, P.Type).second)
+    if (!Declare(P.Name, P.Type))
       diag(Rule::TypeError, "duplicate port '" + P.Name + "'");
     if (P.D == VPort::Dir::Input)
-      InputNames.insert(P.Name);
+      IsInput[id(P.Name)] = true;
   }
   for (const VDecl &D : M.Decls)
-    if (!Types.emplace(D.Name, D.Type).second)
+    if (!Declare(D.Name, D.Type))
       diag(Rule::TypeError, "duplicate declaration '" + D.Name + "'");
 
   // Per process.
@@ -402,16 +436,18 @@ std::vector<Finding> Walker::run() {
   // Cross-process checks, deterministic by variable name.
   std::map<std::string, std::vector<size_t>> Writers;
   std::map<std::string, std::vector<size_t>> BlockWriters;
-  std::map<std::string, std::vector<size_t>> NbWriters;
+  std::map<std::string, unsigned> NbWritten; ///< name -> id
   for (size_t I = 0; I != AllFacts.size(); ++I) {
-    for (const std::string &Name : AllFacts[I].BlockWr) {
-      Writers[Name].push_back(I);
-      BlockWriters[Name].push_back(I);
-    }
-    for (const std::string &Name : AllFacts[I].NbWr) {
-      if (!AllFacts[I].BlockWr.count(Name))
-        Writers[Name].push_back(I);
-      NbWriters[Name].push_back(I);
+    const ProcessFacts &F = AllFacts[I];
+    for (unsigned Id = 0; Id != Names.size(); ++Id) {
+      bool Block = ProcessFacts::has(F.BlockWr, Id);
+      bool Nb = ProcessFacts::has(F.NbWr, Id);
+      if (Block)
+        BlockWriters[Names[Id]].push_back(I);
+      if (Block || Nb)
+        Writers[Names[Id]].push_back(I);
+      if (Nb)
+        NbWritten.emplace(Names[Id], Id);
     }
   }
   for (const auto &[Name, Procs] : Writers)
@@ -423,13 +459,14 @@ std::vector<Finding> Walker::run() {
            "variable '" + Name + "' driven by processes " + Which);
     }
   for (const auto &[Name, BProcs] : BlockWriters) {
-    if (NbWriters.count(Name))
+    if (NbWritten.count(Name))
       diag(Rule::MixedAssign,
            "variable '" + Name +
                "' written both blocking (intermediate) and non-blocking "
                "(state)");
+    unsigned Id = Ids.at(Name);
     for (size_t I = 0; I != AllFacts.size(); ++I)
-      if (AllFacts[I].Reads.count(Name) &&
+      if (ProcessFacts::has(AllFacts[I].Reads, Id) &&
           std::find(BProcs.begin(), BProcs.end(), I) == BProcs.end())
         diag(Rule::NonLocalIntermediate,
              "blocking intermediate '" + Name +

@@ -7,7 +7,6 @@
 
 #include "stack/Stack.h"
 
-#include "cml/Infer.h"
 #include "cml/Interp.h"
 #include "isa/jit/Jit.h"
 #include "stack/Executor.h"
@@ -131,7 +130,7 @@ Result<Outcome> silver::stack::runSpecLevel(const RunSpec &Spec) {
   Result<cml::Program> Prog = cml::parseWithPrelude(Spec.Source);
   if (!Prog)
     return Error("parse error: " + Prog.error().str());
-  if (auto Types = cml::inferProgram(*Prog); !Types)
+  if (auto Types = cml::inferWithPrelude(*Prog); !Types)
     return Error("type error: " + Types.error().str());
   cml::RunOutput Out = cml::interpretProgram(*Prog, Spec.CommandLine,
                                              Spec.StdinData, 0);

@@ -275,3 +275,94 @@ TEST(Disassembler, InvalidWordsAndTrailingBytes) {
   EXPECT_NE(Lines[0].Text.find(".word"), std::string::npos);
   EXPECT_NE(Lines[1].Text.find(".byte"), std::string::npos);
 }
+
+namespace {
+
+/// A start with a near and a far branch, a call and address loads of
+/// its own labels and of labels defined only after it.
+void emitStart(Assembler &A) {
+  A.label("start");
+  A.emitBranch(true, Func::Snd, Operand::imm(0), Operand::reg(1), "near");
+  A.emitBranch(false, Func::Snd, Operand::imm(0), Operand::reg(1), "far");
+  A.label("near");
+  A.emitCall("main");
+  A.emitLiLabel(2, "data");
+  A.emitLiLabel(3, "far");
+  for (int I = 0; I != 600; ++I)
+    A.word(static_cast<Word>(I));
+  A.label("far");
+  A.emitJump("start");
+}
+
+void emitRest(Assembler &A) {
+  A.label("main");
+  A.emitJump("near");
+  A.emitLiLabel(4, "start");
+  A.align(4);
+  A.label("data");
+  A.ascii("abc");
+}
+
+} // namespace
+
+TEST(Assembler, FragmentPlacedAtABaseMatchesOneAssembly) {
+  Assembler Whole;
+  emitStart(Whole);
+  emitRest(Whole);
+  Assembler Start, Rest;
+  emitStart(Start);
+  emitRest(Rest);
+  Result<Fragment> F = Start.fragment();
+  ASSERT_TRUE(F) << F.error().str();
+  for (Word Base : {0x0u, 0x3000u, 0x7ff000u}) {
+    Result<Assembled> Ref = Whole.assemble(Base);
+    ASSERT_TRUE(Ref);
+    // The rest is laid out once, after the fragment at 0, and encoded
+    // where the image lands.
+    Word Size = static_cast<Word>(F->Bytes.size());
+    Result<Layout> L = Rest.layout(Size, F->Labels);
+    ASSERT_TRUE(L) << L.error().str();
+    Result<Assembled> Tail = Rest.encode(*L, F->Labels, Base);
+    ASSERT_TRUE(Tail) << Tail.error().str();
+    Result<std::vector<uint8_t>> Head = F->placeAt(Base, Tail->Symbols);
+    ASSERT_TRUE(Head) << Head.error().str();
+    std::vector<uint8_t> Bytes = Head.take();
+    Bytes.insert(Bytes.end(), Tail->Bytes.begin(), Tail->Bytes.end());
+    EXPECT_TRUE(Bytes == Ref->Bytes) << "base " << Base;
+    EXPECT_EQ(Tail->Symbols.at("data"), Ref->addressOf("data"));
+  }
+}
+
+TEST(Assembler, FragmentBranchesMustStayInside) {
+  // A branch's form depends on the distance to a label the fragment
+  // does not place.
+  Assembler A;
+  A.emitBranch(true, Func::Snd, Operand::imm(0), Operand::reg(1), "later");
+  Result<Fragment> F = A.fragment();
+  ASSERT_FALSE(F);
+  EXPECT_NE(F.error().message().find("undefined label 'later'"),
+            std::string::npos);
+}
+
+TEST(Assembler, LayoutMovesOnlyByItsAlignment) {
+  Assembler A;
+  A.ascii("x");
+  A.align(8);
+  A.label("aligned");
+  A.word(1);
+  Result<Layout> L = A.layout(0);
+  ASSERT_TRUE(L);
+  EXPECT_TRUE(A.encode(*L, {}, 0x1000));
+  Result<Assembled> Moved = A.encode(*L, {}, 4);
+  ASSERT_FALSE(Moved);
+  EXPECT_NE(Moved.error().message().find("alignment is 8"), std::string::npos);
+}
+
+TEST(Assembler, UndefinedAddressLoadIsAnError) {
+  Assembler A;
+  A.emitLiLabel(1, "nowhere");
+  Result<Assembled> R = A.assemble(0);
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().message().find("undefined label 'nowhere'"),
+            std::string::npos);
+}

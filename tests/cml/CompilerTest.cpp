@@ -8,7 +8,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ProgramGen.h"
+#include "asm/Assembler.h"
+#include "cml/CodeGen.h"
+#include "cml/Flat.h"
+#include "cml/Infer.h"
+#include "cml/Lower.h"
+#include "cml/Parser.h"
 #include "cml/Runtime.h"
+#include "stack/Apps.h"
 #include "stack/Executor.h"
 
 #include <gtest/gtest.h>
@@ -291,4 +299,168 @@ TEST(Compiler, ReportsStatistics) {
   EXPECT_GT(R->NumGlobals, 0u);
   EXPECT_GT(R->Program.size(), 1000u); // runtime + prelude + program
   EXPECT_EQ(R->CodeBase % 4096, 0u);
+}
+
+namespace {
+
+/// The pipeline over the prelude and the program as one text, pass by
+/// pass: the sequence perfbench's oneshot workload times.  Code
+/// generation fills Asm; link() assembles it twice, at 0 for the size and
+/// then at the CodeBase.
+struct WholeProgram {
+  cml::Compiled Out;
+  assembler::Assembler Asm;
+
+  static Result<WholeProgram> compile(const std::string &Source,
+                                      const cml::OptOptions &Opt) {
+    Result<cml::Program> Prog = cml::parseProgram(cml::withPrelude(Source));
+    if (!Prog)
+      return Error("parse error: " + Prog.error().str());
+    if (auto Types = cml::inferProgram(*Prog); !Types)
+      return Error("type error: " + Types.error().str());
+    Result<cml::CoreProgram> Core = cml::lowerProgram(*Prog);
+    if (!Core)
+      return Core.error();
+    WholeProgram W;
+    W.Out.Stats = cml::optimizeCore(*Core, Opt);
+    W.Out.NumGlobals = Core->GlobalCount;
+    cml::FlatProgram Flat = cml::flattenProgram(Core.take());
+    W.Out.NumFunctions = static_cast<unsigned>(Flat.Funs.size());
+    if (Result<void> G = cml::generateProgram(Flat, W.Asm); !G)
+      return G.error();
+    return W;
+  }
+
+  Result<cml::Compiled> link(const sys::LayoutParams &Params) const {
+    Result<assembler::Assembled> Sized = Asm.assemble(0);
+    if (!Sized)
+      return Sized.error();
+    Result<sys::MemoryLayout> Layout = sys::MemoryLayout::compute(
+        Params, static_cast<Word>(Sized->Bytes.size()));
+    if (!Layout)
+      return Layout.error();
+    Result<assembler::Assembled> Final = Asm.assemble(Layout->CodeBase);
+    if (!Final)
+      return Final.error();
+    cml::Compiled C = Out;
+    C.Program = std::move(Final->Bytes);
+    C.CodeBase = Layout->CodeBase;
+    return C;
+  }
+};
+
+/// Every program the byte-identity check compiles.
+std::vector<std::string> identityPrograms() {
+  std::vector<std::string> Out;
+  for (const char *App :
+       {helloSource(), catSource(), wcSource(), sortSource(),
+        proofCheckerSource(), tinCompilerSource()}) {
+    Out.push_back(App);
+    // perfbench's source variants: one more top-level value.
+    for (uint64_t Tag : {(7ull << 20) + 1, 999ull})
+      Out.push_back(std::string(App) + "\nval bench_variant_" +
+                    std::to_string(Tag) + " = " +
+                    std::to_string(Tag % 1000) + "\n");
+  }
+  for (const CorpusEntry &E : Corpus)
+    Out.push_back(E.Source);
+  // The sources of MiddleEndTest and of the tests above.
+  for (const char *Src : {
+           "val a = 1; val b = 2; fun f x = x;",
+           "fun f l = case l of [] => 0 | h :: t => h;",
+           "val x = str_sub \"ab\" 0;", "val f = str_sub \"ab\";",
+           "val x = true; val c = #\"A\";", "val x = 2 + 3 * 4;",
+           "val x = 1 div 0;", R"(val x = str_size ("ab" ^ "cde");)",
+           "val x = if 1 < 2 then 10 else 20;",
+           "val x = let val unused = (1, 2) in 5 end;",
+           "val x = let val unused = print \"hi\" in 5 end;",
+           "val r = let val f = fn x => x + 1 in f 41 end;",
+           "fun add a b = if a = 0 then b else add (a - 1) (b + 1); "
+           "val r = add 1 2;",
+           "val k = 5; fun addk x = x + k;",
+           "val r = let val k = 5 in (fn x => x + k) 1 end;",
+           "fun even n = if n = 0 then true else odd (n - 1)\n"
+           "and odd n = if n = 0 then false else even (n - 1);",
+           R"(val a = "dup"; val b = "dup"; val c = "uniq";)",
+           "val _ = print (int_to_string (str_size (read_chunk 70000)))",
+           "val _ = print (input_all ())",
+           "fun f x = x + 1; val _ = print (int_to_string (f 1));",
+           "val x = case [] of h :: t => h", "val x = chr 999",
+           // Nothing, and names that shadow the prelude's.
+           "", "val _ = ()",
+           "fun map f l = 3\nval length = 3\n"
+           "val _ = print (int_to_string (length + map 1 2))",
+           "fun rev l = l\nfun append a b = b\nval hd = \"s\"\n"
+           "val _ = print (hd ^ concat (rev (append [] [\"x\"])))"})
+    Out.push_back(Src);
+  for (uint64_t Seed = 0; Seed != 200; ++Seed)
+    Out.push_back(test::ProgramGen(Seed * 1000003ull + 5).program());
+  return Out;
+}
+
+} // namespace
+
+TEST(Compiler, PreludeOnceMatchesWholeProgramPipeline) {
+  // compileProgram resumes every pass from the prelude's saved state and
+  // places the prelude's prefix fragment; the result must be the bytes
+  // the passes give over the prelude and the program in one run.
+  cml::OptOptions NoInline = cml::OptOptions::all();
+  NoInline.InlineSizeLimit = 0;
+  sys::LayoutParams Small;
+  Small.MemSize = 8u << 20;
+  Small.StdinCap = 64u << 10;
+  unsigned Compared = 0;
+  std::vector<std::string> Programs = identityPrograms();
+  for (const std::string &Src : Programs)
+    for (const cml::OptOptions &Opt :
+         {cml::OptOptions::all(), cml::OptOptions::none(), NoInline}) {
+      Result<WholeProgram> Whole = WholeProgram::compile(Src, Opt);
+      ASSERT_TRUE(Whole) << Src << "\n" << Whole.error().str();
+      for (const sys::LayoutParams &Layout : {sys::LayoutParams(), Small}) {
+        Result<cml::Compiled> Ref = Whole->link(Layout);
+        ASSERT_TRUE(Ref) << Src << "\n" << Ref.error().str();
+        cml::CompileOptions Options;
+        Options.Opt = Opt;
+        Options.Layout = Layout;
+        Result<cml::Compiled> Got = cml::compileProgram(Src, Options);
+        ASSERT_TRUE(Got) << Src << "\n" << Got.error().str();
+        ASSERT_EQ(Got->CodeBase, Ref->CodeBase) << Src;
+        ASSERT_TRUE(Got->Program == Ref->Program) << Src;
+        EXPECT_EQ(Got->Stats.FoldedConstants, Ref->Stats.FoldedConstants);
+        EXPECT_EQ(Got->Stats.RemovedLets, Ref->Stats.RemovedLets);
+        EXPECT_EQ(Got->Stats.InlinedCalls, Ref->Stats.InlinedCalls);
+        EXPECT_EQ(Got->NumFunctions, Ref->NumFunctions);
+        EXPECT_EQ(Got->NumGlobals, Ref->NumGlobals);
+        ++Compared;
+      }
+    }
+  EXPECT_EQ(Compared, Programs.size() * 6);
+}
+
+TEST(Compiler, ErrorTextsNameTheProgramsOwnPositionsAndTypes) {
+  // Type variables are numbered after the prelude's, as when the two
+  // were checked in one run.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"val x = 1 + true;", "type error: 1:13: type mismatch: bool vs int"},
+      {"val = ;", "parse error: 1:5: expected an identifier"},
+      {"val a = 1\nval b = \"x\" ^ 3",
+       "type error: 2:15: type mismatch: int vs string"},
+      {"val b = (fn x => x) = (fn y => y)",
+       "type error: 1:21: equality used at a function type ('t303 -> "
+       "'t303)"},
+      {"val _ = print (foo 3)", "type error: 1:16: unbound variable 'foo'"},
+      {"fun map f l = case l of [] => [] | h :: t => f h :: map f t :: [];",
+       "type error: 1:5: occurs check: cannot construct the infinite type"},
+  };
+  for (const auto &[Src, Text] : Cases) {
+    Result<cml::Compiled> R = cml::compileProgram(Src);
+    ASSERT_FALSE(R) << Src;
+    EXPECT_EQ(R.error().str(), Text);
+    // The Spec level checks the same declarations the same way.
+    RunSpec Spec;
+    Spec.Source = Src;
+    Result<Outcome> S = runSpecLevel(Spec);
+    ASSERT_FALSE(S) << Src;
+    EXPECT_EQ(S.error().str(), Text);
+  }
 }
