@@ -97,22 +97,6 @@ const char *builtinSource(const std::string &Name) {
   return nullptr;
 }
 
-bool parseLevel(const std::string &Name, stack::Level &Out) {
-  if (Name == "spec")
-    Out = stack::Level::Spec;
-  else if (Name == "machine")
-    Out = stack::Level::Machine;
-  else if (Name == "isa")
-    Out = stack::Level::Isa;
-  else if (Name == "rtl")
-    Out = stack::Level::Rtl;
-  else if (Name == "verilog")
-    Out = stack::Level::Verilog;
-  else
-    return false;
-  return true;
-}
-
 /// Prints a settled job the way scripts and humans want it, returns the
 /// process exit code.
 int reportJob(const svc::JobInfo &Info, const std::string &LevelName,
@@ -203,7 +187,7 @@ int main(int Argc, char **Argv) {
     else if (startsWith(A, "--builtin="))
       Builtin = A.substr(10);
     else if (startsWith(A, "--level=")) {
-      if (!parseLevel(A.substr(8), Spec.Level))
+      if (!stack::parseLevel(A.substr(8), Spec.Level))
         return usage();
     } else if (startsWith(A, "--backend=")) {
       if (!stack::parseBackendKind(A.substr(10), Spec.Backend))

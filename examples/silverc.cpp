@@ -278,17 +278,7 @@ int main(int Argc, char **Argv) {
   }
 
   stack::Level L;
-  if (Level == "spec")
-    L = stack::Level::Spec;
-  else if (Level == "machine")
-    L = stack::Level::Machine;
-  else if (Level == "isa")
-    L = stack::Level::Isa;
-  else if (Level == "rtl")
-    L = stack::Level::Rtl;
-  else if (Level == "verilog")
-    L = stack::Level::Verilog;
-  else
+  if (!stack::parseLevel(Level, L))
     return usage();
 
   bool WantObs = !TraceFile.empty() || !TraceJsonlFile.empty() || ShowCounters;

@@ -351,9 +351,14 @@ CExpPtr Lowerer::lowerExp(const Exp &E, const Scope &Sc) {
       F = CExp::app(std::move(F), lowerExp(*A, Sc));
     return F;
   }
-  case ExpKind::If:
-    return CExp::ifExp(lowerExp(*E.E0, Sc), lowerExp(*E.E1, Sc),
-                       lowerExp(*E.E2, Sc));
+  case ExpKind::If: {
+    // Fresh names number in lowering order, so the order is spelled out:
+    // right to left, else branch first, as every image was built.
+    CExpPtr Else = lowerExp(*E.E2, Sc);
+    CExpPtr Then = lowerExp(*E.E1, Sc);
+    CExpPtr Cond = lowerExp(*E.E0, Sc);
+    return CExp::ifExp(std::move(Cond), std::move(Then), std::move(Else));
+  }
   case ExpKind::Case:
     return lowerCase(E, Sc);
   case ExpKind::LetVal: {
@@ -380,11 +385,15 @@ CExpPtr Lowerer::lowerExp(const Exp &E, const Scope &Sc) {
     return CExp::prim(PrimKind::MkPair, std::move(Args));
   }
   case ExpKind::AndAlso:
-    return CExp::ifExp(lowerExp(*E.E0, Sc), lowerExp(*E.E1, Sc),
-                       CExp::intConst(0));
-  case ExpKind::OrElse:
-    return CExp::ifExp(lowerExp(*E.E0, Sc), CExp::intConst(1),
-                       lowerExp(*E.E1, Sc));
+  case ExpKind::OrElse: {
+    // Right operand first, like If's branches.
+    CExpPtr Right = lowerExp(*E.E1, Sc);
+    CExpPtr Left = lowerExp(*E.E0, Sc);
+    if (E.Kind == ExpKind::AndAlso)
+      return CExp::ifExp(std::move(Left), std::move(Right),
+                         CExp::intConst(0));
+    return CExp::ifExp(std::move(Left), CExp::intConst(1), std::move(Right));
+  }
   case ExpKind::Prim: {
     CExpPtr L = lowerExp(*E.E0, Sc);
     CExpPtr R = lowerExp(*E.E1, Sc);

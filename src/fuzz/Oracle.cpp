@@ -49,20 +49,16 @@ const char *silver::fuzz::runName(const Run &R) {
 }
 
 bool silver::fuzz::parseRun(const std::string &Name, Run &Out) {
-  static const std::pair<const char *, Run> Runs[] = {
-      {"machine", Level::Machine},
-      {"isa", Level::Isa},
-      {"jit", JitRun},
-      {"rtl", Level::Rtl},
-      {"verilog", Level::Verilog},
-      {"verilog-compiled", CompiledRun},
-  };
-  for (const auto &[Spelling, R] : Runs)
-    if (Name == Spelling) {
-      Out = R;
-      return true;
-    }
-  return false;
+  Level L;
+  if (Name == "jit")
+    Out = JitRun;
+  else if (Name == "verilog-compiled")
+    Out = CompiledRun;
+  else if (stack::parseLevel(Name, L) && L != Level::Spec)
+    Out = L; // the spec level has no machine state to compare
+  else
+    return false;
+  return true;
 }
 
 std::string Divergence::fingerprint() const {

@@ -93,6 +93,20 @@ const char *silver::stack::levelName(Level L) {
   return "?";
 }
 
+bool silver::stack::parseLevel(const std::string &Name, Level &Out) {
+  static const std::pair<const char *, Level> Levels[] = {
+      {"spec", Level::Spec},   {"machine", Level::Machine},
+      {"isa", Level::Isa},     {"rtl", Level::Rtl},
+      {"verilog", Level::Verilog},
+  };
+  for (const auto &[Spelling, L] : Levels)
+    if (Name == Spelling) {
+      Out = L;
+      return true;
+    }
+  return false;
+}
+
 Result<Prepared> silver::stack::prepare(const RunSpec &Spec) {
   Result<cml::Compiled> Compiled =
       cml::compileProgram(Spec.Source, Spec.Compile);

@@ -101,6 +101,10 @@ struct RunSpec {
 enum class Level : uint8_t { Spec, Machine, Isa, Rtl, Verilog };
 const char *levelName(Level L);
 
+/// Parses a level as the CLIs spell it (spec, machine, isa, rtl,
+/// verilog); returns false when \p Name is unknown.
+bool parseLevel(const std::string &Name, Level &Out);
+
 /// Observable outcome of one run.
 struct Observed {
   std::string StdoutData;

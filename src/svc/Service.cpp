@@ -26,7 +26,18 @@ using Clock = std::chrono::steady_clock;
 //===----------------------------------------------------------------------===//
 
 struct Service::Job {
+  explicit Job(const JobSpec &S)
+      : Spec(S), SubmitAt(Clock::now()), LastTouch(SubmitAt),
+        SliceGrant(S.SliceInstructions) {
+    Info.Level = S.Level;
+    Info.Priority = std::min<uint8_t>(S.Priority, NumPriorities - 1);
+  }
+
   JobSpec Spec;
+  /// Also the job's park point once it has paused:
+  /// Outcome.Behaviour.Instructions, HasDigest and Digest are where the
+  /// last slice parked it.  A fresh session for a job with a park point
+  /// (its session died with an earlier process) catches up to it.
   JobInfo Info;
   /// The parked session while Paused; moved out to the worker while
   /// Running; null otherwise.
@@ -43,19 +54,49 @@ struct Service::Job {
   /// per worker chunk when Spec.LiveOutput, synced at every slice
   /// boundary regardless.
   std::string Stream;
-  /// Deterministic-replay coordinates for a session recovered from the
-  /// journal (the live Executor died with the old process): re-run to
-  /// ReplayTarget retired instructions, check the digest, continue.
-  /// Mirrors the latest Pause record while the process lives.
-  uint64_t ReplayTarget = 0;
-  bool HasReplayDigest = false;
-  stack::StateDigest ReplayDigest;
-};
 
-struct Service::ReplayGoal {
-  uint64_t Target = 0; ///< retired-instruction count to catch up to
-  bool Verify = false;
-  stack::StateDigest Digest;
+  /// The journal record of transition \p K, built from the job as it
+  /// stands after the transition.  The live service journals every
+  /// transition through it, and startup compaction rewrites each
+  /// recovered job's chain through it.
+  Record record(RecordKind K) const {
+    Record R;
+    R.Kind = K;
+    R.JobId = Info.Id;
+    switch (K) {
+    case RecordKind::Submit:
+      R.Spec = Spec;
+      break;
+    case RecordKind::Pause:
+      R.Instructions = Info.Outcome.Behaviour.Instructions;
+      R.SlicesRun = Info.SlicesRun;
+      R.HasDigest = Info.Outcome.HasDigest;
+      R.Digest = Info.Outcome.Digest;
+      break;
+    case RecordKind::Resume:
+      R.SliceGrant = SliceGrant;
+      break;
+    case RecordKind::Settle:
+      R.Final = Info.State;
+      break;
+    }
+    return R;
+  }
+
+  /// The inverse of record() for the transitions after Submit, as
+  /// recovery folds a journal (Settle drops the job instead).
+  void fold(const Record &R) {
+    if (R.Kind == RecordKind::Pause) {
+      Info.State = JobState::Paused;
+      Info.SlicesRun = R.SlicesRun;
+      Info.Outcome.Behaviour.Instructions = R.Instructions;
+      Info.Outcome.HasDigest = R.HasDigest;
+      Info.Outcome.Digest = R.Digest;
+    } else if (R.Kind == RecordKind::Resume) {
+      Info.State = JobState::Queued;
+      SliceGrant = R.SliceGrant ? R.SliceGrant : Spec.SliceInstructions;
+    }
+  }
 };
 
 struct Service::Worker {
@@ -103,48 +144,39 @@ Service::~Service() {
 // Front door
 //===----------------------------------------------------------------------===//
 
+/// Why the queue refused a push, or null when it took the job.
+static const char *pushRefusal(JobQueue::PushResult P) {
+  switch (P) {
+  case JobQueue::PushResult::Ok:
+    return nullptr;
+  case JobQueue::PushResult::Full:
+    return "queue full";
+  case JobQueue::PushResult::Quota:
+    return "client quota exceeded";
+  case JobQueue::PushResult::Closed:
+    break;
+  }
+  return "service is shutting down";
+}
+
 JobInfo Service::submit(const JobSpec &Spec) {
-  JobInfo Info;
-  Info.Level = Spec.Level;
-  Info.Priority =
-      std::min<uint8_t>(Spec.Priority, NumPriorities - 1);
-
+  auto J = std::make_unique<Job>(Spec);
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Draining) {
-    Info.State = JobState::Rejected;
-    Info.Outcome.Error = "service is draining";
+  const char *Refusal =
+      Draining ? "service is draining"
+               : pushRefusal(Queue.push(NextId, J->Info.Priority,
+                                        Spec.ClientId));
+  if (Refusal) {
+    J->Info.State = JobState::Rejected;
+    J->Info.Outcome.Error = Refusal;
     ++Count.Rejected;
-    return Info;
+    return J->Info;
   }
-  uint64_t Id = NextId;
-  JobQueue::PushResult P = Queue.push(Id, Info.Priority, Spec.ClientId);
-  if (P != JobQueue::PushResult::Ok) {
-    Info.State = JobState::Rejected;
-    Info.Outcome.Error = P == JobQueue::PushResult::Full ? "queue full"
-                         : P == JobQueue::PushResult::Quota
-                             ? "client quota exceeded"
-                             : "service is shutting down";
-    ++Count.Rejected;
-    return Info;
-  }
-  ++NextId;
-  Info.Id = Id;
-  Info.State = JobState::Queued;
-
-  auto J = std::make_unique<Job>();
-  J->Spec = Spec;
-  J->Info = Info;
-  J->SubmitAt = J->LastTouch = Clock::now();
-  J->SliceGrant = Spec.SliceInstructions;
-  Jobs[Id] = std::move(J);
+  J->Info.Id = NextId++;
   ++Count.Submitted;
-  ++ActiveCount;
-
-  Record Rec;
-  Rec.Kind = RecordKind::Submit;
-  Rec.JobId = Id;
-  Rec.Spec = Spec;
-  journalLocked(Rec);
+  journalLocked(J->record(RecordKind::Submit));
+  JobInfo Info = J->Info;
+  Jobs[Info.Id] = std::move(J);
   return Info;
 }
 
@@ -181,24 +213,14 @@ Result<JobInfo> Service::resume(uint64_t Id, uint64_t SliceInstructions) {
   if (J.Info.State != JobState::Paused)
     return Error(std::string("job is ") + jobStateName(J.Info.State) +
                  ", not paused");
-  JobQueue::PushResult P = Queue.push(Id, J.Info.Priority, J.Spec.ClientId);
-  if (P != JobQueue::PushResult::Ok)
-    return Error(P == JobQueue::PushResult::Full ? "queue full"
-                 : P == JobQueue::PushResult::Quota
-                     ? "client quota exceeded"
-                     : "service is shutting down");
+  if (const char *Refusal =
+          pushRefusal(Queue.push(Id, J.Info.Priority, J.Spec.ClientId)))
+    return Error(Refusal);
   J.Info.State = JobState::Queued;
   J.SliceGrant =
       SliceInstructions ? SliceInstructions : J.Spec.SliceInstructions;
   J.LastTouch = Clock::now();
-  --PausedCount;
-  ++ActiveCount;
-
-  Record Rec;
-  Rec.Kind = RecordKind::Resume;
-  Rec.JobId = Id;
-  Rec.SliceGrant = J.SliceGrant;
-  journalLocked(Rec);
+  journalLocked(J.record(RecordKind::Resume));
   return J.Info;
 }
 
@@ -212,7 +234,6 @@ Result<JobInfo> Service::cancel(uint64_t Id) {
   case JobState::Queued:
     // Settle now; the worker skips it when it surfaces from the queue.
     J.CancelRequested.store(true, std::memory_order_relaxed);
-    --ActiveCount;
     settleLocked(J, JobState::Cancelled);
     break;
   case JobState::Running:
@@ -221,7 +242,6 @@ Result<JobInfo> Service::cancel(uint64_t Id) {
     break;
   case JobState::Paused:
     J.Exec.reset();
-    --PausedCount;
     settleLocked(J, JobState::Cancelled);
     break;
   default:
@@ -233,7 +253,9 @@ Result<JobInfo> Service::cancel(uint64_t Id) {
 void Service::drain() {
   std::unique_lock<std::mutex> Lock(Mu);
   Draining = true;
-  Cv.wait(Lock, [this] { return ActiveCount == 0; });
+  Cv.wait(Lock, [this] {
+    return countLocked({JobState::Queued, JobState::Running}) == 0;
+  });
 }
 
 bool Service::draining() const {
@@ -257,7 +279,6 @@ unsigned Service::evictIdleSessions() {
     if (static_cast<uint64_t>(IdleMs) < Opts.IdleEvictMs)
       continue;
     J.Exec.reset();
-    --PausedCount;
     settleLocked(J, JobState::Evicted);
     ++Evicted;
   }
@@ -275,13 +296,17 @@ void Service::journalLocked(const Record &R) {
     ++JournalAppendErrors;
 }
 
+unsigned Service::countLocked(std::initializer_list<JobState> States) const {
+  unsigned N = 0;
+  for (const auto &Entry : Jobs)
+    for (JobState S : States)
+      N += Entry.second->Info.State == S;
+  return N;
+}
+
 void Service::settleLocked(Job &J, JobState S) {
   J.Info.State = S;
-  Record Rec;
-  Rec.Kind = RecordKind::Settle;
-  Rec.JobId = J.Info.Id;
-  Rec.Final = S;
-  journalLocked(Rec);
+  journalLocked(J.record(RecordKind::Settle));
   switch (S) {
   case JobState::Completed:
     ++Count.Completed;
@@ -335,7 +360,7 @@ void Service::workerMain(unsigned Index) {
     std::unique_ptr<stack::Executor> Exec;
     JobSpec Spec;
     uint64_t SliceGrant = 0;
-    ReplayGoal Replay;
+    JobOutcome ParkPoint;
     {
       std::lock_guard<std::mutex> Lock(Mu);
       auto It = Jobs.find(*IdOpt);
@@ -348,17 +373,14 @@ void Service::workerMain(unsigned Index) {
       Exec = std::move(J->Exec);
       Spec = J->Spec;
       SliceGrant = J->SliceGrant;
-      // No live session but journaled progress: a job recovered across a
-      // process death — catch up deterministically before the slice.
-      if (!Exec && J->ReplayTarget) {
-        Replay.Target = J->ReplayTarget;
-        Replay.Verify = J->HasReplayDigest;
-        Replay.Digest = J->ReplayDigest;
-      }
+      // No live session: the outcome is empty for a fresh job and the
+      // journaled park point for a recovered one.
+      if (!Exec)
+        ParkPoint = J->Info.Outcome;
     }
 
-    SliceResult R = executeSlice(*J, Spec, std::move(Exec), SliceGrant, Replay,
-                                 Opts.Instrument ? &W : nullptr);
+    SliceResult R = executeSlice(*J, Spec, std::move(Exec), SliceGrant,
+                                 ParkPoint, Opts.Instrument ? &W : nullptr);
 
     if (Opts.Instrument) {
       std::lock_guard<std::mutex> Lock(W.TotalsMu);
@@ -376,26 +398,13 @@ void Service::workerMain(unsigned Index) {
         StreamBytes += Stdout.size() - J->Stream.size();
         J->Stream = Stdout;
       }
-      --ActiveCount;
       if (R.State == JobState::Paused) {
         J->Exec = std::move(R.Exec);
         J->Info.State = JobState::Paused;
         J->LastTouch = Clock::now();
-        ++PausedCount;
-        // Mirror the park point so the job survives a process death from
-        // here: the journal gets the replay coordinates, the in-memory
-        // copy serves a recovery that happens after further resumes.
-        J->ReplayTarget = J->Info.Outcome.Behaviour.Instructions;
-        J->HasReplayDigest = J->Info.Outcome.HasDigest;
-        J->ReplayDigest = J->Info.Outcome.Digest;
-        Record Rec;
-        Rec.Kind = RecordKind::Pause;
-        Rec.JobId = J->Info.Id;
-        Rec.Instructions = J->ReplayTarget;
-        Rec.SlicesRun = J->Info.SlicesRun;
-        Rec.HasDigest = J->HasReplayDigest;
-        Rec.Digest = J->ReplayDigest;
-        journalLocked(Rec);
+        // Journal the park point so the job survives a process death
+        // from here.
+        journalLocked(J->record(RecordKind::Pause));
         Cv.notify_all();
       } else {
         settleLocked(*J, R.State);
@@ -409,9 +418,14 @@ void Service::workerMain(unsigned Index) {
 Service::SliceResult
 Service::executeSlice(Job &J, const JobSpec &Spec,
                       std::unique_ptr<stack::Executor> Exec,
-                      uint64_t SliceGrant, const ReplayGoal &Replay,
+                      uint64_t SliceGrant, const JobOutcome &ParkPoint,
                       Worker *W) {
   SliceResult R;
+  auto Fail = [&R](std::string Why) {
+    R.State = JobState::Failed;
+    R.Outcome.Error = std::move(Why);
+    return std::move(R);
+  };
   const bool Fresh = !Exec;
 
   // First slice: compile (through the cache) and open the session.
@@ -426,11 +440,8 @@ Service::executeSlice(Job &J, const JobSpec &Spec,
     Run.Exec.Hdl = Spec.Hdl;
 
     Result<stack::Prepared> P = Cache.prepare(Run);
-    if (!P) {
-      R.State = JobState::Failed;
-      R.Outcome.Error = "prepare: " + P.error().str();
-      return R;
-    }
+    if (!P)
+      return Fail("prepare: " + P.error().str());
     Exec = std::make_unique<stack::Executor>(
         stack::Executor::fromPrepared(std::move(Run), P.take()));
     if (W)
@@ -439,21 +450,15 @@ Service::executeSlice(Job &J, const JobSpec &Spec,
     // The Spec level has no machine steps: one-shot, no session.
     if (Spec.Level == stack::Level::Spec) {
       Result<stack::Outcome> Out = Exec->run(stack::Level::Spec);
-      if (!Out) {
-        R.State = JobState::Failed;
-        R.Outcome.Error = Out.error().str();
-        return R;
-      }
+      if (!Out)
+        return Fail(Out.error().str());
       R.State = JobState::Completed;
       R.Outcome.Behaviour = Out->Behaviour;
       return R;
     }
 
-    if (Result<void> B = Exec->begin(Spec.Level); !B) {
-      R.State = JobState::Failed;
-      R.Outcome.Error = B.error().str();
-      return R;
-    }
+    if (Result<void> B = Exec->begin(Spec.Level); !B)
+      return Fail(B.error().str());
   } else if (W) {
     // A resumed session keeps emitting into the current worker's
     // counters (a job may migrate between workers; merge makes the
@@ -461,73 +466,27 @@ Service::executeSlice(Job &J, const JobSpec &Spec,
     Exec->attach(&W->SliceCounters);
   }
 
-  // Journal recovery: the parked session died with the old process, so
-  // re-run the fresh one to the journaled retired-instruction count and
-  // check it lands on the journaled StateDigest — execution here is a
-  // deterministic function of the prepared image and the inputs, so a
-  // mismatch means the journal and the program disagree and the job
-  // must fail loudly rather than continue from the wrong state.  The
-  // slice budget and wall deadline apply to post-catch-up work only.
-  if (Fresh && Replay.Target) {
-    while (true) {
-      Result<uint64_t> Done = Exec->sessionInstructions();
-      if (!Done) {
-        R.State = JobState::Failed;
-        R.Outcome.Error = Done.error().str();
-        return R;
-      }
-      if (*Done > Replay.Target) {
-        R.State = JobState::Failed;
-        R.Outcome.Error =
-            "journal replay: session overshot the pause point (" +
-            std::to_string(*Done) + " > " + std::to_string(Replay.Target) +
-            " instructions)";
-        return R;
-      }
-      if (*Done == Replay.Target)
-        break;
-      uint64_t Chunk =
-          std::min(Replay.Target - *Done, Opts.ChunkInstructions);
-      Result<stack::RunStatus> S = Exec->step(Chunk);
-      if (!S) {
-        R.State = JobState::Failed;
-        R.Outcome.Error = "journal replay: " + S.error().str();
-        return R;
-      }
-      if (*S != stack::RunStatus::Paused) {
-        R.State = JobState::Failed;
-        R.Outcome.Error = "journal replay: session ended (" +
-                          std::string(stack::runStatusName(*S)) +
-                          ") before the journaled pause point at " +
-                          std::to_string(Replay.Target) + " instructions";
-        return R;
-      }
-      if (Spec.LiveOutput)
-        if (Result<stack::Observed> B = Exec->sessionBehaviour())
-          publishStream(J, B->StdoutData);
-    }
-    if (Replay.Verify) {
-      Result<stack::StateDigest> D = Exec->sessionState();
-      if (!D) {
-        R.State = JobState::Failed;
-        R.Outcome.Error = D.error().str();
-        return R;
-      }
-      if (*D != Replay.Digest) {
-        R.State = JobState::Failed;
-        R.Outcome.Error = "journal replay: state digest mismatch at "
-                          "instruction " +
-                          std::to_string(Replay.Target);
-        return R;
-      }
-    }
-  }
-
-  Clock::time_point Deadline =
-      Spec.WallMsBudget
-          ? Clock::now() + std::chrono::milliseconds(Spec.WallMsBudget)
-          : Clock::time_point::max();
-  uint64_t SliceLeft = SliceGrant ? SliceGrant : UINT64_MAX;
+  // The slice runs in two phases.  Catch-up comes first when a fresh
+  // session serves a job that already has a park point: the session
+  // that held it died with an earlier process, so the new one re-runs
+  // to the park point's retired-instruction count and must land on its
+  // StateDigest.  Execution is a deterministic function of the prepared
+  // image and the inputs, so a mismatch means the journal and the
+  // program disagree, and the job fails loudly rather than continue from
+  // the wrong state.  Catch-up runs with no grant and no deadline; the
+  // slice grant and the wall deadline start at the park point.
+  const uint64_t CatchUpTo = Fresh ? ParkPoint.Behaviour.Instructions : 0;
+  bool CatchingUp = CatchUpTo != 0;
+  uint64_t SliceLeft = UINT64_MAX;
+  Clock::time_point Deadline = Clock::time_point::max();
+  auto StartSlice = [&] {
+    CatchingUp = false;
+    SliceLeft = SliceGrant ? SliceGrant : UINT64_MAX;
+    if (Spec.WallMsBudget)
+      Deadline = Clock::now() + std::chrono::milliseconds(Spec.WallMsBudget);
+  };
+  if (!CatchingUp)
+    StartSlice();
 
   auto Park = [&](JobState S) {
     if (Result<stack::StateDigest> D = Exec->sessionState()) {
@@ -552,19 +511,29 @@ Service::executeSlice(Job &J, const JobSpec &Spec,
       return R;
     }
     Result<uint64_t> Before = Exec->sessionInstructions();
-    if (!Before) {
-      R.State = JobState::Failed;
-      R.Outcome.Error = Before.error().str();
-      return R;
+    if (!Before)
+      return Fail(Before.error().str());
+    if (CatchingUp && *Before >= CatchUpTo) {
+      if (*Before > CatchUpTo)
+        return Fail("journal replay: session overshot the pause point (" +
+                    std::to_string(*Before) + " > " +
+                    std::to_string(CatchUpTo) + " instructions)");
+      if (ParkPoint.HasDigest) {
+        Result<stack::StateDigest> D = Exec->sessionState();
+        if (!D)
+          return Fail(D.error().str());
+        if (*D != ParkPoint.Digest)
+          return Fail("journal replay: state digest mismatch at "
+                      "instruction " +
+                      std::to_string(CatchUpTo));
+      }
+      StartSlice();
     }
-    uint64_t Chunk = std::min(SliceLeft, Opts.ChunkInstructions);
+    uint64_t Chunk = std::min(CatchingUp ? CatchUpTo - *Before : SliceLeft,
+                              Opts.ChunkInstructions);
     Result<stack::RunStatus> S = Exec->step(Chunk);
-    if (!S) {
-      // step() tears the session down on faults; nothing to park.
-      R.State = JobState::Failed;
-      R.Outcome.Error = S.error().str();
-      return R;
-    }
+    if (!S) // step() tears the session down on faults; nothing to park
+      return Fail((CatchingUp ? "journal replay: " : "") + S.error().str());
     if (Result<uint64_t> After = Exec->sessionInstructions())
       SliceLeft -= std::min(*After - *Before, SliceLeft);
 
@@ -575,6 +544,11 @@ Service::executeSlice(Job &J, const JobSpec &Spec,
       if (Result<stack::Observed> B = Exec->sessionBehaviour())
         publishStream(J, B->StdoutData);
 
+    if (CatchingUp && *S != stack::RunStatus::Paused)
+      return Fail("journal replay: session ended (" +
+                  std::string(stack::runStatusName(*S)) +
+                  ") before the journaled pause point at " +
+                  std::to_string(CatchUpTo) + " instructions");
     switch (*S) {
     case stack::RunStatus::Completed:
       Park(JobState::Completed);
@@ -663,51 +637,20 @@ void Service::recoverFromJournal() {
   if (RR.Records.empty())
     return;
 
-  // Fold the record sequence into per-job final states.  Settled jobs
-  // drop out (their outcomes died with the old process; history is not
-  // what the journal durably promises — pending work is).
-  struct Pending {
-    JobSpec Spec;
-    bool Paused = false;   ///< last lifecycle record was a Pause
-    uint64_t Target = 0;   ///< replay coordinates from that Pause
-    uint64_t SlicesRun = 0;
-    bool HasDigest = false;
-    stack::StateDigest Digest;
-    uint64_t Grant = 0;
-  };
-  std::map<uint64_t, Pending> Live; // ordered: re-admit oldest first
+  // Fold the record sequence into the Job records the live service
+  // keeps.  Settled jobs drop out (their outcomes died with the old
+  // process; history is not what the journal durably promises — pending
+  // work is).
+  std::map<uint64_t, std::unique_ptr<Job>> Live; // ordered: oldest first
   for (const Record &R : RR.Records) {
-    switch (R.Kind) {
-    case RecordKind::Submit: {
-      Pending P;
-      P.Spec = R.Spec;
-      P.Grant = R.Spec.SliceInstructions;
-      Live[R.JobId] = std::move(P);
-      break;
-    }
-    case RecordKind::Pause: {
-      auto It = Live.find(R.JobId);
-      if (It == Live.end())
-        break;
-      It->second.Paused = true;
-      It->second.Target = R.Instructions;
-      It->second.SlicesRun = R.SlicesRun;
-      It->second.HasDigest = R.HasDigest;
-      It->second.Digest = R.Digest;
-      break;
-    }
-    case RecordKind::Resume: {
-      auto It = Live.find(R.JobId);
-      if (It == Live.end())
-        break;
-      It->second.Paused = false;
-      It->second.Grant =
-          R.SliceGrant ? R.SliceGrant : It->second.Spec.SliceInstructions;
-      break;
-    }
-    case RecordKind::Settle:
-      Live.erase(R.JobId);
-      break;
+    if (R.Kind == RecordKind::Submit) {
+      std::unique_ptr<Job> &J = Live[R.JobId] = std::make_unique<Job>(R.Spec);
+      J->Info.Id = R.JobId;
+    } else if (auto It = Live.find(R.JobId); It != Live.end()) {
+      if (R.Kind == RecordKind::Settle)
+        Live.erase(It);
+      else
+        It->second->fold(R);
     }
   }
 
@@ -716,28 +659,13 @@ void Service::recoverFromJournal() {
   // appends anything new.
   std::vector<Record> Compacted;
   for (const auto &Entry : Live) {
-    const Pending &P = Entry.second;
-    Record S;
-    S.Kind = RecordKind::Submit;
-    S.JobId = Entry.first;
-    S.Spec = P.Spec;
-    Compacted.push_back(std::move(S));
-    if (P.Target || P.Paused) {
-      Record Pa;
-      Pa.Kind = RecordKind::Pause;
-      Pa.JobId = Entry.first;
-      Pa.Instructions = P.Target;
-      Pa.SlicesRun = P.SlicesRun;
-      Pa.HasDigest = P.HasDigest;
-      Pa.Digest = P.Digest;
-      Compacted.push_back(std::move(Pa));
-      if (!P.Paused) {
-        Record Re;
-        Re.Kind = RecordKind::Resume;
-        Re.JobId = Entry.first;
-        Re.SliceGrant = P.Grant;
-        Compacted.push_back(std::move(Re));
-      }
+    const Job &J = *Entry.second;
+    Compacted.push_back(J.record(RecordKind::Submit));
+    bool Paused = J.Info.State == JobState::Paused;
+    if (Paused || J.Info.Outcome.Behaviour.Instructions) {
+      Compacted.push_back(J.record(RecordKind::Pause));
+      if (!Paused)
+        Compacted.push_back(J.record(RecordKind::Resume));
     }
   }
   if (Result<void> C = Jrnl.compact(Compacted); !C) {
@@ -746,52 +674,21 @@ void Service::recoverFromJournal() {
                  C.error().str().c_str());
   }
 
-  // Re-admit.  Queued jobs go back on the queue; paused jobs park with
-  // no live session but with replay coordinates, so a resume() rebuilds
-  // them deterministically.
-  uint64_t MaxId = 0;
+  // Re-admit, oldest first.  Queued jobs go back on the queue; paused
+  // jobs park with no live session, so the worker catches a resumed one
+  // up to its park point before its slice.
   for (auto &Entry : Live) {
     uint64_t Id = Entry.first;
-    Pending &P = Entry.second;
-    MaxId = std::max(MaxId, Id);
-
-    auto J = std::make_unique<Job>();
-    J->Spec = std::move(P.Spec);
-    J->Info.Id = Id;
-    J->Info.Level = J->Spec.Level;
-    J->Info.Priority = std::min<uint8_t>(J->Spec.Priority, NumPriorities - 1);
-    J->Info.SlicesRun = P.SlicesRun;
-    J->SubmitAt = J->LastTouch = Clock::now();
-    J->SliceGrant = P.Grant;
-    J->ReplayTarget = P.Target;
-    J->HasReplayDigest = P.HasDigest;
-    J->ReplayDigest = P.Digest;
-    if (P.Paused) {
-      J->Info.State = JobState::Paused;
-      // Surface the journaled park point through status(): the digest a
-      // client recorded before the crash must still be visible after it.
-      J->Info.Outcome.HasDigest = P.HasDigest;
-      J->Info.Outcome.Digest = P.Digest;
-      J->Info.Outcome.Behaviour.Instructions = P.Target;
-      ++PausedCount;
-    } else {
-      JobQueue::PushResult Push =
-          Queue.push(Id, J->Info.Priority, J->Spec.ClientId);
-      if (Push == JobQueue::PushResult::Ok) {
-        J->Info.State = JobState::Queued;
-        ++ActiveCount;
-      } else {
-        J->Info.Outcome.Error = "journal recovery: could not re-queue job";
-        Jobs[Id] = std::move(J);
-        ++RecoveredJobs;
-        settleLocked(*Jobs[Id], JobState::Failed);
-        continue;
-      }
-    }
-    Jobs[Id] = std::move(J);
+    Job &J = *(Jobs[Id] = std::move(Entry.second));
+    NextId = std::max(NextId, Id + 1);
     ++RecoveredJobs;
+    if (J.Info.State == JobState::Queued &&
+        Queue.push(Id, J.Info.Priority, J.Spec.ClientId) !=
+            JobQueue::PushResult::Ok) {
+      J.Info.Outcome.Error = "journal recovery: could not re-queue job";
+      settleLocked(J, JobState::Failed);
+    }
   }
-  NextId = std::max(NextId, MaxId + 1);
 }
 
 Service::JournalStats Service::journalStats() const {
@@ -842,8 +739,9 @@ std::string Service::statsJson() const {
   Out += ",\"failed\":" + std::to_string(Count.Failed);
   Out += ",\"evicted\":" + std::to_string(Count.Evicted);
   Out += ",\"rejected\":" + std::to_string(Count.Rejected);
-  Out += ",\"active\":" + std::to_string(ActiveCount);
-  Out += ",\"paused\":" + std::to_string(PausedCount);
+  Out += ",\"active\":" +
+         std::to_string(countLocked({JobState::Queued, JobState::Running}));
+  Out += ",\"paused\":" + std::to_string(countLocked({JobState::Paused}));
   Out += "}";
 
   stack::PrepareCache::CacheStats CS = Cache.stats();

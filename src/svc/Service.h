@@ -49,6 +49,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -186,13 +187,15 @@ private:
   struct Worker;
   struct SliceResult;
 
-  struct ReplayGoal; ///< deterministic-replay target for recovered jobs
-
   void workerMain(unsigned Index);
+  /// One slice of \p J.  A fresh session (null \p Exec) first catches
+  /// up to \p ParkPoint when that records a pause.
   SliceResult executeSlice(Job &J, const JobSpec &Spec,
                            std::unique_ptr<stack::Executor> Exec,
-                           uint64_t SliceGrant, const ReplayGoal &Replay,
+                           uint64_t SliceGrant, const JobOutcome &ParkPoint,
                            Worker *W);
+  /// Jobs in the table whose state is one of \p States.
+  unsigned countLocked(std::initializer_list<JobState> States) const;
   void settleLocked(Job &J, JobState S);
   void accountLocked(Job &J, const stack::Observed &B);
   void journalLocked(const cluster::Record &R);
@@ -209,8 +212,6 @@ private:
   std::deque<uint64_t> FinishedOrder; ///< terminal jobs, oldest first
   uint64_t NextId = 1;
   bool Draining = false;
-  unsigned ActiveCount = 0; ///< jobs currently Queued or Running
-  unsigned PausedCount = 0;
 
   struct Counts {
     uint64_t Submitted = 0;

@@ -99,20 +99,34 @@ static std::string routingKey(const JobSpec &Spec) {
   return stack::PrepareCache::keyOf(Run);
 }
 
-std::optional<size_t> Dispatcher::routeOf(const JobSpec &Spec) const {
+std::vector<size_t> Dispatcher::rankShards(const JobSpec &Spec) const {
   std::string Key = routingKey(Spec);
-  std::optional<size_t> Best;
-  uint64_t BestW = 0;
-  for (size_t I = 0; I != Shards.size(); ++I) {
-    if (!Shards[I]->Healthy.load(std::memory_order_acquire))
-      continue;
-    uint64_t W = weightOf(Key, I);
-    if (!Best || W > BestW) {
-      Best = I;
-      BestW = W;
-    }
-  }
-  return Best;
+  std::vector<size_t> Order;
+  for (size_t I = 0; I != Shards.size(); ++I)
+    if (Shards[I]->Healthy.load(std::memory_order_acquire))
+      Order.push_back(I);
+  // Stable: equal weights keep the lower shard index first.
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return weightOf(Key, A) > weightOf(Key, B);
+  });
+  return Order;
+}
+
+std::optional<size_t> Dispatcher::routeOf(const JobSpec &Spec) const {
+  std::vector<size_t> Order = rankShards(Spec);
+  if (Order.empty())
+    return std::nullopt;
+  return Order.front();
+}
+
+/// The error response for a request that shard \p I owns: \p Why is the
+/// transport error, or empty when the shard was already marked down.
+static Response shardError(size_t I, const std::string &Why) {
+  Response Resp;
+  Resp.Ok = false;
+  Resp.Error = "shard " + std::to_string(I) +
+               (Why.empty() ? " is down; retry after it recovers" : ": " + Why);
+  return Resp;
 }
 
 Result<Response> Dispatcher::forward(size_t I, const Request &R) {
@@ -138,17 +152,9 @@ Response Dispatcher::handle(const Request &R) {
   Response Resp;
   switch (R.Kind) {
   case RequestKind::Submit: {
-    // Healthy shards in rendezvous order: the owner first, then
-    // failover candidates (they lose the hot cache, not the job).
-    std::string Key = routingKey(R.Job);
-    std::vector<std::pair<uint64_t, size_t>> Order;
-    for (size_t I = 0; I != Shards.size(); ++I)
-      if (Shards[I]->Healthy.load(std::memory_order_acquire))
-        Order.emplace_back(weightOf(Key, I), I);
-    std::sort(Order.begin(), Order.end(),
-              [](const auto &A, const auto &B) { return A.first > B.first; });
-    for (const auto &Cand : Order) {
-      size_t I = Cand.second;
+    // The owner first, then failover candidates (they lose the hot
+    // cache, not the job).
+    for (size_t I : rankShards(R.Job)) {
       Result<Response> Fwd = forward(I, R);
       if (!Fwd)
         continue; // shard died under us: marked down, try the next
@@ -169,20 +175,13 @@ Response Dispatcher::handle(const Request &R) {
   case RequestKind::Resume:
   case RequestKind::Cancel: {
     size_t I = shardOfId(R.JobId);
-    if (!shardHealthy(I)) {
-      Resp.Ok = false;
-      Resp.Error = "shard " + std::to_string(I) +
-                   " is down; retry after it recovers";
-      return Resp;
-    }
+    if (!shardHealthy(I))
+      return shardError(I, "");
     Request Local = R;
     Local.JobId = toLocalId(R.JobId);
     Result<Response> Fwd = forward(I, Local);
-    if (!Fwd) {
-      Resp.Ok = false;
-      Resp.Error = "shard " + std::to_string(I) + ": " + Fwd.error().str();
-      return Resp;
-    }
+    if (!Fwd)
+      return shardError(I, Fwd.error().str());
     Resp = Fwd.take();
     if (Resp.Info.Id)
       Resp.Info.Id = toGlobalId(Resp.Info.Id, I);
@@ -213,22 +212,18 @@ Result<void> Dispatcher::handleStream(const Request &R, const FrameSink &Send,
   (void)Stopping; // shard-side streams always terminate (parked or
                   // terminal jobs end them), so the relay is bounded
   size_t I = shardOfId(R.JobId);
-  Response Final;
-  if (!shardHealthy(I)) {
-    Final.Ok = false;
-    Final.Error =
-        "shard " + std::to_string(I) + " is down; retry after it recovers";
+  auto Fail = [&](const std::string &Why) {
+    Response Final = shardError(I, Why);
     Final.StreamOffset = R.StreamOffset;
     return Send(Final);
-  }
+  };
+  if (!shardHealthy(I))
+    return Fail("");
   Client C;
   if (Result<void> Conn = C.connectUnix(Shards[I]->Socket); !Conn) {
     Shards[I]->Errors.fetch_add(1, std::memory_order_relaxed);
     markDown(I);
-    Final.Ok = false;
-    Final.Error = "shard " + std::to_string(I) + ": " + Conn.error().str();
-    Final.StreamOffset = R.StreamOffset;
-    return Send(Final);
+    return Fail(Conn.error().str());
   }
   // Relay shard frames as they arrive.  If our client dies mid-stream
   // we keep draining the shard (the remainder is bounded by the job's
@@ -254,12 +249,9 @@ Result<void> Dispatcher::handleStream(const Request &R, const FrameSink &Send,
   if (!End) {
     Shards[I]->Errors.fetch_add(1, std::memory_order_relaxed);
     markDown(I);
-    Final.Ok = false;
-    Final.Error = "shard " + std::to_string(I) + ": " + End.error().str();
-    Final.StreamOffset = R.StreamOffset;
-    return Send(Final);
+    return Fail(End.error().str());
   }
-  Final = End.take();
+  Response Final = End.take();
   if (Final.Info.Id)
     Final.Info.Id = toGlobalId(Final.Info.Id, I);
   return Send(Final);

@@ -89,7 +89,8 @@ public:
   uint64_t toLocalId(uint64_t Global) const { return Global / Shards.size(); }
 
   /// The rendezvous route for \p Spec over the currently-healthy set
-  /// (exposed for tests; nullopt when no shard is healthy).
+  /// (exposed for tests; nullopt when no shard is healthy): the first
+  /// entry of rankShards().
   std::optional<size_t> routeOf(const JobSpec &Spec) const;
 
   /// Merged cluster stats (schema silver-dispatch-stats-v1), embedding
@@ -106,6 +107,9 @@ private:
     std::atomic<uint64_t> Errors{0};  ///< round trips that failed
   };
 
+  /// The healthy shards in rendezvous order for \p Spec: the owner
+  /// first, then the failover candidates.
+  std::vector<size_t> rankShards(const JobSpec &Spec) const;
   /// Marks \p I down and fires OnShardDown on a healthy->down edge.
   void markDown(size_t I);
   /// One connect + round trip against shard \p I; a transport failure

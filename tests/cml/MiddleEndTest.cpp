@@ -57,6 +57,25 @@ TEST(Lower, PrimitivesSaturateOrEtaExpand) {
   EXPECT_NE(S.find("fn eta"), std::string::npos);
 }
 
+// Fresh names are numbered in lowering order, and every image's bytes
+// follow from the names: the sub-expressions of if, andalso and orelse
+// lower right to left (else branch first).
+TEST(Lower, IfLowersElseBranchFirst) {
+  CoreProgram P =
+      lower("val x = if true then (fn a => a) 1 else (fn b => b) 2;");
+  EXPECT_EQ(coreToString(*P.Main),
+            "(let %g0 = (gset[0] (if 1 ((fn a$1 => a$1) 1)"
+            " ((fn b$0 => b$0) 2))) in 0)");
+}
+
+TEST(Lower, AndAlsoOrElseLowerRightOperandFirst) {
+  CoreProgram P = lower("val y = ((fn a => a) true andalso (fn b => b) false)"
+                        " orelse (fn c => c) true;");
+  EXPECT_EQ(coreToString(*P.Main),
+            "(let %g0 = (gset[0] (if (if ((fn a$2 => a$2) 1)"
+            " ((fn b$1 => b$1) 0) 0) 1 ((fn c$0 => c$0) 1))) in 0)");
+}
+
 TEST(Lower, BoolsAndCharsAreInts) {
   CoreProgram P = lower("val x = true; val c = #\"A\";");
   std::string S = coreToString(*P.Main);
