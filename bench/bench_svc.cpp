@@ -22,8 +22,12 @@
 //             [--shards=a,b,c] [--shard-workers=N]
 //             [--assert-shard-scaling=F]
 //
-// --assert-scaling=F fails with exit 3 when the largest pool fails to
-// reach F x the single-worker throughput — but only when the machine
+// Every cell (a pool size, a shard count) runs Reps = 5 times, the
+// sweep alternating forward and backward, and BENCH_svc.json records
+// each cell's median and median absolute deviation (MAD).
+//
+// --assert-scaling=F fails with exit 3 when the largest pool's median
+// fails to reach F x the single-worker median — but only when the machine
 // has at least as many hardware threads as workers: on a 1-CPU
 // container the workers timeshare one core and no scaling is physically
 // possible, so the JSON records "cpus" and the assertion is reported as
@@ -40,10 +44,13 @@
 #include "svc/Service.h"
 #include "svc/cluster/Dispatcher.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,26 +63,79 @@ using namespace silver;
 
 namespace {
 
-struct Row {
-  unsigned Workers = 0;
-  unsigned Jobs = 0;
+/// Timed passes of every cell.  Each pass sweeps all cells, forward on
+/// even passes and backward on odd ones, so drift over the run spreads
+/// over the cells instead of landing on whichever runs last.
+constexpr unsigned Reps = 5;
+
+/// One timed pass of one cell: a batch of jobs, start to last settle.
+struct Sample {
   uint64_t TotalInstructions = 0;
   uint64_t WallNs = 0;
-  double JobsPerSec = 0;
-  double InstrPerSec = 0;
 };
 
-/// One dispatcher-sweep measurement: \p Shards shard services behind a
-/// front-socket dispatcher, each shard running \p Workers workers.
-struct ClusterRow {
-  unsigned Shards = 0;
-  unsigned Workers = 0; ///< per shard
-  unsigned Jobs = 0;
-  uint64_t TotalInstructions = 0;
-  uint64_t WallNs = 0;
-  double JobsPerSec = 0;
-  double InstrPerSec = 0;
+/// Median and median absolute deviation.
+struct Spread {
+  double Median = 0;
+  double Mad = 0;
 };
+
+double median(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  size_t N = Xs.size();
+  if (N == 0)
+    return 0;
+  return N % 2 ? Xs[N / 2] : (Xs[N / 2 - 1] + Xs[N / 2]) / 2;
+}
+
+Spread spreadOf(const std::vector<double> &Xs) {
+  Spread S;
+  S.Median = median(Xs);
+  std::vector<double> Dev;
+  for (double X : Xs)
+    Dev.push_back(std::fabs(X - S.Median));
+  S.Mad = median(Dev);
+  return S;
+}
+
+/// One configuration of a sweep: \p Units workers in the pool sweep, or
+/// shards in the dispatcher sweep, with its samples and their spread.
+struct Cell {
+  explicit Cell(unsigned Units) : Units(Units) {}
+
+  unsigned Units;
+  std::vector<Sample> Samples;
+  Spread WallNs, JobsPerSec, InstrPerSec; ///< filled by summarize()
+
+  void summarize(unsigned Jobs) {
+    std::vector<double> Wall, JobsPs, InstrPs;
+    for (const Sample &S : Samples) {
+      double Seconds = static_cast<double>(S.WallNs) * 1e-9;
+      Wall.push_back(static_cast<double>(S.WallNs));
+      JobsPs.push_back(Jobs / Seconds);
+      InstrPs.push_back(static_cast<double>(S.TotalInstructions) / Seconds);
+    }
+    WallNs = spreadOf(Wall);
+    JobsPerSec = spreadOf(JobsPs);
+    InstrPerSec = spreadOf(InstrPs);
+  }
+};
+
+/// The largest cell's median jobs/s over the one-unit cell's, or 0 when
+/// the sweep lacks either.
+double scalingOf(const std::vector<Cell> &Cells, const Cell *&One,
+                 const Cell *&Largest) {
+  One = Largest = nullptr;
+  for (const Cell &C : Cells) {
+    if (C.Units == 1)
+      One = &C;
+    if (!Largest || C.Units > Largest->Units)
+      Largest = &C;
+  }
+  if (!One || One == Largest || One->JobsPerSec.Median <= 0)
+    return 0;
+  return Largest->JobsPerSec.Median / One->JobsPerSec.Median;
+}
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
@@ -87,8 +147,8 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-Result<Row> runConfig(unsigned Workers, unsigned Jobs,
-                      const svc::JobSpec &Spec) {
+Result<Sample> runConfig(unsigned Workers, unsigned Jobs,
+                         const svc::JobSpec &Spec) {
   svc::ServiceOptions Opts;
   Opts.Workers = Workers;
   Opts.QueueDepth = Jobs + 8;
@@ -119,9 +179,7 @@ Result<Row> runConfig(unsigned Workers, unsigned Jobs,
       return Error("submit rejected: " + Info.Outcome.Error);
     Ids.push_back(Info.Id);
   }
-  Row R;
-  R.Workers = Workers;
-  R.Jobs = Jobs;
+  Sample R;
   for (uint64_t Id : Ids) {
     std::optional<svc::JobInfo> Done = Svc.waitSettled(Id, 300'000);
     if (!Done || Done->State != svc::JobState::Completed)
@@ -131,11 +189,6 @@ Result<Row> runConfig(unsigned Workers, unsigned Jobs,
   auto T1 = std::chrono::steady_clock::now();
   R.WallNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0).count());
-  double Seconds = static_cast<double>(R.WallNs) * 1e-9;
-  if (Seconds > 0) {
-    R.JobsPerSec = static_cast<double>(R.Jobs) / Seconds;
-    R.InstrPerSec = static_cast<double>(R.TotalInstructions) / Seconds;
-  }
   return R;
 }
 
@@ -151,8 +204,8 @@ svc::JobSpec variantSpec(const svc::JobSpec &Base, unsigned V) {
 /// Measures aggregate job throughput through a dispatcher over
 /// \p Shards in-process shard servers (\p Workers workers each), with
 /// one concurrent client per job submitting over the front socket.
-Result<ClusterRow> runCluster(unsigned Shards, unsigned Workers,
-                              unsigned Jobs, const svc::JobSpec &Base) {
+Result<Sample> runCluster(unsigned Shards, unsigned Workers, unsigned Jobs,
+                          const svc::JobSpec &Base) {
   struct ShardNode {
     std::unique_ptr<svc::Service> Svc;
     std::unique_ptr<svc::Server> Srv;
@@ -233,10 +286,7 @@ Result<ClusterRow> runCluster(unsigned Shards, unsigned Workers,
     }
   }
 
-  ClusterRow Row;
-  Row.Shards = Shards;
-  Row.Workers = Workers;
-  Row.Jobs = Jobs;
+  Sample Row;
   std::mutex Mu;
   std::string FirstError;
   auto T0 = std::chrono::steady_clock::now();
@@ -271,11 +321,6 @@ Result<ClusterRow> runCluster(unsigned Shards, unsigned Workers,
     return Error(FirstError);
   Row.WallNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0).count());
-  double Seconds = static_cast<double>(Row.WallNs) * 1e-9;
-  if (Seconds > 0) {
-    Row.JobsPerSec = static_cast<double>(Row.Jobs) / Seconds;
-    Row.InstrPerSec = static_cast<double>(Row.TotalInstructions) / Seconds;
-  }
   return Row;
 }
 
@@ -343,75 +388,59 @@ int main(int Argc, char **Argv) {
   Spec.MaxSteps = 100'000'000;
 
   unsigned Cpus = std::thread::hardware_concurrency();
-  std::vector<Row> Rows;
-  for (unsigned W : WorkerCounts) {
-    Result<Row> R = runConfig(W, Jobs, Spec);
-    if (!R) {
-      std::fprintf(stderr, "bench_svc: %u workers: %s\n", W,
-                   R.error().str().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "bench_svc: %2u workers  %3u jobs  %10llu instr  "
-                 "%11llu ns  %7.1f jobs/s  %12.0f instr/s\n",
-                 R->Workers, R->Jobs,
-                 (unsigned long long)R->TotalInstructions,
-                 (unsigned long long)R->WallNs, R->JobsPerSec,
-                 R->InstrPerSec);
-    Rows.push_back(*R);
-  }
+  std::vector<Cell> Pool, Cluster;
+  for (unsigned W : WorkerCounts)
+    Pool.emplace_back(W);
+  for (unsigned S : ShardCounts)
+    Cluster.emplace_back(S);
 
-  const Row *OneWorker = nullptr;
-  const Row *Largest = nullptr;
-  for (const Row &R : Rows) {
-    if (R.Workers == 1)
-      OneWorker = &R;
-    if (!Largest || R.Workers > Largest->Workers)
-      Largest = &R;
-  }
-  double Scaling = 0;
-  if (OneWorker && Largest && OneWorker != Largest &&
-      OneWorker->JobsPerSec > 0)
-    Scaling = Largest->JobsPerSec / OneWorker->JobsPerSec;
+  // Runs every cell of one sweep Reps times through \p Run, then
+  // summarizes each cell.
+  auto Sweep = [Jobs](std::vector<Cell> &Cells, const char *Unit,
+                      auto Run) {
+    for (unsigned Rep = 0; Rep != Reps; ++Rep)
+      for (size_t N = 0; N != Cells.size(); ++N) {
+        Cell &C = Cells[Rep % 2 ? Cells.size() - 1 - N : N];
+        Result<Sample> R = Run(C.Units);
+        if (!R) {
+          std::fprintf(stderr, "bench_svc: %u %s: %s\n", C.Units, Unit,
+                       R.error().str().c_str());
+          return false;
+        }
+        std::fprintf(stderr,
+                     "bench_svc: run %u  %2u %-7s  %3u jobs  %10llu instr  "
+                     "%11llu ns\n",
+                     Rep + 1, C.Units, Unit, Jobs,
+                     (unsigned long long)R->TotalInstructions,
+                     (unsigned long long)R->WallNs);
+        C.Samples.push_back(*R);
+      }
+    for (Cell &C : Cells) {
+      C.summarize(Jobs);
+      std::fprintf(stderr,
+                   "bench_svc: %2u %-7s  median %7.1f jobs/s  MAD %5.1f\n",
+                   C.Units, Unit, C.JobsPerSec.Median, C.JobsPerSec.Mad);
+    }
+    return true;
+  };
+  // The pool sweep, then the dispatcher sweep: aggregate throughput
+  // through the cluster front door across shard counts.
+  if (!Sweep(Pool, "workers",
+             [&](unsigned W) { return runConfig(W, Jobs, Spec); }) ||
+      !Sweep(Cluster, "shards", [&](unsigned S) {
+        return runCluster(S, ShardWorkers, Jobs, Spec);
+      }))
+    return 1;
+
+  const Cell *OneWorker, *Largest, *OneShard, *LargestCluster;
+  double Scaling = scalingOf(Pool, OneWorker, Largest);
+  double ShardScaling = scalingOf(Cluster, OneShard, LargestCluster);
   if (Scaling > 0)
     std::fprintf(stderr, "bench_svc: scaling %uw/1w = %.2fx (%u cpus)\n",
-                 Largest->Workers, Scaling, Cpus);
-
-  // The dispatcher sweep: aggregate throughput through the cluster
-  // front door across shard counts.
-  std::vector<ClusterRow> ClusterRows;
-  for (unsigned S : ShardCounts) {
-    Result<ClusterRow> R = runCluster(S, ShardWorkers, Jobs, Spec);
-    if (!R) {
-      std::fprintf(stderr, "bench_svc: %u shards: %s\n", S,
-                   R.error().str().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "bench_svc: %2u shards  %2u workers/shard  %3u jobs  "
-                 "%10llu instr  %11llu ns  %7.1f jobs/s  %12.0f instr/s\n",
-                 R->Shards, R->Workers, R->Jobs,
-                 (unsigned long long)R->TotalInstructions,
-                 (unsigned long long)R->WallNs, R->JobsPerSec,
-                 R->InstrPerSec);
-    ClusterRows.push_back(*R);
-  }
-
-  const ClusterRow *OneShard = nullptr;
-  const ClusterRow *LargestCluster = nullptr;
-  for (const ClusterRow &R : ClusterRows) {
-    if (R.Shards == 1)
-      OneShard = &R;
-    if (!LargestCluster || R.Shards > LargestCluster->Shards)
-      LargestCluster = &R;
-  }
-  double ShardScaling = 0;
-  if (OneShard && LargestCluster && OneShard != LargestCluster &&
-      OneShard->JobsPerSec > 0)
-    ShardScaling = LargestCluster->JobsPerSec / OneShard->JobsPerSec;
+                 Largest->Units, Scaling, Cpus);
   if (ShardScaling > 0)
     std::fprintf(stderr, "bench_svc: scaling %us/1s = %.2fx (%u cpus)\n",
-                 LargestCluster->Shards, ShardScaling, Cpus);
+                 LargestCluster->Units, ShardScaling, Cpus);
 
   if (!OutFile.empty()) {
     std::ofstream F(OutFile, std::ios::binary);
@@ -419,41 +448,50 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "bench_svc: cannot write '%s'\n", OutFile.c_str());
       return 1;
     }
+    // The per-cell fields after the cell's own key: the batch, its
+    // (deterministic) instruction total, and each metric's spread.
+    auto Fields = [&F, Jobs](const Cell &C) {
+      auto Put = [&F](const char *Name, Spread S) {
+        F << ", \"" << Name << "_median\": " << S.Median << ", \"" << Name
+          << "_mad\": " << S.Mad;
+      };
+      F << ", \"jobs\": " << Jobs << ", \"total_instructions\": "
+        << C.Samples.front().TotalInstructions << ", \"runs\": "
+        << C.Samples.size();
+      F << std::fixed << std::setprecision(0);
+      Put("wall_ns", C.WallNs);
+      Put("instr_per_sec", C.InstrPerSec);
+      F << std::setprecision(2);
+      Put("jobs_per_sec", C.JobsPerSec);
+      F << std::defaultfloat << std::setprecision(6) << "}";
+    };
     F << "{\n";
-    F << "  \"schema\": \"bench-svc-v2\",\n";
+    F << "  \"schema\": \"bench-svc-v3\",\n";
     F << "  \"workload\": \"wc-200\",\n";
     F << "  \"level\": \"isa\",\n";
     F << "  \"jobs\": " << Jobs << ",\n";
     F << "  \"cpus\": " << Cpus << ",\n";
     F << "  \"rows\": [\n";
-    for (size_t I = 0; I != Rows.size(); ++I) {
-      const Row &R = Rows[I];
-      F << "    {\"workers\": " << R.Workers << ", \"jobs\": " << R.Jobs
-        << ", \"total_instructions\": " << R.TotalInstructions
-        << ", \"wall_ns\": " << R.WallNs << ", \"jobs_per_sec\": "
-        << static_cast<uint64_t>(R.JobsPerSec) << ", \"instr_per_sec\": "
-        << static_cast<uint64_t>(R.InstrPerSec) << "}"
-        << (I + 1 == Rows.size() ? "\n" : ",\n");
+    for (size_t I = 0; I != Pool.size(); ++I) {
+      F << "    {\"workers\": " << Pool[I].Units;
+      Fields(Pool[I]);
+      F << (I + 1 == Pool.size() ? "\n" : ",\n");
     }
     F << "  ],\n";
     F << "  \"scaling_largest_over_1w\": " << Scaling << ",\n";
     F << "  \"shard_workers\": " << ShardWorkers << ",\n";
     F << "  \"dispatcher_rows\": [\n";
-    for (size_t I = 0; I != ClusterRows.size(); ++I) {
-      const ClusterRow &R = ClusterRows[I];
-      F << "    {\"shards\": " << R.Shards << ", \"workers_per_shard\": "
-        << R.Workers << ", \"jobs\": " << R.Jobs
-        << ", \"total_instructions\": " << R.TotalInstructions
-        << ", \"wall_ns\": " << R.WallNs << ", \"jobs_per_sec\": "
-        << static_cast<uint64_t>(R.JobsPerSec) << ", \"instr_per_sec\": "
-        << static_cast<uint64_t>(R.InstrPerSec) << "}"
-        << (I + 1 == ClusterRows.size() ? "\n" : ",\n");
+    for (size_t I = 0; I != Cluster.size(); ++I) {
+      F << "    {\"shards\": " << Cluster[I].Units
+        << ", \"workers_per_shard\": " << ShardWorkers;
+      Fields(Cluster[I]);
+      F << (I + 1 == Cluster.size() ? "\n" : ",\n");
     }
     F << "  ],\n";
     F << "  \"shard_scaling_largest_over_1s\": " << ShardScaling << "\n";
     F << "}\n";
-    std::fprintf(stderr, "bench_svc: wrote %zu+%zu rows to %s\n", Rows.size(),
-                 ClusterRows.size(), OutFile.c_str());
+    std::fprintf(stderr, "bench_svc: wrote %zu+%zu rows to %s\n", Pool.size(),
+                 Cluster.size(), OutFile.c_str());
   }
 
   if (AssertScaling > 0) {
@@ -463,11 +501,11 @@ int main(int Argc, char **Argv) {
                    "larger config\n");
       return 2;
     }
-    if (Cpus < Largest->Workers) {
+    if (Cpus < Largest->Units) {
       std::fprintf(stderr,
                    "bench_svc: skipping scaling assertion: %u workers on %u "
                    "hardware threads cannot scale\n",
-                   Largest->Workers, Cpus);
+                   Largest->Units, Cpus);
       return 0;
     }
     if (Scaling < AssertScaling) {
@@ -488,11 +526,11 @@ int main(int Argc, char **Argv) {
                    "and a larger config\n");
       return 2;
     }
-    if (Cpus < LargestCluster->Shards * ShardWorkers) {
+    if (Cpus < LargestCluster->Units * ShardWorkers) {
       std::fprintf(stderr,
                    "bench_svc: skipping shard-scaling assertion: %u shards x "
                    "%u workers on %u hardware threads cannot scale\n",
-                   LargestCluster->Shards, ShardWorkers, Cpus);
+                   LargestCluster->Units, ShardWorkers, Cpus);
       return 0;
     }
     if (ShardScaling < AssertShardScaling) {

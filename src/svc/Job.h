@@ -68,7 +68,8 @@ struct JobSpec {
   /// compiler at run time.
   stack::HdlBackendKind Hdl = stack::HdlBackendKind::Interp;
   /// Fairness key: jobs sharing a ClientId share one tenant's queue
-  /// quota and one round-robin slot per priority lane (svc/JobQueue.h).
+  /// quota (ServiceOptions::MaxClientShare) and one round-robin slot per
+  /// priority lane (svc/JobQueue.h).
   /// Empty is a valid tenant (the anonymous client).
   std::string ClientId;
   /// Publish stdout incrementally (one delta per worker chunk) so a

@@ -1,4 +1,4 @@
-//===- svc/JobQueue.cpp - Bounded fair priority job queue ---------------------===//
+//===- svc/JobQueue.cpp - Fair priority service order -------------------------===//
 //
 // Part of SilverStack, a C++ reproduction of "Verified Compilation on a
 // Verified Processor" (PLDI 2019).
@@ -8,33 +8,12 @@
 #include "svc/JobQueue.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace silver;
 using namespace silver::svc;
 
-static size_t quotaOf(size_t MaxDepth, double Share) {
-  if (Share >= 1.0 || Share <= 0.0)
-    return MaxDepth;
-  // Every tenant always gets at least one slot, or a small queue with a
-  // small share could admit nothing at all.
-  return std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(static_cast<double>(MaxDepth) * Share)));
-}
-
-JobQueue::JobQueue(size_t MaxDepthIn, double MaxClientShare)
-    : MaxDepth(MaxDepthIn ? MaxDepthIn : 1),
-      Quota(quotaOf(MaxDepth, MaxClientShare)) {}
-
-JobQueue::PushResult JobQueue::push(uint64_t JobId, uint8_t Priority,
-                                    const std::string &Client) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Closed)
-    return PushResult::Closed;
-  if (Size >= MaxDepth)
-    return PushResult::Full;
-  if (Quota < MaxDepth && ClientCounts[Client] >= Quota)
-    return PushResult::Quota;
+void JobQueue::push(uint64_t JobId, uint8_t Priority,
+                    const std::string &Client) {
   Lane &L = Lanes[std::min<unsigned>(Priority, NumPriorities - 1)];
   auto It = L.Index.find(Client);
   if (It == L.Index.end()) {
@@ -42,65 +21,47 @@ JobQueue::PushResult JobQueue::push(uint64_t JobId, uint8_t Priority,
     It = L.Index.emplace(Client, std::prev(L.Buckets.end())).first;
   }
   It->second->Items.push_back(JobId);
-  ++ClientCounts[Client];
   ++Size;
-  Cv.notify_one();
-  return PushResult::Ok;
 }
 
-std::optional<uint64_t> JobQueue::popLocked() {
+std::optional<uint64_t> JobQueue::pop() {
   for (Lane &L : Lanes) {
     if (L.Buckets.empty())
       continue;
     Bucket &B = L.Buckets.front();
     uint64_t Id = B.Items.front();
     B.Items.pop_front();
-    auto CC = ClientCounts.find(B.Client);
-    if (CC != ClientCounts.end() && --CC->second == 0)
-      ClientCounts.erase(CC);
     // One job served: this client goes to the back of the rotation (or
     // out of it when drained), so the next pop serves the next tenant.
-    if (B.Items.empty()) {
-      L.Index.erase(B.Client);
-      L.Buckets.pop_front();
-    } else {
+    if (B.Items.empty())
+      L.dropBucket(L.Buckets.begin());
+    else
       L.Buckets.splice(L.Buckets.end(), L.Buckets, L.Buckets.begin());
-    }
     --Size;
     return Id;
   }
   return std::nullopt;
 }
 
-std::optional<uint64_t> JobQueue::pop() {
-  std::unique_lock<std::mutex> Lock(Mu);
-  Cv.wait(Lock, [this] { return Size != 0 || Closed; });
-  return popLocked();
-}
-
-std::optional<uint64_t> JobQueue::tryPop() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return popLocked();
-}
-
-void JobQueue::close() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Closed = true;
-  Cv.notify_all();
-}
-
-bool JobQueue::closed() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Closed;
-}
-
-size_t JobQueue::depth() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Size;
+bool JobQueue::erase(uint64_t JobId) {
+  for (Lane &L : Lanes)
+    for (auto B = L.Buckets.begin(); B != L.Buckets.end(); ++B) {
+      auto It = std::find(B->Items.begin(), B->Items.end(), JobId);
+      if (It == B->Items.end())
+        continue;
+      B->Items.erase(It);
+      if (B->Items.empty())
+        L.dropBucket(B);
+      --Size;
+      return true;
+    }
+  return false;
 }
 
 size_t JobQueue::clientDepth(const std::string &Client) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = ClientCounts.find(Client);
-  return It == ClientCounts.end() ? 0 : It->second;
+  size_t N = 0;
+  for (const Lane &L : Lanes)
+    if (auto It = L.Index.find(Client); It != L.Index.end())
+      N += It->second->Items.size();
+  return N;
 }

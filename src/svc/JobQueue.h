@@ -1,4 +1,4 @@
-//===- svc/JobQueue.h - Bounded fair priority job queue ---------*- C++ -*-===//
+//===- svc/JobQueue.h - Fair priority service order -------------*- C++ -*-===//
 //
 // Part of SilverStack, a C++ reproduction of "Verified Compilation on a
 // Verified Processor" (PLDI 2019).
@@ -6,33 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The admission queue between the service front door and the worker
-/// pool: NumPriorities lanes, a bound on total depth, per-client
-/// fairness, and explicit backpressure — a push against a full queue (or
-/// an over-quota tenant) is *rejected with a status*, never blocked and
-/// never silently dropped, so the caller can turn it into a Rejected
-/// response and the client can back off.
+/// The order in which svc::Service's workers take queued jobs.  It keeps
+/// order only: it is not synchronized (Service::Mu guards it with the
+/// job table), and it admits and refuses nothing — admission
+/// is the Service's front-door decision, counted from this order.
 ///
-/// Fairness has two independent mechanisms:
-///
-///   - Round-robin service order.  Within a lane, jobs are grouped by
-///     ClientId and the lane serves one job per client per turn (FIFO
-///     within a client).  A tenant that enqueues 50 jobs ahead of a
-///     tenant that enqueues 1 no longer delays that 1 by 50 service
-///     times — at equal priority, every waiting client is at most one
-///     full rotation from the head.  Always on; for a single client it
-///     degenerates to the old FIFO exactly.
-///
-///   - Admission quota.  MaxClientShare caps the fraction of MaxDepth
-///     any one ClientId may occupy (across all lanes); a push beyond the
-///     cap returns PushResult::Quota while other tenants still fit.  The
-///     default share of 1.0 disables the cap (single-tenant deployments
-///     keep the plain depth bound).
-///
-/// pop() serves the lowest-numbered non-empty lane (priority 0 first)
-/// and blocks until an item arrives or the queue is closed; after
-/// close() the remaining items still drain, then pop() returns nullopt
-/// and the workers exit.
+/// NumPriorities lanes; pop() serves the lowest-numbered non-empty lane
+/// (priority 0 first).  Within a lane, jobs are grouped by ClientId and
+/// the lane serves one job per client per turn (FIFO within a client),
+/// so a tenant that enqueues 50 jobs ahead of a tenant that enqueues 1
+/// no longer delays that 1 by 50 service times — at equal priority,
+/// every waiting client is at most one full rotation from the head.  For
+/// a single client it degenerates to plain FIFO.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,10 +27,8 @@
 #include "svc/Job.h"
 
 #include <array>
-#include <condition_variable>
 #include <deque>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -55,33 +38,21 @@ namespace svc {
 
 class JobQueue {
 public:
-  /// \p MaxClientShare in (0, 1]: the fraction of MaxDepth one ClientId
-  /// may occupy (at least one slot is always granted); 1.0 disables the
-  /// per-client cap.
-  explicit JobQueue(size_t MaxDepth, double MaxClientShare = 1.0);
+  /// Appends \p JobId to tenant \p Client's FIFO on lane \p Priority
+  /// (clamped to NumPriorities-1); empty is the anonymous tenant.
+  void push(uint64_t JobId, uint8_t Priority,
+            const std::string &Client = std::string());
 
-  enum class PushResult : uint8_t { Ok, Full, Closed, Quota };
-
-  /// Enqueues \p JobId on lane \p Priority (clamped to NumPriorities-1)
-  /// under tenant \p Client (empty is the anonymous tenant).
-  PushResult push(uint64_t JobId, uint8_t Priority,
-                  const std::string &Client = std::string());
-
-  /// Blocks until an item is available or the queue is closed and
-  /// drained; nullopt means shut down.
+  /// Takes the next job in service order; nullopt when empty.
   std::optional<uint64_t> pop();
 
-  /// Non-blocking pop (tests and drain accounting).
-  std::optional<uint64_t> tryPop();
+  /// Takes \p JobId out of the order wherever it waits; false when it is
+  /// not there.
+  bool erase(uint64_t JobId);
 
-  /// No further pushes; wakes every blocked pop once the lanes drain.
-  void close();
-
-  bool closed() const;
-  size_t depth() const;
-  /// Jobs currently queued under \p Client (tests and stats).
+  size_t size() const { return Size; }
+  /// Jobs waiting under \p Client, across every lane.
   size_t clientDepth(const std::string &Client) const;
-  size_t clientQuota() const { return Quota; }
 
 private:
   /// One tenant's FIFO within a lane; lanes serve their buckets
@@ -94,18 +65,16 @@ private:
   struct Lane {
     std::list<Bucket> Buckets; ///< round-robin order, front is next
     std::unordered_map<std::string, std::list<Bucket>::iterator> Index;
+
+    /// Drops bucket \p It, which has just emptied.
+    void dropBucket(std::list<Bucket>::iterator It) {
+      Index.erase(It->Client);
+      Buckets.erase(It);
+    }
   };
 
-  std::optional<uint64_t> popLocked();
-
-  const size_t MaxDepth;
-  const size_t Quota; ///< per-client queued-job cap (MaxDepth * share)
-  mutable std::mutex Mu;
-  std::condition_variable Cv;
   std::array<Lane, NumPriorities> Lanes;
-  std::unordered_map<std::string, size_t> ClientCounts;
   size_t Size = 0;
-  bool Closed = false;
 };
 
 } // namespace svc

@@ -170,7 +170,7 @@ void Server::acceptLoop() {
   while (!StopFlag.load(std::memory_order_acquire)) {
     reapFinished();
     pollfd P{ListenFd, POLLIN, 0};
-    int N = ::poll(&P, 1, 200 /*ms: the stop-flag poll interval*/);
+    int N = ::poll(&P, 1, AcceptPollMs);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -179,8 +179,14 @@ void Server::acceptLoop() {
     if (N == 0 || !(P.revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
+    if (Fd < 0) {
+      // Out of descriptors: the pending connection keeps the listener
+      // readable, so retrying at once would spin.  Wait for connections
+      // to close and free some.
+      if (errno == EMFILE || errno == ENFILE)
+        std::this_thread::sleep_for(std::chrono::milliseconds(AcceptPollMs));
       continue;
+    }
     Accepted.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> Lock(ConnMu);
     if (StopFlag.load(std::memory_order_acquire)) {

@@ -137,6 +137,9 @@ private:
   /// How long the accept loop waits for a thread whose peer hung up to
   /// go idle before it starts a new one for a fresh connection.
   static constexpr unsigned HandoffGraceMs = 50;
+  /// The accept loop's poll timeout (how soon it sees StopFlag), and its
+  /// back-off when accept() finds the descriptor table full.
+  static constexpr unsigned AcceptPollMs = 200;
 
   void acceptLoop();
   /// A connection thread's body: serves \p Fd, then each connection the

@@ -11,6 +11,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -118,10 +119,20 @@ struct Service::SliceResult {
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
+/// Queued jobs one client may hold: a share of the queue, but at least
+/// one slot, or a small queue with a small share could admit nothing.
+static size_t clientQuotaOf(size_t QueueDepth, double Share) {
+  if (Share >= 1.0 || Share <= 0.0)
+    return QueueDepth;
+  return std::max<size_t>(1, static_cast<size_t>(std::ceil(
+                                 static_cast<double>(QueueDepth) * Share)));
+}
+
 Service::Service(ServiceOptions OptsIn)
-    : Opts(OptsIn), Cache(Opts.PrepareCacheCapacity),
-      Queue(Opts.QueueDepth, Opts.MaxClientShare), StartedAt(Clock::now()) {
+    : Opts(OptsIn), Cache(Opts.PrepareCacheCapacity), StartedAt(Clock::now()) {
+  Opts.QueueDepth = std::max<size_t>(1, Opts.QueueDepth);
   Opts.ChunkInstructions = std::max<uint64_t>(1, Opts.ChunkInstructions);
+  ClientQuota = clientQuotaOf(Opts.QueueDepth, Opts.MaxClientShare);
   // Replay-and-re-admit happens strictly before any worker exists, so
   // recovery needs no locks and recovered jobs are claimed exactly like
   // fresh ones.
@@ -135,7 +146,11 @@ Service::Service(ServiceOptions OptsIn)
 }
 
 Service::~Service() {
-  Queue.close();
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Stopping = true;
+  }
+  WorkCv.notify_all();
   for (std::thread &T : Threads)
     T.join();
 }
@@ -144,29 +159,20 @@ Service::~Service() {
 // Front door
 //===----------------------------------------------------------------------===//
 
-/// Why the queue refused a push, or null when it took the job.
-static const char *pushRefusal(JobQueue::PushResult P) {
-  switch (P) {
-  case JobQueue::PushResult::Ok:
-    return nullptr;
-  case JobQueue::PushResult::Full:
+const char *Service::refusalLocked(const std::string &Client) const {
+  if (Draining)
+    return "service is draining";
+  if (Queue.size() >= Opts.QueueDepth)
     return "queue full";
-  case JobQueue::PushResult::Quota:
+  if (Queue.clientDepth(Client) >= ClientQuota)
     return "client quota exceeded";
-  case JobQueue::PushResult::Closed:
-    break;
-  }
-  return "service is shutting down";
+  return nullptr;
 }
 
 JobInfo Service::submit(const JobSpec &Spec) {
   auto J = std::make_unique<Job>(Spec);
   std::lock_guard<std::mutex> Lock(Mu);
-  const char *Refusal =
-      Draining ? "service is draining"
-               : pushRefusal(Queue.push(NextId, J->Info.Priority,
-                                        Spec.ClientId));
-  if (Refusal) {
+  if (const char *Refusal = refusalLocked(Spec.ClientId)) {
     J->Info.State = JobState::Rejected;
     J->Info.Outcome.Error = Refusal;
     ++Count.Rejected;
@@ -175,6 +181,8 @@ JobInfo Service::submit(const JobSpec &Spec) {
   J->Info.Id = NextId++;
   ++Count.Submitted;
   journalLocked(J->record(RecordKind::Submit));
+  Queue.push(J->Info.Id, J->Info.Priority, Spec.ClientId);
+  WorkCv.notify_one();
   JobInfo Info = J->Info;
   Jobs[Info.Id] = std::move(J);
   return Info;
@@ -204,8 +212,6 @@ std::optional<JobInfo> Service::waitSettled(uint64_t Id,
 
 Result<JobInfo> Service::resume(uint64_t Id, uint64_t SliceInstructions) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Draining)
-    return Error("service is draining");
   auto It = Jobs.find(Id);
   if (It == Jobs.end())
     return Error("unknown job " + std::to_string(Id));
@@ -213,14 +219,15 @@ Result<JobInfo> Service::resume(uint64_t Id, uint64_t SliceInstructions) {
   if (J.Info.State != JobState::Paused)
     return Error(std::string("job is ") + jobStateName(J.Info.State) +
                  ", not paused");
-  if (const char *Refusal =
-          pushRefusal(Queue.push(Id, J.Info.Priority, J.Spec.ClientId)))
+  if (const char *Refusal = refusalLocked(J.Spec.ClientId))
     return Error(Refusal);
   J.Info.State = JobState::Queued;
   J.SliceGrant =
       SliceInstructions ? SliceInstructions : J.Spec.SliceInstructions;
   J.LastTouch = Clock::now();
   journalLocked(J.record(RecordKind::Resume));
+  Queue.push(Id, J.Info.Priority, J.Spec.ClientId);
+  WorkCv.notify_one();
   return J.Info;
 }
 
@@ -232,8 +239,8 @@ Result<JobInfo> Service::cancel(uint64_t Id) {
   Job &J = *It->second;
   switch (J.Info.State) {
   case JobState::Queued:
-    // Settle now; the worker skips it when it surfaces from the queue.
-    J.CancelRequested.store(true, std::memory_order_relaxed);
+    // Settle now, and free its place in the queue at once.
+    Queue.erase(Id);
     settleLocked(J, JobState::Cancelled);
     break;
   case JobState::Running:
@@ -261,6 +268,11 @@ void Service::drain() {
 bool Service::draining() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Draining;
+}
+
+size_t Service::queueDepth() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Queue.size();
 }
 
 unsigned Service::evictIdleSessions() {
@@ -355,20 +367,21 @@ void Service::accountLocked(Job &J, const stack::Observed &B) {
 
 void Service::workerMain(unsigned Index) {
   Worker &W = *WorkerState[Index];
-  while (std::optional<uint64_t> IdOpt = Queue.pop()) {
+  while (true) {
     Job *J = nullptr;
     std::unique_ptr<stack::Executor> Exec;
     JobSpec Spec;
     uint64_t SliceGrant = 0;
     JobOutcome ParkPoint;
     {
-      std::lock_guard<std::mutex> Lock(Mu);
-      auto It = Jobs.find(*IdOpt);
-      if (It == Jobs.end())
-        continue; // pruned
-      J = It->second.get();
-      if (J->Info.State != JobState::Queued)
-        continue; // cancelled while queued; already settled
+      // Pop and claim in one critical section: a job in the queue is
+      // Queued, so it is in the table and nobody else holds it.
+      std::unique_lock<std::mutex> Lock(Mu);
+      WorkCv.wait(Lock, [this] { return Stopping || Queue.size() != 0; });
+      std::optional<uint64_t> Id = Queue.pop();
+      if (!Id)
+        return; // stopping, and the queue has drained
+      J = Jobs.at(*Id).get();
       J->Info.State = JobState::Running;
       Exec = std::move(J->Exec);
       Spec = J->Spec;
@@ -674,20 +687,17 @@ void Service::recoverFromJournal() {
                  C.error().str().c_str());
   }
 
-  // Re-admit, oldest first.  Queued jobs go back on the queue; paused
-  // jobs park with no live session, so the worker catches a resumed one
-  // up to its park point before its slice.
+  // Re-admit, oldest first.  Queued jobs go back on the queue with no
+  // admission check: the limits bound new work, not work the daemon
+  // already accepted.  Paused jobs park with no live session, so the
+  // worker catches a resumed one up to its park point before its slice.
   for (auto &Entry : Live) {
     uint64_t Id = Entry.first;
     Job &J = *(Jobs[Id] = std::move(Entry.second));
     NextId = std::max(NextId, Id + 1);
     ++RecoveredJobs;
-    if (J.Info.State == JobState::Queued &&
-        Queue.push(Id, J.Info.Priority, J.Spec.ClientId) !=
-            JobQueue::PushResult::Ok) {
-      J.Info.Outcome.Error = "journal recovery: could not re-queue job";
-      settleLocked(J, JobState::Failed);
-    }
+    if (J.Info.State == JobState::Queued)
+      Queue.push(Id, J.Info.Priority, J.Spec.ClientId);
   }
 }
 
@@ -728,7 +738,7 @@ std::string Service::statsJson() const {
   Out += "\"schema\":\"silverd-stats-v1\"";
   Out += ",\"uptime_ms\":" + std::to_string(UptimeNs / 1'000'000);
   Out += ",\"workers\":" + std::to_string(Opts.Workers);
-  Out += ",\"queue_depth\":" + std::to_string(Queue.depth());
+  Out += ",\"queue_depth\":" + std::to_string(Queue.size());
   Out += ",\"draining\":" + std::string(Draining ? "true" : "false");
 
   Out += ",\"jobs\":{";

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The in-process serving engine behind silverd: a bounded priority
-/// JobQueue in front of a pool of worker threads, each stepping
-/// stack::Executor sessions in budgeted slices.
+/// The in-process serving engine behind silverd: a fair priority order
+/// of queued jobs (JobQueue) in front of a pool of worker threads, each
+/// stepping stack::Executor sessions in budgeted slices.
 ///
 ///   - submit() admits a JobSpec (or rejects it with backpressure when
-///     the queue is full / the service is draining) and returns a job id
-///     the client polls or blocks on.
+///     the queue is full, the client is over its share, or the service
+///     is draining) and returns a job id the client polls or blocks on.
 ///   - Compilation is memoized in a shared stack::PrepareCache, so
 ///     repeated submissions of the same program skip the compiler.
 ///   - A job whose slice or wall-clock budget runs out parks as Paused:
@@ -27,8 +27,10 @@
 ///     ServiceOptions::Instrument) the obs::Counters of all workers
 ///     merged via Counters::mergeFrom.
 ///
-/// Threading: one mutex guards the job table and metrics; workers hold
-/// it only to claim and settle a slice, never while stepping.  Each
+/// Threading: one mutex guards the job table, the order of queued jobs
+/// and the metrics; a job is in the order iff its state is Queued.
+/// Workers wait on their own condition variable under that mutex, and
+/// hold it only to claim and settle a slice, never while stepping.  Each
 /// worker owns a private obs::Counters on the hot path and folds it
 /// into its lock-protected total between slices, so instrumentation
 /// never contends.
@@ -80,15 +82,17 @@ struct ServiceOptions {
   /// Attach per-worker obs::Counters to every run (costs the observer
   /// dispatch on the hot path; off by default).
   bool Instrument = false;
-  /// Per-client fair-share admission cap, as a fraction of QueueDepth
-  /// (see JobQueue::JobQueue).  1.0 disables the quota; round-robin
-  /// service order between clients is always on.
+  /// Per-client fair-share admission cap, as a fraction of QueueDepth:
+  /// one client may hold max(1, ceil(QueueDepth x share)) queued jobs.
+  /// 1.0 disables the quota; round-robin service order between clients
+  /// (svc/JobQueue.h) is always on.
   double MaxClientShare = 1.0;
   /// Write-ahead job journal (svc/cluster/Journal.h).  Empty disables
   /// durability.  When set, every admission/pause/resume/settle appends
   /// a record, and construction replays an existing file: queued and
-  /// paused jobs from a killed process are re-admitted, paused ones
-  /// tagged for deterministic replay to their journaled StateDigest.
+  /// paused jobs from a killed process are re-admitted, whatever the
+  /// queue limits, paused ones tagged for deterministic replay to their
+  /// journaled StateDigest.
   std::string JournalPath = {};
   /// fdatasync the journal after every append — survive machine crashes,
   /// not just process kills.  Off by default (a SIGKILLed process's
@@ -99,14 +103,14 @@ struct ServiceOptions {
 class Service {
 public:
   explicit Service(ServiceOptions Opts = {});
-  ~Service(); ///< closes the queue and joins the workers
+  ~Service(); ///< lets the workers drain the queue, then joins them
 
   Service(const Service &) = delete;
   Service &operator=(const Service &) = delete;
 
   /// Admits a job.  The returned info is either Queued (with the new
-  /// job id) or Rejected (queue full / draining; Outcome.Error says
-  /// which) — submission never blocks.
+  /// job id) or Rejected (queue full / client quota / draining;
+  /// Outcome.Error says which) — submission never blocks.
   JobInfo submit(const JobSpec &Spec);
 
   /// Latest snapshot of a job; nullopt for ids never issued or pruned.
@@ -118,7 +122,7 @@ public:
 
   /// Re-enqueues a Paused job with a fresh slice grant
   /// (0 = the grant from the original spec).  Errors when the job is
-  /// not paused, the queue is full, or the service is draining — the
+  /// not paused or submit() would refuse it (the same texts) — the
   /// session stays parked in those cases.
   Result<JobInfo> resume(uint64_t Id, uint64_t SliceInstructions = 0);
 
@@ -168,7 +172,7 @@ public:
   void drain();
   bool draining() const;
 
-  size_t queueDepth() const { return Queue.depth(); }
+  size_t queueDepth() const;
 
   /// Evicts paused sessions idle for ServiceOptions::IdleEvictMs;
   /// returns how many.  Runs opportunistically, but is public so
@@ -187,6 +191,10 @@ private:
   struct Worker;
   struct SliceResult;
 
+  /// Why one more queued job for \p Client would be refused (draining,
+  /// queue full, client over its share), or null when it is admitted.
+  /// The one admission decision, taken by submit() and resume().
+  const char *refusalLocked(const std::string &Client) const;
   void workerMain(unsigned Index);
   /// One slice of \p J.  A fresh session (null \p Exec) first catches
   /// up to \p ParkPoint when that records a pause.
@@ -203,15 +211,20 @@ private:
   void publishStream(Job &J, const std::string &Cumulative);
 
   ServiceOptions Opts;
+  size_t ClientQuota = 0; ///< queued jobs one client may hold
   stack::PrepareCache Cache;
-  JobQueue Queue;
 
   mutable std::mutex Mu;
+  /// Wakes waitSettled/streamOutput/drain on settles, pauses and output.
   mutable std::condition_variable Cv;
+  /// Wakes idle workers on a push or at shutdown.
+  std::condition_variable WorkCv;
   std::unordered_map<uint64_t, std::unique_ptr<Job>> Jobs;
+  JobQueue Queue; ///< the Queued jobs, in service order
   std::deque<uint64_t> FinishedOrder; ///< terminal jobs, oldest first
   uint64_t NextId = 1;
   bool Draining = false;
+  bool Stopping = false; ///< workers exit once the queue is empty
 
   struct Counts {
     uint64_t Submitted = 0;

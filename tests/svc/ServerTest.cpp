@@ -20,8 +20,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ctime>
 #include <fstream>
 #include <thread>
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace silver;
@@ -123,6 +126,55 @@ TEST(Server, SequentialConnectionsDoNotAccumulateThreads) {
   EXPECT_LT(VmGrowth, 64.0) << "VmSize grew " << VmGrowth << " MB";
   Srv.stop();
   EXPECT_EQ(Srv.connectionThreads(), 0u);
+}
+
+/// CPU seconds this process has used, all threads together.
+double processCpuSeconds() {
+  timespec T{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T);
+  return static_cast<double>(T.tv_sec) + static_cast<double>(T.tv_nsec) * 1e-9;
+}
+
+TEST(Server, AcceptBacksOffWhenOutOfDescriptors) {
+  // With the descriptor table full, accept() fails with EMFILE but the
+  // pending connection keeps the listener readable: an accept loop that
+  // retries at once spins a whole core until descriptors free up.
+  Service Svc({.Workers = 1});
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath("emfile");
+  Server Srv(Svc, Opts);
+  ASSERT_TRUE(bool(Srv.start()));
+
+  rlimit Saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &Saved), 0);
+  Client C;
+  {
+    // Every descriptor below the lowest free one is in use, so a soft
+    // limit one above it leaves exactly one: the client's socket takes
+    // it, and accept() has nothing left to allocate.
+    int Lowest = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(Lowest, 0);
+    ::close(Lowest);
+    rlimit Low = Saved;
+    Low.rlim_cur = static_cast<rlim_t>(Lowest) + 1;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &Low), 0);
+    Result<void> Connected = C.connectUnix(Opts.SocketPath);
+    double Cpu0 = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    double CpuUsed = processCpuSeconds() - Cpu0;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &Saved), 0);
+    ASSERT_TRUE(bool(Connected)) << Connected.error().str();
+    EXPECT_EQ(Srv.connectionsAccepted(), 0u);
+    EXPECT_LT(CpuUsed, 0.1) << "the accept loop spun while out of descriptors";
+  }
+
+  // Descriptors are back: the pending connection is accepted and served.
+  Result<Response> R = C.submit(helloJob(), /*WaitMs=*/60'000);
+  ASSERT_TRUE(bool(R)) << R.error().str();
+  ASSERT_TRUE(R->Ok) << R->Error;
+  EXPECT_EQ(R->Info.Outcome.Behaviour.StdoutData, "Hello, world!\n");
+  EXPECT_EQ(Srv.connectionsAccepted(), 1u);
+  Srv.stop();
 }
 
 TEST(Server, TcpLoopbackRoundTrip) {

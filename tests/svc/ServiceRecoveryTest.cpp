@@ -11,7 +11,9 @@
 // a fresh Service on the same file and require the recovered jobs to
 // finish with byte-identical output and a bit-identical StateDigest.
 // The end-to-end kill -9 version of the same story runs in
-// tests/svc/cluster_smoke.sh.
+// tests/svc/cluster_smoke.sh.  The crash-point harness at the end cuts
+// one journaled job mix at every record boundary and recovers from each
+// cut.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,10 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
 #include <unistd.h>
 
@@ -397,6 +403,63 @@ TEST(Recovery, PauseBelowTheIsaStartupPrefixFailsAsOvershot) {
       << Done.Outcome.Error;
 }
 
+/// Three jobs queued at the crash, recovered into a service whose queue
+/// holds two and whose one client may hold one: the limits bound new
+/// work, not work the daemon already admitted, so all three come back
+/// and complete.
+TEST(Recovery, JobsOverTheQueueLimitAreRequeued) {
+  TempJournal P("over-limit");
+  JobSpec S = helloJob(stack::Level::Isa);
+  S.ClientId = "t";
+  writeJournal(P, {submitRecord(1, S), submitRecord(2, S),
+                   submitRecord(3, S)});
+
+  ServiceOptions Opts;
+  Opts.Workers = 1;
+  Opts.QueueDepth = 2;
+  Opts.MaxClientShare = 0.5;
+  Opts.JournalPath = P.Path;
+  Service Svc(Opts);
+  EXPECT_EQ(Svc.journalStats().RecoveredJobs, 3u);
+  for (uint64_t Id : {1, 2, 3}) {
+    std::optional<JobInfo> Done = Svc.waitSettled(Id, 120'000);
+    ASSERT_TRUE(Done.has_value()) << "job " << Id;
+    EXPECT_EQ(Done->State, JobState::Completed)
+        << "job " << Id << ": " << Done->Outcome.Error;
+    EXPECT_EQ(Done->Outcome.Behaviour.StdoutData, "Hello, world!\n");
+  }
+}
+
+/// A recovered backlog over the limit is kept, but it is still the
+/// queue that new work meets: resuming a recovered paused job is refused
+/// until the queue is under the limit again, and cancelling a queued job
+/// frees its slot at once.
+TEST(Recovery, ResumeMeetsTheSameAdmissionAsSubmit) {
+  TempJournal P("resume-admission");
+  JobSpec S = helloJob(stack::Level::Isa);
+  JobInfo Parked;
+  Parked.SlicesRun = 1;
+  Parked.Outcome.Behaviour.Instructions = 500;
+  writeJournal(P, {submitRecord(1, S), pauseRecord(1, Parked),
+                   submitRecord(2, S), submitRecord(3, S)});
+
+  ServiceOptions Opts;
+  Opts.Workers = 0;
+  Opts.QueueDepth = 2;
+  Opts.JournalPath = P.Path;
+  Service Svc(Opts);
+  EXPECT_EQ(Svc.queueDepth(), 2u);
+  Result<JobInfo> Refused = Svc.resume(1);
+  ASSERT_FALSE(bool(Refused));
+  EXPECT_EQ(Refused.error().str(), "queue full");
+  EXPECT_EQ(Svc.status(1)->State, JobState::Paused);
+  ASSERT_TRUE(bool(Svc.cancel(2)));
+  Result<JobInfo> Resumed = Svc.resume(1);
+  ASSERT_TRUE(bool(Resumed)) << Resumed.error().str();
+  EXPECT_EQ(Resumed->State, JobState::Queued);
+  EXPECT_EQ(Svc.queueDepth(), 2u);
+}
+
 TEST(Recovery, RestartCompactsToOneChainPerLiveJob) {
   RealRun Run = realRun(stack::Level::Isa);
   JobInfo Later = Run.Parked;
@@ -441,6 +504,221 @@ TEST(Recovery, RestartCompactsToOneChainPerLiveJob) {
     EXPECT_EQ(cluster::encodeRecord(Got[I]), cluster::encodeRecord(Want[I]))
         << "record " << I << " (" << cluster::recordKindName(Got[I].Kind)
         << " of job " << Got[I].JobId << ")";
+}
+
+//===----------------------------------------------------------------------===//
+// Crash-point harness
+//===----------------------------------------------------------------------===//
+
+/// One kind of job in the mix, with where an uninterrupted run of it
+/// ends.
+struct MixKind {
+  JobSpec Spec;
+  uint64_t Slice = 0; ///< grant of the kind's sliced instances
+  std::string Stdout;
+  stack::StateDigest Digest;
+};
+
+std::vector<MixKind> mixKinds() {
+  std::vector<MixKind> Kinds(4);
+  Kinds[0].Spec = helloJob(stack::Level::Isa);
+  Kinds[1].Spec.Source = stack::wcSource();
+  Kinds[1].Spec.Level = stack::Level::Isa;
+  Kinds[1].Spec.CommandLine = {"wc"};
+  Kinds[1].Spec.StdinData = stack::randomLines(3, 7);
+  Kinds[2].Spec.Source = stack::catSource();
+  Kinds[2].Spec.Level = stack::Level::Isa;
+  Kinds[2].Spec.CommandLine = {"cat"};
+  Kinds[2].Spec.StdinData = "crash\npoint\n";
+  Kinds[3].Spec = helloJob(stack::Level::Machine);
+  Service Ref({.Workers = 1});
+  for (MixKind &K : Kinds) {
+    JobInfo Whole = submitAndWait(Ref, K.Spec);
+    EXPECT_EQ(Whole.State, JobState::Completed) << Whole.Outcome.Error;
+    EXPECT_TRUE(Whole.Outcome.HasDigest);
+    K.Stdout = Whole.Outcome.Behaviour.StdoutData;
+    K.Digest = Whole.Outcome.Digest;
+    // Three or four slices per sliced run.
+    K.Slice = Whole.Outcome.Behaviour.Instructions / 3 + 1;
+  }
+  return Kinds;
+}
+
+/// Runs the fixed 50-job mix through a journaled service: waves of five
+/// submissions, every third job sliced and resumed until it ends, every
+/// fourth streaming live output, some cancelled while queued or running
+/// and some while paused.  Returns each job's kind.
+std::map<uint64_t, unsigned> runMix(const std::string &Path,
+                                    const std::vector<MixKind> &Kinds) {
+  ServiceOptions Opts;
+  Opts.Workers = 1;
+  Opts.JournalPath = Path;
+  Service Svc(Opts);
+  std::map<uint64_t, unsigned> KindOf;
+  for (unsigned Wave = 0; Wave != 10; ++Wave) {
+    std::vector<uint64_t> Ids;
+    for (unsigned I = 0; I != 5; ++I) {
+      unsigned N = Wave * 5 + I;
+      unsigned K = N % Kinds.size();
+      JobSpec S = Kinds[K].Spec;
+      S.SliceInstructions = N % 3 == 0 ? Kinds[K].Slice : 0;
+      S.LiveOutput = N % 4 == 1;
+      JobInfo Info = Svc.submit(S);
+      EXPECT_EQ(Info.State, JobState::Queued) << Info.Outcome.Error;
+      KindOf[Info.Id] = K;
+      Ids.push_back(Info.Id);
+      if (N % 7 == 5) {
+        EXPECT_TRUE(bool(Svc.cancel(Info.Id)));
+      }
+    }
+    for (size_t I = 0; I != Ids.size(); ++I) {
+      unsigned Pauses = 0;
+      std::optional<JobInfo> Now;
+      while ((Now = Svc.waitSettled(Ids[I], 120'000)) &&
+             Now->State == JobState::Paused) {
+        bool CancelNow = (Wave + I) % 4 == 0 && ++Pauses == 2;
+        EXPECT_TRUE(bool(CancelNow ? Svc.cancel(Ids[I]) : Svc.resume(Ids[I])));
+      }
+      EXPECT_TRUE(Now && isSettled(Now->State)) << "job " << Ids[I];
+    }
+  }
+  return KindOf;
+}
+
+/// The journal file, and where each record ends in it: Bytes[0, Ends[k])
+/// is the file after its k-th append (Ends[0] is the header).
+struct JournalCuts {
+  std::string Bytes;
+  std::vector<size_t> Ends;
+};
+
+JournalCuts cutJournal(const std::string &Path) {
+  JournalCuts C;
+  std::ifstream F(Path, std::ios::binary);
+  C.Bytes.assign(std::istreambuf_iterator<char>(F), {});
+  size_t At = sizeof(cluster::JournalMagic) + 4;
+  C.Ends.push_back(At);
+  while (At + 8 <= C.Bytes.size()) {
+    uint32_t Len = 0;
+    for (unsigned I = 0; I != 4; ++I)
+      Len |= static_cast<uint32_t>(static_cast<uint8_t>(C.Bytes[At + I]))
+             << (8 * I);
+    At += 8 + Len;
+    C.Ends.push_back(At);
+  }
+  EXPECT_EQ(At, C.Bytes.size()) << "journal does not end on a record";
+  return C;
+}
+
+/// Recovers a fresh service from journal bytes \p Bytes, which hold the
+/// records \p Prefix (plus a torn record when \p Torn), resumes whatever
+/// parks, runs it to quiescence, and checks the crash-point invariants.
+void checkCrashPoint(const TempJournal &P, const std::string &Bytes, bool Torn,
+                     const std::vector<cluster::Record> &Prefix,
+                     size_t Depth, const std::vector<MixKind> &Kinds,
+                     const std::map<uint64_t, unsigned> &KindOf) {
+  {
+    std::ofstream F(P.Path, std::ios::binary | std::ios::trunc);
+    F.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
+  std::set<uint64_t> Live, Settled;
+  for (const cluster::Record &R : Prefix) {
+    if (R.Kind == cluster::RecordKind::Submit)
+      Live.insert(R.JobId);
+    else if (R.Kind == cluster::RecordKind::Settle && Live.erase(R.JobId))
+      Settled.insert(R.JobId);
+  }
+
+  ServiceOptions Opts;
+  Opts.Workers = 2;
+  Opts.QueueDepth = Depth;
+  Opts.JournalPath = P.Path;
+  {
+    Service Svc(Opts);
+    Service::JournalStats JS = Svc.journalStats();
+    ASSERT_EQ(JS.ReplayedRecords, Prefix.size());
+    ASSERT_EQ(JS.TruncatedTail, Torn) << JS.Diagnostic;
+    ASSERT_EQ(JS.RecoveredJobs, Live.size());
+    for (uint64_t Id : Settled)
+      ASSERT_FALSE(Svc.status(Id).has_value())
+          << "job " << Id << " settled before the crash came back";
+    // Every recovered job settles or parks by itself; then the parked
+    // ones run to the end, one at a time, so no resume meets a full
+    // queue.
+    for (uint64_t Id : Live)
+      ASSERT_TRUE(Svc.waitSettled(Id, 120'000).has_value());
+    for (uint64_t Id : Live)
+      if (Svc.status(Id)->State == JobState::Paused) {
+        Result<JobInfo> R = Svc.resume(Id, 1'000'000'000);
+        ASSERT_TRUE(bool(R)) << "job " << Id << ": " << R.error().str();
+        ASSERT_TRUE(Svc.waitSettled(Id, 120'000).has_value());
+      }
+    for (uint64_t Id : Live) {
+      JobInfo Done = *Svc.status(Id);
+      const MixKind &K = Kinds[KindOf.at(Id)];
+      ASSERT_EQ(Done.State, JobState::Completed)
+          << "job " << Id << ": " << Done.Outcome.Error;
+      ASSERT_EQ(Done.Outcome.Behaviour.StdoutData, K.Stdout) << "job " << Id;
+      ASSERT_TRUE(Done.Outcome.HasDigest) << "job " << Id;
+      ASSERT_EQ(Done.Outcome.Digest, K.Digest) << "job " << Id;
+    }
+  }
+
+  // Exactly one Settle per recovered job, and none for a job that had
+  // already settled: compaction dropped those, and nothing re-ran them.
+  std::map<uint64_t, unsigned> Settles;
+  for (const cluster::Record &R : readJournal(P))
+    if (R.Kind == cluster::RecordKind::Settle)
+      ++Settles[R.JobId];
+  for (uint64_t Id : Live)
+    ASSERT_EQ(Settles[Id], 1u) << "job " << Id;
+  ASSERT_EQ(Settles.size(), Live.size());
+
+  // A second restart finds nothing left to do.
+  Service Again(Opts);
+  ASSERT_EQ(Again.journalStats().RecoveredJobs, 0u);
+}
+
+/// The durability claim at every crash point (ROADMAP item "Crash
+/// recovery keeps every admitted job"): cut the journal of one
+/// uninterrupted mix at each record boundary, and tear each next record
+/// in half; recovery from every cut must bring back every admitted job,
+/// finish it exactly as the uninterrupted run did, and settle it once.
+/// A queue of two is smaller than the backlog of a wave, so recovery
+/// re-queues more jobs than submit() would admit.
+TEST(Recovery, EveryJournalPrefixKeepsEveryAdmittedJob) {
+  std::vector<MixKind> Kinds = mixKinds();
+  TempJournal Mix("mix");
+  std::map<uint64_t, unsigned> KindOf = runMix(Mix.Path, Kinds);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(KindOf.size(), 50u);
+  JournalCuts Cuts = cutJournal(Mix.Path);
+  std::vector<cluster::Record> Records = readJournal(Mix);
+  ASSERT_EQ(Records.size() + 1, Cuts.Ends.size());
+
+  TempJournal P("crash-point");
+  for (size_t Depth : {size_t(2), ServiceOptions().QueueDepth})
+    for (size_t K = 0; K != Cuts.Ends.size(); ++K) {
+      std::vector<cluster::Record> Prefix(Records.begin(),
+                                          Records.begin() + K);
+      std::string Whole = Cuts.Bytes.substr(0, Cuts.Ends[K]);
+      {
+        SCOPED_TRACE("depth " + std::to_string(Depth) + ", first " +
+                     std::to_string(K) + " records");
+        checkCrashPoint(P, Whole, false, Prefix, Depth, Kinds, KindOf);
+      }
+      if (HasFailure())
+        return;
+      if (K + 1 == Cuts.Ends.size())
+        break;
+      SCOPED_TRACE("depth " + std::to_string(Depth) + ", first " +
+                   std::to_string(K) + " records and half of the next");
+      size_t Half = (Cuts.Ends[K + 1] - Cuts.Ends[K]) / 2;
+      checkCrashPoint(P, Whole + Cuts.Bytes.substr(Cuts.Ends[K], Half), true,
+                      Prefix, Depth, Kinds, KindOf);
+      if (HasFailure())
+        return;
+    }
 }
 
 } // namespace

@@ -184,6 +184,22 @@ TEST(Service, BackpressureRejectsWhenQueueFull) {
   EXPECT_EQ(Svc.queueDepth(), 2u);
 }
 
+TEST(Service, CancellingAQueuedJobFreesItsSlot) {
+  ServiceOptions Opts;
+  Opts.Workers = 0;
+  Opts.QueueDepth = 2;
+  Service Svc(Opts);
+  JobInfo A = Svc.submit(helloJob());
+  ASSERT_EQ(A.State, JobState::Queued);
+  ASSERT_EQ(Svc.submit(helloJob()).State, JobState::Queued);
+  ASSERT_TRUE(bool(Svc.cancel(A.Id)));
+  // The cancelled job leaves the queue at once, not when a worker
+  // would have reached it.
+  EXPECT_EQ(Svc.queueDepth(), 1u);
+  EXPECT_NE(Svc.statsJson().find("\"queue_depth\":1,"), std::string::npos);
+  EXPECT_EQ(Svc.submit(helloJob()).State, JobState::Queued);
+}
+
 TEST(Service, CancelQueuedJob) {
   ServiceOptions Opts;
   Opts.Workers = 0;
