@@ -11,8 +11,8 @@
 /// loop (isa::run, under every ExecBackend) executes from the cached
 /// entry instead of re-running fetch-decode every step.
 /// This removes the double decode the reference loop performs (isHalted
-/// decodes PC, then step decodes it again) — the halt self-jump test
-/// becomes a cached flag.
+/// decodes PC, then step decodes it again), and the decode picks the
+/// handler that runs the instruction, so a step is one indirect call.
 ///
 /// Correctness contract: an entry is valid for address A only while the
 /// word at A is unchanged.  Every path that can write instruction memory
@@ -40,21 +40,45 @@
 ///
 /// In the other direction, lookup() marks a page code when it fills one
 /// of its slots, whoever calls it (the run loop, a single cached step,
-/// the JIT dispatcher).  A JIT store into a code page leaves native code
-/// and is interpreted, so it reaches invalidate(): the table, not the
-/// caller, is what keeps every decoded slot guarded.
+/// the JIT dispatcher), and only a whole-table reset clears the mark
+/// (sys::instantiate, before any backend runs the state).  So a page
+/// that is not marked code holds no filled slot, and a store that does
+/// not touch a code page has nothing to invalidate: the interpreter's
+/// stores test MachineState::touchesCode before they call invalidate(),
+/// the test a JIT store makes before it may stay native.  A JIT store
+/// into a code page leaves native code and is interpreted, so it
+/// reaches invalidate(): the table, not the caller, is what keeps every
+/// decoded slot guarded.
 ///
 /// Under that contract, executing from the cache is observationally
 /// identical to the reference fetch-decode-execute semantics; the
 /// dedicated self-modifying-code tests (tests/isa/DecodeCacheTest.cpp)
 /// and the differential fuzzer hold the two in agreement.
 ///
-/// The entry keeps the Instruction unpacked (a packed 8-byte encoding
-/// was measured ~35% slower in the hot loop — the per-step unpack costs
-/// more than the smaller footprint saves).  The cache is paged (4 KiB
-/// code pages, 1024 instruction slots) and filled lazily, so its
-/// footprint follows the program's code locality, not the 16 MiB
-/// address space.
+/// Entry layout.  A slot keeps the Instruction unpacked (a packed 8-byte
+/// encoding was measured ~35% slower in the hot loop — the per-step
+/// unpack costs more than the smaller footprint saves) and one handler
+/// byte, H, which is all the run loop reads before it calls:
+///
+///  - 0 (Empty): not decoded, or invalidated.  Invalidation resets H
+///    and nothing else.  Handler 0 fills the slot (lookup) and runs it.
+///  - 1..254: the instruction's form, one handler each, specialised on
+///    the opcode, the ALU function or shift kind, and whether each of
+///    the operands A and B is an immediate or a register (handlerIndex
+///    below; isa/Interp.cpp instantiates the handlers).
+///  - 255 (Slow): everything the loop must not run straight away: an
+///    illegal word (Illegal set), the halt self-jump, and the
+///    Interrupt/In/Out instructions, which call the environment.
+///
+/// Statistics: lookup() counts a hit or a miss per call.  isa::run
+/// calls it only to fill empty slots and adds its hits once, when the
+/// run ends (addHits), so the counts are those of one lookup per
+/// instruction the run reached: executed, halted at, or faulted on.
+///
+/// The cache is paged (4 KiB code pages, 1024 instruction slots) and
+/// filled lazily, so its footprint follows the program's code locality,
+/// not the 16 MiB address space.  Pages never move once allocated: the
+/// run loop keeps a pointer to the slots of the page it executes from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,18 +96,98 @@
 namespace silver {
 namespace isa {
 
+/// The handler byte of one instruction form (see the file comment).
+namespace handler {
+inline constexpr uint8_t Empty = 0;
+inline constexpr uint8_t Slow = 255;
+
+/// How many of the operands A, B an opcode's handlers specialise on.
+constexpr unsigned operandCount(Opcode Op) {
+  switch (Op) {
+  case Opcode::Normal:
+  case Opcode::Shift:
+  case Opcode::StoreMEM:
+  case Opcode::StoreMEMByte:
+  case Opcode::JumpIfZero:
+  case Opcode::JumpIfNotZero:
+    return 2;
+  case Opcode::LoadMEM:
+  case Opcode::LoadMEMByte:
+  case Opcode::Jump:
+    return 1;
+  default:
+    return 0;
+  }
+}
+
+/// How many variants (ALU functions, shift kinds) an opcode has.
+constexpr unsigned variantCount(Opcode Op) {
+  switch (Op) {
+  case Opcode::Normal:
+  case Opcode::Jump:
+  case Opcode::JumpIfZero:
+  case Opcode::JumpIfNotZero:
+    return NumFuncs;
+  case Opcode::Shift:
+    return NumShiftKinds;
+  default:
+    return 1;
+  }
+}
+
+/// Whether an opcode always takes the slow path.
+constexpr bool isIo(Opcode Op) {
+  return Op == Opcode::Interrupt || Op == Opcode::In || Op == Opcode::Out;
+}
+
+/// Handlers of one opcode: variants times operand forms.
+constexpr unsigned formCount(Opcode Op) {
+  return isIo(Op) ? 0 : variantCount(Op) << operandCount(Op);
+}
+
+/// First handler byte of \p Op's forms; the opcodes follow each other
+/// in encoding order from 1.
+constexpr unsigned base(Opcode Op) {
+  unsigned B = 1;
+  for (unsigned O = 0; O != static_cast<unsigned>(Op); ++O)
+    B += formCount(static_cast<Opcode>(O));
+  return B;
+}
+
+/// The handler byte of a form: opcode, variant, immediate A, immediate
+/// B (the last two only where operandCount counts them).
+constexpr uint8_t index(Opcode Op, unsigned Variant, bool AImm, bool BImm) {
+  unsigned N = operandCount(Op);
+  unsigned Forms = ((unsigned(AImm) << 1) | unsigned(BImm)) >> (2 - N);
+  return static_cast<uint8_t>(base(Op) + (Variant << N) + Forms);
+}
+
+static_assert(base(Opcode::Interrupt) == Slow,
+              "the fast forms fill 1..254 exactly");
+} // namespace handler
+
+/// The handler byte for a decoded \p I: its form, or Slow for the halt
+/// self-jump and the I/O instructions.
+inline uint8_t handlerIndex(const Instruction &I) {
+  if (handler::isIo(I.Op) || I.isSelfJump())
+    return handler::Slow;
+  unsigned Variant = I.Op == Opcode::Shift ? static_cast<unsigned>(I.Sh)
+                                           : static_cast<unsigned>(I.F);
+  if (handler::variantCount(I.Op) == 1)
+    Variant = 0;
+  return handler::index(I.Op, Variant, I.A.IsImm, I.B.IsImm);
+}
+
 /// One predecoded instruction slot.
 struct DecodedInsn {
-  enum State : uint8_t {
-    Empty = 0,   ///< never decoded (or invalidated)
-    Decoded = 1, ///< I is the decode of the word at this address
-    Illegal = 2, ///< the word at this address does not decode
-  };
-  Instruction I;
-  uint8_t St = Empty;
-  /// Cached Instruction::isSelfJump() — the paper's is_halted predicate
-  /// reduced to one flag test on the hot path.
-  bool SelfJump = false;
+  Instruction I;             ///< the decode (meaningless when Illegal)
+  uint8_t H = handler::Empty; ///< the handler byte
+  bool Illegal = false;      ///< the word does not decode (H is Slow)
+
+  /// The paper's is_halted predicate on a filled slot.
+  bool selfJump() const {
+    return H == handler::Slow && !Illegal && I.isSelfJump();
+  }
 };
 
 class DecodeCache {
@@ -100,23 +204,25 @@ public:
   /// before the lookup).
   const DecodedInsn &lookup(MachineState &State, Word Pc) {
     DecodedInsn &E = slot(Pc);
-    if (E.St != DecodedInsn::Empty) {
+    if (E.H != handler::Empty) {
       ++S.Hits;
       return E;
     }
     ++S.Misses;
     State.markCode(Pc);
     Result<Instruction> Decoded = decode(State.readWord(Pc));
-    if (!Decoded) {
-      E.St = DecodedInsn::Illegal;
-      E.SelfJump = false;
-      return E;
-    }
-    E.I = *Decoded;
-    E.St = DecodedInsn::Decoded;
-    E.SelfJump = E.I.isSelfJump();
+    E.Illegal = !Decoded;
+    E.I = Decoded ? *Decoded : Instruction();
+    E.H = Decoded ? handlerIndex(E.I) : handler::Slow;
     return E;
   }
+
+  /// The slots of \p Pc's page, allocated on first use; they stay where
+  /// they are for the cache's lifetime.
+  const DecodedInsn *pageSlots(Word Pc) { return &slot(Pc & ~PageMask); }
+
+  /// Counts \p N lookups a run loop resolved from filled slots.
+  void addHits(uint64_t N) { S.Hits += N; }
 
   /// Drops every entry whose instruction word overlaps the byte range
   /// [Addr, Addr+Size).  Cheap when the range is cold: pages that were
@@ -139,8 +245,8 @@ public:
         continue;
       }
       DecodedInsn &E = Pages[PageIdx]->Slots[(A & PageMask) >> 2];
-      if (E.St != DecodedInsn::Empty) {
-        E.St = DecodedInsn::Empty;
+      if (E.H != handler::Empty) {
+        E.H = handler::Empty;
         ++S.Invalidations;
       }
       if (A + 4 < 4 || A + 4 > Last) // overflow or past the range
@@ -154,9 +260,9 @@ public:
     for (std::unique_ptr<Page> &P : Pages)
       if (P)
         for (DecodedInsn &E : P->Slots) {
-          if (E.St != DecodedInsn::Empty)
+          if (E.H != handler::Empty)
             ++S.Invalidations;
-          E.St = DecodedInsn::Empty;
+          E.H = handler::Empty;
         }
   }
 

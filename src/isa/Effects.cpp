@@ -10,14 +10,6 @@
 using namespace silver;
 using namespace silver::isa;
 
-bool silver::isa::funcWritesFlags(Func F) {
-  return F == Func::Add || F == Func::AddCarry || F == Func::Sub;
-}
-
-bool silver::isa::funcReadsFlags(Func F) {
-  return F == Func::AddCarry || F == Func::Carry || F == Func::Overflow;
-}
-
 EffectInfo silver::isa::effectsOf(const Instruction &I) {
   EffectInfo E;
   auto Def = [&](unsigned R) { E.RegWrites |= uint64_t(1) << R; };

@@ -16,13 +16,13 @@
 /// effectsOf, so an ISA extension has exactly one place to declare what
 /// an instruction touches.
 ///
-/// The metadata is an over-approximation of execImpl (isa/Interp.cpp) by
-/// construction: every architectural write the interpreter can perform
-/// for an instruction is covered by the masks here.  The effects
-/// property test (tests/fuzz/PropertyTest.cpp) holds the two in
-/// agreement dynamically: it steps every instruction of the encoding
-/// lattices from random states and checks each change against the
-/// masks.
+/// The metadata is an over-approximation of the interpreter's handlers
+/// (isa/Interp.cpp) by construction: every architectural write the
+/// interpreter can perform for an instruction is covered by the masks
+/// here.  The effects property test (tests/fuzz/PropertyTest.cpp) holds
+/// the two in agreement dynamically: it steps every instruction of the
+/// encoding lattices from random states and checks each change against
+/// the masks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +58,14 @@ struct EffectInfo {
 };
 
 /// Whether ALU function \p F updates the carry/overflow flags.
-bool funcWritesFlags(Func F);
+constexpr bool funcWritesFlags(Func F) {
+  return F == Func::Add || F == Func::AddCarry || F == Func::Sub;
+}
 
 /// Whether ALU function \p F consumes the current flag values.
-bool funcReadsFlags(Func F);
+constexpr bool funcReadsFlags(Func F) {
+  return F == Func::AddCarry || F == Func::Carry || F == Func::Overflow;
+}
 
 /// Computes the static effects of \p I.  Pure function of the
 /// instruction (address-independent).

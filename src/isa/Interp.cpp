@@ -8,6 +8,12 @@
 #include "isa/Interp.h"
 
 #include "isa/DecodeCache.h"
+#include "isa/Effects.h"
+
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <utility>
 
 using namespace silver;
 using namespace silver::isa;
@@ -29,109 +35,95 @@ IsaEnv &silver::isa::nullEnv() {
 bool silver::isa::fault::InvertAddCarry = false;
 #endif
 
-AluResult silver::isa::evalAlu(Func F, Word A, Word B, bool CarryIn,
-                               bool OverflowIn) {
+namespace {
+
+/// The Silver ALU, one function at a time: the single definition behind
+/// evalAlu and every ALU-using handler.
+template <Func F>
+inline AluResult alu(Word A, Word B, bool CarryIn, bool OverflowIn) {
   AluResult R;
-  switch (F) {
-  case Func::Add: {
+  R.FlagsUpdated = funcWritesFlags(F);
+  if constexpr (F == Func::Add) {
     uint64_t Wide = uint64_t(A) + uint64_t(B);
     R.Value = static_cast<Word>(Wide);
     R.Carry = (Wide > 0xffffffffull) != fault::InvertAddCarry;
     R.Overflow = ((~(A ^ B)) & (A ^ R.Value)) >> 31;
-    R.FlagsUpdated = true;
-    break;
-  }
-  case Func::AddCarry: {
+  } else if constexpr (F == Func::AddCarry) {
     uint64_t Wide = uint64_t(A) + uint64_t(B) + (CarryIn ? 1 : 0);
     R.Value = static_cast<Word>(Wide);
     R.Carry = Wide > 0xffffffffull;
     R.Overflow = ((~(A ^ B)) & (A ^ R.Value)) >> 31;
-    R.FlagsUpdated = true;
-    break;
-  }
-  case Func::Sub: {
+  } else if constexpr (F == Func::Sub) {
     R.Value = A - B;
     // Carry here means "no borrow", matching a subtract implemented as
     // A + ~B + 1 on the adder.
     R.Carry = A >= B;
     R.Overflow = ((A ^ B) & (A ^ R.Value)) >> 31;
-    R.FlagsUpdated = true;
-    break;
-  }
-  case Func::Carry:
+  } else if constexpr (F == Func::Carry) {
     R.Value = CarryIn ? 1 : 0;
-    break;
-  case Func::Overflow:
+  } else if constexpr (F == Func::Overflow) {
     R.Value = OverflowIn ? 1 : 0;
-    break;
-  case Func::Inc:
+  } else if constexpr (F == Func::Inc) {
     R.Value = A + 1;
-    break;
-  case Func::Dec:
+  } else if constexpr (F == Func::Dec) {
     R.Value = A - 1;
-    break;
-  case Func::Mul:
+  } else if constexpr (F == Func::Mul) {
     R.Value = static_cast<Word>(uint64_t(A) * uint64_t(B));
-    break;
-  case Func::MulHigh:
+  } else if constexpr (F == Func::MulHigh) {
     R.Value = static_cast<Word>((uint64_t(A) * uint64_t(B)) >> 32);
-    break;
-  case Func::And:
+  } else if constexpr (F == Func::And) {
     R.Value = A & B;
-    break;
-  case Func::Or:
+  } else if constexpr (F == Func::Or) {
     R.Value = A | B;
-    break;
-  case Func::Xor:
+  } else if constexpr (F == Func::Xor) {
     R.Value = A ^ B;
-    break;
-  case Func::Equal:
+  } else if constexpr (F == Func::Equal) {
     R.Value = A == B ? 1 : 0;
-    break;
-  case Func::Less:
+  } else if constexpr (F == Func::Less) {
     R.Value = asSigned(A) < asSigned(B) ? 1 : 0;
-    break;
-  case Func::Lower:
+  } else if constexpr (F == Func::Lower) {
     R.Value = A < B ? 1 : 0;
-    break;
-  case Func::Snd:
+  } else {
+    static_assert(F == Func::Snd);
     R.Value = B;
-    break;
   }
   return R;
 }
 
-Word silver::isa::evalShift(ShiftKind K, Word A, Word B) {
+/// The shift unit, one kind at a time.
+template <ShiftKind K> inline Word shift(Word A, Word B) {
   unsigned Amount = B & 31;
-  switch (K) {
-  case ShiftKind::LogicalLeft:
+  if constexpr (K == ShiftKind::LogicalLeft)
     return A << Amount;
-  case ShiftKind::LogicalRight:
+  else if constexpr (K == ShiftKind::LogicalRight)
     return A >> Amount;
-  case ShiftKind::ArithRight:
+  else if constexpr (K == ShiftKind::ArithRight)
     return static_cast<Word>(asSigned(A) >> Amount);
-  case ShiftKind::RotateRight:
+  else
     return rotateRight(A, Amount);
-  }
-  return 0;
 }
 
-/// Applies the ALU and commits flag updates to the state.
-static Word applyAlu(MachineState &State, Func F, Word A, Word B) {
-  AluResult R =
-      evalAlu(F, A, B, State.CarryFlag, State.OverflowFlag);
-  if (R.FlagsUpdated) {
-    State.CarryFlag = R.Carry;
-    State.OverflowFlag = R.Overflow;
-  }
-  return R.Value;
+} // namespace
+
+AluResult silver::isa::evalAlu(Func F, Word A, Word B, bool CarryIn,
+                               bool OverflowIn) {
+  static constexpr auto Funcs = []<size_t... Fs>(std::index_sequence<Fs...>) {
+    return std::array{&alu<Func(Fs)>...};
+  }(std::make_index_sequence<NumFuncs>());
+  return Funcs[size_t(F)](A, B, CarryIn, OverflowIn);
+}
+
+Word silver::isa::evalShift(ShiftKind K, Word A, Word B) {
+  static constexpr auto Kinds = []<size_t... Ks>(std::index_sequence<Ks...>) {
+    return std::array{&shift<ShiftKind(Ks)>...};
+  }(std::make_index_sequence<NumShiftKinds>());
+  return Kinds[size_t(K)](A, B);
 }
 
 namespace {
 
-/// No-op emitter: execImpl and runImpl instantiated with it are the
-/// uninstrumented interpreter, bit-identical to the pre-observability
-/// code.
+/// No-op emitter: handlers and run loops instantiated with it are the
+/// uninstrumented interpreter.
 struct NullEmit {
   void mem(Word, uint8_t, bool) {}
   void retire(Word, const Instruction &) {}
@@ -172,157 +164,232 @@ struct HooksEmit : ObsEmit {
   }
 };
 
-/// Store-invalidation policies for execImpl: the uncached interpreter
-/// does nothing, the cached one drops the overwritten decode slots so
-/// self-modifying code keeps matching the reference semantics.
-struct NoInval {
-  void operator()(Word, Word) {}
+/// What a handler needs beyond the state and the slot.
+template <class Emit> struct Ctx {
+  IsaEnv &Env;
+  /// The cache the slot came from, whose slots stores invalidate; null
+  /// in the reference step.
+  DecodeCache *Cache;
+  Emit &E;
+  /// Whether the halt self-jump ends the run (run loops) or executes
+  /// like any jump (single steps).
+  bool HaltStops;
 };
-struct CacheInval {
-  DecodeCache &Cache;
-  void operator()(Word Addr, Word Size) { Cache.invalidate(Addr, Size); }
+
+/// A handler's outcome: StepFault::None to go on, a fault (the
+/// instruction had no effect), or HaltSeen.
+constexpr StepFault HaltSeen = static_cast<StepFault>(0xff);
+
+template <class Emit>
+using Handler = StepFault (*)(MachineState &, const DecodedInsn &,
+                              Ctx<Emit> &);
+
+/// The instruction form a fast handler byte stands for (the inverse of
+/// handler::index).
+struct Form {
+  Opcode Op;
+  unsigned Variant;
+  bool AImm, BImm;
 };
+
+constexpr Form formOf(uint8_t H) {
+  unsigned O = 0;
+  while (handler::base(static_cast<Opcode>(O + 1)) <= H)
+    ++O;
+  Opcode Op = static_cast<Opcode>(O);
+  unsigned Rel = H - handler::base(Op);
+  unsigned N = handler::operandCount(Op);
+  unsigned Forms = (Rel & ((1u << N) - 1)) << (2 - N); // A in bit 1, B in 0
+  return {Op, Rel >> N, (Forms & 2) != 0, (Forms & 1) != 0};
+}
+
+template <bool Imm> inline Word operand(const MachineState &S, Operand Op) {
+  if constexpr (Imm)
+    return Op.immValue();
+  else
+    return S.Regs[Op.Value];
+}
+
+/// Applies ALU function F and commits the flags it updates.
+template <Func F> inline Word applyAlu(MachineState &S, Word A, Word B) {
+  AluResult R = alu<F>(A, B, S.CarryFlag, S.OverflowFlag);
+  if constexpr (funcWritesFlags(F)) {
+    S.CarryFlag = R.Carry;
+    S.OverflowFlag = R.Overflow;
+  }
+  return R.Value;
+}
+
+/// Out of line: the handlers inline everything else, and stores into
+/// code pages are rare.
+[[gnu::noinline, gnu::cold]] void dropSlots(DecodeCache &Cache, Word Addr,
+                                            Word Size) {
+  Cache.invalidate(Addr, Size);
+}
+
+/// Stores drop the decoded slots they overwrite.  A page that is not
+/// marked code holds no filled slot (isa/DecodeCache.h), so only stores
+/// into code pages reach the cache.
+template <class Emit>
+inline void stored(MachineState &S, Ctx<Emit> &C, Word Addr, Word Size) {
+  if (S.touchesCode(Addr, Size) && C.Cache)
+    dropSlots(*C.Cache, Addr, Size);
+}
+
+/// The handler of fast form H (1..254): the Silver semantics of one
+/// instruction form, written once.  Faults leave the state untouched;
+/// otherwise the instruction retires and PC moves on.
+template <class Emit, uint8_t H>
+[[gnu::flatten]] StepFault handle(MachineState &S, const DecodedInsn &D,
+                                  Ctx<Emit> &C) {
+  constexpr Form Fm = formOf(H);
+  constexpr bool AImm = Fm.AImm, BImm = Fm.BImm;
+  const Instruction &I = D.I;
+  const Word Pc = S.PC;
+  Word NextPC = Pc + 4;
+  if constexpr (Fm.Op == Opcode::Normal) {
+    constexpr Func F = static_cast<Func>(Fm.Variant);
+    S.Regs[I.WReg] =
+        applyAlu<F>(S, operand<AImm>(S, I.A), operand<BImm>(S, I.B));
+  } else if constexpr (Fm.Op == Opcode::Shift) {
+    constexpr ShiftKind K = static_cast<ShiftKind>(Fm.Variant);
+    S.Regs[I.WReg] = shift<K>(operand<AImm>(S, I.A), operand<BImm>(S, I.B));
+  } else if constexpr (Fm.Op == Opcode::LoadMEM ||
+                       Fm.Op == Opcode::LoadMEMByte) {
+    constexpr Word Size = Fm.Op == Opcode::LoadMEM ? 4 : 1;
+    Word Addr = operand<AImm>(S, I.A);
+    if (!S.inRange(Addr, Size))
+      return StepFault::MemOutOfRange;
+    if (!isAligned(Addr, Size))
+      return StepFault::MemMisaligned;
+    C.E.mem(Addr, Size, /*IsWrite=*/false);
+    S.Regs[I.WReg] = Size == 4 ? S.readWord(Addr) : S.readByte(Addr);
+  } else if constexpr (Fm.Op == Opcode::StoreMEM ||
+                       Fm.Op == Opcode::StoreMEMByte) {
+    constexpr Word Size = Fm.Op == Opcode::StoreMEM ? 4 : 1;
+    Word Addr = operand<BImm>(S, I.B);
+    if (!S.inRange(Addr, Size))
+      return StepFault::MemOutOfRange;
+    if (!isAligned(Addr, Size))
+      return StepFault::MemMisaligned;
+    C.E.mem(Addr, Size, /*IsWrite=*/true);
+    Word V = operand<AImm>(S, I.A);
+    if constexpr (Size == 4)
+      S.writeWord(Addr, V);
+    else
+      S.writeByte(Addr, static_cast<uint8_t>(V));
+    stored(S, C, Addr, Size);
+  } else if constexpr (Fm.Op == Opcode::LoadConstant) {
+    S.Regs[I.WReg] = I.Negate ? (0u - I.Imm) : I.Imm;
+  } else if constexpr (Fm.Op == Opcode::LoadUpperConstant) {
+    S.Regs[I.WReg] = (I.Imm << 21) | (S.Regs[I.WReg] & 0x1fffff);
+  } else if constexpr (Fm.Op == Opcode::Jump) {
+    // The link register receives the return address after the target
+    // is computed (`jump add r5, r5` reads r5 first); the new PC is
+    // alu(func, PC, a): Add gives PC-relative, Snd gives absolute.
+    constexpr Func F = static_cast<Func>(Fm.Variant);
+    NextPC = applyAlu<F>(S, Pc, operand<AImm>(S, I.A));
+    S.Regs[I.WReg] = Pc + 4;
+  } else {
+    static_assert(Fm.Op == Opcode::JumpIfZero ||
+                  Fm.Op == Opcode::JumpIfNotZero);
+    constexpr Func F = static_cast<Func>(Fm.Variant);
+    Word Test = applyAlu<F>(S, operand<AImm>(S, I.A), operand<BImm>(S, I.B));
+    if ((Test == 0) == (Fm.Op == Opcode::JumpIfZero))
+      NextPC = Pc + static_cast<Word>(I.Offset) * 4;
+  }
+  C.E.retire(Pc, I);
+  S.PC = NextPC;
+  return StepFault::None;
+}
+
+/// Handler 255: the illegal word, the halt self-jump and the I/O
+/// instructions.
+template <class Emit>
+StepFault slowPath(MachineState &S, const DecodedInsn &D, Ctx<Emit> &C) {
+  if (D.Illegal)
+    return StepFault::IllegalInstruction;
+  const Instruction &I = D.I;
+  if (I.isSelfJump()) {
+    if (C.HaltStops)
+      return HaltSeen;
+    constexpr uint8_t Jump =
+        handler::index(Opcode::Jump, unsigned(Func::Add), true, false);
+    return handle<Emit, Jump>(S, D, C);
+  }
+  Word NextPC = S.PC + 4;
+  switch (I.Op) {
+  case Opcode::Interrupt:
+    C.Env.onInterrupt(S);
+    break;
+  case Opcode::In:
+    S.Regs[I.WReg] = C.Env.inputWord(S);
+    break;
+  case Opcode::Out: {
+    Word V = S.operandValue(I.A);
+    S.DataOut = V;
+    C.Env.onOutput(S, V);
+    break;
+  }
+  default:
+    assert(false && "fast form on the slow path");
+  }
+  C.E.retire(S.PC, I);
+  S.PC = NextPC;
+  return StepFault::None;
+}
+
+template <class Emit> struct Table;
+
+/// Handler 0: decode the slot (a lookup that misses), then run it.
+template <class Emit>
+StepFault fillThenRun(MachineState &S, const DecodedInsn &, Ctx<Emit> &C) {
+  const DecodedInsn &D = C.Cache->lookup(S, S.PC);
+  return Table<Emit>::Handlers[D.H](S, D, C);
+}
+
+/// The dispatch table: handler byte to handler, one per emitter.
+template <class Emit> struct Table {
+  template <size_t... Hs>
+  static constexpr std::array<Handler<Emit>, 256>
+  make(std::index_sequence<Hs...>) {
+    return {&fillThenRun<Emit>, &handle<Emit, uint8_t(Hs + 1)>...,
+            &slowPath<Emit>};
+  }
+  static constexpr std::array<Handler<Emit>, 256> Handlers =
+      make(std::make_index_sequence<handler::Slow - 1>());
+};
+
+/// The fault of fetching at an invalid PC (range before alignment), or
+/// None.
+StepFault pcFault(const MachineState &S) {
+  if (!S.inRange(S.PC, 4))
+    return StepFault::PcOutOfRange;
+  if (!isAligned(S.PC, 4))
+    return StepFault::PcMisaligned;
+  return StepFault::None;
+}
 
 } // namespace
 
-/// Executes the already-decoded \p I at State.PC.  The fetch-side checks
-/// (PC range/alignment, decodability) are the caller's: stepImpl does
-/// them per step, the cached step and the run loop get them from the
-/// cache entry.
-template <class Emit, class Inval>
-static StepResult execImpl(MachineState &State, IsaEnv &Env,
-                           const Instruction &I, Emit &&E, Inval &&Inv) {
-  StepResult Out;
-  Word NextPC = State.PC + 4;
-
-  switch (I.Op) {
-  case Opcode::Normal:
-    State.Regs[I.WReg] =
-        applyAlu(State, I.F, State.operandValue(I.A),
-                 State.operandValue(I.B));
-    break;
-  case Opcode::Shift:
-    State.Regs[I.WReg] =
-        evalShift(I.Sh, State.operandValue(I.A), State.operandValue(I.B));
-    break;
-  case Opcode::LoadMEM: {
-    Word Addr = State.operandValue(I.A);
-    if (!State.inRange(Addr, 4)) {
-      Out.Fault = StepFault::MemOutOfRange;
-      return Out;
-    }
-    if (!isAligned(Addr, 4)) {
-      Out.Fault = StepFault::MemMisaligned;
-      return Out;
-    }
-    E.mem(Addr, 4, /*IsWrite=*/false);
-    State.Regs[I.WReg] = State.readWord(Addr);
-    break;
-  }
-  case Opcode::LoadMEMByte: {
-    Word Addr = State.operandValue(I.A);
-    if (!State.inRange(Addr, 1)) {
-      Out.Fault = StepFault::MemOutOfRange;
-      return Out;
-    }
-    E.mem(Addr, 1, /*IsWrite=*/false);
-    State.Regs[I.WReg] = State.readByte(Addr);
-    break;
-  }
-  case Opcode::StoreMEM: {
-    Word Addr = State.operandValue(I.B);
-    if (!State.inRange(Addr, 4)) {
-      Out.Fault = StepFault::MemOutOfRange;
-      return Out;
-    }
-    if (!isAligned(Addr, 4)) {
-      Out.Fault = StepFault::MemMisaligned;
-      return Out;
-    }
-    E.mem(Addr, 4, /*IsWrite=*/true);
-    State.writeWord(Addr, State.operandValue(I.A));
-    Inv(Addr, 4);
-    break;
-  }
-  case Opcode::StoreMEMByte: {
-    Word Addr = State.operandValue(I.B);
-    if (!State.inRange(Addr, 1)) {
-      Out.Fault = StepFault::MemOutOfRange;
-      return Out;
-    }
-    E.mem(Addr, 1, /*IsWrite=*/true);
-    State.writeByte(Addr, static_cast<uint8_t>(State.operandValue(I.A)));
-    Inv(Addr, 1);
-    break;
-  }
-  case Opcode::LoadConstant: {
-    Word V = I.Imm;
-    State.Regs[I.WReg] = I.Negate ? (0u - V) : V;
-    break;
-  }
-  case Opcode::LoadUpperConstant:
-    State.Regs[I.WReg] =
-        (I.Imm << 21) | (State.Regs[I.WReg] & 0x1fffff);
-    break;
-  case Opcode::Jump: {
-    // The link register receives the return address; the new PC is
-    // alu(func, PC, a): Add gives PC-relative, Snd gives absolute.
-    Word Target = applyAlu(State, I.F, State.PC, State.operandValue(I.A));
-    State.Regs[I.WReg] = State.PC + 4;
-    NextPC = Target;
-    break;
-  }
-  case Opcode::JumpIfZero: {
-    Word Test = applyAlu(State, I.F, State.operandValue(I.A),
-                         State.operandValue(I.B));
-    if (Test == 0)
-      NextPC = State.PC + static_cast<Word>(I.Offset) * 4;
-    break;
-  }
-  case Opcode::JumpIfNotZero: {
-    Word Test = applyAlu(State, I.F, State.operandValue(I.A),
-                         State.operandValue(I.B));
-    if (Test != 0)
-      NextPC = State.PC + static_cast<Word>(I.Offset) * 4;
-    break;
-  }
-  case Opcode::Interrupt:
-    Env.onInterrupt(State);
-    break;
-  case Opcode::In:
-    State.Regs[I.WReg] = Env.inputWord(State);
-    break;
-  case Opcode::Out: {
-    Word V = State.operandValue(I.A);
-    State.DataOut = V;
-    Env.onOutput(State, V);
-    break;
-  }
-  }
-
-  E.retire(State.PC, I);
-  State.PC = NextPC;
-  return Out;
-}
-
-/// Reference fetch-decode-execute step.
+/// Reference fetch-decode-execute step: decodes afresh and runs the
+/// handler of the decoded form.
 template <class Emit>
-static StepResult stepImpl(MachineState &State, IsaEnv &Env, Emit &&E) {
+static StepResult stepImpl(MachineState &State, IsaEnv &Env, Emit &E) {
   StepResult Out;
-  if (!State.inRange(State.PC, 4)) {
-    Out.Fault = StepFault::PcOutOfRange;
+  if ((Out.Fault = pcFault(State)) != StepFault::None)
     return Out;
-  }
-  if (!isAligned(State.PC, 4)) {
-    Out.Fault = StepFault::PcMisaligned;
-    return Out;
-  }
   Result<Instruction> Decoded = decode(State.readWord(State.PC));
   if (!Decoded) {
     Out.Fault = StepFault::IllegalInstruction;
     return Out;
   }
-  return execImpl(State, Env, *Decoded, E, NoInval{});
+  DecodedInsn D;
+  D.I = *Decoded;
+  D.H = handlerIndex(D.I);
+  Ctx<Emit> C{Env, nullptr, E, /*HaltStops=*/false};
+  Out.Fault = Table<Emit>::Handlers[D.H](State, D, C);
+  return Out;
 }
 
 StepResult silver::isa::step(MachineState &State, IsaEnv &Env) {
@@ -341,21 +408,13 @@ StepResult silver::isa::step(MachineState &State, IsaEnv &Env,
   // The fetch-side checks survive, but the decode comes from the cache
   // (and stores drop the slots they overwrite).
   StepResult Out;
-  if (!State.inRange(State.PC, 4)) {
-    Out.Fault = StepFault::PcOutOfRange;
+  if ((Out.Fault = pcFault(State)) != StepFault::None)
     return Out;
-  }
-  if (!isAligned(State.PC, 4)) {
-    Out.Fault = StepFault::PcMisaligned;
-    return Out;
-  }
   const DecodedInsn &D = Cache.lookup(State, State.PC);
-  if (D.St == DecodedInsn::Illegal) {
-    Out.Fault = StepFault::IllegalInstruction;
-    return Out;
-  }
   NullEmit E;
-  return execImpl(State, Env, D.I, E, CacheInval{Cache});
+  Ctx<NullEmit> C{Env, &Cache, E, /*HaltStops=*/false};
+  Out.Fault = Table<NullEmit>::Handlers[D.H](State, D, C);
+  return Out;
 }
 
 bool silver::isa::isHalted(const MachineState &State) {
@@ -385,45 +444,58 @@ RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
 
 /// The predecoded loop behind every run.  The reference loop above
 /// fetches and decodes PC twice per iteration (isHalted, then step);
-/// here both collapse into one cache lookup, and on a hit the body is
-/// check-flag-and-execute.  \p HasStop and the emitter are compile-time:
-/// with NullEmit the after-step hook vanishes, and without a stop
-/// PC so does its compare.  Each instantiation stays its own function:
-/// inlined together into run(), they share one register allocation, and
-/// with GCC -O3 on x86-64 the Isa-level loop spilled its step counter
-/// and environment pointer to the stack (4–10% slower).
+/// here a step is the budget test, the stop-PC compare, one test that PC
+/// is aligned and on the page whose slots the loop holds, and one
+/// indirect call through the slot's handler byte.  A PC off that page
+/// (or invalid) takes the slow refresh; an empty slot's handler fills
+/// it; the halt self-jump, illegal words and I/O share the slow handler.
+/// Hits are counted once, at the end.  \p HasStop and the emitter are
+/// compile-time: with NullEmit the after-step hook vanishes, and without
+/// a stop PC so does its compare.  Each instantiation stays its own
+/// function: inlined together into run(), they share one register
+/// allocation, and with GCC -O3 on x86-64 the Isa-level loop spilled its
+/// step counter and environment pointer to the stack (4–10% slower).
 template <bool HasStop, class Emit>
-[[gnu::noinline]] static RunResult runImpl(MachineState &State, IsaEnv &Env,
-                         DecodeCache &Cache, uint64_t MaxSteps, Word StopPc,
-                         Emit &E) {
+[[gnu::noinline]] static RunResult
+runImpl(MachineState &State, IsaEnv &Env, DecodeCache &Cache,
+        uint64_t MaxSteps, Word StopPc, Emit &E) {
+  Ctx<Emit> C{Env, &Cache, E, /*HaltStops=*/true};
+  const uint64_t MissesBefore = Cache.stats().Misses;
   RunResult R;
+  const DecodedInsn *Slots = nullptr;
+  Word PageBase = 0;
+  Word Limit = 0; // PC - PageBase below Limit: on the held page, in range
+  StepFault F = StepFault::None;
   while (R.Steps < MaxSteps) {
-    if (HasStop && State.PC == StopPc) {
+    Word Pc = State.PC;
+    if (HasStop && Pc == StopPc) {
       R.AtStopPc = true;
-      return R;
+      break;
     }
-    if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4)) {
-      // Not a halt; take the reference step to report the exact fault.
-      R.Fault = step(State, Env).Fault;
-      return R;
+    if ((Pc - PageBase >= Limit) | (Pc & 3)) {
+      if ((R.Fault = pcFault(State)) != StepFault::None)
+        break;
+      PageBase = Pc & ~DecodeCache::PageMask;
+      Slots = Cache.pageSlots(PageBase);
+      // Slots whose whole word lies in memory.
+      Limit = static_cast<Word>(std::min<size_t>(
+          PageSize, (State.memSize() - PageBase) & ~size_t(3)));
     }
-    const DecodedInsn &D = Cache.lookup(State, State.PC);
-    if (D.St == DecodedInsn::Illegal) {
-      R.Fault = StepFault::IllegalInstruction;
-      return R;
-    }
-    if (D.SelfJump) {
-      R.Halted = true;
-      return R;
-    }
-    StepResult S = execImpl(State, Env, D.I, E, CacheInval{Cache});
-    if (!S.ok()) {
-      R.Fault = S.Fault;
-      return R;
-    }
+    const DecodedInsn &D = Slots[(Pc - PageBase) >> 2];
+    F = Table<Emit>::Handlers[D.H](State, D, C);
+    if (F != StepFault::None)
+      break;
     ++R.Steps;
     E.afterStep(State);
   }
+  // Every executed instruction, and the one that ended the run in a
+  // handler, was one lookup.
+  uint64_t Lookups = R.Steps + (F != StepFault::None);
+  Cache.addHits(Lookups - (Cache.stats().Misses - MissesBefore));
+  if (F == HaltSeen)
+    R.Halted = true;
+  else if (F != StepFault::None)
+    R.Fault = F;
   return R;
 }
 

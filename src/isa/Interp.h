@@ -104,9 +104,10 @@ StepResult step(MachineState &State, IsaEnv &Env);
 StepResult step(MachineState &State, IsaEnv &Env, DecodeCache &Cache);
 
 /// Instrumented step: additionally emits the memory accesses and the
-/// retirement (with \p RetireIndex) of this instruction to \p Obs.  Both
-/// overloads are compiled from the same template; the uninstrumented one
-/// pays nothing for the hooks.
+/// retirement (with \p RetireIndex) of this instruction to \p Obs.  All
+/// steps and runs execute through the same instruction handlers
+/// (isa/Interp.cpp), instantiated per observer; the uninstrumented ones
+/// pay nothing for the hooks.
 StepResult step(MachineState &State, IsaEnv &Env, obs::Observer &Obs,
                 uint64_t RetireIndex);
 
@@ -143,12 +144,13 @@ struct ObsHooks {
 };
 
 /// The predecoded run loop, the one every execution backend is built on.
-/// One cache lookup per instruction replaces the fetch-decode pair of the
-/// reference loop (isHalted + step), with the halt test reduced to the
-/// entry's self-jump flag.  Stops at halt, fault, after \p MaxSteps
-/// instructions, or — when \p StopPc is set — before executing the
-/// instruction at StopPc (machine::MachineSem points it at the FFI
-/// trampoline, which costs one compare per instruction).
+/// One call through the cached slot's handler byte replaces the
+/// fetch-decode pair of the reference loop (isHalted + step); the halt
+/// self-jump has the slow handler, which ends the run.  Stops at halt,
+/// fault, after \p MaxSteps instructions, or — when \p StopPc is set —
+/// before executing the instruction at StopPc (the Isa and Machine
+/// levels point it at the FFI trampoline, which costs one compare per
+/// instruction).
 ///
 /// With \p Hooks and Hooks->Obs set the run is instrumented: it emits
 /// retire/memory/FFI events to Hooks->Obs and updates \p Hooks so a

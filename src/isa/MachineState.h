@@ -38,7 +38,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace silver {
@@ -76,8 +78,14 @@ public:
   }
 
   /// Little-endian 32-bit read; \p Addr must be in range and word-aligned
-  /// (callers check, the interpreter reports errors for violations).
+  /// (callers check, the interpreter reports errors for violations).  On
+  /// a little-endian host it is one load (as writeWord is one store).
   Word readWord(Word Addr) const {
+    if constexpr (std::endian::native == std::endian::little) {
+      Word V;
+      std::memcpy(&V, Memory.data() + Addr, 4);
+      return V;
+    }
     return static_cast<Word>(Memory[Addr]) |
            (static_cast<Word>(Memory[Addr + 1]) << 8) |
            (static_cast<Word>(Memory[Addr + 2]) << 16) |
@@ -108,6 +116,10 @@ public:
   void writeWord(Word Addr, Word Value) {
     PageFlags[Addr >> PageShift] |= PageWritten;
     PageFlags[(Addr + 3) >> PageShift] |= PageWritten;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(Memory.data() + Addr, &Value, 4);
+      return;
+    }
     Memory[Addr] = static_cast<uint8_t>(Value);
     Memory[Addr + 1] = static_cast<uint8_t>(Value >> 8);
     Memory[Addr + 2] = static_cast<uint8_t>(Value >> 16);

@@ -18,7 +18,7 @@
 /// Correctness invariants the backend maintains:
 ///
 ///  - Bit-exactness.  Compiled templates mirror isa/Interp.cpp's
-///    execImpl per instruction, including the flag semantics of
+///    handlers per instruction, including the flag semantics of
 ///    Add/AddCarry/Sub (and the SILVER_FAULT_INJECTION carry inversion,
 ///    re-read from the global on every entry) and the exact operand
 ///    evaluation order of Jump's link write.

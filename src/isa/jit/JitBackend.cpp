@@ -249,7 +249,7 @@ private:
     if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
       return P;
     const DecodedInsn &D = Cache.lookup(State, State.PC);
-    if (D.St != DecodedInsn::Decoded)
+    if (D.Illegal)
       return P;
     if (D.I.Op == Opcode::StoreMEM) {
       P.Addr = State.operandValue(D.I.B);
@@ -394,11 +394,11 @@ private:
         break;
       }
       const DecodedInsn &D = Cache.lookup(State, State.PC);
-      if (D.St == DecodedInsn::Illegal) {
+      if (D.Illegal) {
         R.Fault = StepFault::IllegalInstruction;
         break;
       }
-      if (D.SelfJump) {
+      if (D.selfJump()) {
         R.Halted = true;
         break;
       }

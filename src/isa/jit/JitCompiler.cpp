@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The copy-and-patch block compiler: one emission template per Silver
-/// opcode, each mirroring isa/Interp.cpp's execImpl case for that opcode
-/// bit for bit.  A block is a straight-line run of instructions ending
+/// opcode, each mirroring isa/Interp.cpp's handler for that opcode bit
+/// for bit.  A block is a straight-line run of instructions ending
 /// at the first terminator (Jump / JumpIfZero / JumpIfNotZero) or just
 /// before anything the JIT never translates — illegal words, the halt
 /// self-jump, I/O instructions (In/Out/Interrupt call into the

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -85,6 +86,12 @@ Result<void> Server::start() {
     ListenFd = -1;
     return E;
   }
+  if (::pipe2(WakeFds, O_CLOEXEC) < 0) {
+    Error E = errnoError("pipe2");
+    ::close(ListenFd);
+    ListenFd = -1;
+    return E;
+  }
 
   AcceptThread = std::thread([this] { acceptLoop(); });
   return {};
@@ -99,13 +106,14 @@ void Server::stop() {
   }
 
   // Unblock any connection thread stuck in readFrame, and wake the idle
-  // ones.  The listener's poll() timeout picks up StopFlag by itself.
+  // ones and the accept loop.
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
     for (int Fd : LiveConns)
       ::shutdown(Fd, SHUT_RDWR);
   }
   IdleCv.notify_all();
+  wake();
 
   if (AcceptThread.joinable())
     AcceptThread.join();
@@ -128,6 +136,20 @@ void Server::stop() {
     ListenFd = -1;
     if (!Opts.Tcp && !Opts.SocketPath.empty())
       ::unlink(Opts.SocketPath.c_str());
+  }
+  for (int &Fd : WakeFds)
+    if (Fd != -1) {
+      ::close(Fd);
+      Fd = -1;
+    }
+}
+
+void Server::wake() {
+  // One byte is enough: the loop stops once it sees StopFlag, so the
+  // pipe is never drained and never fills.
+  if (WakeFds[1] != -1) {
+    char Byte = 1;
+    [[maybe_unused]] ssize_t N = ::write(WakeFds[1], &Byte, 1);
   }
 }
 
@@ -169,14 +191,14 @@ bool Server::anyPeerHungUp() const {
 void Server::acceptLoop() {
   while (!StopFlag.load(std::memory_order_acquire)) {
     reapFinished();
-    pollfd P{ListenFd, POLLIN, 0};
-    int N = ::poll(&P, 1, AcceptPollMs);
+    pollfd P[2] = {{ListenFd, POLLIN, 0}, {WakeFds[0], POLLIN, 0}};
+    int N = ::poll(P, 2, AcceptPollMs);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       break;
     }
-    if (N == 0 || !(P.revents & POLLIN))
+    if (N == 0 || !(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0) {
@@ -277,6 +299,7 @@ void Server::serveConnection(int Fd) {
     // wire: the client sees final stats, then the socket goes away.
     if (Req && Req->Kind == RequestKind::Drain) {
       StopFlag.store(true, std::memory_order_release);
+      wake();
       break;
     }
   }

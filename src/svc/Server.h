@@ -137,8 +137,9 @@ private:
   /// How long the accept loop waits for a thread whose peer hung up to
   /// go idle before it starts a new one for a fresh connection.
   static constexpr unsigned HandoffGraceMs = 50;
-  /// The accept loop's poll timeout (how soon it sees StopFlag), and its
-  /// back-off when accept() finds the descriptor table full.
+  /// The accept loop's poll timeout (how soon it joins idled-out
+  /// threads), and its back-off when accept() finds the descriptor table
+  /// full.  Stopping does not wait for it: see wake().
   static constexpr unsigned AcceptPollMs = 200;
 
   void acceptLoop();
@@ -149,6 +150,9 @@ private:
   void serveConnection(int Fd);
   /// Joins the threads that have exited.
   void reapFinished();
+  /// Makes the accept loop's poll return at once, so it sees StopFlag
+  /// (set before the call).
+  void wake();
   /// True when the peer of some live connection has hung up (its thread
   /// is finishing).  Caller holds ConnMu.
   bool anyPeerHungUp() const;
@@ -157,6 +161,8 @@ private:
   RequestHandler &Handler;
   ServerOptions Opts;
   int ListenFd = -1;
+  /// A pipe the accept loop polls beside the listener; wake() writes it.
+  int WakeFds[2] = {-1, -1};
   uint16_t BoundPort = 0;
   std::atomic<bool> StopFlag{false};
   std::atomic<uint64_t> Accepted{0};

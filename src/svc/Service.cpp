@@ -344,8 +344,12 @@ void Service::settleLocked(Job &J, JobState S) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            J.SubmitAt)
           .count()));
+  // Prune the oldest records but never J, the newest: the caller still
+  // holds it (cancel returns its info, the eviction sweep iterates the
+  // table at it).
   FinishedOrder.push_back(J.Info.Id);
-  while (FinishedOrder.size() > Opts.FinishedHistoryCap) {
+  const size_t Keep = std::max<size_t>(Opts.FinishedHistoryCap, 1);
+  while (FinishedOrder.size() > Keep) {
     Jobs.erase(FinishedOrder.front());
     FinishedOrder.pop_front();
   }

@@ -76,7 +76,8 @@ struct ServiceOptions {
   /// disables eviction.
   uint64_t IdleEvictMs = 5u * 60u * 1000u;
   /// Settled jobs kept for status queries; older terminal records are
-  /// pruned so the job table stays bounded under sustained traffic.
+  /// pruned so the job table stays bounded under sustained traffic.  The
+  /// latest settled job is always kept, so 0 behaves as 1.
   size_t FinishedHistoryCap = 4096;
   size_t PrepareCacheCapacity = 32;
   /// Attach per-worker obs::Counters to every run (costs the observer

@@ -180,7 +180,7 @@ TEST(AsmDisasmRoundTrip, CorpusTextRoundTripsThroughParser) {
   }
 }
 
-// --- isa::effectsOf covers every change execImpl makes ---
+// --- isa::effectsOf covers every change the interpreter makes ---
 
 namespace {
 

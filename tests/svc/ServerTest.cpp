@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <ctime>
 #include <fstream>
 #include <thread>
@@ -362,6 +363,25 @@ TEST(Server, DrainRequestFinishesInFlightWorkAndStopsTheServer) {
     ASSERT_TRUE(Info.has_value());
     EXPECT_EQ(Info->State, JobState::Completed) << Info->Outcome.Error;
   }
+}
+
+TEST(Server, StoppingAnIdleServerReturnsAtOnce) {
+  // stop() wakes the accept loop instead of waiting out its poll
+  // timeout (200 ms), so shutting down an idle server is immediate.
+  Service Svc({.Workers = 1});
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath("stop");
+  Server Srv(Svc, Opts);
+  ASSERT_TRUE(bool(Srv.start()));
+  // Let the accept loop settle into its poll.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto Start = std::chrono::steady_clock::now();
+  Srv.stop();
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
+  EXPECT_LT(Ms, 50);
+  EXPECT_TRUE(Srv.stopped());
 }
 
 } // namespace

@@ -284,6 +284,57 @@ TEST(Service, FinishedHistoryIsPruned) {
   EXPECT_FALSE(Svc.status(First.Id).has_value());
 }
 
+TEST(Service, CancelAtHistoryCapZeroReturnsTheSettledJob) {
+  // With no finished history the settle must still not free the job it
+  // settles: cancel reads it back afterwards.
+  ServiceOptions Opts;
+  Opts.Workers = 0;
+  Opts.FinishedHistoryCap = 0;
+  Service Svc(Opts);
+  JobInfo First = Svc.submit(helloJob());
+  ASSERT_EQ(First.State, JobState::Queued);
+  Result<JobInfo> R = Svc.cancel(First.Id);
+  ASSERT_TRUE(bool(R));
+  EXPECT_EQ(R->Id, First.Id);
+  EXPECT_EQ(R->State, JobState::Cancelled);
+
+  // The next settle prunes the older record.
+  JobInfo Second = Svc.submit(helloJob());
+  R = Svc.cancel(Second.Id);
+  ASSERT_TRUE(bool(R));
+  EXPECT_EQ(R->State, JobState::Cancelled);
+  EXPECT_FALSE(Svc.status(First.Id).has_value());
+  EXPECT_NE(Svc.statsJson().find("\"cancelled\":2"), std::string::npos);
+}
+
+TEST(Service, IdleEvictionAtHistoryCapZeroSettlesEveryPausedJob) {
+  // One sweep evicts several paused sessions; each settle must leave
+  // the entry the sweep is iterating in place.
+  ServiceOptions Opts;
+  Opts.Workers = 1;
+  Opts.IdleEvictMs = 100;
+  Opts.FinishedHistoryCap = 0;
+  Service Svc(Opts);
+  std::vector<uint64_t> Ids;
+  for (int I = 0; I != 3; ++I) {
+    JobSpec S = wcJob(200);
+    S.SliceInstructions = 10'000;
+    JobInfo Info = submitAndWait(Svc, S);
+    ASSERT_TRUE(Info.State == JobState::Paused ||
+                Info.State == JobState::Evicted)
+        << Info.Outcome.Error;
+    Ids.push_back(Info.Id);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  Svc.evictIdleSessions();
+  for (uint64_t Id : Ids) {
+    // Pruned, or kept as the latest settle.
+    std::optional<JobInfo> Now = Svc.status(Id);
+    EXPECT_TRUE(!Now || Now->State == JobState::Evicted);
+  }
+  EXPECT_NE(Svc.statsJson().find("\"evicted\":3"), std::string::npos);
+}
+
 TEST(Service, StatsJsonCarriesTheServiceShape) {
   Service Svc({.Workers = 1});
   ASSERT_EQ(submitAndWait(Svc, helloJob()).State, JobState::Completed);
