@@ -195,9 +195,11 @@ std::string jitCounts(RunSpec Spec, const Prepared &P,
                 (unsigned long long)Stats.BlocksCompiled) +
          Refused +
          format("},\n   \"invalidations\": %llu, \"arena_flushes\": %llu,\n"
+                "   \"interpreted\": %llu,\n"
                 "   \"exits\": {",
                 (unsigned long long)Stats.BlockInvalidations,
-                (unsigned long long)Stats.ArenaFlushes) +
+                (unsigned long long)Stats.ArenaFlushes,
+                (unsigned long long)Stats.Interpreted) +
          Exits + "}";
 }
 

@@ -45,7 +45,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: silver-client --socket=PATH|--tcp=HOST:PORT COMMAND ...\n"
-      "  submit FILE|--builtin=hello|cat|wc|sort|proof\n"
+      "  submit FILE|--builtin=hello|cat|wc|sort|proof|tin\n"
       "         [--level=spec|machine|isa|rtl|verilog]\n"
       "         [--backend=interp|jit] [--hdl=interp|compiled]\n"
       "         [--args=\"...\"]\n"
@@ -81,20 +81,6 @@ bool parseUnsigned(const std::string &Text, uint64_t &Out) {
   }
   Out = V;
   return true;
-}
-
-const char *builtinSource(const std::string &Name) {
-  if (Name == "hello")
-    return stack::helloSource();
-  if (Name == "cat")
-    return stack::catSource();
-  if (Name == "wc")
-    return stack::wcSource();
-  if (Name == "sort")
-    return stack::sortSource();
-  if (Name == "proof")
-    return stack::proofCheckerSource();
-  return nullptr;
 }
 
 /// Prints a settled job the way scripts and humans want it, returns the
@@ -258,7 +244,7 @@ int main(int Argc, char **Argv) {
 
   if (Command == "submit") {
     if (!Builtin.empty()) {
-      const char *Source = builtinSource(Builtin);
+      const char *Source = stack::builtinSource(Builtin);
       if (!Source)
         return fail("unknown builtin '" + Builtin + "'");
       Spec.Source = Source;

@@ -76,23 +76,6 @@ int usage() {
   return 1;
 }
 
-/// Source text of a built-in app (stack/Apps.h), or null.
-const char *builtinSource(const std::string &Name) {
-  if (Name == "hello")
-    return stack::helloSource();
-  if (Name == "cat")
-    return stack::catSource();
-  if (Name == "wc")
-    return stack::wcSource();
-  if (Name == "sort")
-    return stack::sortSource();
-  if (Name == "proof")
-    return stack::proofCheckerSource();
-  if (Name == "tin")
-    return stack::tinCompilerSource();
-  return nullptr;
-}
-
 int emitStage(const std::string &Source, const std::string &What,
               const cml::OptOptions &Opt) {
   Result<cml::Program> Prog = cml::parseWithPrelude(Source);
@@ -206,7 +189,7 @@ int main(int Argc, char **Argv) {
 
   std::string Source;
   if (!Builtin.empty()) {
-    const char *Text = builtinSource(Builtin);
+    const char *Text = stack::builtinSource(Builtin);
     if (!Text)
       return fail("unknown builtin '" + Builtin + "'");
     Source = Text;

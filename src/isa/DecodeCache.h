@@ -39,16 +39,16 @@
 /// invalidate is a stale decode.
 ///
 /// In the other direction, lookup() marks a page code when it fills one
-/// of its slots, whoever calls it (the run loop, a single cached step,
-/// the JIT dispatcher), and only a whole-table reset clears the mark
+/// of its slots, whoever calls it (the run loop, with or without the
+/// JIT's block hook), and only a whole-table reset clears the mark
 /// (sys::instantiate, before any backend runs the state).  So a page
 /// that is not marked code holds no filled slot, and a store that does
 /// not touch a code page has nothing to invalidate: the interpreter's
 /// stores test MachineState::touchesCode before they call invalidate(),
 /// the test a JIT store makes before it may stay native.  A JIT store
-/// into a code page leaves native code and is interpreted, so it
-/// reaches invalidate(): the table, not the caller, is what keeps every
-/// decoded slot guarded.
+/// into a code page leaves native code and the run loop interprets it,
+/// so it reaches invalidate(): the table, not the caller, is what keeps
+/// every decoded slot guarded.
 ///
 /// Under that contract, executing from the cache is observationally
 /// identical to the reference fetch-decode-execute semantics; the
@@ -73,7 +73,8 @@
 /// Statistics: lookup() counts a hit or a miss per call.  isa::run
 /// calls it only to fill empty slots and adds its hits once, when the
 /// run ends (addHits), so the counts are those of one lookup per
-/// instruction the run reached: executed, halted at, or faulted on.
+/// instruction the run reached: executed, halted at, or faulted on (for
+/// the JIT, a block entry is one lookup however long the block).
 ///
 /// The cache is paged (4 KiB code pages, 1024 instruction slots) and
 /// filled lazily, so its footprint follows the program's code locality,

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <type_traits>
 #include <utility>
 
 using namespace silver;
@@ -25,6 +26,8 @@ void IsaEnv::onInterrupt(MachineState &) {}
 Word IsaEnv::inputWord(MachineState &) { return 0; }
 
 void IsaEnv::onOutput(MachineState &, Word) {}
+
+BlockHook::~BlockHook() = default;
 
 IsaEnv &silver::isa::nullEnv() {
   static IsaEnv Env;
@@ -164,6 +167,16 @@ struct HooksEmit : ObsEmit {
   }
 };
 
+/// The block-hook run's emitter: the loop enters Hook before each
+/// instruction it would interpret, and stores into code pages tell it.
+struct JitEmit : NullEmit {
+  BlockHook &Hook;
+  uint64_t NativeTail = 0; ///< native steps beyond their block entry
+};
+
+template <class Emit>
+constexpr bool HasBlockHook = std::is_same_v<Emit, JitEmit>;
+
 /// What a handler needs beyond the state and the slot.
 template <class Emit> struct Ctx {
   IsaEnv &Env;
@@ -232,8 +245,11 @@ template <Func F> inline Word applyAlu(MachineState &S, Word A, Word B) {
 /// into code pages reach the cache.
 template <class Emit>
 inline void stored(MachineState &S, Ctx<Emit> &C, Word Addr, Word Size) {
-  if (S.touchesCode(Addr, Size) && C.Cache)
+  if (S.touchesCode(Addr, Size) && C.Cache) {
     dropSlots(*C.Cache, Addr, Size);
+    if constexpr (HasBlockHook<Emit>)
+      C.E.Hook.stored(Addr, Size);
+  }
 }
 
 /// The handler of fast form H (1..254): the Silver semantics of one
@@ -403,20 +419,6 @@ StepResult silver::isa::step(MachineState &State, IsaEnv &Env,
   return stepImpl(State, Env, E);
 }
 
-StepResult silver::isa::step(MachineState &State, IsaEnv &Env,
-                             DecodeCache &Cache) {
-  // The fetch-side checks survive, but the decode comes from the cache
-  // (and stores drop the slots they overwrite).
-  StepResult Out;
-  if ((Out.Fault = pcFault(State)) != StepFault::None)
-    return Out;
-  const DecodedInsn &D = Cache.lookup(State, State.PC);
-  NullEmit E;
-  Ctx<NullEmit> C{Env, &Cache, E, /*HaltStops=*/false};
-  Out.Fault = Table<NullEmit>::Handlers[D.H](State, D, C);
-  return Out;
-}
-
 bool silver::isa::isHalted(const MachineState &State) {
   if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
     return false;
@@ -451,8 +453,9 @@ RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
 /// it; the halt self-jump, illegal words and I/O share the slow handler.
 /// Hits are counted once, at the end.  \p HasStop and the emitter are
 /// compile-time: with NullEmit the after-step hook vanishes, and without
-/// a stop PC so does its compare.  Each instantiation stays its own
-/// function: inlined together into run(), they share one register
+/// a stop PC so does its compare; with JitEmit the block hook may run
+/// the filled slot and what follows natively.  Each instantiation stays
+/// its own function: inlined together into run(), they share one register
 /// allocation, and with GCC -O3 on x86-64 the Isa-level loop spilled its
 /// step counter and environment pointer to the stack (4–10% slower).
 template <bool HasStop, class Emit>
@@ -481,16 +484,28 @@ runImpl(MachineState &State, IsaEnv &Env, DecodeCache &Cache,
       Limit = static_cast<Word>(std::min<size_t>(
           PageSize, (State.memSize() - PageBase) & ~size_t(3)));
     }
-    const DecodedInsn &D = Slots[(Pc - PageBase) >> 2];
-    F = Table<Emit>::Handlers[D.H](State, D, C);
+    const DecodedInsn *D = &Slots[(Pc - PageBase) >> 2];
+    if constexpr (HasBlockHook<Emit>) {
+      if (D->H == handler::Empty)
+        D = &Cache.lookup(State, Pc);
+      if (uint64_t N = E.Hook.enter(State, *D, MaxSteps - R.Steps)) {
+        R.Steps += N;
+        E.NativeTail += N - 1;
+        continue;
+      }
+    }
+    F = Table<Emit>::Handlers[D->H](State, *D, C);
     if (F != StepFault::None)
       break;
     ++R.Steps;
     E.afterStep(State);
   }
   // Every executed instruction, and the one that ended the run in a
-  // handler, was one lookup.
+  // handler, was one lookup; so was each block entry, but not the rest
+  // of the block.
   uint64_t Lookups = R.Steps + (F != StepFault::None);
+  if constexpr (HasBlockHook<Emit>)
+    Lookups -= E.NativeTail;
   Cache.addHits(Lookups - (Cache.stats().Misses - MissesBefore));
   if (F == HaltSeen)
     R.Halted = true;
@@ -518,4 +533,11 @@ RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
   RunResult R = runWith(State, Env, Cache, MaxSteps, StopPc, E);
   Hooks->RetireIndexBase = E.RetireIndex;
   return R;
+}
+
+RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
+                           DecodeCache &Cache, uint64_t MaxSteps,
+                           std::optional<Word> StopPc, BlockHook &Hook) {
+  JitEmit E{{}, Hook};
+  return runWith(State, Env, Cache, MaxSteps, StopPc, E);
 }

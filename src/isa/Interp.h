@@ -94,14 +94,10 @@ struct StepResult {
 };
 
 class DecodeCache;
+struct DecodedInsn;
 
 /// One step of the ISA semantics: fetch the word at PC, decode, execute.
 StepResult step(MachineState &State, IsaEnv &Env);
-
-/// Predecoded step (isa/DecodeCache.h): semantically identical, but the
-/// decode comes from \p Cache and stores invalidate the slots they
-/// overwrite, so self-modifying code matches the reference semantics.
-StepResult step(MachineState &State, IsaEnv &Env, DecodeCache &Cache);
 
 /// Instrumented step: additionally emits the memory accesses and the
 /// retirement (with \p RetireIndex) of this instruction to \p Obs.  All
@@ -143,8 +139,9 @@ struct ObsHooks {
   unsigned FfiIndex = 0;
 };
 
-/// The predecoded run loop, the one every execution backend is built on.
-/// One call through the cached slot's handler byte replaces the
+/// The predecoded run loop, the one every execution backend runs: the
+/// interpreter backend as it is, the JIT through the BlockHook overload
+/// below.  One call through the cached slot's handler byte replaces the
 /// fetch-decode pair of the reference loop (isHalted + step); the halt
 /// self-jump has the slow handler, which ends the run.  Stops at halt,
 /// fault, after \p MaxSteps instructions, or — when \p StopPc is set —
@@ -156,12 +153,30 @@ struct ObsHooks {
 /// retire/memory/FFI events to Hooks->Obs and updates \p Hooks so a
 /// subsequent call resumes the event stream (paper-faithful pause /
 /// step-N execution for the stack::Executor API).  Whether to observe
-/// and whether to test a stop PC are decided once per call; each of the
-/// four combinations is its own instantiation of one loop template, so
-/// the uninstrumented loop pays nothing for either.
+/// (or to enter a block hook) and whether to test a stop PC are decided
+/// once per call; each combination is its own instantiation of one loop
+/// template, so the uninstrumented loop pays nothing for either.
 RunResult run(MachineState &State, IsaEnv &Env, DecodeCache &Cache,
               uint64_t MaxSteps, std::optional<Word> StopPc = std::nullopt,
               ObsHooks *Hooks = nullptr);
+
+/// A native tier inside the predecoded loop (the JIT, isa/jit/Jit.h);
+/// the loop still decides steps, halts, faults and the stop PC.
+class BlockHook {
+public:
+  virtual ~BlockHook();
+  /// Before the handler, at a valid PC whose slot \p D is filled: runs
+  /// up to \p Remaining (>= 1) instructions natively and returns how
+  /// many; 0 means "execute this slot".
+  virtual uint64_t enter(MachineState &State, const DecodedInsn &D,
+                         uint64_t Remaining) = 0;
+  /// A store of \p Size bytes at \p Addr hit a code page.
+  virtual void stored(Word Addr, Word Size) = 0;
+};
+
+/// The unobserved run above with \p Hook entered before each instruction.
+RunResult run(MachineState &State, IsaEnv &Env, DecodeCache &Cache,
+              uint64_t MaxSteps, std::optional<Word> StopPc, BlockHook &Hook);
 
 /// The paper's is_halted predicate: the instruction at PC is an
 /// unconditional self-jump, so every further step leaves the ISA-visible

@@ -10,10 +10,12 @@
 /// Silver machine code are compiled, copy-and-patch style, to host
 /// x86-64 and executed natively; everything else — cold code, blocks the
 /// compiler refuses, FFI/oracle boundaries, faults, budget tails — runs
-/// on the reference interpreter.  The trusted artifact stays the
-/// interpreter: the JIT is validated differentially (the silver-fuzz
-/// jit run grinds it against isa::Interp on every campaign), never
-/// trusted.
+/// on the interpreter.  The backend has no run loop of its own: it is a
+/// block hook (isa::BlockHook) in the one predecoded loop of
+/// isa/Interp.cpp, which enters it before each instruction it would
+/// interpret.  The trusted artifact stays the interpreter: the JIT is
+/// validated differentially (the silver-fuzz jit run grinds it against
+/// isa::Interp on every campaign), never trusted.
 ///
 /// Correctness invariants the backend maintains:
 ///
@@ -25,21 +27,22 @@
 ///  - In-order commit.  The memory-resident Silver register file is
 ///    fully updated between instructions, so every side exit lands on an
 ///    exact interpreter-resumable state; an instruction that may fault
-///    (loads, stores) side-exits *before* any effect and the dispatcher
-///    takes the fault through the reference step.
-///  - Exact step accounting.  A block charges its length against the
-///    budget at entry and refunds the unexecuted tail on a side exit;
-///    the dispatcher interprets single steps whenever the remaining
-///    budget is smaller than a block.  run therefore reports step counts
-///    identical to the interpreter's, with or without a stop PC.
+///    (loads, stores) side-exits *before* any effect and the run loop
+///    executes it next.
+///  - Exact step accounting.  The run loop owns the budget, the stop PC,
+///    halts and faults, and enters a block only when the remaining
+///    budget covers it; the block charges its length at entry and
+///    refunds the unexecuted tail on a side exit.
+///  - Visits.  One per instruction the loop would interpret at a valid,
+///    decodable PC other than the halt self-jump, except the instruction
+///    a block deopted at after committing some of its own.
 ///  - Store guard.  The guard is the PageCode bit of the state's
 ///    page-state table (MachineState::PageFlags): the decode cache sets
-///    it on every page it fills a slot of, whoever asked (the dispatcher,
-///    an interpreted step, an observed run), and the backend sets
-///    it on a compiled block's source pages.  A native store into a code
-///    page side-exits and the offending store is interpreted, which
-///    honors the DecodeCache invalidation contract and drops the
-///    overlapping compiled blocks — self-modifying code (the corpus's
+///    it on every page it fills a slot of, whoever asked, and the
+///    backend sets it on a compiled block's source pages.  A native
+///    store into a code page side-exits and the loop interprets it,
+///    which drops the decoded slots and, through BlockHook::stored, the
+///    compiled blocks it overlaps — self-modifying code (the corpus's
 ///    selfmod-0.s) deoptimizes and re-compiles.  A native store that
 ///    passes marks its page PageWritten with one byte store, so
 ///    incremental StateDigests see JIT writes.
@@ -49,10 +52,10 @@
 ///
 /// Blocks chain directly block-to-block: a terminator whose target is a
 /// compiled block is patched to jump straight to it (the target's entry
-/// re-checks the budget), so hot loops never touch the dispatcher.  In a
-/// run with a stop PC, the stop PC is a compile-time guard: no block is
-/// compiled at or across it and no chain targets it, so the boundary is
-/// always observed by the dispatcher.
+/// re-checks the budget), so hot loops never return to the run loop.  In
+/// a run with a stop PC, the stop PC is a compile-time guard: no block
+/// is compiled at or across it and no chain targets it, so the boundary
+/// is always observed by the run loop.
 ///
 /// Code buffers follow a W^X discipline: pages are writable during
 /// emission and patching, executable otherwise, never both.
@@ -102,19 +105,19 @@ inline constexpr size_t NumRefuseReasons =
 /// The stable string identifier (e.g. "block-too-long").
 const char *refuseReasonId(RefuseReason R);
 
-/// How translated code returned to the dispatcher.
+/// How translated code returned to the run loop.
 enum class ExitKind : uint8_t {
   /// At a block end with a constant next PC: an unpatched chain slot,
   /// the edge before an instruction the JIT never translates, or an
   /// invalidated block's bounce.
   Chain,
   /// Before an instruction that may fault or writes a code page; the
-  /// dispatcher interprets that instruction.
+  /// run loop interprets that instruction.
   Deopt,
   /// A chained block entry found the budget smaller than the block.
   Budget,
   /// A jump whose target is computed from a register (returns, closure
-  /// calls): the dispatcher looks the target up.
+  /// calls): the run loop goes on at the target.
   Computed,
 };
 inline constexpr size_t NumExitKinds =
@@ -124,7 +127,7 @@ inline constexpr size_t NumExitKinds =
 const char *exitKindId(ExitKind K);
 
 struct JitOptions {
-  /// Dispatcher visits of a cold block entry before it is compiled.
+  /// Visits of a cold block entry by the run loop before it is compiled.
   uint32_t HotThreshold = 16;
 };
 
@@ -136,8 +139,11 @@ struct JitStats {
   std::array<uint64_t, NumRefuseReasons> Refused{};
   uint64_t BlockInvalidations = 0;
   uint64_t ArenaFlushes = 0;
-  /// Returns from native code to the dispatcher, indexed by ExitKind.
+  /// Returns from native code to the run loop, indexed by ExitKind.
   std::array<uint64_t, NumExitKinds> Exits{};
+  /// Instructions the run loop interpreted: the steps of every run minus
+  /// the ones compiled blocks ran natively.
+  uint64_t Interpreted = 0;
 };
 
 /// Creates the JIT backend.  Always succeeds; on hosts without native

@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The JIT ExecBackend: a dispatcher structured exactly like the
-/// predecoded interpreter loop of isa/Interp.cpp (budget first, then
-/// the stop PC, PC validity, illegal, the halt self-jump), which runs
-/// hot compiled blocks natively and interprets everything else one step
-/// at a time.  Keeping the loop shape identical to isa::run is what
-/// makes the backend's step counts, faults, and halt decisions
-/// bit-identical to the interpreter's.
+/// The JIT ExecBackend: a block hook (isa::BlockHook) in the predecoded
+/// run loop of isa/Interp.cpp.  The loop calls enter() before each
+/// instruction it would interpret, which counts visits, compiles hot
+/// entries and runs compiled blocks; interpreted stores into code pages
+/// reach stored().  With no instruction loop of its own, the backend's
+/// step counts, faults and halts are the interpreter's by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +62,7 @@ namespace {
 /// compilation starts over (bounded memory, self-healing).
 constexpr size_t CodeBytes = 4u << 20;
 
-class JitBackend final : public ExecBackend {
+class JitBackend final : public ExecBackend, BlockHook {
 public:
   explicit JitBackend(const JitOptions &O)
       : Opts(O), NativeOk(hostSupported()),
@@ -89,18 +88,22 @@ public:
 
   RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
                 std::optional<Word> StopPc, ObsHooks *Hooks) override {
+    RunResult R;
+    uint64_t NativeBefore = NativeSteps;
     if (Hooks && Hooks->Obs) {
-      // Observed runs are interpreter-exact by definition; the delegated
-      // run's stores bypass block invalidation, so drop every block.
-      RunResult R = isa::run(State, Env, Cache, MaxSteps, StopPc, Hooks);
+      // Observed runs are interpreter-exact by definition; the observed
+      // loop's stores do not reach stored(), so drop every block.
+      R = isa::run(State, Env, Cache, MaxSteps, StopPc, Hooks);
       if (NativeOk)
         flushBlocks();
-      return R;
+    } else if (!NativeOk) {
+      R = isa::run(State, Env, Cache, MaxSteps, StopPc);
+    } else {
+      prepareRun(State, StopPc.has_value(), StopPc.value_or(0));
+      R = isa::run(State, Env, Cache, MaxSteps, StopPc, *this);
     }
-    if (!NativeOk)
-      return isa::run(State, Env, Cache, MaxSteps, StopPc);
-    return dispatch(State, Env, MaxSteps, StopPc.has_value(),
-                    StopPc.value_or(0));
+    Stats.Interpreted += R.Steps - (NativeSteps - NativeBefore);
+    return R;
   }
 
   void invalidate(Word Addr, Word Size) override {
@@ -143,10 +146,6 @@ private:
     uint8_t *InvalidStub = nullptr;
     bool Live = false;
   };
-  struct PendingStore {
-    Word Addr = 0;
-    Word Size = 0;
-  };
 
   JitOptions Opts;
   DecodeCache Cache;
@@ -157,6 +156,11 @@ private:
   size_t ThunkBytes = 0;
   JitFrame Frame;
   JitStats Stats;
+  /// Instructions run natively, over the backend's lifetime.
+  uint64_t NativeSteps = 0;
+  /// The last block deopted after committing some of its instructions;
+  /// the loop's next visit is the deopting instruction (enter).
+  bool DeoptPending = false;
 
   std::vector<std::unique_ptr<BlockPage>> BlockPages;
   std::vector<BlockRecord> Records;
@@ -240,28 +244,8 @@ private:
       Arena.endWrite();
   }
 
-  /// Pre-decodes the store the next interpreted step would perform, so
-  /// its block invalidation can be applied after the step commits.
-  PendingStore pendingStore(MachineState &State) {
-    PendingStore P;
-    if (Records.empty())
-      return P;
-    if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
-      return P;
-    const DecodedInsn &D = Cache.lookup(State, State.PC);
-    if (D.Illegal)
-      return P;
-    if (D.I.Op == Opcode::StoreMEM) {
-      P.Addr = State.operandValue(D.I.B);
-      P.Size = 4;
-    } else if (D.I.Op == Opcode::StoreMEMByte) {
-      P.Addr = State.operandValue(D.I.B);
-      P.Size = 1;
-    }
-    return P;
-  }
-
   void prepareRun(MachineState &State, bool HasStop, Word StopPc) {
+    DeoptPending = false;
     if (State.Memory.size() != MemSize ||
         State.Memory.data() != MemData) {
       // A different (or resized) memory: every derived artifact refers
@@ -281,8 +265,9 @@ private:
     }
   }
 
-  void runNative(MachineState &State, const uint8_t *Code,
-                 uint64_t &Remaining) {
+  /// Runs compiled code from State.PC; returns the instructions run.
+  uint64_t runNative(MachineState &State, const uint8_t *Code,
+                     uint64_t Remaining) {
     Frame.Regs = State.Regs.data();
     Frame.Mem = State.Memory.data();
     Frame.PageFlags = State.PageFlags.data();
@@ -296,25 +281,8 @@ private:
     State.PC = Frame.Pc;
     State.CarryFlag = Frame.Carry != 0;
     State.OverflowFlag = Frame.Overflow != 0;
-    Remaining = Frame.StepsLeft;
-  }
-
-  /// One interpreted step at a PC the dispatcher has already validated
-  /// (in range, aligned, decodable, not the halt self-jump).  Mirrors
-  /// the body of the isa::run loop, plus the block-side half of the
-  /// store-invalidation contract.
-  bool interpretOne(MachineState &State, IsaEnv &Env, uint64_t &Remaining,
-                    RunResult &R) {
-    PendingStore PS = pendingStore(State);
-    StepResult S = isa::step(State, Env, Cache);
-    if (!S.ok()) {
-      R.Fault = S.Fault; // the faulting step is not counted
-      return false;
-    }
-    --Remaining;
-    if (PS.Size && State.touchesCode(PS.Addr, PS.Size))
-      invalidateBlocksOverlap(PS.Addr, PS.Size);
-    return true;
+    ++Stats.Exits[Frame.ExitKind];
+    return Remaining - Frame.StepsLeft;
   }
 
   void tryCompile(MachineState &State, Word Entry) {
@@ -374,53 +342,34 @@ private:
     ++Stats.BlocksCompiled;
   }
 
-  /// The dispatcher.  Structured exactly like the isa::run loop: budget,
-  /// stop PC, PC validity, illegal word, halt self-jump — then either a
-  /// native burst through compiled blocks or one interpreted step.
-  RunResult dispatch(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                     bool HasStop, Word StopPc) {
-    prepareRun(State, HasStop, StopPc);
-    RunResult R;
-    uint64_t Remaining = MaxSteps;
-    while (Remaining > 0) {
-      if (HasStop && State.PC == StopPc) {
-        R.AtStopPc = true;
-        break;
-      }
-      if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4)) {
-        // Not a halt; take the reference step to report the exact fault.
-        StepResult S = isa::step(State, Env);
-        R.Fault = S.Fault;
-        break;
-      }
-      const DecodedInsn &D = Cache.lookup(State, State.PC);
-      if (D.Illegal) {
-        R.Fault = StepFault::IllegalInstruction;
-        break;
-      }
-      if (D.selfJump()) {
-        R.Halted = true;
-        break;
-      }
-      BlockEntry &B = blockEntry(State.PC);
-      if (B.St == StCold && ++B.Counter >= Opts.HotThreshold)
-        tryCompile(State, State.PC);
-      // tryCompile may have flushed; re-read the entry.
-      const BlockEntry &BE = *findBlock(State.PC);
-      if (BE.St == StCompiled && Remaining >= BE.Len) {
-        runNative(State, BE.Code, Remaining);
-        ++Stats.Exits[Frame.ExitKind];
-        if (Frame.ExitKind == ExitDeopt) {
-          if (!interpretOne(State, Env, Remaining, R))
-            break;
-        }
-        continue;
-      }
-      if (!interpretOne(State, Env, Remaining, R))
-        break;
+  /// A visit of the loop at State.PC: counts it, compiles a hot entry,
+  /// and runs the compiled block there when the budget covers it.  The
+  /// illegal word and the halt self-jump are no visit, and neither is
+  /// the instruction a block deopted at after committing some of its
+  /// own: the loop executes it next, as the continuation of that entry.
+  uint64_t enter(MachineState &State, const DecodedInsn &D,
+                 uint64_t Remaining) override {
+    if (DeoptPending) {
+      DeoptPending = false;
+      return 0;
     }
-    R.Steps = MaxSteps - Remaining;
-    return R;
+    if (D.Illegal || D.selfJump())
+      return 0;
+    BlockEntry &B = blockEntry(State.PC);
+    if (B.St == StCold && ++B.Counter >= Opts.HotThreshold)
+      tryCompile(State, State.PC);
+    // tryCompile may have flushed; re-read the entry.
+    const BlockEntry &BE = *findBlock(State.PC);
+    if (BE.St != StCompiled || Remaining < BE.Len)
+      return 0;
+    uint64_t Ran = runNative(State, BE.Code, Remaining);
+    NativeSteps += Ran;
+    DeoptPending = Frame.ExitKind == ExitDeopt && Ran != 0;
+    return Ran;
+  }
+
+  void stored(Word Addr, Word Size) override {
+    invalidateBlocksOverlap(Addr, Size);
   }
 };
 

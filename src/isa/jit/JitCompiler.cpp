@@ -297,7 +297,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
       return;
     }
   };
-  // Exit to the dispatcher with \p Kind; eax already holds the next PC.
+  // Exit to the run loop with \p Kind; eax already holds the next PC.
   auto emitExit = [&](uint32_t Kind) {
     Em.storeMI(R15, FrameExit, Kind);
     Out.ExitFixups.push_back(Em.jmp32());
@@ -430,7 +430,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
         loadOp(I.A, RCX);
         emitAluOp(I.F);
         Em.storeMI(R13, static_cast<int32_t>(4u * I.WReg), P + 4);
-        emitExit(ExitComputed); // the dispatcher resolves the target
+        emitExit(ExitComputed); // the run loop goes on at the target
       }
       break;
     }
@@ -455,7 +455,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
 
   if (!S.EndsWithTerminator) {
     // The block ended just before something the JIT never translates;
-    // hand the dispatcher the next PC.
+    // hand the run loop the next PC.
     Em.movRI(RAX, S.Insns.back().first + 4);
     emitExit(ExitChain);
   }
@@ -475,7 +475,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
   }
 
   // Chain-slot bounce stubs: until the backend patches a slot to its
-  // target block, the edge exits to the dispatcher.
+  // target block, the edge exits to the run loop.
   for (const PendingSlot &PS : Slots) {
     Em.patchRel32(PS.JmpField, Em.size());
     Em.movRI(RAX, PS.Target);
@@ -492,7 +492,7 @@ bool silver::isa::jit::compileBlock(const MachineState &State, Word Entry,
   Out.ExitFixups.push_back(Em.jmp32());
 
   // Invalidation stub: the patched-over entry of a dropped block lands
-  // here, bouncing stale incoming chains back to the dispatcher.
+  // here, bouncing stale incoming chains back to the run loop.
   Out.InvalidStubOff = Em.size();
   Em.movRI(RAX, Entry);
   Em.storeMI(R15, FrameExit, ExitChain);

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Structures shared between the block compiler (JitCompiler.cpp) and
-/// the dispatcher/backend (JitBackend.cpp).  Internal to the JIT.
+/// the backend (JitBackend.cpp).  Internal to the JIT.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +35,7 @@ namespace jit {
 ///   r14  Silver memory base rbp  page-state table base (one byte/page)
 ///   rbx  steps-left budget  rax/rcx/rdx  scratch
 ///
-/// The frame is the only calling convention between the dispatcher and
+/// The frame is the only calling convention between the backend and
 /// translated code; all fields are read/written by emitted instructions
 /// at fixed offsets (static_asserts below pin the layout).
 struct JitFrame {
@@ -99,7 +99,7 @@ struct CompiledCode {
   /// Offset of the invalidation stub.  To invalidate an installed block
   /// the backend overwrites its entry with `jmp rel32` to this stub
   /// (the entry's 7-byte budget compare guarantees room), so stale
-  /// incoming chains bounce back to the dispatcher.
+  /// incoming chains bounce back to the run loop.
   size_t InvalidStubOff = 0;
   unsigned Instrs = 0;
   /// Source bytes covered: [FirstByte, LastByte], inclusive.
@@ -110,7 +110,7 @@ struct CompiledCode {
 /// Compiles the block entered at \p Entry.  Returns false with \p Why
 /// set when the block is refused.  \p HasGuardPc/\p GuardPc carry the
 /// active stop PC: no block is compiled at it, none crosses
-/// it, and no chain slot targets it, so the dispatcher always observes
+/// it, and no chain slot targets it, so the run loop always observes
 /// the boundary.  The caller guarantees Entry holds a decodable,
 /// non-self-jump instruction and that memory is word-addressable.
 bool compileBlock(const MachineState &State, Word Entry, bool HasGuardPc,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <utility>
 
 using namespace silver;
 using namespace silver::stack;
@@ -280,6 +281,18 @@ val _ =
        (ok, code) =>
          if ok then concat (map (fn l => l ^ "\n") code) else "ERROR\n")
 )CML";
+}
+
+const char *silver::stack::builtinSource(const std::string &Name) {
+  static constexpr std::pair<const char *, const char *(*)()> Builtins[] = {
+      {"hello", helloSource},        {"cat", catSource},
+      {"wc", wcSource},              {"sort", sortSource},
+      {"proof", proofCheckerSource}, {"tin", tinCompilerSource},
+  };
+  for (const auto &[BuiltinName, Source] : Builtins)
+    if (Name == BuiltinName)
+      return Source();
+  return nullptr;
 }
 
 // --- specification functions -------------------------------------------------

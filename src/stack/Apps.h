@@ -36,6 +36,10 @@ const char *sortSource();  ///< sorts the lines of stdin
 const char *proofCheckerSource(); ///< Hilbert-style propositional checker
 const char *tinCompilerSource();  ///< the bootstrapped Tin compiler
 
+/// The source of the built-in app \p Name — hello, cat, wc, sort, proof
+/// or tin, the names the CLIs' --builtin= takes — or null.
+const char *builtinSource(const std::string &Name);
+
 /// Specification functions (higher-order-logic specs, transcribed).
 /// wc_spec input = number of maximal nonspace runs in input.
 std::string wcSpec(const std::string &Input);

@@ -158,7 +158,8 @@ public:
   Result<StateDigest> sessionState() const;
 
   /// What the JIT did in the active session: blocks compiled and
-  /// refused, invalidations, arena flushes and dispatcher exits by kind.
+  /// refused, invalidations, arena flushes, exits by kind and the
+  /// instructions left to the interpreter.
   /// Valid between begin() and finish() of an Isa session on the Jit
   /// backend; an error at other levels and backends, and where the Jit
   /// degraded to the interpreter (isa::jit::hostSupported()).

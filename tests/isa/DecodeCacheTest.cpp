@@ -137,8 +137,8 @@ TEST(DecodeCache, InvalidateAllForgetsEverything) {
 }
 
 TEST(CachedInterp, SelfModifyingLoopMatchesReference) {
-  // Lock-step: the cached interpreter against the reference
-  // fetch-decode-execute loop, one instruction at a time.
+  // Lock-step: the cached run loop, one instruction per run over one
+  // cache, against the reference fetch-decode-execute step.
   MachineState Cached = makeMachine(selfModifyingLoop());
   MachineState Ref = Cached;
   DecodeCache C;
@@ -146,7 +146,9 @@ TEST(CachedInterp, SelfModifyingLoopMatchesReference) {
   for (int Step = 0; Step != 64; ++Step) {
     if (isHalted(Ref))
       break;
-    ASSERT_TRUE(step(Cached, nullEnv(), C).ok()) << "step " << Step;
+    RunResult R = run(Cached, nullEnv(), C, 1);
+    ASSERT_EQ(R.Steps, 1u) << "step " << Step;
+    ASSERT_EQ(R.Fault, StepFault::None) << "step " << Step;
     ASSERT_TRUE(step(Ref, nullEnv()).ok()) << "step " << Step;
     ASSERT_EQ(Cached.PC, Ref.PC) << "step " << Step;
     ASSERT_EQ(Cached.Regs, Ref.Regs) << "step " << Step;
@@ -398,15 +400,7 @@ void expectSameStep(Rng &R, const Instruction &I, Word MemBytes) {
   RecordingEnv RunEnv;
   DecodeCache C;
   RunResult RunR = run(Run, RunEnv, C, 1);
-  // The cached single step.
-  MachineState One = Init;
-  RecordingEnv OneEnv;
-  DecodeCache C1;
-  StepResult OneS = step(One, OneEnv, C1);
 
-  EXPECT_EQ(OneS.Fault, RefS.Fault);
-  EXPECT_TRUE(One.isaVisibleEquals(Ref));
-  EXPECT_EQ(One.DataOut, Ref.DataOut);
   if (I.isSelfJump()) {
     // The run stops before the halt; the step executes it.
     EXPECT_TRUE(RunR.Halted);

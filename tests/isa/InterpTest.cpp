@@ -2,6 +2,8 @@
 
 #include "isa/Interp.h"
 
+#include "isa/DecodeCache.h"
+
 #include <gtest/gtest.h>
 
 using namespace silver;
@@ -20,6 +22,29 @@ MachineState makeMachine(const std::vector<Instruction> &Program,
 
 StepFault stepFault(MachineState &S) {
   return step(S, nullEnv()).Fault;
+}
+
+/// `jump F, r5, r5` at pc 8 with r5 = 0x40, through the reference step
+/// and through one step of the cached run loop: the target is computed
+/// from the old r5, and only then does r5 receive the return address.
+void expectLinkWrittenAfterTarget(Func F, Word Target) {
+  for (bool Cached : {false, true}) {
+    SCOPED_TRACE(Cached ? "cached run" : "step");
+    MachineState S(4096);
+    S.writeWord(8, encode(Instruction::jump(F, 5, Operand::reg(5))));
+    S.PC = 8;
+    S.Regs[5] = 0x40;
+    if (Cached) {
+      DecodeCache C;
+      RunResult R = run(S, nullEnv(), C, 1);
+      EXPECT_EQ(R.Steps, 1u);
+      EXPECT_EQ(R.Fault, StepFault::None);
+    } else {
+      EXPECT_EQ(stepFault(S), StepFault::None);
+    }
+    EXPECT_EQ(S.PC, Target);
+    EXPECT_EQ(S.Regs[5], 12u);
+  }
 }
 
 } // namespace
@@ -195,6 +220,14 @@ TEST(Step, JumpAbsoluteAndRelative) {
   stepFault(T);
   EXPECT_EQ(T.PC, 0x40u);
   EXPECT_EQ(T.Regs[5], 8u);
+}
+
+TEST(Step, JumpAddLinksAfterReadingItsOperand) {
+  expectLinkWrittenAfterTarget(Func::Add, 8 + 0x40); // not 8 + 12
+}
+
+TEST(Step, JumpSndLinksAfterReadingItsOperand) {
+  expectLinkWrittenAfterTarget(Func::Snd, 0x40); // not 12
 }
 
 TEST(Step, ConditionalBranches) {

@@ -122,7 +122,7 @@ TEST(JitBackend, HotRunCountsRefusalsAndExitsByKind) {
   EXPECT_EQ(Exits(St, jit::ExitKind::Chain), 0u);
 
   // The block stops just before an I/O instruction and exits to the
-  // dispatcher; the block entered at the I/O instruction is empty.
+  // run loop; the block entered at the I/O instruction is empty.
   St = statsOf({addImm(1, 0, 1), Instruction::out(Operand::reg(1)),
                 Instruction::halt()});
   EXPECT_EQ(St.BlocksCompiled, 1u);
@@ -145,6 +145,46 @@ TEST(JitBackend, HotRunCountsRefusalsAndExitsByKind) {
   EXPECT_STREQ(jit::refuseReasonId(jit::RefuseReason::BlockTooLong),
                "block-too-long");
   EXPECT_STREQ(jit::exitKindId(jit::ExitKind::Computed), "computed");
+}
+
+TEST(JitBackend, DeoptAfterACommittedPrefixIsNoVisit) {
+  if (!jit::hostSupported())
+    GTEST_SKIP() << "no native JIT on this host";
+  // A hot loop whose second instruction stores into its own code page:
+  // each native pass commits the add, then deopts at the store.  The
+  // loop executes that store as the rest of the block entry, not as a
+  // visit of pc 12.  Counted as a visit, it would make pc 12 hot and
+  // compile a block there that deopts before committing anything.
+  std::vector<Instruction> P = {
+      Instruction::loadConstant(1, false, 10),  // 0: iterations
+      Instruction::loadConstant(3, false, 1024), // 4: a data word, page 0
+      addImm(2, 2, 1),                           // 8: loop
+      Instruction::storeMem(Operand::reg(2), Operand::reg(3)), // 12
+      Instruction::normal(Func::Dec, 1, Operand::reg(1), Operand::imm(0)),
+      Instruction::jumpIfNotZero(Func::Snd, Operand::imm(0),
+                                 Operand::reg(1), -3), // 20 -> 8
+      Instruction::halt(),                             // 24
+  };
+  MachineState J = makeMachine(P);
+  MachineState R = J;
+  std::unique_ptr<ExecBackend> JB = hotJit();
+  RunResult Jr = JB->run(J, nullEnv(), 1000);
+  RunResult Rr = makeInterpBackend()->run(R, nullEnv(), 1000);
+  EXPECT_TRUE(Jr.Halted);
+  EXPECT_EQ(Jr.Steps, Rr.Steps);
+  EXPECT_EQ(J.Regs, R.Regs);
+  EXPECT_EQ(J.Memory, R.Memory);
+  EXPECT_EQ(J.readWord(1024), 10u);
+
+  const jit::JitStats &St = *jit::backendStats(*JB);
+  // Blocks at 0 (to the first store), 16 (the loop's tail, chained to
+  // 8) and 8; one deopt per iteration, and chain exits to 8 before it
+  // was compiled and to the halt.  Only the ten stores are interpreted.
+  EXPECT_EQ(St.BlocksCompiled, 3u);
+  EXPECT_EQ(St.Refused, decltype(St.Refused){});
+  EXPECT_EQ(St.Exits, (decltype(St.Exits){2, 10, 0, 0}));
+  EXPECT_EQ(St.BlockInvalidations, 0u);
+  EXPECT_EQ(St.Interpreted, 10u);
 }
 
 TEST(JitBackend, AluMatrixMatchesInterpreter) {
@@ -472,7 +512,7 @@ TEST(JitBackend, BudgetSweepHasExactStepAccounting) {
   // Every budget from 0 to past-halt over a store/branch/deopt-rich
   // program: step counts and intermediate states must match the
   // interpreter exactly (native blocks charge at entry and refund on
-  // side exits; the dispatcher single-steps budget tails).
+  // side exits; the run loop interprets budget tails).
   std::vector<Instruction> Prog = selfModifyingLoop();
   MachineState Ref0 = makeMachine(Prog);
   RunResult Full = makeInterpBackend()->run(Ref0, nullEnv(), 100'000);
@@ -516,7 +556,7 @@ TEST(JitBackend, BudgetResumeMatchesWholeRun) {
 }
 
 TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
-  // A loop through a "syscall" stop PC: the dispatcher must stop before
+  // A loop through a "syscall" stop PC: the run must stop before
   // executing it, every time, with interpreter-identical step counts —
   // no compiled block may straddle or chain over the boundary.
   std::vector<Instruction> P = {
@@ -565,7 +605,7 @@ TEST(JitBackend, HotLoopCompilesAndChains) {
   if (!jit::hostSupported())
     GTEST_SKIP() << "no native JIT on this host";
   // A two-block loop: head and body chain to each other, so after
-  // warm-up the dispatcher is out of the picture entirely.
+  // warm-up the run loop is out of the picture entirely.
   std::vector<Instruction> P = {
       Instruction::loadConstant(1, false, 100'000), // 0
       addImm(2, 2, 1),                              // 4: loop head

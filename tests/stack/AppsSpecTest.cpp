@@ -88,6 +88,18 @@ TEST(TinSpec, RejectsMalformedPrograms) {
   EXPECT_EQ(tinSpec(""), "");
 }
 
+TEST(Builtins, EveryNameResolvesAndOthersDoNot) {
+  EXPECT_STREQ(builtinSource("hello"), helloSource());
+  EXPECT_STREQ(builtinSource("cat"), catSource());
+  EXPECT_STREQ(builtinSource("wc"), wcSource());
+  EXPECT_STREQ(builtinSource("sort"), sortSource());
+  EXPECT_STREQ(builtinSource("proof"), proofCheckerSource());
+  EXPECT_STREQ(builtinSource("tin"), tinCompilerSource());
+  EXPECT_EQ(builtinSource(""), nullptr);
+  EXPECT_EQ(builtinSource("Hello"), nullptr);
+  EXPECT_EQ(builtinSource("wc "), nullptr);
+}
+
 TEST(Generators, Deterministic) {
   EXPECT_EQ(randomLines(10, 7), randomLines(10, 7));
   EXPECT_NE(randomLines(10, 7), randomLines(10, 8));
