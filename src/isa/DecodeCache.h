@@ -8,7 +8,7 @@
 /// \file
 /// A decode cache for the Silver interpreter: each instruction word is
 /// decoded once per address into a dense DecodedInsn entry, and the run
-/// loop (isa::run, under every ExecBackend) executes from the cached
+/// loop (isa::run, under isa::ExecBackend) executes from the cached
 /// entry instead of re-running fetch-decode every step.
 /// This removes the double decode the reference loop performs (isHalted
 /// decodes PC, then step decodes it again), and the decode picks the

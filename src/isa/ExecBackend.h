@@ -1,4 +1,4 @@
-//===- isa/ExecBackend.h - Pluggable ISA execution backends ----*- C++ -*-===//
+//===- isa/ExecBackend.h - The ISA execution backend -----------*- C++ -*-===//
 //
 // Part of SilverStack, a C++ reproduction of "Verified Compilation on a
 // Verified Processor" (PLDI 2019).
@@ -6,24 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One interface over the Silver ISA's run loop, so the layers above
-/// (machine::MachineSem, the stack::Executor ISA session) stop
-/// special-casing the interpreter and can swap in the baseline JIT
-/// (isa/jit/Jit.h) without touching their run loops.
+/// The one execution backend over the Silver ISA's run loop: isa::run
+/// over an owned DecodeCache, with the baseline JIT (isa/jit/Jit.h)
+/// entered as its block hook when the backend was asked for one.  The
+/// layers above (machine::MachineSem, the stack::Executor ISA session)
+/// hold a backend by value and never special-case the JIT.
 ///
-/// The contract every backend implements is the reference semantics of
-/// isa/Interp.h, bit for bit: identical step counts, identical faults,
-/// identical MachineState after any budgeted run.  A backend owns
-/// whatever derived execution state it needs (the interpreter's
-/// DecodeCache, the JIT's compiled-block cache); invalidate() is the
-/// single notification point for out-of-band memory writes — the
-/// machine-sem FFI interference oracle, image patching, tests — and
-/// subsumes the DecodeCache invalidation contract (DecodeCache.h).
+/// The contract is the reference semantics of isa/Interp.h, bit for bit:
+/// identical step counts, identical faults, identical MachineState after
+/// any budgeted run, with or without the JIT.  The backend owns all
+/// derived execution state (decoded slots, compiled blocks), and moving
+/// the backend moves it along; invalidate() is the single notification
+/// point for out-of-band memory writes — the machine-sem FFI interference
+/// oracle, image patching, tests — and subsumes the DecodeCache
+/// invalidation contract (DecodeCache.h).
 ///
 /// Observed (observer-instrumented) runs are interpreter-exact by
-/// definition: backends that execute translated code fall back to the
-/// interpreter whenever an observer is attached, so event streams never
-/// depend on the backend choice.
+/// definition: they never enter the JIT, so event streams never depend
+/// on whether the backend has one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,38 +32,46 @@
 
 #include "isa/DecodeCache.h"
 #include "isa/Interp.h"
+#include "isa/jit/Jit.h"
 
 #include <memory>
+#include <optional>
 
 namespace silver {
 namespace isa {
 
 class ExecBackend {
 public:
-  virtual ~ExecBackend();
+  /// Interprets, or — given \p Opts — runs hot blocks natively when the
+  /// host supports it (jit::hostSupported()) and the JIT's code arena
+  /// and thunks set up; otherwise it interprets.
+  explicit ExecBackend(std::optional<jit::JitOptions> Opts = std::nullopt);
+  ExecBackend(ExecBackend &&) noexcept;
+  ExecBackend &operator=(ExecBackend &&) noexcept;
+  ~ExecBackend();
 
   /// isa::run over the backend's derived state (the same parameters
   /// minus the cache): runs until halt, fault, \p MaxSteps instructions,
   /// or PC reaching \p StopPc, observed when Hooks->Obs is set.
-  virtual RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                        std::optional<Word> StopPc = std::nullopt,
-                        ObsHooks *Hooks = nullptr) = 0;
+  RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
+                std::optional<Word> StopPc = std::nullopt,
+                ObsHooks *Hooks = nullptr);
 
   /// Memory bytes [Addr, Addr+Size) changed behind the backend's back;
   /// drop every derived artifact (decoded slots, compiled blocks) that
   /// depends on them.
-  virtual void invalidate(Word Addr, Word Size) = 0;
+  void invalidate(Word Addr, Word Size);
 
-  /// Memory changed in unknown ways; forget everything derived.
-  virtual void invalidateAll() = 0;
+  const DecodeCache::Stats &decodeStats() const { return Cache.stats(); }
 
-  /// Decode-cache statistics (all backends decode through one).
-  virtual const DecodeCache::Stats &decodeStats() const = 0;
+  /// What the JIT did; null when the backend interprets.
+  const jit::JitStats *jitStats() const;
+
+private:
+  DecodeCache Cache;
+  /// Null when the backend interprets.
+  std::unique_ptr<jit::Jit> Jit;
 };
-
-/// Creates the reference backend: the predecoded interpreter of
-/// isa/Interp.h over an owned DecodeCache.
-std::unique_ptr<ExecBackend> makeInterpBackend();
 
 } // namespace isa
 } // namespace silver

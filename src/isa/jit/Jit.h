@@ -10,14 +10,15 @@
 /// Silver machine code are compiled, copy-and-patch style, to host
 /// x86-64 and executed natively; everything else — cold code, blocks the
 /// compiler refuses, FFI/oracle boundaries, faults, budget tails — runs
-/// on the interpreter.  The backend has no run loop of its own: it is a
-/// block hook (isa::BlockHook) in the one predecoded loop of
+/// on the interpreter.  The JIT has no run loop of its own: it is a
+/// block hook (isa::BlockHook) that an isa::ExecBackend built with
+/// JitOptions owns and passes to the one predecoded loop of
 /// isa/Interp.cpp, which enters it before each instruction it would
 /// interpret.  The trusted artifact stays the interpreter: the JIT is
 /// validated differentially (the silver-fuzz jit run grinds it against
 /// isa::Interp on every campaign), never trusted.
 ///
-/// Correctness invariants the backend maintains:
+/// Correctness invariants the JIT maintains:
 ///
 ///  - Bit-exactness.  Compiled templates mirror isa/Interp.cpp's
 ///    handlers per instruction, including the flag semantics of
@@ -39,16 +40,17 @@
 ///  - Store guard.  The guard is the PageCode bit of the state's
 ///    page-state table (MachineState::PageFlags): the decode cache sets
 ///    it on every page it fills a slot of, whoever asked, and the
-///    backend sets it on a compiled block's source pages.  A native
+///    JIT sets it on a compiled block's source pages.  A native
 ///    store into a code page side-exits and the loop interprets it,
 ///    which drops the decoded slots and, through BlockHook::stored, the
 ///    compiled blocks it overlaps — self-modifying code (the corpus's
 ///    selfmod-0.s) deoptimizes and re-compiles.  A native store that
 ///    passes marks its page PageWritten with one byte store, so
 ///    incremental StateDigests see JIT writes.
-///  - External invalidation.  ExecBackend::invalidate (the machine-sem
-///    FFI interference oracle, tests, image patching) drops decoded
-///    slots and compiled blocks covering the range.
+///  - External invalidation.  isa::ExecBackend::invalidate (the
+///    machine-sem FFI interference oracle, tests, image patching) drops
+///    the backend's decoded slots and the compiled blocks of its JIT
+///    covering the range.
 ///
 /// Blocks chain directly block-to-block: a terminator whose target is a
 /// compiled block is patched to jump straight to it (the target's entry
@@ -65,10 +67,11 @@
 #ifndef SILVER_ISA_JIT_JIT_H
 #define SILVER_ISA_JIT_JIT_H
 
-#include "isa/ExecBackend.h"
+#include "isa/PageMemory.h"
 
 #include <array>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 
 namespace silver {
 namespace isa {
@@ -76,7 +79,7 @@ namespace jit {
 
 /// Whether this host can execute translated Silver code.  False on
 /// non-x86-64 architectures and when executable memory cannot be
-/// mapped; the backend then degrades to pure interpretation (and the
+/// mapped; an ExecBackend asked for the JIT then interprets (and the
 /// stack layer reports the degradation as a diagnostic, not an error).
 bool hostSupported();
 
@@ -131,7 +134,7 @@ struct JitOptions {
   uint32_t HotThreshold = 16;
 };
 
-/// What the backend did.  Every count is a deterministic function of the
+/// What the JIT did.  Every count is a deterministic function of the
 /// program, its input, the options and the run's budgets and stop PC.
 struct JitStats {
   uint64_t BlocksCompiled = 0;
@@ -146,14 +149,9 @@ struct JitStats {
   uint64_t Interpreted = 0;
 };
 
-/// Creates the JIT backend.  Always succeeds; on hosts without native
-/// support the returned backend interprets everything (hostSupported()
-/// tells callers whether to surface a degradation diagnostic).
-std::unique_ptr<ExecBackend> makeJitBackend(const JitOptions &Opts = {});
-
-/// The statistics of a backend created by makeJitBackend; null for
-/// other backends.
-const JitStats *backendStats(const ExecBackend &Backend);
+/// The JIT: the block hook an isa::ExecBackend built with JitOptions
+/// enters (isa/ExecBackend.h; defined in JitBackend.cpp).
+class Jit;
 
 } // namespace jit
 } // namespace isa

@@ -1,4 +1,4 @@
-//===- isa/jit/JitBackend.cpp - JIT execution backend ---------------------===//
+//===- isa/jit/JitBackend.cpp - The ISA execution backend and its JIT -----===//
 //
 // Part of SilverStack, a C++ reproduction of "Verified Compilation on a
 // Verified Processor" (PLDI 2019).
@@ -6,16 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The JIT ExecBackend: a block hook (isa::BlockHook) in the predecoded
-/// run loop of isa/Interp.cpp.  The loop calls enter() before each
-/// instruction it would interpret, which counts visits, compiles hot
-/// entries and runs compiled blocks; interpreted stores into code pages
-/// reach stored().  With no instruction loop of its own, the backend's
-/// step counts, faults and halts are the interpreter's by construction.
+/// isa::ExecBackend and the JIT it owns when asked for one: a block hook
+/// (isa::BlockHook) in the predecoded run loop of isa/Interp.cpp.  The
+/// loop calls enter() before each instruction it would interpret, which
+/// counts visits, compiles hot entries and runs compiled blocks;
+/// interpreted stores into code pages reach stored().  With no
+/// instruction loop of its own, the JIT's step counts, faults and halts
+/// are the interpreter's by construction.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "isa/jit/Jit.h"
+#include "isa/ExecBackend.h"
 
 #include "isa/Interp.h"
 #include "isa/jit/CodeArena.h"
@@ -62,23 +63,19 @@ namespace {
 /// compilation starts over (bounded memory, self-healing).
 constexpr size_t CodeBytes = 4u << 20;
 
-class JitBackend final : public ExecBackend, BlockHook {
+} // namespace
+
+class silver::isa::jit::Jit final : public BlockHook {
 public:
-  explicit JitBackend(const JitOptions &O)
-      : Opts(O), NativeOk(hostSupported()),
-        Arena(NativeOk ? CodeBytes : 0) {
+  explicit Jit(const JitOptions &O) : Opts(O), Arena(CodeBytes) {
     if (!Arena.valid())
-      NativeOk = false;
-    if (!NativeOk)
       return;
     Emitter Em;
     size_t EnterOff = 0, ExitOff = 0;
     emitRuntimeThunks(Em, EnterOff, ExitOff);
     uint8_t *P = Arena.alloc(Em.size());
-    if (!P) {
-      NativeOk = false;
+    if (!P)
       return;
-    }
     std::memcpy(P, Em.Code.data(), Em.size());
     Arena.endWrite();
     Enter = reinterpret_cast<EnterFn>(P + EnterOff);
@@ -86,42 +83,82 @@ public:
     ThunkBytes = Arena.used();
   }
 
-  RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                std::optional<Word> StopPc, ObsHooks *Hooks) override {
-    RunResult R;
-    uint64_t NativeBefore = NativeSteps;
-    if (Hooks && Hooks->Obs) {
-      // Observed runs are interpreter-exact by definition; the observed
-      // loop's stores do not reach stored(), so drop every block.
-      R = isa::run(State, Env, Cache, MaxSteps, StopPc, Hooks);
-      if (NativeOk)
-        flushBlocks();
-    } else if (!NativeOk) {
-      R = isa::run(State, Env, Cache, MaxSteps, StopPc);
-    } else {
-      prepareRun(State, StopPc.has_value(), StopPc.value_or(0));
-      R = isa::run(State, Env, Cache, MaxSteps, StopPc, *this);
-    }
-    Stats.Interpreted += R.Steps - (NativeSteps - NativeBefore);
-    return R;
-  }
-
-  void invalidate(Word Addr, Word Size) override {
-    Cache.invalidate(Addr, Size);
-    invalidateBlocksOverlap(Addr, Size);
-  }
-
-  void invalidateAll() override {
-    Cache.invalidateAll();
-    if (NativeOk)
-      flushBlocks();
-  }
-
-  const DecodeCache::Stats &decodeStats() const override {
-    return Cache.stats();
-  }
+  /// Whether the code arena and the thunks set up.
+  bool ready() const { return Enter != nullptr; }
 
   const JitStats &stats() const { return Stats; }
+
+  /// Before an unobserved run of \p State under \p StopPc: drops what
+  /// was derived from another memory (\p Cache's slots too) or compiled
+  /// under another stop PC.
+  void prepareRun(MachineState &State, std::optional<Word> StopPc,
+                  DecodeCache &Cache) {
+    DeoptPending = false;
+    if (State.Memory.size() != MemSize ||
+        State.Memory.data() != MemData) {
+      // A different (or resized) memory: every derived artifact refers
+      // to the old one.
+      Cache.invalidateAll();
+      flushBlocks();
+      MemSize = State.Memory.size();
+      MemData = State.Memory.data();
+    }
+    bool HasStop = StopPc.has_value();
+    if (!HasStamp || StampHasStop != HasStop ||
+        (HasStop && StampStopPc != *StopPc)) {
+      if (HasStamp)
+        flushBlocks();
+      HasStamp = true;
+      StampHasStop = HasStop;
+      StampStopPc = StopPc.value_or(0);
+    }
+  }
+
+  /// Books a finished run of \p Steps instructions: the loop interpreted
+  /// the ones compiled blocks did not run.
+  void countRun(uint64_t Steps) {
+    Stats.Interpreted += Steps - NativeSteps;
+    NativeSteps = 0;
+  }
+
+  /// Drops every compiled block (arena pressure, stop-PC change, memory
+  /// identity change, observed runs).  The thunks survive.
+  void flushBlocks() {
+    for (std::unique_ptr<BlockPage> &P : BlockPages)
+      if (P)
+        for (BlockEntry &E : P->Slots)
+          E = BlockEntry{};
+    Records.clear();
+    PendingChains.clear();
+    Arena.resetTo(ThunkBytes);
+  }
+
+  /// Invalidates installed blocks whose source bytes overlap
+  /// [Addr, Addr+Size): the block's entry is patched into a jump to its
+  /// invalidation stub, so stale incoming chains bounce out safely.
+  void invalidateBlocksOverlap(Word Addr, Word Size) {
+    if (Size == 0 || Records.empty())
+      return;
+    Word First = Addr;
+    Word Last = Addr + (Size - 1);
+    bool Writing = false;
+    for (BlockRecord &R : Records) {
+      if (!R.Live || R.Last < First || R.First > Last)
+        continue;
+      if (!Writing) {
+        Arena.beginWrite();
+        Writing = true;
+      }
+      R.Code[0] = 0xe9;
+      patchRel32At(R.Code + 1, R.InvalidStub);
+      R.Live = false;
+      BlockEntry &E = blockEntry(R.Entry);
+      E = BlockEntry{};
+      ++Stats.BlockInvalidations;
+    }
+    if (Writing)
+      Arena.endWrite();
+  }
 
 private:
   using EnterFn = void (*)(JitFrame *, const void *);
@@ -148,15 +185,13 @@ private:
   };
 
   JitOptions Opts;
-  DecodeCache Cache;
-  bool NativeOk = false;
   CodeArena Arena;
   EnterFn Enter = nullptr;
   uint8_t *CommonExit = nullptr;
   size_t ThunkBytes = 0;
   JitFrame Frame;
   JitStats Stats;
-  /// Instructions run natively, over the backend's lifetime.
+  /// Instructions run natively since the last countRun.
   uint64_t NativeSteps = 0;
   /// The last block deopted after committing some of its instructions;
   /// the loop's next visit is the deopting instruction (enter).
@@ -203,66 +238,6 @@ private:
     Field[1] = static_cast<uint8_t>(V >> 8);
     Field[2] = static_cast<uint8_t>(V >> 16);
     Field[3] = static_cast<uint8_t>(V >> 24);
-  }
-
-  /// Drops every compiled block (arena pressure, stop-PC change, memory
-  /// identity change, observed-run delegation).  The thunks survive.
-  void flushBlocks() {
-    for (std::unique_ptr<BlockPage> &P : BlockPages)
-      if (P)
-        for (BlockEntry &E : P->Slots)
-          E = BlockEntry{};
-    Records.clear();
-    PendingChains.clear();
-    Arena.resetTo(ThunkBytes);
-  }
-
-  /// Invalidates installed blocks whose source bytes overlap
-  /// [Addr, Addr+Size): the block's entry is patched into a jump to its
-  /// invalidation stub, so stale incoming chains bounce out safely.
-  void invalidateBlocksOverlap(Word Addr, Word Size) {
-    if (Size == 0 || Records.empty())
-      return;
-    Word First = Addr;
-    Word Last = Addr + (Size - 1);
-    bool Writing = false;
-    for (BlockRecord &R : Records) {
-      if (!R.Live || R.Last < First || R.First > Last)
-        continue;
-      if (!Writing) {
-        Arena.beginWrite();
-        Writing = true;
-      }
-      R.Code[0] = 0xe9;
-      patchRel32At(R.Code + 1, R.InvalidStub);
-      R.Live = false;
-      BlockEntry &E = blockEntry(R.Entry);
-      E = BlockEntry{};
-      ++Stats.BlockInvalidations;
-    }
-    if (Writing)
-      Arena.endWrite();
-  }
-
-  void prepareRun(MachineState &State, bool HasStop, Word StopPc) {
-    DeoptPending = false;
-    if (State.Memory.size() != MemSize ||
-        State.Memory.data() != MemData) {
-      // A different (or resized) memory: every derived artifact refers
-      // to the old one.
-      Cache.invalidateAll();
-      flushBlocks();
-      MemSize = State.Memory.size();
-      MemData = State.Memory.data();
-    }
-    if (!HasStamp || StampHasStop != HasStop ||
-        (HasStop && StampStopPc != StopPc)) {
-      if (HasStamp)
-        flushBlocks();
-      HasStamp = true;
-      StampHasStop = HasStop;
-      StampStopPc = StopPc;
-    }
   }
 
   /// Runs compiled code from State.PC; returns the instructions run.
@@ -373,14 +348,43 @@ private:
   }
 };
 
-} // namespace
-
-std::unique_ptr<ExecBackend>
-silver::isa::jit::makeJitBackend(const JitOptions &Opts) {
-  return std::make_unique<JitBackend>(Opts);
+ExecBackend::ExecBackend(std::optional<jit::JitOptions> Opts) {
+  if (!Opts || !jit::hostSupported())
+    return;
+  Jit = std::make_unique<jit::Jit>(*Opts);
+  if (!Jit->ready())
+    Jit.reset();
 }
 
-const JitStats *silver::isa::jit::backendStats(const ExecBackend &Backend) {
-  const auto *J = dynamic_cast<const JitBackend *>(&Backend);
-  return J ? &J->stats() : nullptr;
+ExecBackend::ExecBackend(ExecBackend &&) noexcept = default;
+ExecBackend &ExecBackend::operator=(ExecBackend &&) noexcept = default;
+ExecBackend::~ExecBackend() = default;
+
+RunResult ExecBackend::run(MachineState &State, IsaEnv &Env,
+                           uint64_t MaxSteps, std::optional<Word> StopPc,
+                           ObsHooks *Hooks) {
+  if (!Jit)
+    return isa::run(State, Env, Cache, MaxSteps, StopPc, Hooks);
+  RunResult R;
+  if (Hooks && Hooks->Obs) {
+    // Observed runs are interpreter-exact by definition; the observed
+    // loop's stores do not reach stored(), so drop every block.
+    R = isa::run(State, Env, Cache, MaxSteps, StopPc, Hooks);
+    Jit->flushBlocks();
+  } else {
+    Jit->prepareRun(State, StopPc, Cache);
+    R = isa::run(State, Env, Cache, MaxSteps, StopPc, *Jit);
+  }
+  Jit->countRun(R.Steps);
+  return R;
+}
+
+void ExecBackend::invalidate(Word Addr, Word Size) {
+  Cache.invalidate(Addr, Size);
+  if (Jit)
+    Jit->invalidateBlocksOverlap(Addr, Size);
+}
+
+const jit::JitStats *ExecBackend::jitStats() const {
+  return Jit ? &Jit->stats() : nullptr;
 }

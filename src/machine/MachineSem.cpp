@@ -85,13 +85,13 @@ bool MachineSem::oracleStep() {
   if (R.Outcome == ffi::FfiOutcome::Exit) {
     State.writeWord(Layout.ExitFlagAddr, 1);
     State.writeWord(Layout.ExitCodeAddr, R.ExitCode);
-    Backend->invalidate(Layout.ExitFlagAddr, 4);
-    Backend->invalidate(Layout.ExitCodeAddr, 4);
+    Backend.invalidate(Layout.ExitFlagAddr, 4);
+    Backend.invalidate(Layout.ExitCodeAddr, 4);
     LastBehaviour.Kind = BehaviourKind::Terminated;
     LastBehaviour.ExitCode = R.ExitCode;
     return false;
   }
-  applyFfiInterfer(State, Layout, Index, R.Bytes, Ffi, Backend.get());
+  applyFfiInterfer(State, Layout, Index, R.Bytes, Ffi, &Backend);
   return true;
 }
 
@@ -105,8 +105,8 @@ Behaviour MachineSem::run(uint64_t MaxSteps) {
   // none of them runs once the budget is exhausted.
   while (true) {
     isa::RunResult R =
-        Backend->run(State, isa::nullEnv(), MaxSteps - LastBehaviour.Steps,
-                     Layout.SyscallCodeBase, &Hooks);
+        Backend.run(State, isa::nullEnv(), MaxSteps - LastBehaviour.Steps,
+                    Layout.SyscallCodeBase, &Hooks);
     LastBehaviour.Steps += R.Steps;
     if (R.AtStopPc) {
       ++LastBehaviour.Steps;

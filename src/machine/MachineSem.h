@@ -20,6 +20,12 @@
 /// isa::run) runs the real system-call code; machine::checkInterferenceImpl
 /// verifies the two agree (the paper's theorems (11)-(13)).
 ///
+/// Between oracle consultations the semantics runs the ISA through one
+/// isa::ExecBackend it holds by value: the interpreter, or the JIT when
+/// the backend was built with one.  Every oracle write is reported to
+/// that backend, which is what keeps its decoded slots and compiled
+/// blocks exact.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_MACHINE_MACHINESEM_H
@@ -29,8 +35,6 @@
 #include "isa/ExecBackend.h"
 #include "isa/Interp.h"
 #include "sys/Image.h"
-
-#include <memory>
 
 namespace silver {
 namespace machine {
@@ -101,15 +105,14 @@ void applyFfiInterfer(isa::MachineState &State,
 class MachineSem {
 public:
   /// \p Backend is the ISA execution backend the semantics steps with
-  /// (isa/ExecBackend.h); null selects the reference interpreter.  The
-  /// oracle arm notifies it of every interference write, so a
-  /// translating backend (the JIT) stays exact across FFI boundaries.
+  /// (isa/ExecBackend.h); the default interprets.  The oracle arm
+  /// notifies it of every interference write, so a backend with a JIT
+  /// stays exact across FFI boundaries.
   MachineSem(isa::MachineState State, ffi::BasisFfi Ffi,
              sys::MemoryLayout Layout,
-             std::unique_ptr<isa::ExecBackend> Backend = nullptr)
+             isa::ExecBackend Backend = isa::ExecBackend())
       : State(std::move(State)), Ffi(std::move(Ffi)),
-        Layout(std::move(Layout)),
-        Backend(Backend ? std::move(Backend) : isa::makeInterpBackend()) {}
+        Layout(std::move(Layout)), Backend(std::move(Backend)) {}
 
   /// Runs for at most \p MaxSteps ISA steps (oracle steps count as one).
   /// A paused run resumes where the previous call stopped.
@@ -124,6 +127,9 @@ public:
   }
 
   const isa::MachineState &state() const { return State; }
+  /// The backend the semantics steps with (its decode and JIT
+  /// statistics).
+  const isa::ExecBackend &backend() const { return Backend; }
   /// Ends the semantics, handing its state back (sys::boot recycles it).
   isa::MachineState takeState() && { return std::move(State); }
   const ffi::BasisFfi &ffi() const { return Ffi; }
@@ -144,7 +150,7 @@ private:
   /// The ISA execution backend; owns all derived execution state
   /// (decode cache, compiled blocks) and is kept valid across
   /// interpreter stores and oracle interference writes.
-  std::unique_ptr<isa::ExecBackend> Backend;
+  isa::ExecBackend Backend;
 };
 
 } // namespace machine

@@ -10,6 +10,7 @@
 #include "cpu/Check.h"
 #include "ffi/BasisFfi.h"
 #include "isa/Abi.h"
+#include "isa/ExecBackend.h"
 
 #include <algorithm>
 
@@ -62,7 +63,7 @@ struct Executor::SessionBase {
   /// Snapshots the architectural state (Executor::sessionState);
   /// \p FromScratch hashes every page (sessionStateFromScratch).
   virtual StateDigest digest(bool FromScratch) const = 0;
-  /// The JIT's statistics when the session steps with the Jit backend,
+  /// The JIT's statistics when the session's ISA backend runs the JIT,
   /// null otherwise.
   virtual const isa::jit::JitStats *jitStats() const { return nullptr; }
   /// Ends the session, handing its memory (the booted state, or the lab
@@ -75,14 +76,13 @@ namespace {
 /// The execution backend a session steps with.  Jit silently degrades
 /// to the interpreter on unsupported hosts (the CLIs surface the
 /// degradation as a diagnostic before the run starts).
-std::unique_ptr<isa::ExecBackend> makeSessionBackend(const ExecOptions &E) {
-  if (E.Backend == BackendKind::Jit && isa::jit::hostSupported()) {
-    isa::jit::JitOptions Opts;
-    if (E.JitHotThreshold)
-      Opts.HotThreshold = E.JitHotThreshold;
-    return isa::jit::makeJitBackend(Opts);
-  }
-  return isa::makeInterpBackend();
+isa::ExecBackend makeSessionBackend(const ExecOptions &E) {
+  if (E.Backend != BackendKind::Jit)
+    return isa::ExecBackend();
+  isa::jit::JitOptions Opts;
+  if (E.JitHotThreshold)
+    Opts.HotThreshold = E.JitHotThreshold;
+  return isa::ExecBackend(Opts);
 }
 
 /// The digest of a state booted from \p Snap: pages the state marked
@@ -120,7 +120,7 @@ struct IsaSession final : Executor::SessionBase {
   /// its derived state — decoded slots, and compiled blocks at the Jit
   /// backend (stores invalidate what they overwrite, so self-modifying
   /// code stays correct at every backend).
-  std::unique_ptr<isa::ExecBackend> Backend;
+  isa::ExecBackend Backend;
   ffi::IoTrace Trace;
   uint64_t Steps = 0; ///< post-startup ISA steps
   bool Halted = false;
@@ -143,8 +143,8 @@ struct IsaSession final : Executor::SessionBase {
       // backend, not per retire: without an observer the predecoded
       // loop does no virtual dispatch at all.
       isa::RunResult R =
-          Backend->run(State, Env, MaxInstructions - (Steps - Start),
-                       Boot.Layout.SyscallCodeBase, &Hooks);
+          Backend.run(State, Env, MaxInstructions - (Steps - Start),
+                      Boot.Layout.SyscallCodeBase, &Hooks);
       Steps += R.Steps;
       if (R.AtStopPc) {
         sys::recordFfiCall(Trace, State.Regs, State);
@@ -187,7 +187,7 @@ struct IsaSession final : Executor::SessionBase {
   const ffi::IoTrace &trace() const override { return Trace; }
 
   const isa::jit::JitStats *jitStats() const override {
-    return isa::jit::backendStats(*Backend);
+    return Backend.jitStats();
   }
 
   StateDigest digest(bool FromScratch) const override {
@@ -244,6 +244,10 @@ struct MachineSession final : Executor::SessionBase {
   }
 
   const ffi::IoTrace &trace() const override { return Sem.ffi().Trace; }
+
+  const isa::jit::JitStats *jitStats() const override {
+    return Sem.backend().jitStats();
+  }
 
   StateDigest digest(bool FromScratch) const override {
     return digestOf(Sem.state(), FromScratch ? nullptr : Snapshot.get());

@@ -160,9 +160,9 @@ public:
   /// What the JIT did in the active session: blocks compiled and
   /// refused, invalidations, arena flushes, exits by kind and the
   /// instructions left to the interpreter.
-  /// Valid between begin() and finish() of an Isa session on the Jit
-  /// backend; an error at other levels and backends, and where the Jit
-  /// degraded to the interpreter (isa::jit::hostSupported()).
+  /// Valid between begin() and finish() of a Machine or Isa session on
+  /// the Jit backend; an error at other levels and backends, and where
+  /// the Jit degraded to the interpreter (isa::jit::hostSupported()).
   Result<isa::jit::JitStats> sessionJitStats() const;
 
   /// sessionState() computed from scratch: every page hashed, ignoring

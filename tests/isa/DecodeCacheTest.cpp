@@ -248,17 +248,17 @@ DecodeCache::Stats isaRunStats(const char *Source, const std::string &Stdin,
     return {};
   }
   sys::SysEnv Env(B->Layout);
-  std::unique_ptr<ExecBackend> Backend = makeInterpBackend();
+  ExecBackend Backend;
   for (;;) {
-    RunResult R = Backend->run(B->State, Env, 100'000'000,
-                               B->Layout.SyscallCodeBase);
+    RunResult R = Backend.run(B->State, Env, 100'000'000,
+                              B->Layout.SyscallCodeBase);
     EXPECT_EQ(R.Fault, StepFault::None);
     if (!R.AtStopPc)
       break;
     EXPECT_TRUE(step(B->State, Env).ok());
   }
   Stdout = Env.collectedStdout();
-  return Backend->decodeStats();
+  return Backend.decodeStats();
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "isa/jit/Jit.h"
+#include "isa/ExecBackend.h"
 
 #include "isa/Encoding.h"
 #include "isa/Interp.h"
@@ -61,10 +61,10 @@ std::vector<Instruction> selfModifyingLoop() {
   };
 }
 
-std::unique_ptr<ExecBackend> hotJit() {
+ExecBackend hotJit() {
   jit::JitOptions O;
   O.HotThreshold = 1; // compile on first visit: every test runs native
-  return jit::makeJitBackend(O);
+  return ExecBackend(O);
 }
 
 /// Runs \p Prog under both backends with the same budget and requires
@@ -75,11 +75,11 @@ void expectSameRun(const std::vector<Instruction> &Prog,
                    size_t MemBytes = 64 * 1024) {
   MachineState J = makeMachine(Prog, MemBytes);
   MachineState R = J;
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
+  ExecBackend JB = hotJit();
+  ExecBackend IB;
 
-  RunResult Jr = JB->run(J, nullEnv(), MaxSteps);
-  RunResult Rr = IB->run(R, nullEnv(), MaxSteps);
+  RunResult Jr = JB.run(J, nullEnv(), MaxSteps);
+  RunResult Rr = IB.run(R, nullEnv(), MaxSteps);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(Jr.Halted, Rr.Halted);
   EXPECT_EQ(Jr.Fault, Rr.Fault);
@@ -105,9 +105,9 @@ TEST(JitBackend, HotRunCountsRefusalsAndExitsByKind) {
   // Runs \p Prog hot to its halt and returns what the JIT did.
   auto statsOf = [](const std::vector<Instruction> &Prog) {
     MachineState S = makeMachine(Prog);
-    std::unique_ptr<ExecBackend> JB = hotJit();
-    EXPECT_TRUE(JB->run(S, nullEnv(), 1000).Halted);
-    return *jit::backendStats(*JB);
+    ExecBackend JB = hotJit();
+    EXPECT_TRUE(JB.run(S, nullEnv(), 1000).Halted);
+    return *JB.jitStats();
   };
 
   // A block ended by a jump to a register target compiles and leaves
@@ -167,16 +167,16 @@ TEST(JitBackend, DeoptAfterACommittedPrefixIsNoVisit) {
   };
   MachineState J = makeMachine(P);
   MachineState R = J;
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  RunResult Jr = JB->run(J, nullEnv(), 1000);
-  RunResult Rr = makeInterpBackend()->run(R, nullEnv(), 1000);
+  ExecBackend JB = hotJit();
+  RunResult Jr = JB.run(J, nullEnv(), 1000);
+  RunResult Rr = ExecBackend().run(R, nullEnv(), 1000);
   EXPECT_TRUE(Jr.Halted);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(J.Regs, R.Regs);
   EXPECT_EQ(J.Memory, R.Memory);
   EXPECT_EQ(J.readWord(1024), 10u);
 
-  const jit::JitStats &St = *jit::backendStats(*JB);
+  const jit::JitStats &St = *JB.jitStats();
   // Blocks at 0 (to the first store), 16 (the loop's tail, chained to
   // 8) and 8; one deopt per iteration, and chain exits to 8 before it
   // was compiled and to the halt.  Only the ten stores are interpreted.
@@ -313,7 +313,7 @@ TEST(JitBackend, JumpLinkSemanticsMatchInterpreter) {
   expectSameRun(P);
 
   MachineState S = makeMachine(P);
-  ASSERT_TRUE(hotJit()->run(S, nullEnv(), 100).Halted);
+  ASSERT_TRUE(hotJit().run(S, nullEnv(), 100).Halted);
   EXPECT_EQ(S.Regs[5], 8u); // the link value, not the target
 }
 
@@ -322,12 +322,12 @@ TEST(JitBackend, SelfModifyingLoopMatchesInterpreter) {
 
   // And the JIT really took the deopt/invalidate path natively.
   MachineState S = makeMachine(selfModifyingLoop());
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  RunResult R = JB->run(S, nullEnv(), 100'000);
+  ExecBackend JB = hotJit();
+  RunResult R = JB.run(S, nullEnv(), 100'000);
   EXPECT_TRUE(R.Halted);
   EXPECT_EQ(S.Regs[2], 5u); // stale translated code would give 3
   if (jit::hostSupported()) {
-    const jit::JitStats *St = jit::backendStats(*JB);
+    const jit::JitStats *St = JB.jitStats();
     ASSERT_NE(St, nullptr);
     EXPECT_GT(St->BlocksCompiled, 0u);
     EXPECT_GT(St->BlockInvalidations, 0u);
@@ -361,10 +361,10 @@ TEST(JitBackend, CrossPageStoreInvalidates) {
               encode(Instruction::jump(Func::Snd, 62, Operand::reg(10))));
   MachineState Ref = M;
 
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
-  RunResult Jr = JB->run(M, nullEnv(), 100'000);
-  RunResult Rr = IB->run(Ref, nullEnv(), 100'000);
+  ExecBackend JB = hotJit();
+  ExecBackend IB;
+  RunResult Jr = JB.run(M, nullEnv(), 100'000);
+  RunResult Rr = IB.run(Ref, nullEnv(), 100'000);
   EXPECT_TRUE(Jr.Halted);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(M.Regs, Ref.Regs);
@@ -373,7 +373,7 @@ TEST(JitBackend, CrossPageStoreInvalidates) {
   // iterations 2..4, which add 2 each.
   EXPECT_EQ(M.Regs[2], 1u + 3u * 2u);
   if (jit::hostSupported()) {
-    const jit::JitStats *St = jit::backendStats(*JB);
+    const jit::JitStats *St = JB.jitStats();
     ASSERT_NE(St, nullptr);
     EXPECT_GT(St->BlockInvalidations, 0u);
   }
@@ -418,11 +418,11 @@ void expectDecodeWithoutCompileIsGuarded(DecodedVia Via) {
     Known.push_back(pageHash(J.Memory.data() + (I << PageShift), PageSize));
   MachineState R = J;
 
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
+  ExecBackend JB = hotJit();
+  ExecBackend IB;
   uint64_t Steps[2] = {};
   MachineState *States[2] = {&J, &R};
-  ExecBackend *Backends[2] = {JB.get(), IB.get()};
+  ExecBackend *Backends[2] = {&JB, &IB};
   for (int K = 0; K != 2; ++K) {
     MachineState &S = *States[K];
     ExecBackend &B = *Backends[K];
@@ -483,13 +483,13 @@ TEST(JitBackend, ExternalInvalidateDropsCompiledBlocks) {
   };
   MachineState S = makeMachine(P);
   S.Regs[1] = 6;
-  std::unique_ptr<ExecBackend> JB = hotJit();
+  ExecBackend JB = hotJit();
 
   // First slice: three iterations, hot and compiled.
   MachineState Ref = S;
-  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
-  RunResult Jr = JB->run(S, nullEnv(), 9);
-  RunResult Rr = IB->run(Ref, nullEnv(), 9);
+  ExecBackend IB;
+  RunResult Jr = JB.run(S, nullEnv(), 9);
+  RunResult Rr = IB.run(Ref, nullEnv(), 9);
   ASSERT_EQ(Jr.Steps, Rr.Steps);
   ASSERT_EQ(S.Regs, Ref.Regs);
 
@@ -497,11 +497,11 @@ TEST(JitBackend, ExternalInvalidateDropsCompiledBlocks) {
   Word PatchedWord = encode(addImm(2, 2, 2));
   S.writeWord(0, PatchedWord);
   Ref.writeWord(0, PatchedWord);
-  JB->invalidate(0, 4);
-  IB->invalidate(0, 4);
+  JB.invalidate(0, 4);
+  IB.invalidate(0, 4);
 
-  Jr = JB->run(S, nullEnv(), 100'000);
-  Rr = IB->run(Ref, nullEnv(), 100'000);
+  Jr = JB.run(S, nullEnv(), 100'000);
+  Rr = IB.run(Ref, nullEnv(), 100'000);
   EXPECT_TRUE(Jr.Halted);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(S.Regs, Ref.Regs);
@@ -515,14 +515,14 @@ TEST(JitBackend, BudgetSweepHasExactStepAccounting) {
   // side exits; the run loop interprets budget tails).
   std::vector<Instruction> Prog = selfModifyingLoop();
   MachineState Ref0 = makeMachine(Prog);
-  RunResult Full = makeInterpBackend()->run(Ref0, nullEnv(), 100'000);
+  RunResult Full = ExecBackend().run(Ref0, nullEnv(), 100'000);
   ASSERT_TRUE(Full.Halted);
 
   for (uint64_t Budget = 0; Budget <= Full.Steps + 2; ++Budget) {
     MachineState J = makeMachine(Prog);
     MachineState R = makeMachine(Prog);
-    RunResult Jr = hotJit()->run(J, nullEnv(), Budget);
-    RunResult Rr = makeInterpBackend()->run(R, nullEnv(), Budget);
+    RunResult Jr = hotJit().run(J, nullEnv(), Budget);
+    RunResult Rr = ExecBackend().run(R, nullEnv(), Budget);
     ASSERT_EQ(Jr.Steps, Rr.Steps) << "budget " << Budget;
     ASSERT_EQ(Jr.Halted, Rr.Halted) << "budget " << Budget;
     ASSERT_EQ(J.PC, R.PC) << "budget " << Budget;
@@ -537,14 +537,14 @@ TEST(JitBackend, BudgetResumeMatchesWholeRun) {
   // against a single whole run.
   std::vector<Instruction> Prog = selfModifyingLoop();
   MachineState Whole = makeMachine(Prog);
-  RunResult Wr = hotJit()->run(Whole, nullEnv(), 100'000);
+  RunResult Wr = hotJit().run(Whole, nullEnv(), 100'000);
   ASSERT_TRUE(Wr.Halted);
 
   MachineState S = makeMachine(Prog);
-  std::unique_ptr<ExecBackend> JB = hotJit();
+  ExecBackend JB = hotJit();
   uint64_t Total = 0;
   for (int Slice = 0; Slice != 1000; ++Slice) {
-    RunResult R = JB->run(S, nullEnv(), 3);
+    RunResult R = JB.run(S, nullEnv(), 3);
     Total += R.Steps;
     if (R.Halted)
       break;
@@ -553,6 +553,37 @@ TEST(JitBackend, BudgetResumeMatchesWholeRun) {
   EXPECT_EQ(Total, Wr.Steps);
   EXPECT_EQ(S.Regs, Whole.Regs);
   EXPECT_EQ(S.Memory, Whole.Memory);
+}
+
+TEST(JitBackend, MovedBackendKeepsItsBlocks) {
+  // MachineSem and the Isa session hold their backend by value: a move
+  // halfway through a run carries the decoded slots and the compiled
+  // blocks along, so the rest of the run recompiles nothing.
+  std::vector<Instruction> Prog = selfModifyingLoop();
+  MachineState Whole = makeMachine(Prog);
+  ExecBackend WholeB = hotJit();
+  RunResult Wr = WholeB.run(Whole, nullEnv(), 100'000);
+  ASSERT_TRUE(Wr.Halted);
+
+  MachineState S = makeMachine(Prog);
+  ExecBackend First = hotJit();
+  RunResult Half = First.run(S, nullEnv(), Wr.Steps / 2);
+  ASSERT_FALSE(Half.Halted);
+  ExecBackend Moved = std::move(First);
+  RunResult Rest = Moved.run(S, nullEnv(), 100'000);
+  EXPECT_TRUE(Rest.Halted);
+  EXPECT_EQ(Half.Steps + Rest.Steps, Wr.Steps);
+  EXPECT_EQ(S.PC, Whole.PC);
+  EXPECT_EQ(S.Regs, Whole.Regs);
+  EXPECT_EQ(S.CarryFlag, Whole.CarryFlag);
+  EXPECT_EQ(S.OverflowFlag, Whole.OverflowFlag);
+  EXPECT_EQ(S.Memory, Whole.Memory);
+  if (jit::hostSupported()) {
+    ASSERT_NE(Moved.jitStats(), nullptr);
+    EXPECT_GT(Moved.jitStats()->BlocksCompiled, 0u);
+    EXPECT_EQ(Moved.jitStats()->BlocksCompiled,
+              WholeB.jitStats()->BlocksCompiled);
+  }
 }
 
 TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
@@ -572,13 +603,13 @@ TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
   MachineState R = J;
   J.Regs[1] = 50;
   R.Regs[1] = 50;
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
+  ExecBackend JB = hotJit();
+  ExecBackend IB;
 
   uint64_t JSteps = 0, RSteps = 0;
   for (int Round = 0; Round != 200; ++Round) {
-    RunResult Jr = JB->run(J, nullEnv(), 7, /*StopPc=*/20);
-    RunResult Rr = IB->run(R, nullEnv(), 7, /*StopPc=*/20);
+    RunResult Jr = JB.run(J, nullEnv(), 7, /*StopPc=*/20);
+    RunResult Rr = IB.run(R, nullEnv(), 7, /*StopPc=*/20);
     ASSERT_EQ(Jr.Steps, Rr.Steps) << "round " << Round;
     ASSERT_EQ(Jr.AtStopPc, Rr.AtStopPc) << "round " << Round;
     ASSERT_EQ(Jr.Halted, Rr.Halted) << "round " << Round;
@@ -594,8 +625,8 @@ TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
   EXPECT_EQ(J.Regs[1], 0u);
 
   // Changing the stop PC mid-session (prepare-state restamp) stays exact.
-  RunResult Jr = JB->run(J, nullEnv(), 100, /*StopPc=*/0);
-  RunResult Rr = IB->run(R, nullEnv(), 100, /*StopPc=*/0);
+  RunResult Jr = JB.run(J, nullEnv(), 100, /*StopPc=*/0);
+  RunResult Rr = IB.run(R, nullEnv(), 100, /*StopPc=*/0);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(Jr.Halted, Rr.Halted);
   EXPECT_EQ(J.Regs, R.Regs);
@@ -615,19 +646,21 @@ TEST(JitBackend, HotLoopCompilesAndChains) {
       Instruction::halt(),
   };
   MachineState S = makeMachine(P);
-  std::unique_ptr<ExecBackend> JB = hotJit();
-  RunResult R = JB->run(S, nullEnv(), 10'000'000);
+  ExecBackend JB = hotJit();
+  RunResult R = JB.run(S, nullEnv(), 10'000'000);
   EXPECT_TRUE(R.Halted);
   EXPECT_EQ(S.Regs[2], 100'000u);
-  const jit::JitStats *St = jit::backendStats(*JB);
+  const jit::JitStats *St = JB.jitStats();
   ASSERT_NE(St, nullptr);
   EXPECT_GE(St->BlocksCompiled, 1u);
   EXPECT_EQ(St->Refused, decltype(St->Refused){});
 }
 
 TEST(JitBackend, StatsAndNameAreWellFormed) {
-  std::unique_ptr<ExecBackend> JB = jit::makeJitBackend();
-  EXPECT_NE(jit::backendStats(*JB), nullptr);
-  std::unique_ptr<ExecBackend> IB = makeInterpBackend();
-  EXPECT_EQ(jit::backendStats(*IB), nullptr);
+  // A backend asked for the JIT has one exactly where the host runs
+  // native code; a backend asked for none interprets.
+  ExecBackend JB(jit::JitOptions{});
+  EXPECT_EQ(JB.jitStats() != nullptr, jit::hostSupported());
+  ExecBackend IB;
+  EXPECT_EQ(IB.jitStats(), nullptr);
 }

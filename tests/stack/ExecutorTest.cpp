@@ -575,9 +575,10 @@ TEST(Executor, SessionBehaviourSnapshotsTheRunningPrefix) {
 // The Machine level additionally covers the oracle-write invalidation
 // contract — every FFI consultation there is an oracle interference
 // write behind the backend's back, and MachineSem must invalidate the
-// JIT's compiled blocks for the touched range.  On hosts without JIT
-// support the Jit run degrades to the interpreter, so the comparison
-// holds vacuously rather than failing.
+// JIT's compiled blocks for the touched range.  The Jit session must
+// report JIT statistics that show native execution.  On hosts without
+// JIT support the Jit run degrades to the interpreter, so the
+// comparison holds vacuously rather than failing.
 void expectJitSessionMatchesInterp(Level L) {
   RunSpec Spec;
   Spec.Source = wcSource();
@@ -600,6 +601,18 @@ void expectJitSessionMatchesInterp(Level L) {
     Result<StateDigest> D = Exec.sessionState();
     ASSERT_TRUE(D) << D.error().str();
     Digests[I] = *D;
+    // The Jit session really ran native code: it compiled blocks and
+    // left fewer instructions than it ran to the interpreter.
+    Result<isa::jit::JitStats> Stats = Exec.sessionJitStats();
+    if (I && isa::jit::hostSupported()) {
+      ASSERT_TRUE(Stats) << Stats.error().str();
+      Result<uint64_t> N = Exec.sessionInstructions();
+      ASSERT_TRUE(N);
+      EXPECT_GT(Stats->BlocksCompiled, 0u);
+      EXPECT_LT(Stats->Interpreted, *N);
+    } else {
+      EXPECT_FALSE(Stats);
+    }
     Result<Outcome> Out = Exec.finish();
     ASSERT_TRUE(Out) << Out.error().str();
     Behaviours[I] = Out->Behaviour;
